@@ -154,7 +154,13 @@ inline bool init(int argc, const char* const* argv) {
     detail::seed_value() = static_cast<std::uint64_t>(cli.get_int("seed"));
   }
   detail::exec_cfg().jobs = static_cast<int>(cli.get_int("jobs"));
-  sim::set_default_engine_workers(static_cast<int>(cli.get_int("engine-workers")));
+  const auto engine_workers = cli.get_int("engine-workers");
+  if (engine_workers < 0) {
+    ISOEE_ERROR("--engine-workers must be >= 0 (0 = automatic), got %lld",
+                static_cast<long long>(engine_workers));
+    return false;
+  }
+  sim::set_default_engine_workers(static_cast<int>(engine_workers));
   detail::exec_cfg().cache_dir = cli.get("cache-dir");
   detail::exec_cfg().cache_max_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);

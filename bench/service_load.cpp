@@ -438,6 +438,12 @@ int main(int argc, char** argv) {
       const std::uint64_t runs_before = stats_runs_started(*monitor);
       const int volley = std::max(2, clients);
       std::vector<std::string> responses(static_cast<std::size_t>(volley));
+      // In process, a gate job holds the scheduler's dispatcher until every
+      // query but the first has coalesced, so the check cannot race the first
+      // simulation finishing. Over --connect the scheduler is out of reach and
+      // only the barrier below narrows the window (docs/SERVICE.md).
+      std::unique_ptr<service::SchedulerGate> gate;
+      if (local) gate = std::make_unique<service::SchedulerGate>(local->scheduler());
       std::atomic<int> arrived{0};
       std::mutex mu;
       std::condition_variable cv;
@@ -470,6 +476,10 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "service_load: verify client %d: %s\n", c, e.what());
           }
         });
+      }
+      if (gate && !gate->release_after_coalesced(static_cast<std::uint64_t>(volley - 1),
+                                                 std::chrono::seconds(60))) {
+        rc = fail("concurrent identical cold queries did not all coalesce in 60 s");
       }
       for (std::thread& t : threads) t.join();
       const std::uint64_t runs_after = stats_runs_started(*monitor);

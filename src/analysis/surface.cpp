@@ -38,11 +38,11 @@ EeSurface ee_surface_pf(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double n,
                         std::span<const int> ps, std::span<const double> fs_ghz,
                         const exec::ExecConfig& exec) {
-  EeSurface s;
-  s.title = workload.name() + " EE(p, f), n = " + util::num(n, 0);
-  s.col_axis = "f (GHz)";
-  s.ps.assign(ps.begin(), ps.end());
-  s.cols.assign(fs_ghz.begin(), fs_ghz.end());
+  EeSurface s{.title = workload.name() + " EE(p, f), n = " + util::num(n, 0),
+              .col_axis = "f (GHz)",
+              .ps = {ps.begin(), ps.end()},
+              .cols = {fs_ghz.begin(), fs_ghz.end()},
+              .ee = {}};
   fill_rows(s, exec,
             [&](int p, double f) { return model::ee_at(machine, workload, n, p, f); });
   return s;
@@ -52,11 +52,11 @@ EeSurface ee_surface_pn(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double f_ghz,
                         std::span<const int> ps, std::span<const double> ns,
                         const exec::ExecConfig& exec) {
-  EeSurface s;
-  s.title = workload.name() + " EE(p, n), f = " + util::num(f_ghz, 1) + " GHz";
-  s.col_axis = "n";
-  s.ps.assign(ps.begin(), ps.end());
-  s.cols.assign(ns.begin(), ns.end());
+  EeSurface s{.title = workload.name() + " EE(p, n), f = " + util::num(f_ghz, 1) + " GHz",
+              .col_axis = "n",
+              .ps = {ps.begin(), ps.end()},
+              .cols = {ns.begin(), ns.end()},
+              .ee = {}};
   fill_rows(s, exec,
             [&](int p, double n) { return model::ee_at(machine, workload, n, p, f_ghz); });
   return s;

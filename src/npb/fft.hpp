@@ -3,7 +3,9 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace isoee::npb {
@@ -21,9 +23,46 @@ constexpr int ilog2(std::size_t x) {
   return r;
 }
 
-/// In-place iterative radix-2 Cooley-Tukey FFT. `data.size()` must be a power
-/// of two. `inverse` applies the conjugate transform *without* the 1/N scale
-/// (callers scale once per dimension, as NPB FT does).
+/// Table-driven in-place radix-2 Cooley-Tukey FFT of one power-of-two size:
+/// a precomputed bit-reversal swap list and one cos/sin twiddle table per
+/// butterfly stage, with the butterflies in explicit re/im arithmetic.
+///
+/// Plans are immutable once built, and `get` hands out one process-wide plan
+/// per size, so any number of threads may share them. `inverse` applies the
+/// conjugate transform *without* the 1/N scale (callers scale once per
+/// dimension, as NPB FT does).
+class FftPlan {
+ public:
+  /// The shared plan for size `n`, built on first use. `n` must be a power of
+  /// two.
+  static const FftPlan& get(std::size_t n);
+
+  std::size_t size() const { return n_; }
+
+  /// Transforms `data` (exactly size() points) in place.
+  void run(std::span<std::complex<double>> data, bool inverse) const;
+
+  /// Transforms every column of a row-major block of size() rows by `cols`
+  /// columns in place. Each butterfly is one contiguous pass over a pair of
+  /// rows, so no column is gathered; every column comes out bit-identical to
+  /// run() on that column alone.
+  void run_columns(std::span<std::complex<double>> block, std::size_t cols, bool inverse) const;
+
+ private:
+  explicit FftPlan(std::size_t n);
+
+  template <bool kInverse>
+  void butterflies(double* data, std::size_t cols) const;
+
+  std::size_t n_;
+  std::vector<std::pair<std::size_t, std::size_t>> swaps_;  // bit-reversal pairs, i < j
+  // The stage with half-length h (h = 1, 2, ..., n/2) reads entries
+  // [h-1, 2h-1): cos and sin of pi*k/h for k < h.
+  std::vector<double> cos_, sin_;
+};
+
+/// In-place FFT of `data` through the shared plan of its size. `data.size()`
+/// must be a power of two.
 void fft1d(std::span<std::complex<double>> data, bool inverse);
 
 /// Naive O(N^2) DFT reference (tests only). Same convention as fft1d.

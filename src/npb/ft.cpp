@@ -4,6 +4,7 @@
 #include <numbers>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "npb/costs.hpp"
 #include "npb/fft.hpp"
@@ -68,55 +69,45 @@ struct FtState {
 /// z-slab layout: index (zl, y, x) -> ((zl*ny) + y)*nx + x.
 /// x-slab layout: index (xl, y, z) -> ((xl*ny) + y)*nz + z.
 
-/// FFT along x on a z-slab (rows are contiguous).
-void fft_x(FtState& st, std::vector<Complex>& a, bool inverse) {
-  const int nx = st.cfg->nx;
-  const std::size_t rows = st.local_pts / static_cast<std::size_t>(nx);
-  for (std::size_t row = 0; row < rows; ++row) {
-    fft1d(std::span<Complex>(a.data() + row * static_cast<std::size_t>(nx),
-                             static_cast<std::size_t>(nx)),
-          inverse);
+/// FFT of every contiguous length-n row of `a` through the shared plan.
+void fft_rows(std::vector<Complex>& a, int n, bool inverse) {
+  const FftPlan& plan = FftPlan::get(static_cast<std::size_t>(n));
+  const auto len = static_cast<std::size_t>(n);
+  for (std::size_t row = 0; row < a.size(); row += len) {
+    plan.run(std::span<Complex>(a.data() + row, len), inverse);
   }
-  st.charge_fft_stage(nx);
 }
 
-/// FFT along y on a z-slab (stride-nx columns, gathered into a temp).
+/// FFT along x on a z-slab (rows are contiguous).
+void fft_x(FtState& st, std::vector<Complex>& a, bool inverse) {
+  fft_rows(a, st.cfg->nx, inverse);
+  st.charge_fft_stage(st.cfg->nx);
+}
+
+/// FFT along y on a z-slab: each z-plane is ny rows of nx, so the y pass is a
+/// column transform of the plane.
 void fft_y(FtState& st, std::vector<Complex>& a, bool inverse) {
   const int nx = st.cfg->nx, ny = st.cfg->ny;
-  std::vector<Complex> col(static_cast<std::size_t>(ny));
+  const FftPlan& plan = FftPlan::get(static_cast<std::size_t>(ny));
+  const std::size_t plane = static_cast<std::size_t>(ny) * static_cast<std::size_t>(nx);
   for (int zl = 0; zl < st.nzl; ++zl) {
-    const std::size_t plane = static_cast<std::size_t>(zl) * static_cast<std::size_t>(ny) *
-                              static_cast<std::size_t>(nx);
-    for (int x = 0; x < nx; ++x) {
-      for (int y = 0; y < ny; ++y) {
-        col[static_cast<std::size_t>(y)] =
-            a[plane + static_cast<std::size_t>(y) * static_cast<std::size_t>(nx) +
-              static_cast<std::size_t>(x)];
-      }
-      fft1d(std::span<Complex>(col), inverse);
-      for (int y = 0; y < ny; ++y) {
-        a[plane + static_cast<std::size_t>(y) * static_cast<std::size_t>(nx) +
-          static_cast<std::size_t>(x)] = col[static_cast<std::size_t>(y)];
-      }
-    }
+    plan.run_columns(std::span<Complex>(a.data() + static_cast<std::size_t>(zl) * plane, plane),
+                     static_cast<std::size_t>(nx), inverse);
   }
-  st.charge_fft_stage(ny, /*stride_penalty=*/2.0);  // gather/scatter cost
+  // Billed as a strided gather/scatter: charges model the kernel's access
+  // pattern, not how this host loop happens to compute the pass.
+  st.charge_fft_stage(ny, /*stride_penalty=*/2.0);
 }
 
 /// FFT along z on an x-slab (rows are contiguous).
 void fft_z(FtState& st, std::vector<Complex>& b, bool inverse) {
-  const int nz = st.cfg->nz;
-  const std::size_t rows = st.local_pts / static_cast<std::size_t>(nz);
-  for (std::size_t row = 0; row < rows; ++row) {
-    fft1d(std::span<Complex>(b.data() + row * static_cast<std::size_t>(nz),
-                             static_cast<std::size_t>(nz)),
-          inverse);
-  }
-  st.charge_fft_stage(nz);
+  fft_rows(b, st.cfg->nz, inverse);
+  st.charge_fft_stage(st.cfg->nz);
 }
 
 /// Transpose z-slabs -> x-slabs via all-to-all. a is (zl,y,x); returns (xl,y,z).
-std::vector<Complex> transpose_fwd(FtState& st, const std::vector<Complex>& a) {
+/// `a` is consumed: it is freed once packed, before the exchange allocates.
+std::vector<Complex> transpose_fwd(FtState& st, std::vector<Complex> a) {
   const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
   const std::size_t block =
       static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(ny) *
@@ -136,6 +127,7 @@ std::vector<Complex> transpose_fwd(FtState& st, const std::vector<Complex>& a) {
     }
   }
   st.charge_pack();
+  a = std::vector<Complex>();
 
   std::vector<Complex> recvbuf(sendbuf.size());
   {
@@ -161,8 +153,9 @@ std::vector<Complex> transpose_fwd(FtState& st, const std::vector<Complex>& a) {
   return b;
 }
 
-/// Transpose x-slabs -> z-slabs (inverse of transpose_fwd). b is (xl,y,z).
-std::vector<Complex> transpose_bwd(FtState& st, const std::vector<Complex>& b) {
+/// Transpose x-slabs -> z-slabs (inverse of transpose_fwd). b is (xl,y,z),
+/// consumed like transpose_fwd's input.
+std::vector<Complex> transpose_bwd(FtState& st, std::vector<Complex> b) {
   const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
   const std::size_t block =
       static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(ny) *
@@ -181,6 +174,7 @@ std::vector<Complex> transpose_bwd(FtState& st, const std::vector<Complex>& b) {
     }
   }
   st.charge_pack();
+  b = std::vector<Complex>();
 
   std::vector<Complex> recvbuf(sendbuf.size());
   {
@@ -235,7 +229,7 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
     powerpack::OptionalPhase ph(phases, ctx, "ft.fft_forward");
     fft_x(st, u, /*inverse=*/false);
     fft_y(st, u, /*inverse=*/false);
-    ut = transpose_fwd(st, u);
+    ut = transpose_fwd(st, std::move(u));
     fft_z(st, ut, /*inverse=*/false);
   }
 
@@ -263,7 +257,7 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
   // --- iterations ---------------------------------------------------------------
   FtResult result;
   result.checksums.reserve(static_cast<std::size_t>(config.iters));
-  std::vector<Complex> cur = ut;  // evolves by one factor step per iteration
+  std::vector<Complex> cur = std::move(ut);  // evolves by one factor step per iteration
   for (int it = 1; it <= config.iters; ++it) {
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.evolve");
@@ -275,7 +269,7 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
       powerpack::OptionalPhase ph(phases, ctx, "ft.fft_inverse");
       std::vector<Complex> tmp = cur;
       fft_z(st, tmp, /*inverse=*/true);
-      w = transpose_bwd(st, tmp);
+      w = transpose_bwd(st, std::move(tmp));
       fft_y(st, w, /*inverse=*/true);
       fft_x(st, w, /*inverse=*/true);
       for (auto& v : w) v *= inv_n;  // one global 1/N scale for the inverse

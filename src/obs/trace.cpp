@@ -30,7 +30,7 @@ TraceArg arg_int(std::string key, long long value) {
 }
 
 TraceArg arg_str(std::string key, std::string_view value) {
-  return TraceArg{std::move(key), "\"" + json_escape(value) + "\""};
+  return TraceArg{std::move(key), json_quote(value)};
 }
 
 std::string json_escape(std::string_view s) {
@@ -53,6 +53,15 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+  return out;
+}
+
+std::string json_quote(std::string_view s) {
+  // Appended piecewise: "\"" + json_escape(s) trips a GCC 12 -Wrestrict false
+  // positive in Release builds.
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
   return out;
 }
 

@@ -40,7 +40,7 @@ std::string render_id(const JsonValue& id) {
     case JsonValue::Type::kNumber:
       return json_num(id.number);
     case JsonValue::Type::kString:
-      return "\"" + obs::json_escape(id.str) + "\"";
+      return obs::json_quote(id.str);
     default:
       fail(ErrorCode::kInvalidRequest, "'id' must be a number, string, or null");
   }

@@ -1,5 +1,8 @@
 #include "service/scheduler.hpp"
 
+#include <atomic>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -119,6 +122,51 @@ void SimScheduler::run_jobs(std::vector<Job> jobs) {
     --pending_;
     SchedulerMetrics::get().queue_depth.set(static_cast<double>(pending_));
   }
+}
+
+SchedulerGate::SchedulerGate(SimScheduler& scheduler) {
+  static std::atomic<std::uint64_t> next_id{0};
+  exec::Case gate;
+  gate.run = [state = state_]() -> std::string {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->running = true;
+    state->cv.notify_all();
+    state->cv.wait(lock, [&] { return state->released; });
+    return std::string();
+  };
+  std::string key = "scheduler-gate/";
+  key += std::to_string(next_id.fetch_add(1));
+  const SimScheduler::Ticket ticket =
+      scheduler.submit(key, {std::move(gate)},
+                       [](const std::vector<exec::CaseResult>&) { return std::string(); });
+  if (ticket.rejected) throw std::runtime_error("SchedulerGate: gate job was rejected");
+  done_ = ticket.result;
+  coalesced_before_ = SchedulerMetrics::get().coalesced.value();
+  std::unique_lock<std::mutex> lock(state_->mu);
+  state_->cv.wait(lock, [&] { return state_->running; });
+}
+
+SchedulerGate::~SchedulerGate() { release(); }
+
+void SchedulerGate::release() {
+  {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->released = true;
+    state_->cv.notify_all();
+  }
+  done_.wait();
+}
+
+bool SchedulerGate::release_after_coalesced(std::uint64_t n, std::chrono::milliseconds timeout) {
+  const obs::Counter& coalesced = SchedulerMetrics::get().coalesced;
+  const auto all_coalesced = [&] { return coalesced.value() - coalesced_before_ >= n; };
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!all_coalesced() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool all = all_coalesced();
+  release();
+  return all;
 }
 
 }  // namespace isoee::service

@@ -24,6 +24,7 @@
 // were batched, coalesced, or interleaved.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -101,6 +102,40 @@ class SimScheduler {
   std::map<std::string, std::shared_future<Outcome>> inflight_;
   bool stopping_ = false;
   std::thread dispatcher_;
+};
+
+/// Holds a scheduler's dispatcher busy so that jobs submitted meanwhile queue
+/// behind it. The first of N identical submissions then registers as in
+/// flight and the other N-1 coalesce onto it before anything can run, which
+/// makes coalescing checks deterministic instead of a race against the first
+/// job finishing. The constructor returns once the gate job is running;
+/// release() (or the destructor) lets the dispatcher go on.
+class SchedulerGate {
+ public:
+  explicit SchedulerGate(SimScheduler& scheduler);
+  ~SchedulerGate();
+
+  SchedulerGate(const SchedulerGate&) = delete;
+  SchedulerGate& operator=(const SchedulerGate&) = delete;
+
+  /// Lets the gate job finish and waits for it. Idempotent.
+  void release();
+
+  /// Waits until `n` submissions (process-wide, the `service.coalesced`
+  /// counter) have coalesced since the gate was built, or until `timeout`
+  /// passes, then release()s. Returns whether all `n` coalesced in time.
+  bool release_after_coalesced(std::uint64_t n, std::chrono::milliseconds timeout);
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool running = false;
+    bool released = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+  std::shared_future<Outcome> done_;
+  std::uint64_t coalesced_before_ = 0;
 };
 
 }  // namespace isoee::service

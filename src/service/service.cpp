@@ -585,8 +585,13 @@ std::string Service::handle_iso_contour(const Request& req) {
                     json_field("f_ghz", f) + ",\"points\":[";
   for (std::size_t i = 0; i < contour.size(); ++i) {
     if (i != 0) out += ',';
-    out += "{" + json_field("p", double(contour[i].p)) + "," +
-           json_field("n", contour[i].n) + "," + json_field("ee", contour[i].ee) + "}";
+    out += '{';
+    out += json_field("p", double(contour[i].p));
+    out += ',';
+    out += json_field("n", contour[i].n);
+    out += ',';
+    out += json_field("ee", contour[i].ee);
+    out += '}';
   }
   return out + "]}";
 }
@@ -620,8 +625,12 @@ std::string Service::handle_metrics() {
   const auto snap = obs::metrics().snapshot();
   for (std::size_t i = 0; i < snap.size(); ++i) {
     if (i != 0) out += ',';
-    out += "\"" + obs::json_escape(snap[i].name) + "\":{\"kind\":\"" + snap[i].kind +
-           "\",\"value\":" + snap[i].value + "}";
+    out += obs::json_quote(snap[i].name);
+    out += ":{\"kind\":\"";
+    out += snap[i].kind;
+    out += "\",\"value\":";
+    out += snap[i].value;
+    out += '}';
   }
   return out + "}";
 }

@@ -44,30 +44,35 @@ int env_engine_workers() {
 }  // namespace
 
 void set_default_engine_workers(int workers) {
-  g_default_workers.store(std::max(workers, 0), std::memory_order_relaxed);
+  if (workers < 0) {
+    throw std::invalid_argument("default engine workers must be >= 0 (0 = automatic)");
+  }
+  g_default_workers.store(workers, std::memory_order_relaxed);
 }
 
 int default_engine_workers() {
   return g_default_workers.load(std::memory_order_relaxed);
 }
 
+int auto_engine_workers(int nranks) {
+  // Small jobs run fastest on one worker — a fiber switch is tens of
+  // nanoseconds while a cross-worker wakeup is a cv round-trip — and
+  // exec::run_batch already parallelizes across cases. Only large jobs are
+  // worth spreading over host cores.
+  if (nranks < 256) return 1;
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::min(static_cast<int>(std::min(hw, 8u)), nranks);
+}
+
 int resolve_engine_workers(int requested, int nranks) {
+  if (requested < 0) {
+    throw std::invalid_argument("engine workers must be >= 0 (0 = automatic)");
+  }
   if (nranks < 1) nranks = 1;
   int w = requested;
-  if (w <= 0) w = default_engine_workers();
-  if (w <= 0) w = env_engine_workers();
-  if (w <= 0) {
-    // Automatic policy: small jobs run fastest on one worker — a fiber switch
-    // is tens of nanoseconds while a cross-worker wakeup is a cv round-trip —
-    // and exec::run_batch already parallelizes across cases. Only large jobs
-    // are worth spreading over host cores.
-    if (nranks < 256) {
-      w = 1;
-    } else {
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      w = static_cast<int>(std::min(hw, 8u));
-    }
-  }
+  if (w == 0) w = default_engine_workers();
+  if (w == 0) w = env_engine_workers();
+  if (w == 0) w = auto_engine_workers(nranks);
   return std::clamp(w, 1, nranks);
 }
 
@@ -371,6 +376,9 @@ std::uint64_t Engine::total_runs_started() {
 Engine::Engine(MachineSpec spec, Options opts) : spec_(std::move(spec)), opts_(opts) {
   if (const std::string err = spec_.validate(); !err.empty()) {
     throw std::invalid_argument("invalid MachineSpec: " + err);
+  }
+  if (opts_.workers < 0) {
+    throw std::invalid_argument("EngineOptions::workers must be >= 0 (0 = automatic)");
   }
 }
 

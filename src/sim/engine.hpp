@@ -245,13 +245,18 @@ enum class EngineBackend {
 /// Resolves an EngineOptions::workers request to a concrete worker count for
 /// an nranks-rank job: explicit requests are clamped to [1, nranks]; 0 defers
 /// to set_default_engine_workers(), then the ISOEE_ENGINE_WORKERS environment
-/// variable, then an automatic policy (1 worker for small jobs, where fiber
-/// switching beats cv traffic; up to min(hardware threads, 8) for large ones).
+/// variable, then auto_engine_workers(). A negative request throws
+/// std::invalid_argument.
 int resolve_engine_workers(int requested, int nranks);
+
+/// The automatic policy: 1 worker for small jobs (nranks < 256), where fiber
+/// switching beats cv traffic; min(hardware threads, 8, nranks) for large ones.
+int auto_engine_workers(int nranks);
 
 /// Process-wide default for EngineOptions::workers == 0 (0 = automatic).
 /// Overrides the ISOEE_ENGINE_WORKERS environment variable; CLI layers (e.g.
-/// bench --engine-workers) call this once at startup.
+/// bench --engine-workers) call this once at startup. A negative value throws
+/// std::invalid_argument.
 void set_default_engine_workers(int workers);
 int default_engine_workers();
 
@@ -270,8 +275,9 @@ struct EngineOptions {
   EngineBackend backend = EngineBackend::kFibers;
 
   /// Host worker threads multiplexing the rank fibers (fiber backend only).
-  /// 0 = resolve automatically (see resolve_engine_workers). Any value gives
-  /// bit-identical results; this knob trades host cores for wall-clock.
+  /// 0 = resolve automatically (see resolve_engine_workers); negative values
+  /// are rejected. Any valid value gives bit-identical results; this knob
+  /// trades host cores for wall-clock.
   int workers = 0;
 
   /// Per-fiber stack bytes (fiber backend only; 0 = Fiber default).

@@ -13,10 +13,12 @@
 //     repro does not depend on where in the sweep the failure was found.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -48,6 +50,14 @@ std::string scratch_dir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / ("isoee_exec_test_" + name);
   fs::remove_all(dir);
   return dir.string();
+}
+
+/// prefix + decimal i, appended piecewise: `"k" + std::to_string(i)` trips a
+/// GCC 12 -Wrestrict false positive in Release builds.
+std::string numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
 }
 
 sim::MachineSpec tiny_machine() {
@@ -196,10 +206,25 @@ TEST(RunBatch, EngineCaseCostIsResolvedWorkersNotRanks) {
   // [1, nranks]; the automatic policy stays far below wide rank counts.
   EXPECT_EQ(sim::resolve_engine_workers(6, 4), 4);
   EXPECT_EQ(sim::resolve_engine_workers(3, 1024), 3);
-  EXPECT_EQ(sim::resolve_engine_workers(-2, 1024), 1);
+  // A negative worker count is a caller error at every boundary.
+  EXPECT_THROW(sim::resolve_engine_workers(-2, 1024), std::invalid_argument);
+  EXPECT_THROW(sim::set_default_engine_workers(-1), std::invalid_argument);
+  sim::EngineOptions bad;
+  bad.workers = -2;
+  EXPECT_THROW(sim::Engine(sim::system_g(), bad), std::invalid_argument);
+
+  // 0 resolves through the process default and ISOEE_ENGINE_WORKERS (a CI job
+  // sets it) to the automatic policy, whatever the host's core count.
   const int w = sim::resolve_engine_workers(0, 1024);
-  EXPECT_GE(w, 1);
-  EXPECT_LE(w, 8);  // auto policy: min(hardware, 8), never anywhere near p
+  const char* env = std::getenv("ISOEE_ENGINE_WORKERS");
+  if (sim::default_engine_workers() == 0) {
+    const int from_env = env == nullptr ? 0 : std::atoi(env);
+    EXPECT_EQ(w, from_env > 0 ? std::min(from_env, 1024) : sim::auto_engine_workers(1024));
+  }
+  EXPECT_EQ(sim::auto_engine_workers(16), 1);
+  const int auto_wide = sim::auto_engine_workers(1024);
+  EXPECT_GE(auto_wide, 1);
+  EXPECT_LE(auto_wide, 8);  // min(hardware, 8), never anywhere near p
 
   // Under the old nranks-cost doctrine a p=1024 case clamped to the whole
   // budget and ran alone; with worker-count costs a default budget admits
@@ -473,7 +498,7 @@ TEST(ResultCache, WarmBatchExecutesNothing) {
       c.cache_key = "case\x1f" + std::to_string(i);
       c.run = [&executions, i] {
         ++executions;
-        return "r" + std::to_string(i);
+        return numbered("r", i);
       };
       cases.push_back(std::move(c));
     }
@@ -572,11 +597,11 @@ TEST(ResultCache, MaxBytesZeroMeansUnbounded) {
   const std::string dir = scratch_dir("prune_unbounded");
   exec::ResultCache cache(dir);  // default: no cap
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(cache.store("k" + std::to_string(i), std::string(4096, 'x')));
+    ASSERT_TRUE(cache.store(numbered("k", i), std::string(4096, 'x')));
   }
   EXPECT_EQ(cache.pruned(), 0u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(cache.load("k" + std::to_string(i)).has_value()) << i;
+    EXPECT_TRUE(cache.load(numbered("k", i)).has_value()) << i;
   }
 }
 

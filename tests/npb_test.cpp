@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <complex>
+#include <latch>
+#include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "npb/cg.hpp"
@@ -81,6 +85,88 @@ TEST(Fft, SizeOneIsIdentity) {
   npb::fft1d(data, false);
   EXPECT_DOUBLE_EQ(data[0].real(), 3.0);
   EXPECT_DOUBLE_EQ(data[0].imag(), -2.0);
+}
+
+TEST(FftPlan, MatchesNaiveDftEverySizeBothDirections) {
+  util::Xoshiro256 rng(102);
+  for (std::size_t n = 1; n <= 1024; n *= 2) {
+    const npb::FftPlan& plan = npb::FftPlan::get(n);
+    ASSERT_EQ(plan.size(), n);
+    std::vector<std::complex<double>> data(n);
+    for (auto& v : data) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    for (const bool inverse : {false, true}) {
+      const auto expect = npb::dft_reference(data, inverse);
+      std::vector<std::complex<double>> got = data;
+      plan.run(got, inverse);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(got[i].real(), expect[i].real(), 1e-9)
+            << "n=" << n << " inverse=" << inverse << " i=" << i;
+        EXPECT_NEAR(got[i].imag(), expect[i].imag(), 1e-9)
+            << "n=" << n << " inverse=" << inverse << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(FftPlan, SharedPerSizeAndRejectsWrongSizes) {
+  EXPECT_EQ(&npb::FftPlan::get(64), &npb::FftPlan::get(64));
+  EXPECT_NE(&npb::FftPlan::get(64), &npb::FftPlan::get(32));
+  EXPECT_THROW(npb::FftPlan::get(0), std::invalid_argument);
+  EXPECT_THROW(npb::FftPlan::get(48), std::invalid_argument);
+  std::vector<std::complex<double>> data(32);
+  EXPECT_THROW(npb::FftPlan::get(64).run(data, false), std::invalid_argument);
+  EXPECT_THROW(npb::FftPlan::get(8).run_columns(data, 3, false), std::invalid_argument);
+}
+
+TEST(FftPlan, RunColumnsIsBitIdenticalToPerColumnFft) {
+  util::Xoshiro256 rng(103);
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{64, 64}, {32, 8}}) {
+    std::vector<std::complex<double>> block(rows * cols);
+    for (auto& v : block) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    for (const bool inverse : {false, true}) {
+      std::vector<std::complex<double>> got = block;
+      npb::FftPlan::get(rows).run_columns(got, cols, inverse);
+      std::vector<std::complex<double>> col(rows);
+      for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 0; r < rows; ++r) col[r] = block[r * cols + c];
+        npb::fft1d(col, inverse);
+        for (std::size_t r = 0; r < rows; ++r) {
+          // Bit-identical, not merely close: FT's y pass must not depend on
+          // whether columns are transformed one at a time or all at once.
+          EXPECT_EQ(got[r * cols + c].real(), col[r].real())
+              << rows << "x" << cols << " inverse=" << inverse << " r=" << r << " c=" << c;
+          EXPECT_EQ(got[r * cols + c].imag(), col[r].imag())
+              << rows << "x" << cols << " inverse=" << inverse << " r=" << r << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(FftPlan, ConcurrentFirstUseSharesOnePlan) {
+  // No other test touches this size, so the eight threads race to build it.
+  constexpr std::size_t kN = 1 << 13;
+  constexpr int kThreads = 8;
+  std::vector<std::complex<double>> input(kN);
+  util::Xoshiro256 rng(104);
+  for (auto& v : input) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+  std::vector<const npb::FftPlan*> seen(kThreads, nullptr);
+  std::vector<std::vector<std::complex<double>>> outputs(kThreads, input);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = &npb::FftPlan::get(kN);
+      npb::fft1d(outputs[t], /*inverse=*/false);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(outputs[t], outputs[0]) << "thread " << t;
+  }
 }
 
 // --- EP ------------------------------------------------------------------------
@@ -164,6 +250,41 @@ TEST(Ft, ChecksumsIndependentOfRankCount) {
       EXPECT_NEAR(got[i].real(), base[i].real(), 1e-6 * std::abs(base[i].real()) + 1e-9)
           << "p=" << p << " iter=" << i;
       EXPECT_NEAR(got[i].imag(), base[i].imag(), 1e-6 * std::abs(base[i].imag()) + 1e-9);
+    }
+  }
+}
+
+TEST(Ft, ChecksumsMatchRecordedValues) {
+  // Two-iteration checksums recorded at p=1 with the recurrence-twiddle
+  // std::complex FFT this plan-based one replaced. Any FFT rewrite must stay
+  // within roundoff (1e-12 relative) of them at every rank count.
+  struct Recorded {
+    int n;
+    std::complex<double> sums[2];
+  };
+  const Recorded recorded[] = {
+      {32, {{464.0723752546586, 568.0006941331493}, {464.44858596022021, 567.64435284758633}}},
+      {64, {{550.60342358211085, 500.82631611904947}, {549.2858138675374, 501.40962873887651}}},
+  };
+  for (const Recorded& rec : recorded) {
+    npb::FtConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = rec.n;
+    cfg.iters = 2;
+    for (int p : {1, 4}) {
+      Engine eng(test_machine());
+      std::vector<std::complex<double>> got;
+      eng.run(p, [&](RankCtx& ctx) {
+        auto res = npb::ft_rank(ctx, cfg);
+        if (ctx.rank() == 0) got = res.checksums;
+      });
+      ASSERT_EQ(got.size(), 2u);
+      for (std::size_t i = 0; i < 2; ++i) {
+        const std::complex<double> want = rec.sums[i];
+        EXPECT_NEAR(got[i].real(), want.real(), 1e-12 * std::abs(want.real()))
+            << "n=" << rec.n << " p=" << p << " iter=" << i;
+        EXPECT_NEAR(got[i].imag(), want.imag(), 1e-12 * std::abs(want.imag()))
+            << "n=" << rec.n << " p=" << p << " iter=" << i;
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
@@ -187,7 +188,10 @@ TEST(Protocol, TypeAndRangeViolationsAreInvalidParams) {
 TEST(Protocol, OversizedArraysAndLinesAreRejected) {
   Service svc{ServiceConfig{}};
   std::string many = R"({"method":"calibrate","params":{"machine":"system_g","app":"EP","ns":[)";
-  for (int i = 0; i < 100; ++i) many += (i ? "," : "") + std::to_string(1000 + i);
+  for (int i = 0; i < 100; ++i) {
+    if (i != 0) many += ',';
+    many += std::to_string(1000 + i);
+  }
   many += "]}}";
   EXPECT_EQ(error_code_of(parse_response(svc.handle_line(many))), "invalid_params");
 
@@ -335,21 +339,14 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
   std::vector<std::string> responses(kClients);
   {
-    // Barrier so all clients are in flight before any simulation finishes.
-    std::mutex mu;
-    std::condition_variable cv;
-    int ready = 0;
+    // The gate holds the dispatcher, so the first query stays in flight
+    // until every other one has coalesced onto it.
+    service::SchedulerGate gate(svc.scheduler());
     std::vector<std::thread> clients;
     for (int i = 0; i < kClients; ++i) {
-      clients.emplace_back([&, i] {
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          if (++ready == kClients) cv.notify_all();
-          cv.wait(lock, [&] { return ready == kClients; });
-        }
-        responses[i] = svc.handle_line(line);
-      });
+      clients.emplace_back([&, i] { responses[i] = svc.handle_line(line); });
     }
+    EXPECT_TRUE(gate.release_after_coalesced(kClients - 1, std::chrono::seconds(60)));
     for (auto& t : clients) t.join();
   }
 
