@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -215,11 +216,9 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
     const std::uint64_t first =
         static_cast<std::uint64_t>(st.r) * st.local_pts;  // global point index
     rng.skip(2 * first);
-    for (auto& v : u) {
-      const double re = rng.next();
-      const double im = rng.next();
-      v = Complex(re, im);
-    }
+    // std::complex<double> is layout-compatible with double[2], so the
+    // stream fills (re, im) pairs in place.
+    rng.fill(std::span<double>(reinterpret_cast<double*>(u.data()), 2 * u.size()));
     st.charge_pointwise(10);
   }
 
@@ -259,15 +258,17 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
   result.checksums.reserve(static_cast<std::size_t>(config.iters));
   std::vector<Complex> cur = std::move(ut);  // evolves by one factor step per iteration
   for (int it = 1; it <= config.iters; ++it) {
+    // The inverse FFT works on a copy; evolving writes the copy in the same
+    // pass.
+    std::vector<Complex> tmp(cur.size());
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.evolve");
-      for (std::size_t i = 0; i < cur.size(); ++i) cur[i] *= factor[i];
+      for (std::size_t i = 0; i < cur.size(); ++i) tmp[i] = (cur[i] *= factor[i]);
       st.charge_pointwise(costs::kFtEvolveInstrPerPoint);
     }
     std::vector<Complex> w;
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.fft_inverse");
-      std::vector<Complex> tmp = cur;
       fft_z(st, tmp, /*inverse=*/true);
       w = transpose_bwd(st, std::move(tmp));
       fft_y(st, w, /*inverse=*/true);

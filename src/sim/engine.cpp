@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -296,9 +297,7 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
                    obs::flow_id(rank_, dst, tag, seq));
   }
 
-  Engine::Message msg;
-  msg.arrival = clock_ + static_cast<double>(payload.size()) * per_byte;
-  msg.payload.assign(payload.begin(), payload.end());
+  const double arrival = clock_ + static_cast<double>(payload.size()) * per_byte;
 
   counters_.messages_sent += 1;
   counters_.bytes_sent += payload.size();
@@ -307,7 +306,17 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
     counters_.messages_intra_node += 1;
     counters_.bytes_intra_node += payload.size();
   }
-  engine_->deliver(dst, rank_, tag, std::move(msg));
+  engine_->deliver(dst, rank_, tag, arrival, payload);
+}
+
+void RankCtx::recv_into(int src, int tag, std::span<std::byte> out) {
+  std::vector<std::byte> bytes = recv_bytes(src, tag);
+  const bool match = bytes.size() == out.size();
+  // Zero-byte messages are legal (they still pay t_s, as real MPI does);
+  // memcpy's nonnull contract forbids passing the empty vector's null data.
+  if (match && !bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  if (engine_->sched_ != nullptr) engine_->sched_->recycle(rank_, std::move(bytes));
+  if (!match) throw std::runtime_error("recv size mismatch");
 }
 
 std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
@@ -361,6 +370,12 @@ struct EngineMetrics {
   obs::Counter& ranks_simulated = obs::metrics().counter("engine.ranks_simulated");
   obs::Counter& events_processed = obs::metrics().counter("engine.events_processed");
   obs::Gauge& rank_seconds_per_sec = obs::metrics().gauge("engine.rank_seconds_per_sec");
+  // Fiber-backend mailbox high-water marks over every run in the process:
+  // the most live (src, tag) channels one rank's mailbox held at once, and
+  // the most idle payload bytes one rank's buffer pool kept. Exact for
+  // one-worker runs; with more workers they depend on the host interleaving.
+  obs::Gauge& mailbox_channels_max = obs::metrics().gauge("sim.mailbox_channels_max");
+  obs::Gauge& mailbox_pool_bytes_max = obs::metrics().gauge("sim.mailbox_pool_bytes_max");
 
   static EngineMetrics& get() {
     static EngineMetrics m;
@@ -382,14 +397,15 @@ Engine::Engine(MachineSpec spec, Options opts) : spec_(std::move(spec)), opts_(o
   }
 }
 
-void Engine::deliver(int dst, int src, int tag, Message msg) {
+void Engine::deliver(int dst, int src, int tag, double arrival,
+                     std::span<const std::byte> payload) {
   if (sched_ != nullptr) {
-    detail::SimMessage sm;
-    sm.arrival = msg.arrival;
-    sm.payload = std::move(msg.payload);
-    sched_->deliver(dst, src, tag, std::move(sm));
+    sched_->deliver(dst, src, tag, arrival, payload);
     return;
   }
+  Message msg;
+  msg.arrival = arrival;
+  msg.payload.assign(payload.begin(), payload.end());
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   {
     std::lock_guard<std::mutex> lock(box.mu);
@@ -471,6 +487,9 @@ RunResult Engine::run_fibers(int nranks, const std::function<void(RankCtx&)>& bo
     throw;
   }
   sched_ = nullptr;
+  EngineMetrics& m = EngineMetrics::get();
+  m.mailbox_channels_max.set_max(static_cast<double>(sched.stats().channels_max));
+  m.mailbox_pool_bytes_max.set_max(static_cast<double>(sched.stats().pool_bytes_max));
   if (first_error) std::rethrow_exception(first_error);
   return aggregate(contexts);
 }

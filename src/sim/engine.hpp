@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -161,11 +160,7 @@ class RankCtx {
   template <typename T>
   void recv(int src, int tag, std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = recv_bytes(src, tag);
-    if (bytes.size() != out.size_bytes()) throw std::runtime_error("recv size mismatch");
-    // Zero-byte messages are legal (they still pay t_s, as real MPI does);
-    // memcpy's nonnull contract forbids passing the empty vector's null data.
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+    recv_into(src, tag, std::as_writable_bytes(out));
   }
 
   // --- introspection ------------------------------------------------------
@@ -183,6 +178,9 @@ class RankCtx {
   RankCtx(Engine* engine, int rank, int size);
 
   void advance(double seconds, Activity activity);
+  /// recv_bytes into `out` (throws if the payload size differs), handing the
+  /// payload buffer back to the mailbox pool instead of freeing it.
+  void recv_into(int src, int tag, std::span<std::byte> out);
   void record_segment(double duration, Activity activity);
   void maybe_perturb();
 
@@ -347,7 +345,8 @@ class Engine {
   RunResult run_threads(int nranks, const std::function<void(RankCtx&)>& body);
   RunResult aggregate(std::vector<std::unique_ptr<RankCtx>>& contexts);
 
-  void deliver(int dst, int src, int tag, Message msg);
+  void deliver(int dst, int src, int tag, double arrival,
+               std::span<const std::byte> payload);
   Message take(int dst, int src, int tag, double now);
   void poison_all();
 

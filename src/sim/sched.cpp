@@ -1,6 +1,8 @@
 #include "sim/sched.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <queue>
 #include <stdexcept>
 #include <thread>
@@ -11,14 +13,194 @@
 
 namespace isoee::sim::detail {
 
+// A rank's mailbox: the messages queued for it, matched FIFO per channel.
+//
+// The index holds an entry only for a *live* channel — one with a queued
+// message — and pop() erases the entry when it drains the channel. That keeps
+// the mailbox as small as the messages in flight: collectives lease a fresh
+// tag range per call, so almost every message arrives on a channel never
+// seen before, and a mailbox that kept every channel it ever saw grew with
+// the run's message count. Everything else is recycled in place: the index
+// is an open-addressing table, each channel's FIFO is a linked list through
+// a node arena with a free list, and payload buffers come from a pool of
+// power-of-two size classes. Once warm, a message costs no heap allocation.
+class Mailbox {
+ public:
+  explicit Mailbox(std::size_t pool_cap) : pool_cap_(pool_cap) {}
+
+  // Queues a copy of `payload` on channel `key`, behind its earlier messages.
+  void push(std::uint64_t key, double arrival, std::span<const std::byte> payload) {
+    const std::uint32_t n = alloc_node();
+    Node& node = nodes_[n];
+    node.msg.arrival = arrival;
+    node.msg.payload = acquire(payload.size());
+    node.msg.payload.assign(payload.begin(), payload.end());
+    node.next = kNil;
+    Entry* e = find(key);
+    if (e == nullptr) {
+      e = &insert(key);
+      e->head = n;
+    } else {
+      nodes_[e->tail].next = n;
+    }
+    e->tail = n;
+  }
+
+  // Moves the oldest message of channel `key` into `out`; false if none is
+  // queued. Draining the channel removes it from the index.
+  bool pop(std::uint64_t key, SimMessage& out) {
+    Entry* e = find(key);
+    if (e == nullptr) return false;
+    const std::uint32_t n = e->head;
+    out = std::move(nodes_[n].msg);
+    e->head = nodes_[n].next;
+    nodes_[n].next = free_node_;
+    free_node_ = n;
+    if (e->head == kNil) erase(*e);
+    return true;
+  }
+
+  // Keeps `buf` for a later push(), unless the pool is full or `buf` is
+  // bigger than the whole pool may be; then it is freed here.
+  void recycle(std::vector<std::byte> buf) {
+    const std::size_t cap = buf.capacity();
+    if (cap == 0 || pool_bytes_ + cap > pool_cap_) return;
+    if (!pool_) pool_ = std::make_unique<Pool>();
+    buf.clear();
+    (*pool_)[static_cast<std::size_t>(std::bit_width(cap) - 1)].push_back(std::move(buf));
+    pool_bytes_ += cap;
+    pool_bytes_max_ = std::max(pool_bytes_max_, pool_bytes_);
+  }
+
+  std::size_t channels_max() const { return live_max_; }
+  std::size_t pool_bytes_max() const { return pool_bytes_max_; }
+
+ private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  // channel_key() packs two non-negative ints, so all-ones is never a key.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kClasses =
+      static_cast<std::size_t>(std::bit_width(FiberScheduler::kPoolCapBytes));
+
+  // Idle buffers by size class: class c holds capacity 2^c.
+  using Pool = std::array<std::vector<std::vector<std::byte>>, kClasses>;
+
+  struct Node {
+    SimMessage msg;
+    std::uint32_t next = kNil;
+  };
+  struct Entry {
+    std::uint64_t key = kEmpty;
+    std::uint32_t head = kNil;  // oldest queued message (node index)
+    std::uint32_t tail = kNil;  // newest
+  };
+
+  std::uint32_t alloc_node() {
+    if (free_node_ == kNil) {
+      nodes_.emplace_back();
+      return static_cast<std::uint32_t>(nodes_.size() - 1);
+    }
+    const std::uint32_t n = free_node_;
+    free_node_ = nodes_[n].next;
+    return n;
+  }
+
+  // A buffer with capacity for `bytes`: from the pool when one of the right
+  // size class is idle, else freshly reserved at the class size so it can be
+  // pooled later. Empty payloads need no buffer, and one above the cap gets
+  // an exact-size buffer that recycle() will free.
+  std::vector<std::byte> acquire(std::size_t bytes) {
+    std::vector<std::byte> buf;
+    if (bytes == 0 || bytes > pool_cap_) return buf;
+    const auto cls = static_cast<std::size_t>(std::bit_width(bytes - 1));
+    if (!pool_ || (*pool_)[cls].empty()) {
+      buf.reserve(std::size_t{1} << cls);
+      return buf;
+    }
+    std::vector<std::vector<std::byte>>& idle = (*pool_)[cls];
+    buf = std::move(idle.back());
+    idle.pop_back();
+    pool_bytes_ -= buf.capacity();
+    return buf;
+  }
+
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  Entry* find(std::uint64_t key) {
+    if (table_.empty()) return nullptr;
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+      if (table_[i].key == key) return &table_[i];
+      if (table_[i].key == kEmpty) return nullptr;
+    }
+  }
+
+  // Adds an entry for a key not in the table, growing it to stay at most
+  // half full (so probes stay short and always end at an empty slot).
+  Entry& insert(std::uint64_t key) {
+    if (2 * (live_ + 1) > table_.size()) rehash(std::max<std::size_t>(8, 2 * table_.size()));
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = home(key);
+    while (table_[i].key != kEmpty) i = (i + 1) & mask;
+    table_[i].key = key;
+    live_max_ = std::max(live_max_, ++live_);
+    return table_[i];
+  }
+
+  // Backward-shift deletion: later entries of the probe run move into the
+  // hole unless that would put them before their home slot, so no
+  // tombstones accumulate.
+  void erase(Entry& e) {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = static_cast<std::size_t>(&e - table_.data());
+    for (std::size_t j = (hole + 1) & mask; table_[j].key != kEmpty; j = (j + 1) & mask) {
+      const std::size_t h = home(table_[j].key);
+      const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+      if (!stays) {
+        table_[hole] = table_[j];
+        hole = j;
+      }
+    }
+    table_[hole] = Entry{};
+    --live_;
+  }
+
+  void rehash(std::size_t size) {
+    std::vector<Entry> old(size);
+    old.swap(table_);
+    shift_ = 64 - std::countr_zero(size);
+    live_ = 0;
+    for (const Entry& e : old) {
+      if (e.key != kEmpty) insert(e.key) = e;
+    }
+  }
+
+  std::size_t pool_cap_;
+  std::vector<Entry> table_;  // size 0 or a power of two
+  int shift_ = 64;
+  std::size_t live_ = 0;
+  std::size_t live_max_ = 0;
+  std::vector<Node> nodes_;
+  std::uint32_t free_node_ = kNil;
+  // Created by the first recycle(): a rank that receives nothing (or only
+  // empty messages) pays nothing for it at construction or teardown.
+  std::unique_ptr<Pool> pool_;
+  std::size_t pool_bytes_ = 0;
+  std::size_t pool_bytes_max_ = 0;
+};
+
 // One simulated rank: its fiber, its mailbox, and its scheduling state.
 //
-// Locking: `mu` guards only the mailbox (index/fifos/counters) and the
+// Locking: `mu` guards only the mailbox (box/delivered) and the
 // blocked/waiting_key/poisoned flags — the handshake between a rank blocking
 // in take() and a peer delivering into its mailbox. All other fields are
 // touched only by the slot's owner worker (or single-threadedly in run()),
 // so they need no lock.
 struct FiberScheduler::RankSlot {
+  explicit RankSlot(std::size_t pool_cap) : box(pool_cap) {}
+
   Fiber fiber;
   FiberScheduler* sched = nullptr;
   int rank = 0;
@@ -31,11 +213,7 @@ struct FiberScheduler::RankSlot {
 
   // --- mailbox (guarded by mu) ---
   std::mutex mu;
-  // Channel (src,tag) -> dense fifo index. Fifos are never erased, only
-  // drained and reused, so steady-state messaging on a warm channel allocates
-  // nothing but the payload buffer itself.
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  std::vector<std::deque<SimMessage>> fifos;
+  Mailbox box;
   std::uint64_t waiting_key = 0;
   bool blocked = false;     // parked in take(), waiting on waiting_key
   bool poisoned = false;
@@ -74,7 +252,7 @@ FiberScheduler::FiberScheduler(int nranks, Options opts)
   single_ = opts_.workers == 1;
   slots_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    auto slot = std::make_unique<RankSlot>();
+    auto slot = std::make_unique<RankSlot>(pool_cap_bytes(nranks));
     slot->sched = this;
     slot->rank = r;
     slot->owner = r % opts_.workers;
@@ -119,7 +297,11 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
 
   stats_ = Stats{};
   for (const auto& wk : workers_) stats_.dispatches += wk->dispatches;
-  for (const auto& slot : slots_) stats_.messages += slot->delivered;
+  for (const auto& slot : slots_) {
+    stats_.messages += slot->delivered;
+    stats_.channels_max = std::max(stats_.channels_max, slot->box.channels_max());
+    stats_.pool_bytes_max = std::max(stats_.pool_bytes_max, slot->box.pool_bytes_max());
+  }
   body_ = nullptr;
   return first_error_;
 }
@@ -215,16 +397,9 @@ SimMessage FiberScheduler::take(int rank, int src, int tag, double now) {
   std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
   if (!single_) lk.lock();
   for (;;) {
-    auto it = slot.index.find(key);
-    if (it != slot.index.end()) {
-      std::deque<SimMessage>& q = slot.fifos[it->second];
-      if (!q.empty()) {
-        // Fast path: the message already arrived — no context switch at all.
-        SimMessage msg = std::move(q.front());
-        q.pop_front();
-        return msg;
-      }
-    }
+    // Fast path: the message already arrived — no context switch at all.
+    SimMessage msg;
+    if (slot.box.pop(key, msg)) return msg;
     if (slot.poisoned) {
       throw RankAbandoned();
     }
@@ -238,7 +413,8 @@ SimMessage FiberScheduler::take(int rank, int src, int tag, double now) {
   }
 }
 
-void FiberScheduler::deliver(int dst, int src, int tag, SimMessage msg) {
+void FiberScheduler::deliver(int dst, int src, int tag, double arrival,
+                             std::span<const std::byte> payload) {
   RankSlot& slot = *slots_[static_cast<std::size_t>(dst)];
   const std::uint64_t key = channel_key(src, tag);
   bool wake = false;
@@ -246,16 +422,7 @@ void FiberScheduler::deliver(int dst, int src, int tag, SimMessage msg) {
   {
     std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
     if (!single_) lk.lock();
-    auto it = slot.index.find(key);
-    std::uint32_t idx;
-    if (it == slot.index.end()) {
-      idx = static_cast<std::uint32_t>(slot.fifos.size());
-      slot.fifos.emplace_back();
-      slot.index.emplace(key, idx);
-    } else {
-      idx = it->second;
-    }
-    slot.fifos[idx].push_back(std::move(msg));
+    slot.box.push(key, arrival, payload);
     ++slot.delivered;
     if (slot.blocked && slot.waiting_key == key) {
       slot.blocked = false;
@@ -264,6 +431,13 @@ void FiberScheduler::deliver(int dst, int src, int tag, SimMessage msg) {
     }
   }
   if (wake) enqueue_ready(dst, wake_key);
+}
+
+void FiberScheduler::recycle(int rank, std::vector<std::byte> buf) {
+  RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
+  std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
+  if (!single_) lk.lock();
+  slot.box.recycle(std::move(buf));
 }
 
 void FiberScheduler::maybe_yield(int rank, double now, std::uint32_t delay_us) {

@@ -8,14 +8,18 @@
 // virtual clock first, ties to the lowest rank id.
 //
 // Mailboxes are sharded per rank (one fine-grained lock each, FIFO queues
-// keyed by (src, tag)); queue storage is dense and reused across channels so
-// steady-state messaging allocates only the payload buffer itself. Delivery
-// to a blocked rank re-enqueues it on its owner worker's inbox and wakes that
-// worker. Because virtual clocks are strictly per rank, message matching is
-// FIFO per channel, and wildcards do not exist, *every* dispatch order yields
-// bit-identical results — worker count and perturbation change only host
-// execution order, never a virtual-time observable. (src/check's perturbed
-// and cross-worker digest oracles assert exactly this.)
+// keyed by (src, tag)). A mailbox holds only its live channels — those with a
+// queued message — so its size follows the messages in flight, not the number
+// of channels a run ever used. Queue nodes and payload buffers are recycled
+// through a per-rank free list and a size-classed payload pool that lives and
+// dies with the run, so a warm mailbox delivers a message without touching
+// the heap. Delivery to a blocked rank re-enqueues it on its owner worker's
+// inbox and wakes that worker. Because virtual clocks are strictly per rank,
+// message matching is FIFO per channel, and wildcards do not exist, *every*
+// dispatch order yields bit-identical results — worker count and
+// perturbation change only host execution order, never a virtual-time
+// observable. (src/check's perturbed and cross-worker digest oracles assert
+// exactly this.)
 //
 // Failure protocol: the first rank body to throw records the root-cause
 // exception and poisons every mailbox; blocked peers are re-enqueued, drain
@@ -33,16 +37,17 @@
 // buildup and tag recycling.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -62,11 +67,26 @@ class FiberScheduler {
     std::size_t stack_bytes = 0;    // per-fiber stack; 0 = Fiber default
   };
 
-  /// Statistics of one scheduled run (summed over workers).
+  /// Statistics of one scheduled run (summed over workers; the high-water
+  /// marks are the largest any one rank's mailbox reached).
   struct Stats {
     std::uint64_t dispatches = 0;   // fiber resumes (starts + wakeups + yields)
     std::uint64_t messages = 0;     // deliveries through the mailboxes
+    std::size_t channels_max = 0;   // live (src, tag) channels in one mailbox
+    std::size_t pool_bytes_max = 0; // idle payload bytes in one rank's pool
   };
+
+  /// Idle payload bytes one rank's pool may keep for reuse: an even share of
+  /// kPoolRunBytes rounded down to a power of two, at most kPoolCapBytes.
+  /// Pools are per rank, so without the run-wide split a wide run would pin
+  /// one full cap per rank. A buffer larger than the cap, or one that would
+  /// push the pool past it, is freed instead.
+  static constexpr std::size_t kPoolCapBytes = std::size_t{1} << 20;
+  static constexpr std::size_t kPoolRunBytes = std::size_t{16} << 20;
+  static std::size_t pool_cap_bytes(int nranks) {
+    return std::min(kPoolCapBytes,
+                    std::bit_floor(kPoolRunBytes / static_cast<std::size_t>(nranks)));
+  }
 
   FiberScheduler(int nranks, Options opts);
   ~FiberScheduler();
@@ -84,12 +104,18 @@ class FiberScheduler {
 
   /// Blocking FIFO receive on (src, tag). `now` is the rank's current virtual
   /// clock, used as the dispatch key if the fiber must block. Throws
-  /// RankAbandoned if the mailbox is poisoned and the channel is empty.
+  /// RankAbandoned if the mailbox is poisoned and the channel is empty. The
+  /// payload is a buffer from the rank's pool; hand it back with recycle()
+  /// once its bytes are consumed.
   SimMessage take(int rank, int src, int tag, double now);
 
-  /// Delivers a message into dst's mailbox, waking dst if it blocks on
-  /// exactly this channel.
-  void deliver(int dst, int src, int tag, SimMessage msg);
+  /// Copies `payload` into a buffer from dst's pool and queues it in dst's
+  /// mailbox, waking dst if it blocks on exactly this channel.
+  void deliver(int dst, int src, int tag, double arrival,
+               std::span<const std::byte> payload);
+
+  /// Returns a payload buffer obtained from take() to `rank`'s pool.
+  void recycle(int rank, std::vector<std::byte> buf);
 
   /// Seeded scheduler-order perturbation: suspends the calling rank and
   /// re-enqueues it `delay_us` virtual microseconds later in dispatch order.

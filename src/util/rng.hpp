@@ -9,7 +9,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace isoee::util {
 
@@ -125,6 +127,35 @@ class NpbRandom {
     }
   }
 
+  /// Fills `out` with the next out.size() deviates and leaves the stream
+  /// where that many next() calls would. The serial chain is split into
+  /// kFillChains interleaved chains, each stepping by a^kFillChains, so
+  /// independent multiplies overlap in the pipeline. randlc is exact integer
+  /// arithmetic mod 2^46, so the output is bit-identical to stepping.
+  void fill(std::span<double> out) {
+    constexpr double r46 = 0x1.0p-46;
+    const std::size_t n = out.size();
+    const double start = seed_;
+    std::array<double, kFillChains> x{};  // chain k holds state k+1, k+1+K, ...
+    double s = seed_;
+    for (double& xk : x) {
+      (void)randlc(s, kA);
+      xk = s;
+    }
+    double a_k = kA;  // a^K mod 2^46
+    for (std::size_t k = 1; k < kFillChains; ++k) (void)randlc(a_k, kA);
+    std::size_t i = 0;
+    for (; i + kFillChains <= n; i += kFillChains) {
+      for (std::size_t k = 0; k < kFillChains; ++k) {
+        out[i + k] = r46 * x[k];
+        (void)randlc(x[k], a_k);
+      }
+    }
+    for (std::size_t k = 0; i < n; ++i, ++k) out[i] = r46 * x[k];
+    seed_ = start;
+    skip(n);
+  }
+
   /// Core NPB randlc: x = a*x mod 2^46, returns x * 2^-46. Exactly the
   /// double-double decomposition from the NPB reference implementation.
   static double randlc(double& x, double a) {
@@ -144,6 +175,8 @@ class NpbRandom {
   }
 
  private:
+  static constexpr std::size_t kFillChains = 8;
+
   double seed_;
 };
 

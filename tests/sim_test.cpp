@@ -10,10 +10,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/sched_profiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/machine.hpp"
+#include "sim/sched.hpp"
+#include "smpi/comm.hpp"
 
 namespace {
 
@@ -684,6 +687,185 @@ TEST(EngineScale, RankFailureAtP1024UnwindsAndLeaksNoFiberStacks) {
   run_once();
   const std::size_t level_after_second = sim::detail::Fiber::pooled_stacks();
   EXPECT_EQ(level_after_first, level_after_second);
+}
+
+// --- bounded mailboxes -------------------------------------------------------
+// A mailbox holds only channels with a queued message, and payload buffers
+// are recycled through a per-rank pool capped at kPoolCapBytes. The
+// sim.mailbox_* gauges are process-wide high-water marks, so each test
+// zeroes them before the run it measures.
+
+obs::Gauge& channels_gauge() { return obs::metrics().gauge("sim.mailbox_channels_max"); }
+obs::Gauge& pool_gauge() { return obs::metrics().gauge("sim.mailbox_pool_bytes_max"); }
+
+// CG's messaging shape: a ring allgatherv of the search direction and a
+// scalar allreduce per iteration, each call leasing a fresh tag range from
+// the TagAllocator window. 2 calls x 320 iterations wrap the 256-block window
+// twice, and almost every message lands on a channel the run never used.
+void cg_pattern(RankCtx& ctx, int iters) {
+  smpi::Comm comm(ctx);
+  const int p = ctx.size();
+  std::vector<int> counts(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) counts[static_cast<std::size_t>(r)] = 3 + r % 4;
+  std::vector<double> mine(static_cast<std::size_t>(counts[static_cast<std::size_t>(ctx.rank())]),
+                           static_cast<double>(ctx.rank()));
+  std::size_t total = 0;
+  for (int c : counts) total += static_cast<std::size_t>(c);
+  std::vector<double> all(total);
+  for (int it = 0; it < iters; ++it) {
+    ctx.compute(2000 + 37 * static_cast<std::uint64_t>(ctx.rank()));
+    comm.allgatherv(std::span<const double>(mine), std::span<double>(all),
+                    std::span<const int>(counts));
+    double dot = 0.0;
+    for (double v : all) dot += v;
+    const double sum = comm.allreduce_sum(dot);
+    mine[0] = sum / static_cast<double>(total * static_cast<std::size_t>(p));
+  }
+}
+
+TEST(Mailbox, LiveChannelsStayBoundedUnderCgPattern) {
+  // A mailbox that kept every channel until the run ended held one per ring
+  // step and allreduce round of every call here, thousands per rank (CG S at
+  // p=16 reached 4,864). Live channels follow the messages in flight instead:
+  // measured 15 = p-1, a left neighbour's whole ring queued ahead.
+  constexpr int kIters = 320;
+  channels_gauge().reset();
+  sim::EngineOptions opts;
+  opts.workers = 1;
+  Engine eng(tiny_machine(), opts);
+  const auto res = eng.run(16, [](RankCtx& ctx) { cg_pattern(ctx, kIters); });
+  EXPECT_GT(res.counters.messages_sent, 2u * kIters * 16u);
+  EXPECT_GE(channels_gauge().value(), 1.0);
+  EXPECT_LE(channels_gauge().value(), 16.0);
+}
+
+// Rank 0 sends bursts on one fixed (src, tag) channel and rank 1 drains
+// each. Between bursts every rank runs collectives through more than half
+// the TagAllocator window, so it wraps every two bursts. Rank 0 sends a
+// burst only after rank 1's ready message, and rank 1 sends that right
+// before its receive, so (quiet, one worker) rank 1 is always blocked on the
+// drained channel when rank 0 re-creates it. Received values feed back into
+// virtual time, so any FIFO violation changes the digest.
+void drain_and_recreate(RankCtx& ctx) {
+  smpi::Comm comm(ctx);
+  constexpr int kTag = 42, kReadyTag = 43;
+  constexpr int kBursts = 4, kBurst = 5;
+  for (int b = 0; b < kBursts; ++b) {
+    for (int w = 0; w < smpi::TagAllocator::kWindowBlocks / 2 + 1; ++w) {
+      (void)comm.allreduce_sum(static_cast<double>(ctx.rank() + w));
+    }
+    if (ctx.rank() == 0) {
+      ctx.recv(1, kReadyTag, std::span<int>());
+      for (int i = 0; i < kBurst; ++i) {
+        const int v = b * kBurst + i;
+        ctx.send(1, kTag, std::span<const int>(&v, 1));
+      }
+    } else if (ctx.rank() == 1) {
+      ctx.send(0, kReadyTag, std::span<const int>());
+      for (int i = 0; i < kBurst; ++i) {
+        int v = -1;
+        ctx.recv(0, kTag, std::span<int>(&v, 1));
+        EXPECT_EQ(v, b * kBurst + i);
+        ctx.compute(100 + static_cast<std::uint64_t>(v));
+      }
+    }
+  }
+  cg_pattern(ctx, 40);
+}
+
+TEST(Mailbox, RecyclingKeepsFifoOrderAndDeterminismAcrossWorkers) {
+  const MachineSpec m = tiny_machine();
+  sim::EngineOptions quiet;
+  quiet.record_trace = true;
+  quiet.workers = 1;
+  Engine ref_eng(m, quiet);
+  const std::uint64_t reference = digest_result(ref_eng.run(16, drain_and_recreate));
+  for (const int workers : {1, 2, 8}) {
+    sim::EngineOptions opts = quiet;
+    opts.workers = workers;
+    opts.perturb.enabled = true;
+    opts.perturb.seed = 0x5eed0000ULL + static_cast<std::uint64_t>(workers);
+    opts.perturb.yield_probability = 0.3;
+    Engine eng(m, opts);
+    EXPECT_EQ(digest_result(eng.run(16, drain_and_recreate)), reference)
+        << "workers=" << workers;
+  }
+}
+
+TEST(Mailbox, ZeroBytePayloadsNeedNoPooledBuffer) {
+  pool_gauge().reset();
+  Engine eng(tiny_machine());
+  eng.run(2, [](RankCtx& ctx) {
+    for (int i = 0; i < 100; ++i) {
+      if (ctx.rank() == 0) {
+        ctx.send(1, i % 3, std::span<const double>());
+      } else if (i % 2 == 0) {
+        ctx.recv(0, i % 3, std::span<double>());
+      } else {
+        EXPECT_TRUE(ctx.recv_bytes(0, i % 3).empty());
+      }
+    }
+  });
+  EXPECT_EQ(pool_gauge().value(), 0.0);
+}
+
+TEST(Mailbox, PoolKeepsAtMostItsCapAndFreesLargerBuffers) {
+  const std::size_t cap = sim::detail::FiberScheduler::pool_cap_bytes(2);
+  ASSERT_EQ(cap, sim::detail::FiberScheduler::kPoolCapBytes);
+  // A wide run splits the run-wide budget across its ranks' pools.
+  EXPECT_EQ(sim::detail::FiberScheduler::pool_cap_bytes(4096) * 4096,
+            sim::detail::FiberScheduler::kPoolRunBytes);
+  // Rank 0 never blocks, so its whole burst is in flight before rank 1 takes
+  // (and recycles) the first message.
+  const auto run_burst = [](std::size_t bytes, int burst) {
+    Engine eng(tiny_machine());
+    eng.run(2, [bytes, burst](RankCtx& ctx) {
+      std::vector<unsigned char> buf(bytes);
+      for (int i = 0; i < burst; ++i) {
+        const auto fill = static_cast<unsigned char>(i + 1);
+        if (ctx.rank() == 0) {
+          buf.assign(bytes, fill);
+          ctx.send(1, 5, std::span<const unsigned char>(buf));
+        } else {
+          ctx.recv(0, 5, std::span<unsigned char>(buf));
+          EXPECT_EQ(buf.front(), fill);
+          EXPECT_EQ(buf.back(), fill);
+        }
+      }
+    });
+  };
+  // A buffer above the cap is freed on receipt, never pooled.
+  pool_gauge().reset();
+  run_burst(cap + 1, 2);
+  EXPECT_EQ(pool_gauge().value(), 0.0);
+  // Three half-cap buffers: the pool keeps two and frees the third.
+  pool_gauge().reset();
+  run_burst(cap / 2, 3);
+  EXPECT_EQ(pool_gauge().value(), static_cast<double>(cap));
+  // Small buffers round up to a power-of-two size class.
+  pool_gauge().reset();
+  run_burst(100, 3);
+  EXPECT_EQ(pool_gauge().value(), 3.0 * 128.0);
+}
+
+TEST(Mailbox, SizeMismatchOnPooledBufferStillThrows) {
+  for (const std::size_t want : {3u, 5u}) {
+    Engine eng(tiny_machine());
+    EXPECT_THROW(eng.run(2,
+                         [want](RankCtx& ctx) {
+                           std::vector<double> v(4, 1.0);
+                           if (ctx.rank() == 0) {
+                             ctx.send(1, 0, std::span<const double>(v));  // warms the pool
+                             ctx.send(1, 0, std::span<const double>(v));
+                           } else {
+                             ctx.recv(0, 0, std::span<double>(v));
+                             std::vector<double> out(want);
+                             ctx.recv(0, 0, std::span<double>(out));
+                           }
+                         }),
+                 std::runtime_error)
+        << "want=" << want;
+  }
 }
 
 // --- misc engine surface ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -92,6 +93,26 @@ TEST(NpbRandom, SkipMatchesSequentialAdvance) {
   b.skip(1000);
   EXPECT_DOUBLE_EQ(a.seed(), b.seed());
   EXPECT_DOUBLE_EQ(a.next(), b.next());
+}
+
+TEST(NpbRandom, FillMatchesStepping) {
+  // Every seed an NPB kernel in src/npb starts its stream from.
+  for (const double seed : {314159265.0, 271828183.0}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                std::size_t{9}, std::size_t{4097}, std::size_t{2 * 32 * 32 * 32},
+                                std::size_t{2 * 64 * 64 * 64}}) {
+      NpbRandom stepped(seed), filled(seed);
+      stepped.skip(12345);  // start mid-stream, as ranks do
+      filled.skip(12345);
+      std::vector<double> want(n), got(n);
+      for (double& v : want) v = stepped.next();
+      filled.fill(got);
+      EXPECT_TRUE(n == 0 || std::memcmp(want.data(), got.data(), n * sizeof(double)) == 0)
+          << "seed=" << seed << " n=" << n;
+      EXPECT_EQ(filled.seed(), stepped.seed()) << "seed=" << seed << " n=" << n;
+      EXPECT_EQ(filled.next(), stepped.next());
+    }
+  }
 }
 
 TEST(NpbRandom, SkipZeroIsIdentity) {
