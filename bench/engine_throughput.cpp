@@ -1,22 +1,13 @@
-// Engine throughput harness (ISSUE 7): BENCH-tracks the rank-scale engine
-// rearchitecture. Measures simulated rank-seconds per host second and engine
-// events per second for representative workloads at p up to 4096, on both the
-// fiber scheduler (default backend) and the legacy thread-per-rank reference
-// engine, and reports the fiber/thread speedup.
+// Engine throughput harness: BENCH-tracks the fiber engine at rank scale.
+// Measures simulated rank-seconds per host second and engine events per
+// second for representative workloads at p up to 4096: scheduler-bound ones
+// (ring, token_ring, spawn-dominated sweeps) and FT, which is numerics-bound
+// (most of its wall clock is host FFT math).
 //
 // Emits the usual table + CSV (engine_throughput.csv) and, for CI artifact
 // upload, a JSON summary (engine_throughput.json in --csv-dir) with the raw
-// measurements and derived speedups. The acceptance bar is a >=10x
-// rank-seconds/sec win over the thread baseline at p >= 1024 on the
-// scheduler-bound workloads (token_ring, spawn-dominated sweeps) — the costs
-// the rearchitecture targets. FT is reported too but is numerics-bound: most
-// of its wall clock is host FFT math both backends execute identically.
-//
-// The thread baseline is capped at p=1024 (spawning 4096 OS threads to lose
-// to the fibers proves nothing and dominates the bench's wall-clock); fiber
-// rows extend to p=4096, the scale the ISSUE names. Every workload also
-// cross-checks fiber-vs-thread RunResult equality at small p: the backends
-// must be bit-identical, only their host cost may differ.
+// measurements. The event counts are deterministic; scripts/bench_baseline.py
+// gates them exactly against BENCH_engine_throughput.json.
 #include <cinttypes>
 #include <chrono>
 #include <cstdio>
@@ -49,8 +40,6 @@ struct Measurement {
   double wall_s = 0.0;
   double rank_seconds = 0.0;     // makespan * p (simulated rank-seconds)
   std::uint64_t events = 0;      // engine.events_processed delta
-  double makespan = 0.0;
-  double energy_j = 0.0;
 
   double rank_s_per_s() const { return wall_s > 0.0 ? rank_seconds / wall_s : 0.0; }
   double events_per_s() const {
@@ -58,23 +47,18 @@ struct Measurement {
   }
 };
 
-Measurement run_case(const sim::MachineSpec& machine, sim::EngineBackend backend,
-                     int p, const std::function<void(sim::RankCtx&)>& body,
-                     int repeats = 1) {
+Measurement run_case(const sim::MachineSpec& machine, int p,
+                     const std::function<void(sim::RankCtx&)>& body, int repeats) {
   obs::Counter& events = obs::metrics().counter("engine.events_processed");
-  sim::EngineOptions opts;
-  opts.backend = backend;
   const std::uint64_t ev0 = events.value();
   Measurement m;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < repeats; ++i) {
     // A fresh Engine per repeat, like exec::run_batch executes a sweep: the
-    // per-job setup cost (thread spawns vs fiber stacks) is part of what the
-    // backends are being compared on.
-    sim::Engine engine(machine, opts);
+    // per-job setup cost (fiber stacks, scheduler state) is part of what is
+    // measured.
+    sim::Engine engine(machine);
     const sim::RunResult result = engine.run(p, body);
-    m.makespan = result.makespan;
-    m.energy_j = result.total_energy_j();
     m.rank_seconds += result.makespan * static_cast<double>(p);
   }
   m.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -100,10 +84,8 @@ std::function<void(sim::RankCtx&)> ring_body(int p, int iters) {
 }
 
 /// Serial token ring: the latency-bound extreme — exactly one rank is ever
-/// runnable, every receive blocks, and each hop is one scheduler hand-off.
-/// This is the pattern the thread engine pays a futex wakeup plus an OS
-/// context switch for and the fiber engine pays a user-space switch for, so
-/// it isolates the cost the rearchitecture removes.
+/// runnable, every receive blocks, and each hop is one scheduler hand-off
+/// (a user-space fiber switch), so it isolates the engine's dispatch cost.
 std::function<void(sim::RankCtx&)> token_ring_body(int p, int laps) {
   return [p, laps](sim::RankCtx& ctx) {
     const int next = (ctx.rank() + 1) % p;
@@ -151,9 +133,7 @@ std::function<void(sim::RankCtx&)> ft_body(int p) {
 struct Row {
   std::string workload;
   int p = 0;
-  std::string backend;
   Measurement m;
-  double speedup = 0.0;  // fiber rank_s_per_s / thread rank_s_per_s (same case)
 };
 
 }  // namespace
@@ -162,87 +142,48 @@ int main(int argc, char** argv) {
   if (!isoee::bench::init(argc, argv)) return 1;
   const auto machine = big_machine();
 
-  bench::heading("engine throughput: fibers vs thread-per-rank",
-                 "ISSUE 7 rearchitecture; >=10x rank-seconds/sec at p>=1024");
-
-  // Cross-backend equality first: same workload, both backends, results must
-  // match exactly. This is the differential test that keeps the legacy engine
-  // honest as a reference implementation.
-  {
-    const auto fib = run_case(machine, sim::EngineBackend::kFibers, 64, ring_body(64, 50));
-    const auto thr = run_case(machine, sim::EngineBackend::kThreads, 64, ring_body(64, 50));
-    if (fib.makespan != thr.makespan || fib.energy_j != thr.energy_j) {
-      std::fprintf(stderr,
-                   "FAIL: fiber/thread backends disagree at p=64 "
-                   "(makespan %.17g vs %.17g, energy %.17g vs %.17g)\n",
-                   fib.makespan, thr.makespan, fib.energy_j, thr.energy_j);
-      return 1;
-    }
-    std::printf("backend cross-check: fiber == threads at p=64 (makespan %.6g s)\n\n",
-                fib.makespan);
-  }
-
-  struct CaseSpec {
-    std::string workload;
-    int p;
-    bool thread_baseline;  // also measure the legacy engine at this p
-    int repeats;
-    std::function<void(sim::RankCtx&)> body;
-  };
-  std::vector<CaseSpec> cases;
-  cases.push_back({"ring", 256, true, 1, ring_body(256, 100)});
-  cases.push_back({"ring", 1024, true, 1, ring_body(1024, 100)});
-  cases.push_back({"ring", 4096, false, 1, ring_body(4096, 50)});
-  cases.push_back({"token_ring", 1024, true, 1, token_ring_body(1024, 20)});
-  cases.push_back({"allreduce", 1024, true, 1, allreduce_body(20)});
-  // The repo's dominant load: sweeps of many short jobs (fig05 runs hundreds
-  // of cases) — per-job engine setup is the thread backend's worst cost.
-  cases.push_back({"sweep20", 1024, true, 20, allreduce_body(2)});
-  // Setup-bound extreme: near-empty bodies isolate engine construction and
-  // teardown (1024 OS thread spawns/joins per job vs 1024 fiber stacks).
-  cases.push_back({"spawn20", 1024, true, 20,
-                   [](sim::RankCtx& ctx) { ctx.compute(500); }});
-  cases.push_back({"ft", 1024, true, 1, ft_body(1024)});
-  cases.push_back({"ft", 4096, false, 1, ft_body(4096)});
+  bench::heading("engine throughput: fiber engine at rank scale",
+                 "rank-seconds and engine events per host second, p up to 4096");
 
   std::vector<Row> rows;
-  for (const auto& c : cases) {
-    Row fib{c.workload, c.p, "fibers",
-            run_case(machine, sim::EngineBackend::kFibers, c.p, c.body, c.repeats), 0.0};
-    if (c.thread_baseline) {
-      Row thr{c.workload, c.p, "threads",
-              run_case(machine, sim::EngineBackend::kThreads, c.p, c.body, c.repeats), 0.0};
-      if (thr.m.rank_s_per_s() > 0.0) fib.speedup = fib.m.rank_s_per_s() / thr.m.rank_s_per_s();
-      rows.push_back(fib);
-      rows.push_back(thr);
-    } else {
-      rows.push_back(fib);
-    }
-  }
+  const auto measure = [&](const char* workload, int p, int repeats,
+                           const std::function<void(sim::RankCtx&)>& body) {
+    rows.push_back({workload, p, run_case(machine, p, body, repeats)});
+  };
+  measure("ring", 256, 1, ring_body(256, 100));
+  measure("ring", 1024, 1, ring_body(1024, 100));
+  measure("ring", 4096, 1, ring_body(4096, 50));
+  measure("token_ring", 1024, 1, token_ring_body(1024, 20));
+  measure("allreduce", 1024, 1, allreduce_body(20));
+  // The repo's dominant load: sweeps of many short jobs (fig05 runs hundreds
+  // of cases), where per-job engine setup is paid again for every job.
+  measure("sweep20", 1024, 20, allreduce_body(2));
+  // Setup-bound extreme: near-empty bodies isolate engine construction and
+  // teardown (1024 fiber stacks per job).
+  measure("spawn20", 1024, 20, [](sim::RankCtx& ctx) { ctx.compute(500); });
+  measure("ft", 1024, 1, ft_body(1024));
+  measure("ft", 4096, 1, ft_body(4096));
 
-  util::Table table({"workload", "p", "backend", "wall_s", "rank_s_per_s",
-                     "events_per_s", "events", "speedup_vs_threads"});
+  util::Table table({"workload", "p", "wall_s", "rank_s_per_s", "events_per_s", "events"});
   for (const auto& r : rows) {
-    table.add_row({r.workload, util::num(r.p), r.backend, util::num(r.m.wall_s, 4),
+    table.add_row({r.workload, util::num(r.p), util::num(r.m.wall_s, 4),
                    util::sci(r.m.rank_s_per_s(), 3), util::sci(r.m.events_per_s(), 3),
-                   util::num(static_cast<long long>(r.m.events)),
-                   r.speedup > 0.0 ? util::num(r.speedup, 2) : "-"});
+                   util::num(static_cast<long long>(r.m.events))});
   }
   bench::emit(table, "engine_throughput");
 
-  // JSON artifact for CI upload: raw measurements + the derived speedups.
+  // JSON artifact for CI upload.
   const std::string json_path = std::string(bench::out_dir()) + "/engine_throughput.json";
   if (std::FILE* f = std::fopen(json_path.c_str(), "w"); f != nullptr) {
     std::fprintf(f, "{\n  \"machine\": \"%s\",\n  \"rows\": [\n", machine.name.c_str());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
-                   "    {\"workload\": \"%s\", \"p\": %d, \"backend\": \"%s\", "
+                   "    {\"workload\": \"%s\", \"p\": %d, "
                    "\"wall_s\": %.6f, \"rank_s_per_s\": %.6g, \"events_per_s\": %.6g, "
-                   "\"events\": %" PRIu64 ", \"speedup_vs_threads\": %.4g}%s\n",
-                   r.workload.c_str(), r.p, r.backend.c_str(), r.m.wall_s,
-                   r.m.rank_s_per_s(), r.m.events_per_s(), r.m.events, r.speedup,
-                   i + 1 < rows.size() ? "," : "");
+                   "\"events\": %" PRIu64 "}%s\n",
+                   r.workload.c_str(), r.p, r.m.wall_s, r.m.rank_s_per_s(),
+                   r.m.events_per_s(), r.m.events, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -250,23 +191,6 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
-  }
-
-  // Summary: the rearchitecture's headline claim, checked where a baseline
-  // ran. The peak is the scheduler-bound number (token_ring / spawn-heavy
-  // sweeps — the costs the fibers remove); the minimum is FT, which is bound
-  // by host FFT numerics the engine cannot speed up (Amdahl), reported so the
-  // table never overclaims.
-  double best = 0.0, worst = 1e300;
-  for (const auto& r : rows) {
-    if (r.backend == "fibers" && r.p >= 1024 && r.speedup > 0.0) {
-      best = std::max(best, r.speedup);
-      worst = std::min(worst, r.speedup);
-    }
-  }
-  if (best > 0.0) {
-    std::printf("\nfiber speedup at p>=1024: %.2fx scheduler-bound peak, "
-                "%.2fx minimum (numerics-bound ft)\n", best, worst);
   }
   return 0;
 }

@@ -45,11 +45,6 @@ GATES = {
     "service_load": {"count": "exact", "errors": "exact"},
 }
 
-TIMING_METRICS = {
-    "wall_s", "rank_s_per_s", "events_per_s", "speedup_vs_threads",
-    "p50_ms", "p99_ms",
-}
-
 
 def fail(msg):
     print(f"bench_baseline: {msg}", file=sys.stderr)
@@ -63,16 +58,15 @@ def gate_for(bench, metric):
 # --- summarize --------------------------------------------------------------
 
 def summarize_engine_throughput(path):
-    """engine_throughput.json -> cases keyed workload/p/backend."""
+    """engine_throughput.json -> cases keyed workload/p."""
     with open(path) as f:
         doc = json.load(f)
     cases = {}
     for row in doc["rows"]:
-        key = f"{row['workload']}/{row['p']}/{row['backend']}"
+        key = f"{row['workload']}/{row['p']}"
         cases[key] = {
             m: row[m]
-            for m in ("events", "wall_s", "rank_s_per_s", "events_per_s",
-                      "speedup_vs_threads")
+            for m in ("events", "wall_s", "rank_s_per_s", "events_per_s")
         }
     return cases
 

@@ -1,14 +1,12 @@
 // Batch case executor: runs independent, deterministic simulation cases on a
 // bounded pool with results delivered in submission order.
 //
-// Concurrency is budgeted in *host threads*, not cases. Since the engine
-// rearchitecture a simulated job costs its configured fiber-scheduler worker
-// count — sim::resolve_engine_workers(0, nranks), typically 1 for the small
-// jobs that dominate sweeps — NOT nranks, so a default budget now admits
-// many p=1024 cases concurrently instead of serializing them behind a
-// budget sized for thread-per-rank engines. Simulation call sites declare
-// `threads = resolve_engine_workers(...)`; non-engine work declares what it
-// actually spawns. The pool admits cases while sum(threads) of the running
+// Concurrency is budgeted in *host threads*, not cases. A simulated job costs
+// its fiber-scheduler worker count — sim::resolve_engine_workers(0, nranks),
+// typically 1 for the small jobs that dominate sweeps — NOT nranks, so a
+// default budget admits many p=1024 cases concurrently. Simulation call sites
+// declare `threads = resolve_engine_workers(...)`; non-engine work declares
+// what it actually spawns. The pool admits cases while sum(threads) of the running
 // set stays within the budget (default: hardware_concurrency). Admission is
 // strictly FIFO — the next case in submission order is admitted as soon as
 // its cost fits — which bounds memory, avoids starving wide cases, and keeps

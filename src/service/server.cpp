@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,11 +18,12 @@ namespace isoee::service {
 
 namespace {
 
-/// Writes the whole buffer, absorbing short writes. False on error.
+/// Writes the whole buffer, absorbing short writes. False on error. A peer
+/// that has gone away yields an error here, never a SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n <= 0) return false;
     off += static_cast<std::size_t>(n);
   }
@@ -65,7 +67,18 @@ void TcpServer::serve() {
     if (ready <= 0) continue;  // timeout or EINTR: re-check shutdown
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    {
+      std::lock_guard<std::mutex> lock(live_mu_);
+      live_fds_.push_back(fd);
+    }
     connections_.emplace_back([this, fd] { serve_connection(fd); });
+  }
+  {
+    // Wake connection threads blocked in read(): it returns 0 and they exit.
+    // Only the read side is shut, so a reply still being computed (the
+    // `shutdown` request's own included) is written out in full.
+    std::lock_guard<std::mutex> lock(live_mu_);
+    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RD);
   }
   for (std::thread& t : connections_) {
     if (t.joinable()) t.join();
@@ -107,6 +120,10 @@ void TcpServer::serve_connection(int fd) {
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n <= 0) break;  // client closed (or error)
     buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  {
+    std::lock_guard<std::mutex> lock(live_mu_);
+    live_fds_.erase(std::find(live_fds_.begin(), live_fds_.end(), fd));
   }
   ::close(fd);
 }

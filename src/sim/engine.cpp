@@ -81,8 +81,8 @@ int resolve_engine_workers(int requested, int nranks) {
 // RankCtx
 // ---------------------------------------------------------------------------
 
-RankCtx::RankCtx(Engine* engine, int rank, int size)
-    : engine_(engine), rank_(rank), size_(size) {
+RankCtx::RankCtx(Engine* engine, detail::FiberScheduler* sched, int rank, int size)
+    : engine_(engine), sched_(sched), rank_(rank), size_(size) {
   const auto& spec = engine_->machine();
   const auto& opts = engine_->options();
   ghz_ = opts.initial_ghz > 0.0 ? opts.initial_ghz : spec.cpu.base_ghz;
@@ -115,18 +115,10 @@ void RankCtx::maybe_perturb() {
       spec.max_sleep_us > 0
           ? perturb_rng_.below(static_cast<std::uint64_t>(spec.max_sleep_us) + 1)
           : 0;
-  if (engine_->sched_ != nullptr) {
-    // Fiber backend: suspend and re-enqueue this rank `us` virtual
-    // microseconds later in dispatch order — peers overtake it, no host time
-    // is burned, and the virtual clock is untouched.
-    engine_->sched_->maybe_yield(rank_, clock_, static_cast<std::uint32_t>(us));
-    return;
-  }
-  if (us == 0) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
+  // Suspend and re-enqueue this rank `us` virtual microseconds later in
+  // dispatch order: peers overtake it, no host time is burned, and the
+  // virtual clock is untouched.
+  sched_->maybe_yield(rank_, clock_, static_cast<std::uint32_t>(us));
 }
 
 const MachineSpec& RankCtx::machine() const { return engine_->machine(); }
@@ -306,7 +298,7 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
     counters_.messages_intra_node += 1;
     counters_.bytes_intra_node += payload.size();
   }
-  engine_->deliver(dst, rank_, tag, arrival, payload);
+  sched_->deliver(dst, rank_, tag, arrival, payload);
 }
 
 void RankCtx::recv_into(int src, int tag, std::span<std::byte> out) {
@@ -315,7 +307,7 @@ void RankCtx::recv_into(int src, int tag, std::span<std::byte> out) {
   // Zero-byte messages are legal (they still pay t_s, as real MPI does);
   // memcpy's nonnull contract forbids passing the empty vector's null data.
   if (match && !bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-  if (engine_->sched_ != nullptr) engine_->sched_->recycle(rank_, std::move(bytes));
+  sched_->recycle(rank_, std::move(bytes));
   if (!match) throw std::runtime_error("recv size mismatch");
 }
 
@@ -324,7 +316,7 @@ std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
   // Perturb before blocking on the mailbox: a delayed receiver lets senders
   // race ahead, which is the interleaving that stresses tag-range recycling.
   maybe_perturb();
-  Engine::Message msg = engine_->take(rank_, src, tag, clock_);
+  detail::SimMessage msg = sched_->take(rank_, src, tag, clock_);
   // Completion cannot precede the payload's arrival; the gap is receive wait.
   const double wait = std::max(0.0, msg.arrival - clock_);
   advance(wait, Activity::kNetwork);
@@ -370,7 +362,7 @@ struct EngineMetrics {
   obs::Counter& ranks_simulated = obs::metrics().counter("engine.ranks_simulated");
   obs::Counter& events_processed = obs::metrics().counter("engine.events_processed");
   obs::Gauge& rank_seconds_per_sec = obs::metrics().gauge("engine.rank_seconds_per_sec");
-  // Fiber-backend mailbox high-water marks over every run in the process:
+  // Mailbox high-water marks over every run in the process:
   // the most live (src, tag) channels one rank's mailbox held at once, and
   // the most idle payload bytes one rank's buffer pool kept. Exact for
   // one-worker runs; with more workers they depend on the host interleaving.
@@ -397,53 +389,6 @@ Engine::Engine(MachineSpec spec, Options opts) : spec_(std::move(spec)), opts_(o
   }
 }
 
-void Engine::deliver(int dst, int src, int tag, double arrival,
-                     std::span<const std::byte> payload) {
-  if (sched_ != nullptr) {
-    sched_->deliver(dst, src, tag, arrival, payload);
-    return;
-  }
-  Message msg;
-  msg.arrival = arrival;
-  msg.payload.assign(payload.begin(), payload.end());
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
-  {
-    std::lock_guard<std::mutex> lock(box.mu);
-    box.queues[{src, tag}].push_back(std::move(msg));
-  }
-  box.cv.notify_all();
-}
-
-Engine::Message Engine::take(int dst, int src, int tag, double now) {
-  if (sched_ != nullptr) {
-    detail::SimMessage sm = sched_->take(dst, src, tag, now);
-    Message msg;
-    msg.arrival = sm.arrival;
-    msg.payload = std::move(sm.payload);
-    return msg;
-  }
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  auto& queue = box.queues[{src, tag}];
-  box.cv.wait(lock, [&] { return !queue.empty() || box.poisoned; });
-  // Messages that already arrived are still delivered after poisoning; only a
-  // receive that would block forever (its sender is gone) is abandoned.
-  if (queue.empty()) throw RankAbandoned();
-  Message msg = std::move(queue.front());
-  queue.pop_front();
-  return msg;
-}
-
-void Engine::poison_all() {
-  for (auto& box : mailboxes_) {
-    {
-      std::lock_guard<std::mutex> lock(box->mu);
-      box->poisoned = true;
-    }
-    box->cv.notify_all();
-  }
-}
-
 RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   EngineMetrics::get().runs_started.inc();
   if (nranks <= 0) throw std::invalid_argument("run: nranks must be positive");
@@ -453,84 +398,26 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  RunResult result = opts_.backend == EngineBackend::kThreads
-                         ? run_threads(nranks, body)
-                         : run_fibers(nranks, body);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if (wall > 0.0) {
-    EngineMetrics::get().rank_seconds_per_sec.set(
-        result.makespan * static_cast<double>(nranks) / wall);
-  }
-  return result;
-}
-
-RunResult Engine::run_fibers(int nranks, const std::function<void(RankCtx&)>& body) {
-  detail::FiberScheduler::Options sopts;
-  sopts.workers = resolve_engine_workers(opts_.workers, nranks);
-  sopts.stack_bytes = opts_.fiber_stack_bytes;
-  detail::FiberScheduler sched(nranks, sopts);
-
+  detail::FiberScheduler sched(nranks, resolve_engine_workers(opts_.workers, nranks));
   std::vector<std::unique_ptr<RankCtx>> contexts;
   contexts.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, r, nranks)));
+    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, &sched, r, nranks)));
   }
-
-  sched_ = &sched;
-  std::exception_ptr first_error;
-  try {
-    first_error = sched.run(
-        [&](int r) { body(*contexts[static_cast<std::size_t>(r)]); });
-  } catch (...) {
-    sched_ = nullptr;
-    throw;
-  }
-  sched_ = nullptr;
+  const std::exception_ptr first_error =
+      sched.run([&](int r) { body(*contexts[static_cast<std::size_t>(r)]); });
   EngineMetrics& m = EngineMetrics::get();
   m.mailbox_channels_max.set_max(static_cast<double>(sched.stats().channels_max));
   m.mailbox_pool_bytes_max.set_max(static_cast<double>(sched.stats().pool_bytes_max));
   if (first_error) std::rethrow_exception(first_error);
-  return aggregate(contexts);
-}
 
-RunResult Engine::run_threads(int nranks, const std::function<void(RankCtx&)>& body) {
-  mailboxes_.clear();
-  mailboxes_.reserve(static_cast<std::size_t>(nranks));
-  for (int i = 0; i < nranks; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
-
-  std::vector<std::unique_ptr<RankCtx>> contexts;
-  contexts.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, r, nranks)));
+  RunResult result = aggregate(contexts);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (wall > 0.0) {
+    m.rank_seconds_per_sec.set(result.makespan * static_cast<double>(nranks) / wall);
   }
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        body(*contexts[static_cast<std::size_t>(r)]);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        // Unblock peers waiting on this rank: poison every mailbox so blocked
-        // receives throw RankAbandoned instead of deadlocking. first_error is
-        // recorded before poisoning, so the rethrown error is always the root
-        // cause, never a secondary abandonment.
-        poison_all();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  mailboxes_.clear();
-  if (first_error) std::rethrow_exception(first_error);
-  return aggregate(contexts);
+  return result;
 }
 
 RunResult Engine::aggregate(std::vector<std::unique_ptr<RankCtx>>& contexts) {

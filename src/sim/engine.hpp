@@ -31,15 +31,11 @@
 // iso-energy-efficiency model consumes.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -175,7 +171,7 @@ class RankCtx {
 
  private:
   friend class Engine;
-  RankCtx(Engine* engine, int rank, int size);
+  RankCtx(Engine* engine, detail::FiberScheduler* sched, int rank, int size);
 
   void advance(double seconds, Activity activity);
   /// recv_bytes into `out` (throws if the payload size differs), handing the
@@ -185,6 +181,7 @@ class RankCtx {
   void maybe_perturb();
 
   Engine* engine_;
+  detail::FiberScheduler* sched_;  // the run's scheduler: mailboxes and yields
   int rank_;
   int size_;
   double clock_ = 0.0;
@@ -215,29 +212,18 @@ class RankCtx {
 /// window) and composite collectives interleave across ranks in orders a
 /// quiet schedule never produces.
 ///
-/// Under the fiber engine (the default backend) a perturbation suspends the
-/// rank's fiber and re-enqueues it with its dispatch key pushed up to
-/// max_sleep_us *virtual* microseconds later — a pure scheduler reordering
-/// with no host sleeps, so perturbed runs cost the same as quiet ones. Under
-/// the legacy thread backend the old host yield/sleep_for injection is kept.
-/// Either way virtual time derives only from simulated activity — never from
-/// dispatch order or the host clock — so a perturbed run must produce
-/// bit-identical results to an unperturbed one; src/check asserts exactly
-/// that.
+/// A perturbation suspends the rank's fiber and re-enqueues it with its
+/// dispatch key pushed up to max_sleep_us *virtual* microseconds later — a
+/// pure scheduler reordering with no host sleeps, so perturbed runs cost the
+/// same as quiet ones. Virtual time derives only from simulated activity —
+/// never from dispatch order or the host clock — so a perturbed run must
+/// produce bit-identical results to an unperturbed one; src/check asserts
+/// exactly that.
 struct PerturbSpec {
   bool enabled = false;
   std::uint64_t seed = 0x7e57ab1eULL;  // drives the per-rank perturbation RNG
   double yield_probability = 0.2;      // chance to disturb at each primitive
   int max_sleep_us = 50;               // reorder horizon (0 = bare yield)
-};
-
-/// Which concurrency substrate Engine::run uses. Results are bit-identical
-/// across backends; only host cost differs.
-enum class EngineBackend {
-  kFibers,   // run-to-completion fibers over a worker pool (default)
-  kThreads,  // legacy one-OS-thread-per-rank engine, kept as the reference
-             // implementation for differential tests and as the baseline
-             // that bench/engine_throughput measures speedup against
 };
 
 /// Resolves an EngineOptions::workers request to a concrete worker count for
@@ -268,18 +254,11 @@ struct EngineOptions {
   /// Used to validate the heterogeneous model extension (model/hetero.hpp).
   std::vector<double> per_rank_ghz;
 
-  /// Concurrency substrate; see EngineBackend. Fibers unless a test or bench
-  /// explicitly asks for the thread-per-rank reference engine.
-  EngineBackend backend = EngineBackend::kFibers;
-
-  /// Host worker threads multiplexing the rank fibers (fiber backend only).
+  /// Host worker threads multiplexing the rank fibers.
   /// 0 = resolve automatically (see resolve_engine_workers); negative values
   /// are rejected. Any valid value gives bit-identical results; this knob
   /// trades host cores for wall-clock.
   int workers = 0;
-
-  /// Per-fiber stack bytes (fiber backend only; 0 = Fiber default).
-  std::size_t fiber_stack_bytes = 0;
 
   /// Scheduler-order perturbation injector (see PerturbSpec). Simulation
   /// results are independent of it by construction; it exists to let tests
@@ -324,36 +303,10 @@ class Engine {
   static std::uint64_t total_runs_started();
 
  private:
-  friend class RankCtx;
-
-  struct Message {
-    double arrival = 0.0;  // virtual time at which the payload is available
-    std::vector<std::byte> payload;
-  };
-
-  /// Per-destination mailbox of the legacy thread backend; FIFO queues keyed
-  /// by (src, tag). (The fiber backend's sharded mailboxes live in the
-  /// scheduler — sim/sched.hpp.)
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<std::pair<int, int>, std::deque<Message>> queues;
-    bool poisoned = false;  // a rank died; empty receives throw RankAbandoned
-  };
-
-  RunResult run_fibers(int nranks, const std::function<void(RankCtx&)>& body);
-  RunResult run_threads(int nranks, const std::function<void(RankCtx&)>& body);
   RunResult aggregate(std::vector<std::unique_ptr<RankCtx>>& contexts);
-
-  void deliver(int dst, int src, int tag, double arrival,
-               std::span<const std::byte> payload);
-  Message take(int dst, int src, int tag, double now);
-  void poison_all();
 
   MachineSpec spec_;
   Options opts_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;   // thread backend only
-  detail::FiberScheduler* sched_ = nullptr;           // non-null during a fiber run
 };
 
 }  // namespace isoee::sim

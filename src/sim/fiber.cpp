@@ -6,7 +6,6 @@
 #include <mutex>
 #include <new>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/mman.h>
@@ -61,17 +60,17 @@ std::size_t round_up(std::size_t v, std::size_t quantum) {
 #define ISOEE_FIBER_STACK_POOL 1
 #endif
 
-// Process-global free list of guard-paged stack allocations, keyed by total
-// mapping size. The guard page is installed once at mmap time and stays
-// PROT_NONE for the allocation's whole pooled lifetime, so reuse costs a
-// mutex hop instead of two syscalls. Capped in virtual bytes; overflow is
-// simply munmapped. Leaked deliberately: fibers owned by statics may be
-// destroyed during process teardown, after a function-local static pool
-// would already be gone.
+// Process-global free list of guard-paged stack allocations. Every fiber
+// stack has the same size, so any pooled allocation fits any fiber. The
+// guard page is installed once at mmap time and stays PROT_NONE for the
+// allocation's whole pooled lifetime, so reuse costs a mutex hop instead of
+// two syscalls. Capped in virtual bytes; overflow is simply munmapped.
+// Leaked deliberately: fibers owned by statics may be destroyed during
+// process teardown, after a function-local static pool would already be gone.
 struct StackPool {
   static constexpr std::size_t kMaxBytes = std::size_t(2) << 30;  // virtual, mostly untouched
   std::mutex mu;
-  std::unordered_map<std::size_t, std::vector<unsigned char*>> free_by_size;
+  std::vector<unsigned char*> free;
   std::size_t bytes = 0;
 };
 
@@ -185,20 +184,18 @@ void fiber_entry_shim(Fiber* f) { Fiber::entry_thunk(f); }
 
 // --- fiber lifecycle ---------------------------------------------------------
 
-void Fiber::create(std::size_t stack_bytes, Entry entry, void* arg) {
+void Fiber::create(Entry entry, void* arg) {
   if (sp_ != nullptr || adopted_) throw std::logic_error("Fiber::create: already armed");
-  if (stack_bytes == 0) stack_bytes = default_stack_bytes();
   const std::size_t ps = page_size();
-  stack_size_ = round_up(stack_bytes, ps);
+  stack_size_ = round_up(default_stack_bytes(), ps);
   alloc_size_ = stack_size_ + ps;  // + guard page at the low end
 #if defined(ISOEE_FIBER_STACK_POOL)
   {
     StackPool& pool = stack_pool();
     std::lock_guard<std::mutex> lk(pool.mu);
-    auto it = pool.free_by_size.find(alloc_size_);
-    if (it != pool.free_by_size.end() && !it->second.empty()) {
-      alloc_base_ = it->second.back();
-      it->second.pop_back();
+    if (!pool.free.empty()) {
+      alloc_base_ = pool.free.back();
+      pool.free.pop_back();
       pool.bytes -= alloc_size_;
     }
   }
@@ -292,7 +289,7 @@ Fiber::~Fiber() {
     StackPool& pool = stack_pool();
     std::unique_lock<std::mutex> lk(pool.mu);
     if (pool.bytes + alloc_size_ <= StackPool::kMaxBytes) {
-      pool.free_by_size[alloc_size_].push_back(alloc_base_);
+      pool.free.push_back(alloc_base_);
       pool.bytes += alloc_size_;
       alloc_base_ = nullptr;
     }
@@ -306,9 +303,7 @@ std::size_t Fiber::pooled_stacks() {
 #if defined(ISOEE_FIBER_STACK_POOL)
   StackPool& pool = stack_pool();
   std::lock_guard<std::mutex> lk(pool.mu);
-  std::size_t n = 0;
-  for (const auto& [size, list] : pool.free_by_size) n += list.size();
-  return n;
+  return pool.free.size();
 #else
   return 0;
 #endif

@@ -41,10 +41,10 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Allocates a guard-paged stack of at least `stack_bytes` usable bytes and
+  /// Allocates a guard-paged stack of default_stack_bytes() usable bytes and
   /// arms the fiber so the first switch_to enters `entry(arg)`. `entry` must
   /// never return: a finished fiber leaves by `exit_to` and is never resumed.
-  void create(std::size_t stack_bytes, Entry entry, void* arg);
+  void create(Entry entry, void* arg);
 
   /// Adopts the calling OS thread's native stack as a switch target. Must be
   /// paired with release_thread on the same thread before destruction.
@@ -60,12 +60,9 @@ class Fiber {
   /// `from` must be a created (not adopted) fiber.
   [[noreturn]] static void exit_to(Fiber& from, Fiber& to);
 
-  /// Usable stack bytes actually allocated (0 for adopted threads until the
-  /// platform reports them; informational).
-  std::size_t stack_bytes() const { return stack_size_; }
-
-  /// Default usable stack size: generous for NPB kernels + smpi collectives,
-  /// larger under sanitizers (instrumented frames and redzones are fatter).
+  /// Usable stack size of every fiber: generous for NPB kernels + smpi
+  /// collectives, larger under sanitizers (instrumented frames and redzones
+  /// are fatter).
   static std::size_t default_stack_bytes();
 
   /// Stack allocations currently cached in the process-global reuse pool

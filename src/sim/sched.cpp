@@ -245,21 +245,20 @@ struct FiberScheduler::Worker {
   std::thread thread;
 };
 
-FiberScheduler::FiberScheduler(int nranks, Options opts)
-    : nranks_(nranks), opts_(opts) {
+FiberScheduler::FiberScheduler(int nranks, int workers) : nranks_(nranks) {
   if (nranks <= 0) throw std::invalid_argument("FiberScheduler: nranks must be > 0");
-  opts_.workers = std::clamp(opts_.workers, 1, nranks);
-  single_ = opts_.workers == 1;
+  workers = std::clamp(workers, 1, nranks);
+  single_ = workers == 1;
   slots_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     auto slot = std::make_unique<RankSlot>(pool_cap_bytes(nranks));
     slot->sched = this;
     slot->rank = r;
-    slot->owner = r % opts_.workers;
+    slot->owner = r % workers;
     slots_.push_back(std::move(slot));
   }
-  workers_.reserve(static_cast<std::size_t>(opts_.workers));
-  for (int w = 0; w < opts_.workers; ++w) {
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->id = w;
   }
@@ -272,7 +271,7 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
   // Arm every fiber and seed the ready heaps in rank order at virtual time 0.
   // This runs single-threaded: no locks needed for the direct heap pushes.
   for (auto& slot : slots_) {
-    slot->fiber.create(opts_.stack_bytes, &FiberScheduler::fiber_main, slot.get());
+    slot->fiber.create(&FiberScheduler::fiber_main, slot.get());
     workers_[static_cast<std::size_t>(slot->owner)]->heap.push(
         ReadyItem{0.0, slot->rank});
   }
@@ -283,7 +282,7 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
   // per-worker handles stay disengaged and every hook below costs one branch.
   obs::sched_profiler().maybe_start_from_env();
 
-  if (opts_.workers == 1) {
+  if (single_) {
     // Hot path for the hundreds of small study cases: run the whole schedule
     // inline on the calling thread — no thread spawn, no cv traffic.
     worker_loop(0);
@@ -479,8 +478,8 @@ void FiberScheduler::stop_all() {
 }
 
 // Records the root-cause deadlock error (all live ranks blocked in recv on
-// messages that can never arrive — the old thread engine hung forever here)
-// and poisons the mailboxes so every blocked fiber unwinds with RankAbandoned.
+// messages that can never arrive) and poisons the mailboxes so every blocked
+// fiber unwinds with RankAbandoned.
 void FiberScheduler::record_deadlock() {
   {
     std::lock_guard<std::mutex> elk(err_mu_);

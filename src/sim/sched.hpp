@@ -25,12 +25,12 @@
 // exception and poisons every mailbox; blocked peers are re-enqueued, drain
 // any messages that already arrived, then unwind with RankAbandoned. The
 // scheduler also detects true deadlock (all live ranks blocked, nothing
-// ready anywhere) and converts the forever-hang of the old thread engine
-// into a thrown error. All fibers are always driven to completion — unwound
-// or finished — before run() returns, so no fiber stack ever leaks.
+// ready anywhere) and turns it into a thrown error instead of a hang. All
+// fibers are always driven to completion — unwound or finished — before
+// run() returns, so no fiber stack ever leaks.
 //
-// Perturbation: maybe_yield() implements PerturbSpec under the fiber engine —
-// a seeded *virtual-scheduler* reordering. The yielding fiber is re-enqueued
+// Perturbation: maybe_yield() implements PerturbSpec as a seeded
+// *virtual-scheduler* reordering. The yielding fiber is re-enqueued
 // with its dispatch key pushed `delay_us` virtual microseconds into the
 // future, letting peers (e.g. racing senders) overtake it. No host sleeps:
 // perturbed runs cost the same as quiet ones and still stress mailbox
@@ -62,11 +62,6 @@ struct SimMessage {
 
 class FiberScheduler {
  public:
-  struct Options {
-    int workers = 1;                // OS threads multiplexing the fibers
-    std::size_t stack_bytes = 0;    // per-fiber stack; 0 = Fiber default
-  };
-
   /// Statistics of one scheduled run (summed over workers; the high-water
   /// marks are the largest any one rank's mailbox reached).
   struct Stats {
@@ -88,7 +83,8 @@ class FiberScheduler {
                     std::bit_floor(kPoolRunBytes / static_cast<std::size_t>(nranks)));
   }
 
-  FiberScheduler(int nranks, Options opts);
+  /// `workers` OS threads multiplex the fibers (clamped to [1, nranks]).
+  FiberScheduler(int nranks, int workers);
   ~FiberScheduler();
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
@@ -147,7 +143,6 @@ class FiberScheduler {
   void record_deadlock();
 
   int nranks_;
-  Options opts_;
   // One-worker runs (the common case: hundreds of small study cases, where
   // exec::run_batch parallelizes across cases instead) execute the whole
   // schedule on the calling thread, so every mailbox lock, inbox hand-off,

@@ -1,11 +1,17 @@
 // Tier-1 tests for src/service: the wire protocol (strict parsing + seeded
 // fuzzing over the request grammar), the three-tier answer path (model /
 // cache / sim), request coalescing, admission control, the calibrate flow,
-// and the stdin transport.
+// the stdin transport, and TCP shutdown while a client idles or waits on a
+// reply.
 //
 // The sim-tier tests use small EP cases so the whole binary stays in the
 // seconds range; the serving-smoke CI job covers the TCP transport and load.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -463,6 +469,107 @@ TEST(Endpoints, ShutdownStopsTheStdinLoopMidStream) {
   const std::string text = out.str();
   EXPECT_NE(text.find("\"stopping\":true"), std::string::npos);
   EXPECT_EQ(text.find("\"id\":3"), std::string::npos);
+}
+
+/// Connects a blocking TCP client to the loopback server on `port`.
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+/// Sends one request line and reads back one response line.
+std::string round_trip(int fd, const std::string& request) {
+  const std::string line = request + "\n";
+  EXPECT_EQ(::write(fd, line.data(), line.size()), static_cast<ssize_t>(line.size()));
+  std::string reply;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') reply.push_back(c);
+  return reply;
+}
+
+TEST(Endpoints, TcpShutdownReturnsWhileAnotherClientIsIdle) {
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool returned = false;
+  std::thread serving([&] {
+    server.serve();
+    std::lock_guard<std::mutex> lock(mu);
+    returned = true;
+    cv.notify_all();
+  });
+
+  // Client A is served once, then idles with its connection open.
+  const int idle = connect_loopback(server.port());
+  EXPECT_TRUE(response_ok(parse_response(round_trip(idle, R"({"method":"stats"})"))));
+  // Client B asks the server to stop.
+  const int admin = connect_loopback(server.port());
+  EXPECT_TRUE(response_ok(parse_response(round_trip(admin, R"({"method":"shutdown"})"))));
+  ::close(admin);
+
+  bool in_time = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    in_time = cv.wait_for(lock, std::chrono::seconds(2), [&] { return returned; });
+  }
+  // Closing A after the deadline lets a server that waits on idle clients
+  // return too, so a regression fails here instead of hanging the suite.
+  ::close(idle);
+  serving.join();
+  EXPECT_TRUE(in_time) << "serve() waited on an idle client after shutdown";
+}
+
+TEST(Endpoints, TcpShutdownStillRepliesToARequestInFlight) {
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool returned = false;
+  std::thread serving([&] {
+    server.serve();
+    std::lock_guard<std::mutex> lock(mu);
+    returned = true;
+    cv.notify_all();
+  });
+
+  // Client A starts a simulation long enough to outlast the accept loop's
+  // next shutdown check; wait until it is running before stopping the server.
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  const int slow = connect_loopback(server.port());
+  const std::string request = measured_line(5e6, 2) + "\n";
+  EXPECT_EQ(::write(slow, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (sim::Engine::total_runs_started() == runs_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int admin = connect_loopback(server.port());
+  EXPECT_TRUE(response_ok(parse_response(round_trip(admin, R"({"method":"shutdown"})"))));
+  ::close(admin);
+
+  bool in_time = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    in_time = cv.wait_for(lock, std::chrono::seconds(60), [&] { return returned; });
+  }
+  // A's reply was written before serve() joined its connection thread.
+  std::string reply;
+  char c = 0;
+  while (::read(slow, &c, 1) == 1 && c != '\n') reply.push_back(c);
+  ::close(slow);
+  serving.join();
+  EXPECT_TRUE(in_time) << "serve() did not return after shutdown";
+  const auto v = parse_response(reply);
+  EXPECT_TRUE(response_ok(v)) << reply;
+  EXPECT_EQ(tier_of(v), "sim");
 }
 
 // ---------------------------------------------------------------------------
