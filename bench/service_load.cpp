@@ -52,13 +52,13 @@
 #include <chrono>
 #include <condition_variable>
 
-#include "benchtools/tracestats.hpp"
 #include "exec/codec.hpp"
 #include "exec/executor.hpp"
 #include "obs/obs.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -231,9 +231,9 @@ double percentile(std::vector<double> v, double q) {
 
 std::uint64_t stats_runs_started(Transport& transport) {
   const std::string response = transport.send(R"({"method":"stats"})");
-  const benchtools::JsonValue doc = benchtools::parse_json(response);
-  const benchtools::JsonValue* result = doc.find("result");
-  const benchtools::JsonValue* runs = result ? result->find("runs_started") : nullptr;
+  const util::JsonValue doc = util::parse_json(response);
+  const util::JsonValue* result = doc.find("result");
+  const util::JsonValue* runs = result ? result->find("runs_started") : nullptr;
   if (runs == nullptr) throw std::runtime_error("stats response missing runs_started");
   return static_cast<std::uint64_t>(runs->number);
 }
@@ -259,16 +259,16 @@ struct HistogramFamily {
 /// `<family>_sum`, `<family>_count`.
 std::map<std::string, HistogramFamily> latency_families(Transport& transport) {
   const std::string response = transport.send(R"({"method":"metrics"})");
-  const benchtools::JsonValue doc = benchtools::parse_json(response);
-  const benchtools::JsonValue* result = doc.find("result");
-  if (result == nullptr || !result->is(benchtools::JsonValue::Type::kObject)) {
+  const util::JsonValue doc = util::parse_json(response);
+  const util::JsonValue* result = doc.find("result");
+  if (result == nullptr || !result->is(util::JsonValue::Type::kObject)) {
     throw std::runtime_error("metrics response has no result object");
   }
   std::map<std::string, HistogramFamily> families;
   const std::string prefix = "service.latency_s.";
   for (const auto& [name, value] : result->object) {
     if (name.rfind(prefix, 0) != 0) continue;
-    const benchtools::JsonValue* v = value.find("value");
+    const util::JsonValue* v = value.find("value");
     const double num = v != nullptr ? v->number : 0.0;
     if (const std::size_t b = name.find("_bucket{le=\""); b != std::string::npos) {
       const std::size_t start = b + 12;
@@ -293,9 +293,9 @@ std::map<std::string, HistogramFamily> latency_families(Transport& transport) {
 
 std::string stats_model_health(Transport& transport) {
   const std::string response = transport.send(R"({"method":"stats"})");
-  const benchtools::JsonValue doc = benchtools::parse_json(response);
-  const benchtools::JsonValue* result = doc.find("result");
-  const benchtools::JsonValue* health = result ? result->find("model_health") : nullptr;
+  const util::JsonValue doc = util::parse_json(response);
+  const util::JsonValue* result = doc.find("result");
+  const util::JsonValue* health = result ? result->find("model_health") : nullptr;
   if (health == nullptr) throw std::runtime_error("stats response missing model_health");
   return health->str;
 }

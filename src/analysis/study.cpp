@@ -35,29 +35,6 @@ std::string encode_params(const model::MachineParams& m) {
                                m.poll_factor, m.f_comm_ghz});
 }
 
-model::MachineParams decode_params(const std::string& text) {
-  const std::size_t sep = text.find('\x1f');
-  if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
-  const std::vector<double> v = exec::decode_doubles(std::string_view(text).substr(sep + 1));
-  if (v.size() != 13) throw std::invalid_argument("machine-params entry: wrong arity");
-  model::MachineParams m;
-  m.name = text.substr(0, sep);
-  m.cpi = v[0];
-  m.f_ghz = v[1];
-  m.base_ghz = v[2];
-  m.t_m = v[3];
-  m.t_s = v[4];
-  m.t_w = v[5];
-  m.p_sys_idle = v[6];
-  m.dp_c_base = v[7];
-  m.dp_m = v[8];
-  m.dp_io = v[9];
-  m.gamma = v[10];
-  m.poll_factor = v[11];
-  m.f_comm_ghz = v[12];
-  return m;
-}
-
 std::string encode_sample(const CounterSample& s) {
   return exec::encode_doubles({s.n, static_cast<double>(s.p), s.instructions,
                                s.mem_accesses, s.mem_time, s.io_time, s.makespan,
@@ -353,6 +330,116 @@ std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base) {
   return std::make_unique<SweepAdapter>(base);
 }
 
+namespace {
+
+/// An app's stock model: one immutable instance per workload type.
+template <class Workload>
+std::shared_ptr<const model::WorkloadModel> stock() {
+  static const auto w = std::make_shared<const Workload>();
+  return w;
+}
+
+constexpr AppInfo kApps[] = {
+    {"EP", [] { return make_ep_adapter(); }, &stock<model::EpWorkload>, false},
+    {"FT", [] { return make_ft_adapter(); }, &stock<model::FtWorkload>, true},
+    {"CG", [] { return make_cg_adapter(); }, &stock<model::CgWorkload>, false},
+    {"IS", [] { return make_is_adapter(); }, &stock<model::IsWorkload>, false},
+    {"MG", [] { return make_mg_adapter(); }, nullptr, true},
+    {"CKPT", [] { return make_ckpt_adapter(); }, nullptr, false},
+    {"SWEEP", [] { return make_sweep_adapter(); }, nullptr, false},
+};
+
+}  // namespace
+
+std::span<const AppInfo> app_table() { return kApps; }
+
+const AppInfo* find_app(std::string_view name) {
+  for (const AppInfo& app : kApps) {
+    if (name == app.name) return &app;
+  }
+  return nullptr;
+}
+
+std::string study_key(const char* kind, const std::string& machine_fp,
+                      const std::string& adapter_fp, double n, int p, double f_ghz) {
+  return std::string(kind) + '\x1f' + machine_fp + '\x1f' + adapter_fp + '\x1f' +
+         exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' + exec::encode_f64(f_ghz);
+}
+
+exec::Case machine_params_case(const sim::MachineSpec& spec, bool measured) {
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, 2);  // mpptest ping-pong: 2 ranks
+  c.cache_key = std::string("machine-params\x1f") + exec::machine_fingerprint(spec) + '\x1f' +
+                (measured ? "measured" : "nominal");
+  c.run = [spec, measured]() {
+    return encode_params(measured ? tools::calibrate_machine(spec)
+                                  : tools::nominal_machine_params(spec));
+  };
+  return c;
+}
+
+model::MachineParams decode_machine_params(const std::string& payload) {
+  const std::size_t sep = payload.find('\x1f');
+  if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
+  const std::vector<double> v = exec::decode_doubles(std::string_view(payload).substr(sep + 1));
+  if (v.size() != 13) throw std::invalid_argument("machine-params entry: wrong arity");
+  model::MachineParams m;
+  m.name = payload.substr(0, sep);
+  m.cpi = v[0];
+  m.f_ghz = v[1];
+  m.base_ghz = v[2];
+  m.t_m = v[3];
+  m.t_s = v[4];
+  m.t_w = v[5];
+  m.p_sys_idle = v[6];
+  m.dp_c_base = v[7];
+  m.dp_m = v[8];
+  m.dp_io = v[9];
+  m.gamma = v[10];
+  m.poll_factor = v[11];
+  m.f_comm_ghz = v[12];
+  return m;
+}
+
+std::vector<exec::Case> calibration_cases(const sim::MachineSpec& spec,
+                                          std::shared_ptr<const BenchmarkAdapter> adapter,
+                                          std::span<const double> ns, std::span<const int> ps) {
+  const std::string machine_fp = exec::machine_fingerprint(spec);
+  const std::string adapter_fp = adapter->fingerprint();
+  std::vector<exec::Case> cases;
+  const auto add = [&](double n, int p) {
+    exec::Case c;
+    // Cost = fiber-scheduler workers, not ranks: a p=1024 case occupies a
+    // worker or two of the host, so sweeps genuinely parallelize.
+    c.threads = sim::resolve_engine_workers(0, p);
+    c.cache_key = study_key("calibrate", machine_fp, adapter_fp, n, p, 0.0);
+    c.run = [spec, adapter, n, p]() -> std::string {
+      double snapped = n;
+      const sim::RunResult run = adapter->run(spec, n, p, RunOptions(), &snapped);
+      return encode_sample(make_sample(run, snapped, p));
+    };
+    cases.push_back(std::move(c));
+  };
+  for (double n : ns) add(n, 1);
+  const double n_par = ns.empty() ? adapter->default_n() : ns.back();
+  for (int p : ps) {
+    if (p > 1) add(n_par, p);
+  }
+  return cases;
+}
+
+std::unique_ptr<model::WorkloadModel> fit_calibration(const BenchmarkAdapter& adapter,
+                                                      std::span<const exec::CaseResult> results,
+                                                      double t_m) {
+  std::vector<CounterSample> samples;
+  samples.reserve(results.size());
+  for (const exec::CaseResult& r : results) {
+    if (!r.ok()) throw std::runtime_error("calibration run failed: " + r.error);
+    samples.push_back(decode_sample(r.payload));
+  }
+  return adapter.fit(samples, t_m);
+}
+
 EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdapter> adapter,
                          bool measured_calibration, exec::ExecConfig exec)
     : machine_(std::move(machine)),
@@ -362,71 +449,29 @@ EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdap
       machine_fp_(exec::machine_fingerprint(machine_)) {
   // The microbenchmark pass itself runs simulations, so it is cached too —
   // otherwise a "warm" figure rerun would still simulate its calibration.
-  const std::string key = std::string("machine-params\x1f") + machine_fp_ + '\x1f' +
-                          (measured_calibration ? "measured" : "nominal");
-  if (cache_->enabled()) {
-    if (const auto hit = cache_->load(key)) {
-      machine_params_ = decode_params(*hit);
-      return;
-    }
+  const std::vector<exec::CaseResult> results =
+      exec::run_batch({machine_params_case(machine_, measured_calibration)}, batch_options());
+  if (!results[0].ok()) {
+    throw std::runtime_error("machine calibration failed: " + results[0].error);
   }
-  machine_params_ = measured_calibration ? tools::calibrate_machine(machine_)
-                                         : tools::nominal_machine_params(machine_);
-  if (cache_->enabled()) cache_->store(key, encode_params(machine_params_));
+  machine_params_ = decode_machine_params(results[0].payload);
 }
 
-std::string EnergyStudy::study_key(const char* kind, double n, int p, double f_ghz) const {
-  return std::string(kind) + '\x1f' + machine_fp_ + '\x1f' + adapter_->fingerprint() +
-         '\x1f' + exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' +
-         exec::encode_f64(f_ghz);
-}
-
-void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps) {
-  // Calibration points: sequential sweep over problem sizes, then a parallel
-  // sweep at the largest size. Each point is an independent simulation, so
-  // they run as a batch on the executor pool (and individually cacheable).
-  struct Point {
-    double n;
-    int p;
-  };
-  std::vector<Point> points;
-  for (double n : ns) points.push_back({n, 1});
-  const double n_par = ns.empty() ? adapter_->default_n() : ns.back();
-  for (int p : ps) {
-    if (p <= 1) continue;
-    points.push_back({n_par, p});
-  }
-
-  std::vector<exec::Case> cases;
-  cases.reserve(points.size());
-  for (const Point& pt : points) {
-    exec::Case c;
-    // Cost = fiber-scheduler workers, not ranks: a p=1024 case occupies a
-    // worker or two of the host, so sweeps genuinely parallelize.
-    c.threads = sim::resolve_engine_workers(0, pt.p);
-    if (cache_->enabled()) c.cache_key = study_key("calibrate", pt.n, pt.p, 0.0);
-    c.run = [this, pt]() -> std::string {
-      double snapped = pt.n;
-      const sim::RunResult run = adapter_->run(machine_, pt.n, pt.p, RunOptions(), &snapped);
-      return encode_sample(make_sample(run, snapped, pt.p));
-    };
-    cases.push_back(std::move(c));
-  }
-
+exec::BatchOptions EnergyStudy::batch_options() const {
   exec::BatchOptions batch;
   batch.thread_budget = exec_.jobs;
   batch.cache = cache_->enabled() ? cache_.get() : nullptr;
-  const std::vector<exec::CaseResult> results = exec::run_batch(cases, batch);
+  return batch;
+}
 
-  std::vector<CounterSample> samples;
-  samples.reserve(results.size());
-  for (const exec::CaseResult& r : results) {
-    if (!r.error.empty()) throw std::runtime_error("calibration run failed: " + r.error);
-    samples.push_back(decode_sample(r.payload));
-  }
-  workload_ = adapter_->fit(samples, machine_params_.t_m);
+void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps) {
+  // Each calibration point is an independent simulation, so they run as a
+  // batch on the executor pool (and are individually cacheable).
+  const std::vector<exec::CaseResult> results =
+      exec::run_batch(calibration_cases(machine_, adapter_, ns, ps), batch_options());
+  workload_ = fit_calibration(*adapter_, results, machine_params_.t_m);
   ISOEE_INFO("%s: fitted workload model from %zu samples", adapter_->name().c_str(),
-             samples.size());
+             results.size());
 }
 
 model::EnergyPrediction EnergyStudy::predict(double n, int p, double f_ghz) const {
@@ -451,7 +496,9 @@ ValidationPoint EnergyStudy::validate(double n, int p, double f_ghz) const {
   point.f_ghz = f_ghz > 0.0 ? f_ghz : machine_params_.base_ghz;
 
   const std::string key =
-      cache_->enabled() ? study_key("validate", n, p, point.f_ghz) : std::string();
+      cache_->enabled()
+          ? study_key("validate", machine_fp_, adapter_->fingerprint(), n, p, point.f_ghz)
+          : std::string();
   bool measured = false;
   if (!key.empty()) {
     if (const auto hit = cache_->load(key)) {

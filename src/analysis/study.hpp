@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/runner.hpp"
@@ -63,6 +64,53 @@ std::unique_ptr<BenchmarkAdapter> make_mg_adapter(npb::MgConfig base = npb::MgCo
 std::unique_ptr<BenchmarkAdapter> make_ckpt_adapter(npb::CkptConfig base = npb::CkptConfig());
 std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base = npb::SweepConfig());
 
+/// One row of the app registry: everything that is known about an app by
+/// its name alone.
+struct AppInfo {
+  const char* name;
+  std::unique_ptr<BenchmarkAdapter> (*make_adapter)();  // default config
+  /// The workloads.hpp default model, or nullptr for apps whose fitted
+  /// coefficients default to zero (MG, CKPT, SWEEP): calibrate those first.
+  std::shared_ptr<const model::WorkloadModel> (*stock_model)();
+  bool pow2_p;  // decomposes on power-of-two grids, so p must be a power of two
+};
+
+/// Every app, in the order EP, FT, CG, IS, MG, CKPT, SWEEP.
+std::span<const AppInfo> app_table();
+
+/// The row named `name`, or nullptr when there is none.
+const AppInfo* find_app(std::string_view name);
+
+// --- calibration as plan + fit ---------------------------------------------
+//
+// Calibration is a batch of independent, cacheable simulation cases followed
+// by a pure fold. EnergyStudy runs the batch on exec::run_batch; the query
+// service runs the same cases through its scheduler. Both therefore share
+// cache keys and payload bytes, so one warms the other's --cache-dir.
+
+/// Cache key of one simulation-derived study quantity: `kind` is
+/// "calibrate", "validate" or "measure".
+std::string study_key(const char* kind, const std::string& machine_fp,
+                      const std::string& adapter_fp, double n, int p, double f_ghz);
+
+/// The machine-vector pass as one case: the microbenchmarks when `measured`,
+/// the nominal spec values otherwise. Decode its payload with
+/// decode_machine_params.
+exec::Case machine_params_case(const sim::MachineSpec& spec, bool measured);
+model::MachineParams decode_machine_params(const std::string& payload);
+
+/// One case per calibration point: every n at p=1, then every p > 1 at the
+/// largest n (default_n() when `ns` is empty). Payloads are counter samples.
+std::vector<exec::Case> calibration_cases(const sim::MachineSpec& spec,
+                                          std::shared_ptr<const BenchmarkAdapter> adapter,
+                                          std::span<const double> ns, std::span<const int> ps);
+
+/// Fits the workload model from calibration_cases' results, in their order.
+/// Throws when a case failed.
+std::unique_ptr<model::WorkloadModel> fit_calibration(const BenchmarkAdapter& adapter,
+                                                      std::span<const exec::CaseResult> results,
+                                                      double t_m);
+
 /// One actual-vs-predicted energy comparison (a bar pair of Fig 3, a
 /// contribution to Fig 4's error rate).
 struct ValidationPoint {
@@ -108,10 +156,10 @@ class EnergyStudy {
   const BenchmarkAdapter& adapter() const { return *adapter_; }
 
  private:
-  std::string study_key(const char* kind, double n, int p, double f_ghz) const;
+  exec::BatchOptions batch_options() const;
 
   sim::MachineSpec machine_;
-  std::unique_ptr<BenchmarkAdapter> adapter_;
+  std::shared_ptr<const BenchmarkAdapter> adapter_;
   exec::ExecConfig exec_;
   std::unique_ptr<exec::ResultCache> cache_;
   std::string machine_fp_;

@@ -10,9 +10,7 @@
 // Timestamps round-trip exactly: the writer prints microseconds with %.17g and
 // the parser's strtod recovers the emitted double, so energy recomputed here
 // matches powerpack::summarize_phases to ~1e-13 J per interval (the unit
-// conversion's ulp). The parser is deliberately minimal — just enough JSON for
-// trace files and metric snapshots — and validates structure rather than
-// trusting it.
+// conversion's ulp). JSON comes from util::parse_json.
 #pragma once
 
 #include <cstdint>
@@ -24,31 +22,9 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "util/json.hpp"
 
 namespace isoee::benchtools {
-
-// --- minimal JSON --------------------------------------------------------
-
-/// Parsed JSON value (object keys keep file order; lookup via find()).
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
-
-  bool is(Type t) const { return type == t; }
-};
-
-/// Parses a complete JSON document; throws std::runtime_error with the byte
-/// offset on malformed input.
-JsonValue parse_json(std::string_view text);
 
 // --- trace model ----------------------------------------------------------
 
@@ -62,7 +38,7 @@ struct ParsedEvent {
   double ts_us = 0.0;
   double dur_us = 0.0;        // X events
   std::uint64_t flow_id = 0;  // s/f events
-  JsonValue args;             // object; kNull when absent
+  util::JsonValue args;       // object; kNull when absent
 
   double t0_s() const { return ts_us * 1e-6; }
   double dur_s() const { return dur_us * 1e-6; }

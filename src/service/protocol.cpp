@@ -4,14 +4,14 @@
 #include <cstdio>
 #include <set>
 
-#include "benchtools/tracestats.hpp"
 #include "obs/obs.hpp"
+#include "util/json.hpp"
 
 namespace isoee::service {
 
 namespace {
 
-using benchtools::JsonValue;
+using util::JsonValue;
 
 [[noreturn]] void fail(ErrorCode code, const std::string& message) {
   throw RequestError(code, message);
@@ -182,7 +182,7 @@ Request parse_request(const std::string& line, std::string* id_json_out) {
   }
   JsonValue doc;
   try {
-    doc = benchtools::parse_json(line);
+    doc = util::parse_json(line);
   } catch (const std::exception& e) {
     fail(ErrorCode::kParseError, e.what());
   }

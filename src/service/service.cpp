@@ -8,7 +8,6 @@
 
 #include "analysis/policy.hpp"
 #include "analysis/study.hpp"
-#include "analysis/workload_fit.hpp"
 #include "benchtools/calibrate.hpp"
 #include "exec/codec.hpp"
 #include "model/isocontour.hpp"
@@ -54,126 +53,28 @@ sim::MachineSpec spec_for(const std::string& name) {
        "unknown machine '" + name + "' (have: system_g, dori)");
 }
 
-bool known_app(const std::string& app) {
-  return app == "EP" || app == "FT" || app == "CG" || app == "IS" || app == "MG" ||
-         app == "CKPT" || app == "SWEEP";
+const analysis::AppInfo& app_for(const std::string& name) {
+  if (const analysis::AppInfo* app = analysis::find_app(name)) return *app;
+  std::string have;
+  for (const analysis::AppInfo& app : analysis::app_table()) {
+    have += (have.empty() ? "" : ", ") + std::string(app.name);
+  }
+  fail(ErrorCode::kUnknownApp, "unknown app '" + name + "' (have: " + have + ")");
 }
 
-void require_known_app(const std::string& app) {
-  if (!known_app(app)) {
-    fail(ErrorCode::kUnknownApp,
-         "unknown app '" + app + "' (have: EP, FT, CG, IS, MG, CKPT, SWEEP)");
-  }
-}
-
-std::unique_ptr<analysis::BenchmarkAdapter> adapter_for(const std::string& app) {
-  require_known_app(app);
-  if (app == "EP") return analysis::make_ep_adapter();
-  if (app == "FT") return analysis::make_ft_adapter();
-  if (app == "CG") return analysis::make_cg_adapter();
-  if (app == "IS") return analysis::make_is_adapter();
-  if (app == "MG") return analysis::make_mg_adapter();
-  if (app == "CKPT") return analysis::make_ckpt_adapter();
-  return analysis::make_sweep_adapter();
-}
-
-/// Stock fitted models (the workloads.hpp defaults) for the apps whose
-/// coefficients ship pre-fitted. MG/CKPT/SWEEP default to all-zero fitted
-/// coefficients, so they have no stock model — calibrate first.
-std::shared_ptr<const model::WorkloadModel> stock_workload(const std::string& app) {
-  if (app == "EP") {
-    static const auto w = std::make_shared<const model::EpWorkload>();
-    return w;
-  }
-  if (app == "FT") {
-    static const auto w = std::make_shared<const model::FtWorkload>();
-    return w;
-  }
-  if (app == "CG") {
-    static const auto w = std::make_shared<const model::CgWorkload>();
-    return w;
-  }
-  if (app == "IS") {
-    static const auto w = std::make_shared<const model::IsWorkload>();
-    return w;
-  }
-  return nullptr;
-}
-
-bool is_pow2(int p) { return p >= 1 && (p & (p - 1)) == 0; }
-
-/// FT and MG decompose on power-of-two grids; other p values would make the
-/// backing simulation throw, so they are rejected up front as a client error.
-void require_valid_sim_point(const std::string& app, const sim::MachineSpec& spec, int p) {
+/// Apps flagged pow2_p (FT, MG) decompose on power-of-two grids; any other p
+/// would make the backing simulation throw, so it is rejected up front as a
+/// client error.
+void require_valid_sim_point(const analysis::AppInfo& app, const sim::MachineSpec& spec,
+                             int p) {
   if (p > spec.total_cores()) {
     fail(ErrorCode::kInvalidParams, "p exceeds " + spec.name + "'s " +
                                         std::to_string(spec.total_cores()) + " cores");
   }
-  if ((app == "FT" || app == "MG") && !is_pow2(p)) {
-    fail(ErrorCode::kInvalidParams, "app '" + app + "' requires a power-of-two p");
+  if (app.pow2_p && (p < 1 || (p & (p - 1)) != 0)) {
+    fail(ErrorCode::kInvalidParams,
+         "app '" + std::string(app.name) + "' requires a power-of-two p");
   }
-}
-
-// Cache codecs, byte-compatible with the ones in src/analysis/study.cpp so
-// the service and the figure drivers share warm entries when pointed at the
-// same --cache-dir (same keys, same payload layout). Keep the two in sync.
-std::string encode_params(const model::MachineParams& m) {
-  return m.name + '\x1f' +
-         exec::encode_doubles({m.cpi, m.f_ghz, m.base_ghz, m.t_m, m.t_s, m.t_w,
-                               m.p_sys_idle, m.dp_c_base, m.dp_m, m.dp_io, m.gamma,
-                               m.poll_factor, m.f_comm_ghz});
-}
-
-model::MachineParams decode_params(const std::string& text) {
-  const std::size_t sep = text.find('\x1f');
-  if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
-  const std::vector<double> v = exec::decode_doubles(std::string_view(text).substr(sep + 1));
-  if (v.size() != 13) throw std::invalid_argument("machine-params entry: wrong arity");
-  model::MachineParams m;
-  m.name = text.substr(0, sep);
-  m.cpi = v[0];
-  m.f_ghz = v[1];
-  m.base_ghz = v[2];
-  m.t_m = v[3];
-  m.t_s = v[4];
-  m.t_w = v[5];
-  m.p_sys_idle = v[6];
-  m.dp_c_base = v[7];
-  m.dp_m = v[8];
-  m.dp_io = v[9];
-  m.gamma = v[10];
-  m.poll_factor = v[11];
-  m.f_comm_ghz = v[12];
-  return m;
-}
-
-std::string encode_sample(const analysis::CounterSample& s) {
-  return exec::encode_doubles({s.n, static_cast<double>(s.p), s.instructions,
-                               s.mem_accesses, s.mem_time, s.io_time, s.makespan,
-                               s.messages, s.bytes, s.alpha});
-}
-
-analysis::CounterSample decode_sample(const std::string& text) {
-  const std::vector<double> v = exec::decode_doubles(text);
-  if (v.size() != 10) throw std::invalid_argument("counter-sample entry: wrong arity");
-  analysis::CounterSample s;
-  s.n = v[0];
-  s.p = static_cast<int>(v[1]);
-  s.instructions = v[2];
-  s.mem_accesses = v[3];
-  s.mem_time = v[4];
-  s.io_time = v[5];
-  s.makespan = v[6];
-  s.messages = v[7];
-  s.bytes = v[8];
-  s.alpha = v[9];
-  return s;
-}
-
-std::string study_key(const char* kind, const std::string& machine_fp,
-                      const std::string& adapter_fp, double n, int p, double f_ghz) {
-  return std::string(kind) + '\x1f' + machine_fp + '\x1f' + adapter_fp + '\x1f' +
-         exec::encode_f64(n) + '\x1f' + std::to_string(p) + '\x1f' + exec::encode_f64(f_ghz);
 }
 
 std::string json_field(const char* key, double v) {
@@ -308,7 +209,7 @@ std::string Service::handle_line(const std::string& line) {
 
 Service::Calibration Service::resolve_model(const Request& req) const {
   const sim::MachineSpec spec = spec_for(req.machine);
-  require_known_app(req.app);
+  const analysis::AppInfo& app = app_for(req.app);
   if (req.calibrated) {
     std::lock_guard<std::mutex> lock(cal_mu_);
     const auto it = calibrations_.find(req.machine + '\x1f' + req.app);
@@ -320,7 +221,7 @@ Service::Calibration Service::resolve_model(const Request& req) const {
   }
   Calibration cal;
   cal.machine = tools::nominal_machine_params(spec);
-  cal.workload = stock_workload(req.app);
+  if (app.stock_model != nullptr) cal.workload = app.stock_model();
   if (cal.workload == nullptr) {
     fail(ErrorCode::kNotCalibrated,
          "app '" + req.app + "' ships no stock model; calibrate it, then pass calibrated:true");
@@ -349,12 +250,12 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   // Measured tier: one full simulation through the scheduler (coalesced,
   // admission-controlled, warm-cache short-circuited inside run_batch).
   const sim::MachineSpec spec = spec_for(req.machine);
-  require_known_app(req.app);
-  require_valid_sim_point(req.app, spec, req.p);
+  const analysis::AppInfo& app = app_for(req.app);
+  require_valid_sim_point(app, spec, req.p);
   const double f = req.f_ghz > 0.0 ? req.f_ghz : spec.cpu.base_ghz;
-  std::shared_ptr<analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
-  const std::string key = study_key("measure", exec::machine_fingerprint(spec),
-                                    adapter->fingerprint(), req.n, req.p, f);
+  std::shared_ptr<const analysis::BenchmarkAdapter> adapter = app.make_adapter();
+  const std::string key = analysis::study_key("measure", exec::machine_fingerprint(spec),
+                                              adapter->fingerprint(), req.n, req.p, f);
 
   exec::Case c;
   c.threads = sim::resolve_engine_workers(0, req.p);
@@ -416,11 +317,9 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
 
 std::string Service::handle_calibrate(const Request& req, std::string* tier, bool* coalesced) {
   const sim::MachineSpec spec = spec_for(req.machine);
-  std::shared_ptr<analysis::BenchmarkAdapter> adapter = adapter_for(req.app);
+  const analysis::AppInfo& app = app_for(req.app);
+  std::shared_ptr<const analysis::BenchmarkAdapter> adapter = app.make_adapter();
 
-  // Calibration points, mirroring analysis::EnergyStudy::calibrate: a
-  // sequential sweep over the problem sizes, then a parallel sweep at the
-  // largest size.
   std::vector<double> ns = req.ns;
   if (ns.empty()) {
     const double d = adapter->default_n();
@@ -428,50 +327,16 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
   }
   std::vector<int> ps = req.ps;
   if (ps.empty()) ps = {2, 4};
-  for (int p : ps) require_valid_sim_point(req.app, spec, p);
+  for (int p : ps) require_valid_sim_point(app, spec, p);
 
-  struct Point {
-    double n;
-    int p;
-  };
-  std::vector<Point> points;
-  for (double n : ns) points.push_back({n, 1});
-  for (int p : ps) {
-    if (p > 1) points.push_back({ns.back(), p});
-  }
-
-  const std::string machine_fp = exec::machine_fingerprint(spec);
-  const std::string adapter_fp = adapter->fingerprint();
-
-  std::vector<exec::Case> cases;
-  // Case 0: the microbenchmark machine-vector pass (itself simulation-backed,
-  // and cached under the same key analysis::EnergyStudy uses).
-  {
-    exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, 2);  // mpptest ping-pong: 2 ranks
-    c.cache_key = std::string("machine-params\x1f") + machine_fp + "\x1f" + "measured";
-    const sim::MachineSpec machine = spec;
-    c.run = [machine]() { return encode_params(tools::calibrate_machine(machine)); };
-    cases.push_back(std::move(c));
-  }
-  for (const Point& pt : points) {
-    exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, pt.p);
-    c.cache_key = study_key("calibrate", machine_fp, adapter_fp, pt.n, pt.p, 0.0);
-    const sim::MachineSpec machine = spec;
-    c.run = [adapter, machine, pt]() -> std::string {
-      double snapped = pt.n;
-      const sim::RunResult run =
-          adapter->run(machine, pt.n, pt.p, analysis::RunOptions(), &snapped);
-      return encode_sample(analysis::make_sample(run, snapped, pt.p));
-    };
-    cases.push_back(std::move(c));
-  }
-
-  std::string job_key = "calibrate-job\x1f" + machine_fp + '\x1f' + adapter_fp;
-  for (const Point& pt : points) {
-    job_key += '\x1f' + exec::encode_f64(pt.n) + ',' + std::to_string(pt.p);
-  }
+  // Case 0 is the microbenchmark machine-vector pass; the rest are the
+  // calibration points. Each case carries analysis's cache key, so the
+  // service and EnergyStudy share warm entries.
+  std::vector<exec::Case> cases = analysis::calibration_cases(spec, adapter, ns, ps);
+  cases.insert(cases.begin(), analysis::machine_params_case(spec, true));
+  const std::size_t samples = cases.size() - 1;
+  std::string job_key = "calibrate-job";
+  for (const exec::Case& c : cases) job_key += '\x1e' + c.cache_key;
 
   SimScheduler::Ticket ticket = scheduler_->submit(
       job_key, std::move(cases),
@@ -479,14 +344,9 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
         for (const exec::CaseResult& r : results) {
           if (!r.ok()) throw std::runtime_error("calibration case failed: " + r.error);
         }
-        const model::MachineParams mp = decode_params(results[0].payload);
-        std::vector<analysis::CounterSample> samples;
-        samples.reserve(results.size() - 1);
-        for (std::size_t i = 1; i < results.size(); ++i) {
-          samples.push_back(decode_sample(results[i].payload));
-        }
-        const std::unique_ptr<model::WorkloadModel> workload =
-            adapter->fit(samples, mp.t_m);
+        const model::MachineParams mp = analysis::decode_machine_params(results[0].payload);
+        const std::unique_ptr<model::WorkloadModel> workload = analysis::fit_calibration(
+            *adapter, std::span(results).subspan(1), mp.t_m);
         // \x1e separates the two [section] documents (never appears in them).
         return model::serialize(mp) + '\x1e' + model::serialize(*workload);
       });
@@ -520,10 +380,10 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
     calibrations_[req.machine + '\x1f' + req.app] = cal;
   }
   ISOEE_INFO("service: calibrated (%s, %s) from %zu points", req.machine.c_str(),
-             req.app.c_str(), points.size());
+             req.app.c_str(), samples);
 
   return std::string("{\"machine\":\"") + req.machine + "\",\"app\":\"" + req.app + "\"," +
-         json_field("samples", static_cast<std::uint64_t>(points.size())) +
+         json_field("samples", static_cast<std::uint64_t>(samples)) +
          ",\"machine_params\":\"" + obs::json_escape(machine_text) + "\",\"workload\":\"" +
          obs::json_escape(workload_text) + "\"}";
 }
@@ -598,7 +458,7 @@ std::string Service::handle_iso_contour(const Request& req) {
 
 std::string Service::handle_install(const Request& req) {
   spec_for(req.machine);  // validates the machine name
-  require_known_app(req.app);
+  app_for(req.app);
   const std::optional<model::MachineParams> mp = model::parse_machine(req.machine_params);
   if (!mp) fail(ErrorCode::kInvalidParams, "param 'machine_params' is not parsable");
   std::unique_ptr<model::WorkloadModel> workload = model::parse_workload(req.workload);

@@ -29,6 +29,7 @@
 #endif
 
 #if defined(ISOEE_ASAN)
+#include <pthread.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(ISOEE_TSAN)
@@ -60,6 +61,7 @@ std::size_t round_up(std::size_t v, std::size_t quantum) {
 #define ISOEE_FIBER_STACK_POOL 1
 #endif
 
+#if defined(ISOEE_FIBER_STACK_POOL)
 // Process-global free list of guard-paged stack allocations. Every fiber
 // stack has the same size, so any pooled allocation fits any fiber. The
 // guard page is installed once at mmap time and stays PROT_NONE for the
@@ -78,6 +80,7 @@ StackPool& stack_pool() {
   static StackPool* pool = new StackPool;
   return *pool;
 }
+#endif  // ISOEE_FIBER_STACK_POOL
 
 }  // namespace
 
@@ -259,6 +262,20 @@ void Fiber::create(Entry entry, void* arg) {
 void Fiber::adopt_thread() {
   if (sp_ != nullptr || adopted_) throw std::logic_error("Fiber::adopt_thread: busy");
   adopted_ = true;
+#if defined(ISOEE_ASAN)
+  // ASan needs the real bounds of the stack a switch returns to; an empty
+  // range makes it mistrack this thread's stack after the first switch back.
+  pthread_attr_t attr{};
+  if (::pthread_getattr_np(::pthread_self(), &attr) == 0) {
+    void* lo = nullptr;
+    std::size_t size = 0;
+    if (::pthread_attr_getstack(&attr, &lo, &size) == 0) {
+      stack_lo_ = lo;
+      stack_size_ = size;
+    }
+    ::pthread_attr_destroy(&attr);
+  }
+#endif
 #if defined(ISOEE_TSAN)
   tsan_fiber_ = __tsan_get_current_fiber();
 #endif
@@ -271,6 +288,8 @@ void Fiber::release_thread() {
   if (!adopted_) return;
   adopted_ = false;
   tsan_fiber_ = nullptr;
+  stack_lo_ = nullptr;
+  stack_size_ = 0;
 #if !defined(ISOEE_FIBER_ASM)
   delete static_cast<ucontext_t*>(uctx_);
   uctx_ = nullptr;

@@ -1,0 +1,226 @@
+#include "util/json.hpp"
+
+#include <cstdlib>
+#include <stdexcept>
+
+namespace isoee::util {
+
+namespace {
+
+class JsonParser {
+ public:
+  explicit JsonParser(std::string_view text) : text_(text) {}
+
+  JsonValue parse_document() {
+    JsonValue v = parse_value();
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing data after document");
+    return v;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("json: " + what + " at byte " + std::to_string(pos_));
+  }
+
+  void skip_ws() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos_;
+    }
+  }
+
+  char peek() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
+  }
+
+  bool consume_literal(std::string_view lit) {
+    if (text_.substr(pos_, lit.size()) != lit) return false;
+    pos_ += lit.size();
+    return true;
+  }
+
+  JsonValue parse_value() {
+    skip_ws();
+    const char c = peek();
+    switch (c) {
+      case '{': return parse_object();
+      case '[': return parse_array();
+      case '"': {
+        JsonValue v;
+        v.type = JsonValue::Type::kString;
+        v.str = parse_string();
+        return v;
+      }
+      case 't':
+        if (!consume_literal("true")) fail("bad literal");
+        return make_bool(true);
+      case 'f':
+        if (!consume_literal("false")) fail("bad literal");
+        return make_bool(false);
+      case 'n':
+        if (!consume_literal("null")) fail("bad literal");
+        return JsonValue{};
+      default: return parse_number();
+    }
+  }
+
+  static JsonValue make_bool(bool b) {
+    JsonValue v;
+    v.type = JsonValue::Type::kBool;
+    v.boolean = b;
+    return v;
+  }
+
+  JsonValue parse_object() {
+    expect('{');
+    JsonValue v;
+    v.type = JsonValue::Type::kObject;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return v;
+    }
+    while (true) {
+      skip_ws();
+      std::string key = parse_string();
+      skip_ws();
+      expect(':');
+      v.object.emplace_back(std::move(key), parse_value());
+      skip_ws();
+      const char c = peek();
+      if (c == ',') {
+        ++pos_;
+        continue;
+      }
+      if (c == '}') {
+        ++pos_;
+        return v;
+      }
+      fail("expected ',' or '}'");
+    }
+  }
+
+  JsonValue parse_array() {
+    expect('[');
+    JsonValue v;
+    v.type = JsonValue::Type::kArray;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return v;
+    }
+    while (true) {
+      v.array.push_back(parse_value());
+      skip_ws();
+      const char c = peek();
+      if (c == ',') {
+        ++pos_;
+        continue;
+      }
+      if (c == ']') {
+        ++pos_;
+        return v;
+      }
+      fail("expected ',' or ']'");
+    }
+  }
+
+  std::string parse_string() {
+    expect('"');
+    std::string out;
+    while (true) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      char c = text_[pos_++];
+      if (c == '"') return out;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) fail("unterminated escape");
+      c = text_[pos_++];
+      switch (c) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) fail("short \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
+            else fail("bad \\u escape");
+          }
+          // The exporter only escapes control characters; encode the BMP code
+          // point as UTF-8 (surrogate pairs are not produced by our writer).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
+        }
+        default: fail("bad escape");
+      }
+    }
+  }
+
+  JsonValue parse_number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if ((c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' || c == 'e' ||
+          c == 'E') {
+        ++pos_;
+      } else {
+        break;
+      }
+    }
+    if (pos_ == start) fail("expected a value");
+    const std::string token(text_.substr(start, pos_ - start));
+    char* end = nullptr;
+    JsonValue v;
+    v.type = JsonValue::Type::kNumber;
+    v.number = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) fail("malformed number '" + token + "'");
+    return v;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
+const JsonValue* JsonValue::find(std::string_view key) const {
+  if (type != Type::kObject) return nullptr;
+  for (const auto& [k, v] : object) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }
+
+}  // namespace isoee::util

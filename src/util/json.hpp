@@ -1,0 +1,33 @@
+// Minimal JSON reader: just enough for trace files, metric snapshots and the
+// service's request lines. It validates structure rather than trusting it.
+#pragma once
+
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+namespace isoee::util {
+
+/// Parsed JSON value (object keys keep file order; lookup via find()).
+struct JsonValue {
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  Type type = Type::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string str;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  /// Object member lookup; nullptr when absent or not an object.
+  const JsonValue* find(std::string_view key) const;
+
+  bool is(Type t) const { return type == t; }
+};
+
+/// Parses a complete JSON document; throws std::runtime_error with the byte
+/// offset on malformed input.
+JsonValue parse_json(std::string_view text);
+
+}  // namespace isoee::util

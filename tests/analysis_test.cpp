@@ -1,15 +1,23 @@
 // Tests for the analysis layer: least squares, workload-fit coefficient
 // recovery, the end-to-end EnergyStudy pipeline (model exactness without
-// noise; paper-band errors with noise), baselines, and surfaces.
+// noise; paper-band errors with noise), the calibration plan, the app
+// registry, baselines, and surfaces.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/baselines.hpp"
 #include "analysis/leastsq.hpp"
 #include "analysis/study.hpp"
 #include "analysis/surface.hpp"
 #include "analysis/workload_fit.hpp"
+#include "exec/cache.hpp"
+#include "model/serialize.hpp"
 
 namespace {
 
@@ -222,6 +230,80 @@ TEST(EnergyStudy, FtAdapterSnapsToValidGrid) {
   study.calibrate(ns, ps);
   const auto v = study.validate(40000.0, 4);  // snaps to 32^3 = 32768
   EXPECT_EQ(v.n, 32768.0);
+}
+
+TEST(CalibrationPlan, SizesAtOneRankThenRanksAtTheLargestSize) {
+  const auto spec = sim::system_g();
+  const std::shared_ptr<const analysis::BenchmarkAdapter> ep = analysis::make_ep_adapter();
+  const std::string machine_fp = exec::machine_fingerprint(spec);
+  const double ns[] = {1000, 2000};
+  const int ps[] = {1, 2, 4};  // p=1 is already covered by the size sweep
+  const auto cases = analysis::calibration_cases(spec, ep, ns, ps);
+  const std::pair<double, int> expected[] = {{1000, 1}, {2000, 1}, {2000, 2}, {2000, 4}};
+  ASSERT_EQ(cases.size(), std::size(expected));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(cases[i].cache_key,
+              analysis::study_key("calibrate", machine_fp, ep->fingerprint(),
+                                  expected[i].first, expected[i].second, 0.0));
+  }
+  // With no sizes, the parallel points run at the adapter's default size.
+  const auto defaulted = analysis::calibration_cases(spec, ep, {}, ps);
+  ASSERT_EQ(defaulted.size(), 2u);
+  EXPECT_EQ(defaulted[0].cache_key, analysis::study_key("calibrate", machine_fp,
+                                                        ep->fingerprint(), ep->default_n(),
+                                                        2, 0.0));
+}
+
+TEST(CalibrationPlan, MachineParamsCaseRoundTripsTheNominalVector) {
+  const auto spec = sim::system_g();
+  const exec::Case c = analysis::machine_params_case(spec, /*measured=*/false);
+  EXPECT_NE(c.cache_key, analysis::machine_params_case(spec, true).cache_key);
+  const model::MachineParams decoded = analysis::decode_machine_params(c.run());
+  EXPECT_EQ(model::serialize(decoded),
+            model::serialize(tools::nominal_machine_params(spec)));
+  EXPECT_THROW(analysis::decode_machine_params("no separator"), std::invalid_argument);
+}
+
+// --- app registry ------------------------------------------------------------------
+
+TEST(AppRegistry, NamesAreUniqueAndInOrder) {
+  std::vector<std::string> names;
+  for (const analysis::AppInfo& app : analysis::app_table()) names.emplace_back(app.name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"EP", "FT", "CG", "IS", "MG", "CKPT", "SWEEP"}));
+  for (const std::string& name : names) {
+    ASSERT_NE(analysis::find_app(name), nullptr) << name;
+    EXPECT_EQ(analysis::find_app(name)->name, name);
+  }
+  EXPECT_EQ(analysis::find_app("ep"), nullptr);
+  EXPECT_EQ(analysis::find_app(""), nullptr);
+}
+
+TEST(AppRegistry, AdapterNamesMatchTableNames) {
+  for (const analysis::AppInfo& app : analysis::app_table()) {
+    EXPECT_EQ(app.make_adapter()->name(), app.name);
+  }
+}
+
+TEST(AppRegistry, OnlyFtAndMgRequireAPowerOfTwoP) {
+  for (const analysis::AppInfo& app : analysis::app_table()) {
+    const std::string name = app.name;
+    EXPECT_EQ(app.pow2_p, name == "FT" || name == "MG") << name;
+  }
+}
+
+TEST(AppRegistry, StockModelsExistForExactlyEpFtCgIs) {
+  for (const analysis::AppInfo& app : analysis::app_table()) {
+    const std::string name = app.name;
+    const bool stocked = name == "EP" || name == "FT" || name == "CG" || name == "IS";
+    ASSERT_EQ(app.stock_model != nullptr, stocked) << name;
+    if (stocked) {
+      EXPECT_NE(app.stock_model(), nullptr) << name;
+    }
+  }
+  // The stock models are the workloads.hpp defaults.
+  EXPECT_EQ(model::serialize(*analysis::find_app("FT")->stock_model()),
+            model::serialize(model::FtWorkload()));
 }
 
 // --- baselines ---------------------------------------------------------------------

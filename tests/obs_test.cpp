@@ -139,9 +139,9 @@ TEST(Metrics, SnapshotIsSortedAndSerializes) {
   ASSERT_TRUE(reg.write_csv(csv_path));
   ASSERT_TRUE(reg.write_json(json_path));
   EXPECT_NE(slurp(csv_path).find("a.first"), std::string::npos);
-  // The JSON snapshot parses with the benchtools JSON parser.
-  const auto doc = benchtools::parse_json(slurp(json_path));
-  ASSERT_TRUE(doc.is(benchtools::JsonValue::Type::kObject));
+  // The JSON snapshot parses with util::parse_json.
+  const auto doc = util::parse_json(slurp(json_path));
+  ASSERT_TRUE(doc.is(util::JsonValue::Type::kObject));
   const auto* first = doc.find("a.first");
   ASSERT_NE(first, nullptr);
   EXPECT_DOUBLE_EQ(first->find("value")->number, 1.0);

@@ -1,8 +1,8 @@
 // Tier-1 tests for src/service: the wire protocol (strict parsing + seeded
 // fuzzing over the request grammar), the three-tier answer path (model /
-// cache / sim), request coalescing, admission control, the calibrate flow,
-// the stdin transport, and TCP shutdown while a client idles or waits on a
-// reply.
+// cache / sim), request coalescing, admission control, the calibrate flow
+// and its cache shared with analysis::EnergyStudy, the stdin transport, and
+// TCP shutdown while a client idles or waits on a reply.
 //
 // The sim-tier tests use small EP cases so the whole binary stays in the
 // seconds range; the serving-smoke CI job covers the TCP transport and load.
@@ -17,13 +17,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "benchtools/tracestats.hpp"
+#include "analysis/study.hpp"
+#include "exec/executor.hpp"
 #include "model/isocontour.hpp"
 #include "model/serialize.hpp"
 #include "model/workloads.hpp"
@@ -35,6 +37,7 @@
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
 #include "benchtools/calibrate.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -55,26 +58,26 @@ std::string scratch_dir(const std::string& name) {
 
 /// Parses a response line and returns the JSON document (asserts it parses —
 /// every response the service emits must be a valid JSON object).
-benchtools::JsonValue parse_response(const std::string& line) {
-  benchtools::JsonValue v;
-  EXPECT_NO_THROW(v = benchtools::parse_json(line)) << line;
-  EXPECT_TRUE(v.is(benchtools::JsonValue::Type::kObject)) << line;
+util::JsonValue parse_response(const std::string& line) {
+  util::JsonValue v;
+  EXPECT_NO_THROW(v = util::parse_json(line)) << line;
+  EXPECT_TRUE(v.is(util::JsonValue::Type::kObject)) << line;
   return v;
 }
 
-bool response_ok(const benchtools::JsonValue& v) {
+bool response_ok(const util::JsonValue& v) {
   const auto* ok = v.find("ok");
-  return ok != nullptr && ok->is(benchtools::JsonValue::Type::kBool) && ok->boolean;
+  return ok != nullptr && ok->is(util::JsonValue::Type::kBool) && ok->boolean;
 }
 
-std::string error_code_of(const benchtools::JsonValue& v) {
+std::string error_code_of(const util::JsonValue& v) {
   const auto* err = v.find("error");
   if (err == nullptr) return "";
   const auto* code = err->find("code");
   return code != nullptr ? code->str : "";
 }
 
-std::string tier_of(const benchtools::JsonValue& v) {
+std::string tier_of(const util::JsonValue& v) {
   const auto* tier = v.find("tier");
   return tier != nullptr ? tier->str : "";
 }
@@ -419,11 +422,60 @@ TEST(SimTier, CalibrateFitsInstallsAndWarmRerunsFromCache) {
   EXPECT_EQ(stable_fragment(predicted), stable_fragment(svc.handle_line(predict_line)));
 }
 
+// EnergyStudy and the service build calibration from the same analysis
+// cases, so either one warms the other's cache directory (docs/SERVICE.md).
+TEST(SimTier, StudyAndServiceShareCalibrationCache) {
+  const double ns[] = {20000, 40000};
+  const int ps[] = {2};
+  const std::string cal_line =
+      R"({"method":"calibrate","params":{"machine":"system_g","app":"EP","ns":[20000,40000],"ps":[2]}})";
+  const auto make_study = [](const std::string& dir) {
+    return std::make_unique<analysis::EnergyStudy>(sim::system_g(), analysis::make_ep_adapter(),
+                                                   true, exec::ExecConfig{2, dir});
+  };
+  const auto expect_same_fit = [](const util::JsonValue& response,
+                                   const analysis::EnergyStudy& study) {
+    const auto* result = response.find("result");
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->find("machine_params")->str, model::serialize(study.machine_params()));
+    EXPECT_EQ(result->find("workload")->str, model::serialize(study.workload()));
+  };
+  ServiceConfig config;
+  config.jobs = 2;
+
+  // Study first: the service answers from the cache tier.
+  config.cache_dir = scratch_dir("share_study_first");
+  const auto study = make_study(config.cache_dir);
+  study->calibrate(ns, ps);
+  {
+    Service svc{config};
+    const std::uint64_t runs_before = sim::Engine::total_runs_started();
+    const auto v = parse_response(svc.handle_line(cal_line));
+    ASSERT_TRUE(response_ok(v));
+    EXPECT_EQ(tier_of(v), "cache");
+    EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
+    expect_same_fit(v, *study);
+  }
+
+  // Service first: the study starts no simulation.
+  config.cache_dir = scratch_dir("share_service_first");
+  Service svc{config};
+  const auto v = parse_response(svc.handle_line(cal_line));
+  ASSERT_TRUE(response_ok(v));
+  EXPECT_EQ(tier_of(v), "sim");
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  const auto warm = make_study(config.cache_dir);
+  warm->calibrate(ns, ps);
+  EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
+  expect_same_fit(v, *warm);
+}
+
 TEST(SimTier, SimulationPointValidationHappensBeforeAnySimulation) {
   Service svc{ServiceConfig{}};
-  // FT requires a power-of-two p; p beyond the machine is invalid too.
+  // FT and MG require a power-of-two p; p beyond the machine is invalid too.
   const char* cases[] = {
       R"({"method":"predict","params":{"machine":"system_g","app":"FT","n":65536,"p":3,"measured":true}})",
+      R"({"method":"predict","params":{"machine":"system_g","app":"MG","n":32768,"p":3,"measured":true}})",
       R"({"method":"predict","params":{"machine":"system_g","app":"EP","n":20000,"p":65536,"measured":true}})",
   };
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
