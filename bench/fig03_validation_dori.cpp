@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   const int calib_ps[] = {2, 4};
   util::Table table({"benchmark", "n", "actual_J", "predicted_J", "error", "accuracy"});
   for (auto& c : cases) {
-    analysis::EnergyStudy study(machine, std::move(c.adapter));
+    analysis::EnergyStudy study(machine, std::move(c.adapter), /*measured_calibration=*/true,
+                                bench::exec_config());
     study.calibrate(c.calib_ns, calib_ps);
     const auto v = study.validate(c.validate_n, /*p=*/4);
     table.add_row({c.name, util::num(v.n, 0), util::num(v.actual_j, 1),

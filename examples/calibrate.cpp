@@ -8,6 +8,7 @@
 //   ./build/examples/calibrate --load=cg_systemg.calib --n=75000 --p=64 --f=2.8
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "analysis/study.hpp"
 #include "model/serialize.hpp"
@@ -19,7 +20,7 @@ using namespace isoee;
 int main(int argc, char** argv) {
   util::Cli cli("calibrate — measure, save, and reuse model calibrations");
   cli.flag("benchmark", "cg", "workload to calibrate: ep | ft | cg | is | mg | ckpt | sweep")
-      .flag("machine", "systemg", "cluster preset: systemg | dori")
+      .flag("machine", "system_g", "cluster preset: system_g | dori")
       .flag("out", "", "path to write the calibration file")
       .flag("load", "", "load a calibration instead of measuring")
       .flag("n", "14000", "problem size for prediction")
@@ -41,7 +42,13 @@ int main(int argc, char** argv) {
     std::printf("loaded calibration: machine %s, workload %s\n",
                 machine_params.name.c_str(), workload->name().c_str());
   } else {
-    auto machine = cli.get("machine") == "dori" ? sim::dori() : sim::system_g();
+    sim::MachineSpec machine;
+    try {
+      machine = sim::machine_preset(cli.get("machine"));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 1;
+    }
     machine.noise.enabled = true;
 
     std::unique_ptr<analysis::BenchmarkAdapter> adapter;

@@ -10,6 +10,7 @@
 // Example:  ./build/examples/dvfs_explorer --benchmark=cg --p=32
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "analysis/study.hpp"
 #include "npb/classes.hpp"
@@ -22,10 +23,16 @@ int main(int argc, char** argv) {
   util::Cli cli("dvfs_explorer — energy/performance across DVFS gears");
   cli.flag("benchmark", "cg", "workload: ep | ft | cg")
       .flag("p", "32", "processor count")
-      .flag("machine", "systemg", "cluster preset: systemg | dori");
+      .flag("machine", "system_g", "cluster preset: system_g | dori");
   if (!cli.parse(argc, argv)) return 1;
 
-  auto machine = cli.get("machine") == "dori" ? sim::dori() : sim::system_g();
+  sim::MachineSpec machine;
+  try {
+    machine = sim::machine_preset(cli.get("machine"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   machine.noise.enabled = true;
   const int p = static_cast<int>(cli.get_int("p"));
   const std::string bench = cli.get("benchmark");

@@ -6,6 +6,7 @@
 // Example:  ./build/examples/npb_energy_study --benchmark=ft --class=A --p=1,2,4,8
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "analysis/runner.hpp"
 #include "npb/classes.hpp"
@@ -46,10 +47,16 @@ int main(int argc, char** argv) {
   cli.flag("benchmark", "ft", "workload: ep | ft | cg | is | mg | sweep | ckpt")
       .flag("class", "A", "problem class: S | W | A | B")
       .flag("p", "1,2,4,8,16", "comma-separated processor counts")
-      .flag("machine", "systemg", "cluster preset: systemg | dori");
+      .flag("machine", "system_g", "cluster preset: system_g | dori");
   if (!cli.parse(argc, argv)) return 1;
 
-  auto machine = cli.get("machine") == "dori" ? sim::dori() : sim::system_g();
+  sim::MachineSpec machine;
+  try {
+    machine = sim::machine_preset(cli.get("machine"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   machine.noise.enabled = true;
   const auto cls = npb::parse_class(cli.get("class"));
   const auto ps = parse_ints(cli.get("p"));

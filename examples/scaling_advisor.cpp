@@ -1,6 +1,6 @@
 // Scaling advisor: the paper's decision-making loop as a command-line tool.
 //
-// Given a benchmark (ep | ft | cg | is), a machine (systemg | dori) and a
+// Given a benchmark (ep | ft | cg | is), a machine (system_g | dori) and a
 // target iso-energy-efficiency, the advisor calibrates the machine vector
 // with the microbenchmark tools, fits the application's workload vector from
 // small simulated runs, and then answers:
@@ -12,6 +12,7 @@
 // Example:  ./build/examples/scaling_advisor --benchmark=cg --target=0.8
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "analysis/study.hpp"
 #include "model/isocontour.hpp"
@@ -24,13 +25,19 @@ using namespace isoee;
 int main(int argc, char** argv) {
   util::Cli cli("scaling_advisor — iso-energy-efficiency scaling decisions");
   cli.flag("benchmark", "cg", "workload: ep | ft | cg | is | mg")
-      .flag("machine", "systemg", "cluster preset: systemg | dori")
+      .flag("machine", "system_g", "cluster preset: system_g | dori")
       .flag("target", "0.8", "EE target to maintain")
       .flag("n", "0", "problem size (0 = benchmark class default)")
       .flag("pmax", "256", "largest processor count to consider");
   if (!cli.parse(argc, argv)) return 1;
 
-  auto machine = cli.get("machine") == "dori" ? sim::dori() : sim::system_g();
+  sim::MachineSpec machine;
+  try {
+    machine = sim::machine_preset(cli.get("machine"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   machine.noise.enabled = true;
 
   const std::string bench = cli.get("benchmark");

@@ -4,23 +4,6 @@ namespace isoee::analysis {
 
 namespace {
 
-sim::EngineOptions engine_options(const RunOptions& options) {
-  sim::EngineOptions opts;
-  opts.record_trace = options.record_trace;
-  opts.initial_ghz = options.f_ghz;
-  opts.trace_sink = options.trace;
-  if (options.governor != nullptr) opts.on_segment = options.governor->engine_hook();
-  return opts;
-}
-
-/// Applies the RunOptions collective override (if any) onto a copy of the
-/// kernel config; every NPB config carries a `collectives` member.
-template <typename Config>
-Config with_collectives(Config config, const RunOptions& options) {
-  if (options.collectives != nullptr) config.collectives = *options.collectives;
-  return config;
-}
-
 /// Per-run governor attachment: resolves the PhaseLog the kernel should mark
 /// phases on (the caller's, or a run-local one when the governor needs a phase
 /// feed and the caller passed none), subscribes the governor's hooks for the
@@ -45,89 +28,63 @@ struct GovernorAttachment {
   }
 };
 
+/// One kernel run: attaches the governor (if any), applies the collective
+/// override (every NPB config carries a `collectives` member), and runs
+/// `kernel` on every rank of a fresh engine.
+template <auto kernel, typename Config>
+sim::RunResult run_kernel(const sim::MachineSpec& machine, Config cfg, int p,
+                          const RunOptions& options) {
+  GovernorAttachment attach(options, p);
+  if (options.collectives != nullptr) cfg.collectives = *options.collectives;
+  sim::EngineOptions opts;
+  opts.record_trace = options.record_trace;
+  opts.initial_ghz = options.f_ghz;
+  opts.trace_sink = options.trace;
+  if (options.governor != nullptr) opts.on_segment = options.governor->engine_hook();
+  sim::Engine engine(machine, opts);
+  return engine.run(p, [&](sim::RankCtx& ctx) { (void)kernel(ctx, cfg, attach.phases); });
+}
+
 }  // namespace
 
 sim::RunResult run_ep(const sim::MachineSpec& machine, const npb::EpConfig& config, int p,
                       const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::ep_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::ep_rank>(machine, config, p, options);
 }
 
 sim::RunResult run_ft(const sim::MachineSpec& machine, const npb::FtConfig& config, int p,
                       const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::ft_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::ft_rank>(machine, config, p, options);
 }
 
 sim::RunResult run_cg(const sim::MachineSpec& machine, const npb::CgConfig& config, int p,
                       const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::cg_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::cg_rank>(machine, config, p, options);
 }
 
 sim::RunResult run_is(const sim::MachineSpec& machine, const npb::IsConfig& config, int p,
                       const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::is_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::is_rank>(machine, config, p, options);
 }
 
 sim::RunResult run_mg(const sim::MachineSpec& machine, const npb::MgConfig& config, int p,
                       const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::mg_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::mg_rank>(machine, config, p, options);
 }
 
 sim::RunResult run_ckpt(const sim::MachineSpec& machine, const npb::CkptConfig& config,
                         int p, const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::ckpt_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::ckpt_rank>(machine, config, p, options);
 }
 
 sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig& config,
                          int p, const RunOptions& options) {
-  GovernorAttachment attach(options, p);
-  const auto cfg = with_collectives(config, options);
-  sim::Engine engine(machine, engine_options(options));
-  return engine.run(
-      p, [&](sim::RankCtx& ctx) { (void)npb::sweep_rank(ctx, cfg, attach.phases); });
+  return run_kernel<npb::sweep_rank>(machine, config, p, options);
 }
 
-double ep_problem_size(const npb::EpConfig& config) {
-  return static_cast<double>(config.trials);
-}
 double ft_problem_size(const npb::FtConfig& config) {
   return static_cast<double>(config.total_points());
 }
 double cg_problem_size(const npb::CgConfig& config) { return static_cast<double>(config.n); }
-double is_problem_size(const npb::IsConfig& config) {
-  return static_cast<double>(config.n_keys);
-}
-double mg_problem_size(const npb::MgConfig& config) {
-  return static_cast<double>(config.total_points());
-}
-double ckpt_problem_size(const npb::CkptConfig& config) {
-  return static_cast<double>(config.elements);
-}
-double sweep_problem_size(const npb::SweepConfig& config) {
-  return static_cast<double>(config.total_cells());
-}
 
 }  // namespace isoee::analysis

@@ -57,14 +57,9 @@ sim::RunResult run_ckpt(const sim::MachineSpec& machine, const npb::CkptConfig& 
 sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig& config,
                          int p, const RunOptions& options = RunOptions());
 
-/// Problem-size measure used by the workload models: EP trials, FT grid
-/// points, CG matrix order, IS keys.
-double ep_problem_size(const npb::EpConfig& config);
+/// Problem-size measure used by the workload models: FT grid points, CG
+/// matrix order.
 double ft_problem_size(const npb::FtConfig& config);
 double cg_problem_size(const npb::CgConfig& config);
-double is_problem_size(const npb::IsConfig& config);
-double mg_problem_size(const npb::MgConfig& config);
-double ckpt_problem_size(const npb::CkptConfig& config);
-double sweep_problem_size(const npb::SweepConfig& config);
 
 }  // namespace isoee::analysis

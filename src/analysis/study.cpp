@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
@@ -26,36 +27,34 @@ std::string collectives_fp(const smpi::CollectiveConfig& c) {
          (c.tuning ? "tuned" : "fixed") + "," + exec::encode_f64(c.comm_gear_ghz);
 }
 
-/// Exact round-trip codecs for the cached simulation-derived quantities.
-/// Doubles travel as IEEE-754 hex so a warm-cache rerun is byte-identical.
-std::string encode_params(const model::MachineParams& m) {
-  return m.name + '\x1f' +
-         exec::encode_doubles({m.cpi, m.f_ghz, m.base_ghz, m.t_m, m.t_s, m.t_w,
-                               m.p_sys_idle, m.dp_c_base, m.dp_m, m.dp_io, m.gamma,
-                               m.poll_factor, m.f_comm_ghz});
+/// Exact round-trip codecs for the cached simulation-derived quantities: a
+/// record's numeric fields, in field-list order, as IEEE-754 hex, so a
+/// warm-cache rerun is byte-identical. Ints travel as doubles, exactly.
+template <class Record>
+std::string encode_numbers(const Record& record) {
+  std::vector<double> values;
+  Record::fields(record, [&values](const char*, const auto& member) {
+    if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(member)>>) {
+      values.push_back(static_cast<double>(member));
+    }
+  });
+  return exec::encode_doubles(values);
 }
 
-std::string encode_sample(const CounterSample& s) {
-  return exec::encode_doubles({s.n, static_cast<double>(s.p), s.instructions,
-                               s.mem_accesses, s.mem_time, s.io_time, s.makespan,
-                               s.messages, s.bytes, s.alpha});
-}
-
-CounterSample decode_sample(const std::string& text) {
-  const std::vector<double> v = exec::decode_doubles(text);
-  if (v.size() != 10) throw std::invalid_argument("counter-sample entry: wrong arity");
-  CounterSample s;
-  s.n = v[0];
-  s.p = static_cast<int>(v[1]);
-  s.instructions = v[2];
-  s.mem_accesses = v[3];
-  s.mem_time = v[4];
-  s.io_time = v[5];
-  s.makespan = v[6];
-  s.messages = v[7];
-  s.bytes = v[8];
-  s.alpha = v[9];
-  return s;
+template <class Record>
+Record decode_numbers(std::string_view payload, const char* what) {
+  const std::vector<double> values = exec::decode_doubles(payload);
+  Record record;
+  std::size_t i = 0;
+  Record::fields(record, [&](const char*, auto& member) {
+    using T = std::remove_cvref_t<decltype(member)>;
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (i < values.size()) member = static_cast<T>(values[i]);
+      ++i;
+    }
+  });
+  if (i != values.size()) throw std::invalid_argument(std::string(what) + " entry: wrong arity");
+  return record;
 }
 
 class EpAdapter final : public BenchmarkAdapter {
@@ -372,8 +371,9 @@ exec::Case machine_params_case(const sim::MachineSpec& spec, bool measured) {
   c.cache_key = std::string("machine-params\x1f") + exec::machine_fingerprint(spec) + '\x1f' +
                 (measured ? "measured" : "nominal");
   c.run = [spec, measured]() {
-    return encode_params(measured ? tools::calibrate_machine(spec)
-                                  : tools::nominal_machine_params(spec));
+    const model::MachineParams m =
+        measured ? tools::calibrate_machine(spec) : tools::nominal_machine_params(spec);
+    return m.name + '\x1f' + encode_numbers(m);
   };
   return c;
 }
@@ -381,23 +381,9 @@ exec::Case machine_params_case(const sim::MachineSpec& spec, bool measured) {
 model::MachineParams decode_machine_params(const std::string& payload) {
   const std::size_t sep = payload.find('\x1f');
   if (sep == std::string::npos) throw std::invalid_argument("machine-params entry: no name");
-  const std::vector<double> v = exec::decode_doubles(std::string_view(payload).substr(sep + 1));
-  if (v.size() != 13) throw std::invalid_argument("machine-params entry: wrong arity");
-  model::MachineParams m;
+  model::MachineParams m = decode_numbers<model::MachineParams>(
+      std::string_view(payload).substr(sep + 1), "machine-params");
   m.name = payload.substr(0, sep);
-  m.cpi = v[0];
-  m.f_ghz = v[1];
-  m.base_ghz = v[2];
-  m.t_m = v[3];
-  m.t_s = v[4];
-  m.t_w = v[5];
-  m.p_sys_idle = v[6];
-  m.dp_c_base = v[7];
-  m.dp_m = v[8];
-  m.dp_io = v[9];
-  m.gamma = v[10];
-  m.poll_factor = v[11];
-  m.f_comm_ghz = v[12];
   return m;
 }
 
@@ -416,7 +402,7 @@ std::vector<exec::Case> calibration_cases(const sim::MachineSpec& spec,
     c.run = [spec, adapter, n, p]() -> std::string {
       double snapped = n;
       const sim::RunResult run = adapter->run(spec, n, p, RunOptions(), &snapped);
-      return encode_sample(make_sample(run, snapped, p));
+      return encode_numbers(make_sample(run, snapped, p));
     };
     cases.push_back(std::move(c));
   };
@@ -435,9 +421,34 @@ std::unique_ptr<model::WorkloadModel> fit_calibration(const BenchmarkAdapter& ad
   samples.reserve(results.size());
   for (const exec::CaseResult& r : results) {
     if (!r.ok()) throw std::runtime_error("calibration run failed: " + r.error);
-    samples.push_back(decode_sample(r.payload));
+    samples.push_back(decode_numbers<CounterSample>(r.payload, "counter-sample"));
   }
   return adapter.fit(samples, t_m);
+}
+
+exec::Case measure_case(const sim::MachineSpec& spec,
+                        std::shared_ptr<const BenchmarkAdapter> adapter, double n, int p,
+                        double f_ghz) {
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, p);
+  c.cache_key = study_key("measure", exec::machine_fingerprint(spec), adapter->fingerprint(), n,
+                          p, f_ghz);
+  c.run = [spec, adapter, n, p, f_ghz]() {
+    RunOptions options;
+    options.f_ghz = f_ghz;
+    Measurement m;
+    m.n = n;
+    const sim::RunResult run = adapter->run(spec, n, p, options, &m.n);
+    m.energy_j = run.total_energy_j();
+    m.time_s = run.makespan;
+    m.alpha = run.mean_alpha();
+    return encode_numbers(m);
+  };
+  return c;
+}
+
+Measurement decode_measurement(const std::string& payload) {
+  return decode_numbers<Measurement>(payload, "measure");
 }
 
 EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdapter> adapter,
@@ -445,16 +456,11 @@ EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdap
     : machine_(std::move(machine)),
       adapter_(std::move(adapter)),
       exec_(std::move(exec)),
-      cache_(std::make_unique<exec::ResultCache>(exec_.cache_dir, exec_.cache_max_bytes)),
-      machine_fp_(exec::machine_fingerprint(machine_)) {
+      cache_(std::make_unique<exec::ResultCache>(exec_.cache_dir, exec_.cache_max_bytes)) {
   // The microbenchmark pass itself runs simulations, so it is cached too —
   // otherwise a "warm" figure rerun would still simulate its calibration.
-  const std::vector<exec::CaseResult> results =
-      exec::run_batch({machine_params_case(machine_, measured_calibration)}, batch_options());
-  if (!results[0].ok()) {
-    throw std::runtime_error("machine calibration failed: " + results[0].error);
-  }
-  machine_params_ = decode_machine_params(results[0].payload);
+  machine_params_ = decode_machine_params(
+      run_case(machine_params_case(machine_, measured_calibration), "machine calibration"));
 }
 
 exec::BatchOptions EnergyStudy::batch_options() const {
@@ -462,6 +468,16 @@ exec::BatchOptions EnergyStudy::batch_options() const {
   batch.thread_budget = exec_.jobs;
   batch.cache = cache_->enabled() ? cache_.get() : nullptr;
   return batch;
+}
+
+std::string EnergyStudy::run_case(exec::Case c, const char* what) const {
+  std::vector<exec::Case> cases;
+  cases.push_back(std::move(c));
+  std::vector<exec::CaseResult> results = exec::run_batch(cases, batch_options());
+  if (!results[0].ok()) {
+    throw std::runtime_error(std::string(what) + " failed: " + results[0].error);
+  }
+  return std::move(results[0].payload);
 }
 
 void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps) {
@@ -495,33 +511,11 @@ ValidationPoint EnergyStudy::validate(double n, int p, double f_ghz) const {
   point.p = p;
   point.f_ghz = f_ghz > 0.0 ? f_ghz : machine_params_.base_ghz;
 
-  const std::string key =
-      cache_->enabled()
-          ? study_key("validate", machine_fp_, adapter_->fingerprint(), n, p, point.f_ghz)
-          : std::string();
-  bool measured = false;
-  if (!key.empty()) {
-    if (const auto hit = cache_->load(key)) {
-      const std::vector<double> v = exec::decode_doubles(*hit);
-      if (v.size() != 3) throw std::invalid_argument("validate entry: wrong arity");
-      point.n = v[0];
-      point.actual_j = v[1];
-      point.actual_s = v[2];
-      measured = true;
-    }
-  }
-  if (!measured) {
-    RunOptions options;
-    options.f_ghz = point.f_ghz;
-    double snapped = n;
-    const sim::RunResult run = adapter_->run(machine_, n, p, options, &snapped);
-    point.n = snapped;
-    point.actual_j = run.total_energy_j();
-    point.actual_s = run.makespan;
-    if (!key.empty()) {
-      cache_->store(key, exec::encode_doubles({point.n, point.actual_j, point.actual_s}));
-    }
-  }
+  const Measurement actual = decode_measurement(
+      run_case(measure_case(machine_, adapter_, n, p, point.f_ghz), "validation run"));
+  point.n = actual.n;
+  point.actual_j = actual.energy_j;
+  point.actual_s = actual.time_s;
 
   const model::EnergyPrediction energy = predict(point.n, p, point.f_ghz);
   const model::PerfPrediction perf = predict_performance(point.n, p, point.f_ghz);

@@ -89,7 +89,7 @@ const AppInfo* find_app(std::string_view name);
 // cache keys and payload bytes, so one warms the other's --cache-dir.
 
 /// Cache key of one simulation-derived study quantity: `kind` is
-/// "calibrate", "validate" or "measure".
+/// "calibrate" (a calibration point) or "measure" (a measure_case).
 std::string study_key(const char* kind, const std::string& machine_fp,
                       const std::string& adapter_fp, double n, int p, double f_ghz);
 
@@ -110,6 +110,33 @@ std::vector<exec::Case> calibration_cases(const sim::MachineSpec& spec,
 std::unique_ptr<model::WorkloadModel> fit_calibration(const BenchmarkAdapter& adapter,
                                                       std::span<const exec::CaseResult> results,
                                                       double t_m);
+
+/// One full "measured" simulation: the problem size actually run, the
+/// whole-run energy and makespan, and the run's mean overlap factor.
+struct Measurement {
+  double n = 0.0;
+  double energy_j = 0.0;
+  double time_s = 0.0;
+  double alpha = 0.0;
+
+  /// The field list (see model::MachineParams::fields).
+  template <class Self, class Visit>
+  static void fields(Self& m, Visit&& visit) {
+    visit("n", m.n);
+    visit("energy_j", m.energy_j);
+    visit("time_s", m.time_s);
+    visit("alpha", m.alpha);
+  }
+};
+
+/// The adapter's kernel at (n, p) and gear `f_ghz` (already resolved, > 0) as
+/// one case under the "measure" key kind. EnergyStudy::validate and the
+/// service's measured predict both run it, so they share cache entries.
+/// Decode its payload with decode_measurement.
+exec::Case measure_case(const sim::MachineSpec& spec,
+                        std::shared_ptr<const BenchmarkAdapter> adapter, double n, int p,
+                        double f_ghz);
+Measurement decode_measurement(const std::string& payload);
 
 /// One actual-vs-predicted energy comparison (a bar pair of Fig 3, a
 /// contribution to Fig 4's error rate).
@@ -157,12 +184,14 @@ class EnergyStudy {
 
  private:
   exec::BatchOptions batch_options() const;
+  /// Runs one case with the study's executor settings; returns its payload
+  /// and throws, naming `what`, when it failed.
+  std::string run_case(exec::Case c, const char* what) const;
 
   sim::MachineSpec machine_;
   std::shared_ptr<const BenchmarkAdapter> adapter_;
   exec::ExecConfig exec_;
   std::unique_ptr<exec::ResultCache> cache_;
-  std::string machine_fp_;
   model::MachineParams machine_params_;
   std::unique_ptr<model::WorkloadModel> workload_;
 };

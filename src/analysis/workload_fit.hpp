@@ -32,6 +32,21 @@ struct CounterSample {
   double messages = 0.0;
   double bytes = 0.0;
   double alpha = 1.0;  // measured overlap factor of the run
+
+  /// The field list (see model::MachineParams::fields).
+  template <class Self, class Visit>
+  static void fields(Self& s, Visit&& visit) {
+    visit("n", s.n);
+    visit("p", s.p);
+    visit("instructions", s.instructions);
+    visit("mem_accesses", s.mem_accesses);
+    visit("mem_time", s.mem_time);
+    visit("io_time", s.io_time);
+    visit("makespan", s.makespan);
+    visit("messages", s.messages);
+    visit("bytes", s.bytes);
+    visit("alpha", s.alpha);
+  }
 };
 
 /// Extracts a CounterSample from a finished run.

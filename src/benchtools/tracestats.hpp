@@ -121,8 +121,8 @@ struct DiffRow {
 std::vector<DiffRow> diff_rows(std::span<const AttributionRow> a,
                                std::span<const AttributionRow> b);
 
-/// Machine preset lookup for the CLI: "system_g", "dori", or "auto" (reads
-/// the trace's otherData.machine, defaulting to system_g). Throws
+/// Machine preset lookup for the CLI: a sim::machine_preset name, or "auto"
+/// (reads the trace's otherData.machine, defaulting to system_g). Throws
 /// std::invalid_argument on an unknown name.
 sim::MachineSpec machine_for_trace(const std::string& name, const LoadedTrace& trace);
 

@@ -28,12 +28,6 @@ double unit_time(const ProcessorClass& cls, const AppParams& app) {
 
 }  // namespace
 
-double class_speed(const ProcessorClass& cls, const WorkloadModel& workload, double n) {
-  const AppParams app = workload.at(n, std::max(1, cls.count));
-  const double t = unit_time(cls, app);
-  return t > 0.0 ? 1.0 / t : 0.0;
-}
-
 std::vector<double> balanced_shares(std::span<const ProcessorClass> classes,
                                     const WorkloadModel& workload, double n) {
   const int p_total = total_processors(classes);

@@ -41,6 +41,29 @@ struct MachineParams {
   double poll_factor = 0.0;
   double f_comm_ghz = 0.0;
 
+  /// The field list. Each parameter record (this one, each workload model,
+  /// analysis's CounterSample and Measurement) names its members once, here
+  /// by calling visit(key, member) for each in a fixed order: the order of
+  /// its text section (model/serialize) and of its cache payload. Self is the
+  /// record, const for readers, so every reader and writer walks one list.
+  template <class Self, class Visit>
+  static void fields(Self& m, Visit&& visit) {
+    visit("name", m.name);
+    visit("cpi", m.cpi);
+    visit("f_ghz", m.f_ghz);
+    visit("base_ghz", m.base_ghz);
+    visit("t_m", m.t_m);
+    visit("t_s", m.t_s);
+    visit("t_w", m.t_w);
+    visit("p_sys_idle", m.p_sys_idle);
+    visit("dp_c_base", m.dp_c_base);
+    visit("dp_m", m.dp_m);
+    visit("dp_io", m.dp_io);
+    visit("gamma", m.gamma);
+    visit("poll_factor", m.poll_factor);
+    visit("f_comm_ghz", m.f_comm_ghz);
+  }
+
   /// CPU power increment while busy-polling the network.
   double dp_poll() const {
     if (poll_factor <= 0.0) return 0.0;

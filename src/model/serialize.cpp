@@ -1,9 +1,12 @@
 #include "model/serialize.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 namespace isoee::model {
 
@@ -15,12 +18,14 @@ std::string fmt(double value) {
   return buf;
 }
 
+using KeyValues = std::map<std::string, std::string>;
+
 /// Parsed document: section header -> (key -> value).
 struct Document {
   std::string machine_header;  // "machine" if present
-  std::map<std::string, std::string> machine;
+  KeyValues machine;
   std::string workload_name;   // e.g. "FT" if a workload section is present
-  std::map<std::string, std::string> workload;
+  KeyValues workload;
 };
 
 std::string trim(const std::string& s) {
@@ -32,7 +37,7 @@ std::string trim(const std::string& s) {
 
 std::optional<Document> parse_document(const std::string& text) {
   Document doc;
-  std::map<std::string, std::string>* current = nullptr;
+  KeyValues* current = nullptr;
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -59,221 +64,102 @@ std::optional<Document> parse_document(const std::string& text) {
   return doc;
 }
 
-double get_num(const std::map<std::string, std::string>& kv, const std::string& key,
-               double fallback) {
-  const auto it = kv.find(key);
-  return it != kv.end() ? std::strtod(it->second.c_str(), nullptr) : fallback;
+/// Appends `key = value` for each field of `record`, in field-list order.
+template <class Record>
+void write_fields(const Record& record, std::string& out) {
+  Record::fields(record, [&out](const char* key, const auto& value) {
+    out += key;
+    out += " = ";
+    if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(value)>>) {
+      out += fmt(value);
+    } else {
+      out += value;
+    }
+    out += '\n';
+  });
 }
 
-std::string get_str(const std::map<std::string, std::string>& kv, const std::string& key,
-                    const std::string& fallback) {
-  const auto it = kv.find(key);
-  return it != kv.end() ? it->second : fallback;
+/// Assigns each field whose key is present. A missing key keeps the default
+/// and a key no field claims is ignored.
+template <class Record>
+void read_fields(Record& record, const KeyValues& kv) {
+  Record::fields(record, [&kv](const char* key, auto& member) {
+    using T = std::remove_cvref_t<decltype(member)>;
+    const auto it = kv.find(key);
+    if (it == kv.end()) return;
+    if constexpr (std::is_arithmetic_v<T>) {
+      member = static_cast<T>(std::strtod(it->second.c_str(), nullptr));
+    } else {
+      member = it->second;
+    }
+  });
+}
+
+/// One built-in workload model type: its section name, and its field list
+/// bound to the text format.
+struct WorkloadType {
+  const char* name;
+  void (*write)(const WorkloadModel& workload, std::string& out);
+  std::unique_ptr<WorkloadModel> (*parse)(const KeyValues& kv);  // from defaults
+};
+
+template <class W>
+constexpr WorkloadType workload_type() {
+  return {W::kName,
+          [](const WorkloadModel& workload, std::string& out) {
+            write_fields(dynamic_cast<const W&>(workload), out);  // std::bad_cast if foreign
+          },
+          [](const KeyValues& kv) -> std::unique_ptr<WorkloadModel> {
+            auto w = std::make_unique<W>();
+            read_fields(*w, kv);
+            return w;
+          }};
+}
+
+constexpr WorkloadType kWorkloadTypes[] = {
+    workload_type<EpWorkload>(),   workload_type<FtWorkload>(),   workload_type<CgWorkload>(),
+    workload_type<MgWorkload>(),   workload_type<IsWorkload>(),   workload_type<SweepWorkload>(),
+    workload_type<CkptWorkload>(),
+};
+
+const WorkloadType* find_workload_type(const std::string& name) {
+  for (const WorkloadType& type : kWorkloadTypes) {
+    if (name == type.name) return &type;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 std::string serialize(const MachineParams& m) {
   std::string out = "[machine]\n";
-  out += "name = " + m.name + "\n";
-  out += "cpi = " + fmt(m.cpi) + "\n";
-  out += "f_ghz = " + fmt(m.f_ghz) + "\n";
-  out += "base_ghz = " + fmt(m.base_ghz) + "\n";
-  out += "t_m = " + fmt(m.t_m) + "\n";
-  out += "t_s = " + fmt(m.t_s) + "\n";
-  out += "t_w = " + fmt(m.t_w) + "\n";
-  out += "p_sys_idle = " + fmt(m.p_sys_idle) + "\n";
-  out += "dp_c_base = " + fmt(m.dp_c_base) + "\n";
-  out += "dp_m = " + fmt(m.dp_m) + "\n";
-  out += "dp_io = " + fmt(m.dp_io) + "\n";
-  out += "gamma = " + fmt(m.gamma) + "\n";
-  out += "poll_factor = " + fmt(m.poll_factor) + "\n";
-  out += "f_comm_ghz = " + fmt(m.f_comm_ghz) + "\n";
+  write_fields(m, out);
   return out;
 }
 
 std::optional<MachineParams> parse_machine(const std::string& text) {
   const auto doc = parse_document(text);
   if (!doc || doc->machine_header.empty()) return std::nullopt;
-  const auto& kv = doc->machine;
   MachineParams m;
-  m.name = get_str(kv, "name", m.name);
-  m.cpi = get_num(kv, "cpi", m.cpi);
-  m.f_ghz = get_num(kv, "f_ghz", m.f_ghz);
-  m.base_ghz = get_num(kv, "base_ghz", m.base_ghz);
-  m.t_m = get_num(kv, "t_m", m.t_m);
-  m.t_s = get_num(kv, "t_s", m.t_s);
-  m.t_w = get_num(kv, "t_w", m.t_w);
-  m.p_sys_idle = get_num(kv, "p_sys_idle", m.p_sys_idle);
-  m.dp_c_base = get_num(kv, "dp_c_base", m.dp_c_base);
-  m.dp_m = get_num(kv, "dp_m", m.dp_m);
-  m.dp_io = get_num(kv, "dp_io", m.dp_io);
-  m.gamma = get_num(kv, "gamma", m.gamma);
-  m.poll_factor = get_num(kv, "poll_factor", m.poll_factor);
-  m.f_comm_ghz = get_num(kv, "f_comm_ghz", m.f_comm_ghz);
+  read_fields(m, doc->machine);
   return m;
 }
 
 std::string serialize(const WorkloadModel& workload) {
-  std::string out = "[workload " + workload.name() + "]\n";
-  auto field = [&out](const char* key, double value) {
-    out += std::string(key) + " = " + fmt(value) + "\n";
-  };
-  if (const auto* ep = dynamic_cast<const EpWorkload*>(&workload)) {
-    field("alpha", ep->alpha);
-    field("wc_per_trial", ep->wc_per_trial);
-    field("wm_per_trial", ep->wm_per_trial);
-    field("dwoc_plogp", ep->dwoc_plogp);
-    field("dwom_plogp", ep->dwom_plogp);
-  } else if (const auto* ft = dynamic_cast<const FtWorkload*>(&workload)) {
-    field("alpha", ft->alpha);
-    field("iters", ft->iters);
-    field("wc_nlogn", ft->wc_nlogn);
-    field("wc_n", ft->wc_n);
-    field("wm_n", ft->wm_n);
-    field("dwoc_plogp", ft->dwoc_plogp);
-    field("dwoc_p", ft->dwoc_p);
-    field("dwom_plogp", ft->dwom_plogp);
-    field("dwom_p", ft->dwom_p);
-  } else if (const auto* cg = dynamic_cast<const CgWorkload*>(&workload)) {
-    field("alpha", cg->alpha);
-    field("outer", cg->outer);
-    field("inner", cg->inner);
-    field("nzr", cg->nzr);
-    field("wc_n", cg->wc_n);
-    field("wm_n", cg->wm_n);
-    field("dwoc_npm1", cg->dwoc_npm1);
-    field("dwom_npm1", cg->dwom_npm1);
-  } else if (const auto* mg = dynamic_cast<const MgWorkload*>(&workload)) {
-    field("alpha", mg->alpha);
-    field("cycles", mg->cycles);
-    field("wc_n", mg->wc_n);
-    field("wm_n", mg->wm_n);
-    field("dwoc_p", mg->dwoc_p);
-    field("dwom_p", mg->dwom_p);
-    field("msgs_p", mg->msgs_p);
-    field("bytes_n23p", mg->bytes_n23p);
-    field("duplex", mg->duplex);
-  } else if (const auto* is = dynamic_cast<const IsWorkload*>(&workload)) {
-    field("alpha", is->alpha);
-    field("key_bytes", is->key_bytes);
-    field("wc_n", is->wc_n);
-    field("wm_n", is->wm_n);
-    field("dwoc_plogp", is->dwoc_plogp);
-    field("dwoc_p", is->dwoc_p);
-    field("dwom_plogp", is->dwom_plogp);
-    field("dwom_p", is->dwom_p);
-  } else if (const auto* sw = dynamic_cast<const SweepWorkload*>(&workload)) {
-    field("alpha", sw->alpha);
-    field("sweeps", sw->sweeps);
-    field("tile_w", sw->tile_w);
-    field("wc_n", sw->wc_n);
-    field("wm_n", sw->wm_n);
-    field("sec_per_cell", sw->sec_per_cell);
-    field("msgs_pm1", sw->msgs_pm1);
-    field("bytes_pm1n", sw->bytes_pm1n);
-  } else if (const auto* ck = dynamic_cast<const CkptWorkload*>(&workload)) {
-    field("alpha", ck->alpha);
-    field("iterations", ck->iterations);
-    field("ckpt_every", ck->ckpt_every);
-    field("wc_n", ck->wc_n);
-    field("wm_n", ck->wm_n);
-    field("io_p", ck->io_p);
-    field("io_n", ck->io_n);
-  } else {
+  const WorkloadType* type = find_workload_type(workload.name());
+  if (type == nullptr) {
     throw std::invalid_argument("serialize: unknown workload type " + workload.name());
   }
+  std::string out = "[workload " + workload.name() + "]\n";
+  type->write(workload, out);
   return out;
 }
 
 std::unique_ptr<WorkloadModel> parse_workload(const std::string& text) {
   const auto doc = parse_document(text);
   if (!doc || doc->workload_name.empty()) return nullptr;
-  const auto& kv = doc->workload;
-  const std::string& name = doc->workload_name;
-  if (name == "EP") {
-    auto w = std::make_unique<EpWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->wc_per_trial = get_num(kv, "wc_per_trial", w->wc_per_trial);
-    w->wm_per_trial = get_num(kv, "wm_per_trial", w->wm_per_trial);
-    w->dwoc_plogp = get_num(kv, "dwoc_plogp", w->dwoc_plogp);
-    w->dwom_plogp = get_num(kv, "dwom_plogp", w->dwom_plogp);
-    return w;
-  }
-  if (name == "FT") {
-    auto w = std::make_unique<FtWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->iters = static_cast<int>(get_num(kv, "iters", w->iters));
-    w->wc_nlogn = get_num(kv, "wc_nlogn", w->wc_nlogn);
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_plogp = get_num(kv, "dwoc_plogp", w->dwoc_plogp);
-    w->dwoc_p = get_num(kv, "dwoc_p", w->dwoc_p);
-    w->dwom_plogp = get_num(kv, "dwom_plogp", w->dwom_plogp);
-    w->dwom_p = get_num(kv, "dwom_p", w->dwom_p);
-    return w;
-  }
-  if (name == "CG") {
-    auto w = std::make_unique<CgWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->outer = static_cast<int>(get_num(kv, "outer", w->outer));
-    w->inner = static_cast<int>(get_num(kv, "inner", w->inner));
-    w->nzr = get_num(kv, "nzr", w->nzr);
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_npm1 = get_num(kv, "dwoc_npm1", w->dwoc_npm1);
-    w->dwom_npm1 = get_num(kv, "dwom_npm1", w->dwom_npm1);
-    return w;
-  }
-  if (name == "MG") {
-    auto w = std::make_unique<MgWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->cycles = static_cast<int>(get_num(kv, "cycles", w->cycles));
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_p = get_num(kv, "dwoc_p", w->dwoc_p);
-    w->dwom_p = get_num(kv, "dwom_p", w->dwom_p);
-    w->msgs_p = get_num(kv, "msgs_p", w->msgs_p);
-    w->bytes_n23p = get_num(kv, "bytes_n23p", w->bytes_n23p);
-    w->duplex = get_num(kv, "duplex", w->duplex);
-    return w;
-  }
-  if (name == "IS") {
-    auto w = std::make_unique<IsWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->key_bytes = get_num(kv, "key_bytes", w->key_bytes);
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->dwoc_plogp = get_num(kv, "dwoc_plogp", w->dwoc_plogp);
-    w->dwoc_p = get_num(kv, "dwoc_p", w->dwoc_p);
-    w->dwom_plogp = get_num(kv, "dwom_plogp", w->dwom_plogp);
-    w->dwom_p = get_num(kv, "dwom_p", w->dwom_p);
-    return w;
-  }
-  if (name == "SWEEP") {
-    auto w = std::make_unique<SweepWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->sweeps = static_cast<int>(get_num(kv, "sweeps", w->sweeps));
-    w->tile_w = static_cast<int>(get_num(kv, "tile_w", w->tile_w));
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->sec_per_cell = get_num(kv, "sec_per_cell", w->sec_per_cell);
-    w->msgs_pm1 = get_num(kv, "msgs_pm1", w->msgs_pm1);
-    w->bytes_pm1n = get_num(kv, "bytes_pm1n", w->bytes_pm1n);
-    return w;
-  }
-  if (name == "CKPT") {
-    auto w = std::make_unique<CkptWorkload>();
-    w->alpha = get_num(kv, "alpha", w->alpha);
-    w->iterations = static_cast<int>(get_num(kv, "iterations", w->iterations));
-    w->ckpt_every = static_cast<int>(get_num(kv, "ckpt_every", w->ckpt_every));
-    w->wc_n = get_num(kv, "wc_n", w->wc_n);
-    w->wm_n = get_num(kv, "wm_n", w->wm_n);
-    w->io_p = get_num(kv, "io_p", w->io_p);
-    w->io_n = get_num(kv, "io_n", w->io_n);
-    return w;
-  }
-  return nullptr;
+  const WorkloadType* type = find_workload_type(doc->workload_name);
+  return type != nullptr ? type->parse(doc->workload) : nullptr;
 }
 
 bool save_calibration(const std::string& path, const MachineParams& machine,

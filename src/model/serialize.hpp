@@ -32,7 +32,8 @@ std::string serialize(const MachineParams& machine);
 std::optional<MachineParams> parse_machine(const std::string& text);
 
 /// Serializes any of the built-in workload models ([workload <NAME>]).
-/// Throws std::invalid_argument for unknown model types.
+/// Throws std::invalid_argument for an unknown name and std::bad_cast for a
+/// type that is not the built-in model of its name.
 std::string serialize(const WorkloadModel& workload);
 
 /// Parses a [workload ...] section into the matching model type; nullptr on

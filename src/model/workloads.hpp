@@ -12,6 +12,9 @@
 // simulated hardware counters by analysis::fit_* (the paper fits them with
 // Perfmon/TAU measurements). The defaults below are the result of that fit on
 // the SystemG simulator and let examples run without re-calibrating.
+//
+// Each model's `kName` heads its [workload NAME] text section and its static
+// `fields` is its field list (see MachineParams::fields).
 #pragma once
 
 #include <algorithm>
@@ -58,7 +61,17 @@ struct EpWorkload final : WorkloadModel {
     a.B = v.bytes;
     return a;
   }
-  std::string name() const override { return "EP"; }
+  static constexpr const char* kName = "EP";
+  std::string name() const override { return kName; }
+
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("wc_per_trial", w.wc_per_trial);
+    visit("wm_per_trial", w.wm_per_trial);
+    visit("dwoc_plogp", w.dwoc_plogp);
+    visit("dwom_plogp", w.dwom_plogp);
+  }
 };
 
 /// FT: (iters+1) 3-D FFTs over n grid points with one all-to-all transpose
@@ -96,11 +109,20 @@ struct FtWorkload final : WorkloadModel {
     a.B = v.bytes;
     return a;
   }
-  std::string name() const override { return "FT"; }
+  static constexpr const char* kName = "FT";
+  std::string name() const override { return kName; }
 
-  /// The paper's Hockney estimate of one transpose's per-rank time.
-  double transpose_time(double n, int p, double t_s, double t_w) const {
-    return hockney_alltoall_time(p, 16.0 * n / (static_cast<double>(p) * p), t_s, t_w);
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("iters", w.iters);
+    visit("wc_nlogn", w.wc_nlogn);
+    visit("wc_n", w.wc_n);
+    visit("wm_n", w.wm_n);
+    visit("dwoc_plogp", w.dwoc_plogp);
+    visit("dwoc_p", w.dwoc_p);
+    visit("dwom_plogp", w.dwom_plogp);
+    visit("dwom_p", w.dwom_p);
   }
 };
 
@@ -144,7 +166,20 @@ struct CgWorkload final : WorkloadModel {
     a.B = v.bytes;
     return a;
   }
-  std::string name() const override { return "CG"; }
+  static constexpr const char* kName = "CG";
+  std::string name() const override { return kName; }
+
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("outer", w.outer);
+    visit("inner", w.inner);
+    visit("nzr", w.nzr);
+    visit("wc_n", w.wc_n);
+    visit("wm_n", w.wm_n);
+    visit("dwoc_npm1", w.dwoc_npm1);
+    visit("dwom_npm1", w.dwom_npm1);
+  }
 };
 
 /// MG: multigrid V-cycles over an n-point grid with halo-plane exchanges.
@@ -188,7 +223,21 @@ struct MgWorkload final : WorkloadModel {
     }
     return a;
   }
-  std::string name() const override { return "MG"; }
+  static constexpr const char* kName = "MG";
+  std::string name() const override { return kName; }
+
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("cycles", w.cycles);
+    visit("wc_n", w.wc_n);
+    visit("wm_n", w.wm_n);
+    visit("dwoc_p", w.dwoc_p);
+    visit("dwom_p", w.dwom_p);
+    visit("msgs_p", w.msgs_p);
+    visit("bytes_n23p", w.bytes_n23p);
+    visit("duplex", w.duplex);
+  }
 };
 
 /// IS: integer bucket sort of n keys — histogram, counts exchange, key
@@ -225,7 +274,20 @@ struct IsWorkload final : WorkloadModel {
     a.B = v.bytes;
     return a;
   }
-  std::string name() const override { return "IS"; }
+  static constexpr const char* kName = "IS";
+  std::string name() const override { return kName; }
+
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("key_bytes", w.key_bytes);
+    visit("wc_n", w.wc_n);
+    visit("wm_n", w.wm_n);
+    visit("dwoc_plogp", w.dwoc_plogp);
+    visit("dwoc_p", w.dwoc_p);
+    visit("dwom_plogp", w.dwom_plogp);
+    visit("dwom_p", w.dwom_p);
+  }
 };
 
 /// CKPT: the I/O-path exerciser. Compute/memory scale with n*iterations;
@@ -255,7 +317,19 @@ struct CkptWorkload final : WorkloadModel {
     a.B = v.bytes;
     return a;
   }
-  std::string name() const override { return "CKPT"; }
+  static constexpr const char* kName = "CKPT";
+  std::string name() const override { return kName; }
+
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("iterations", w.iterations);
+    visit("ckpt_every", w.ckpt_every);
+    visit("wc_n", w.wc_n);
+    visit("wm_n", w.wm_n);
+    visit("io_p", w.io_p);
+    visit("io_n", w.io_n);
+  }
 };
 
 /// SWEEP: wavefront pipeline over an n-cell grid. W ~ n per sweep;
@@ -296,7 +370,20 @@ struct SweepWorkload final : WorkloadModel {
     }
     return a;
   }
-  std::string name() const override { return "SWEEP"; }
+  static constexpr const char* kName = "SWEEP";
+  std::string name() const override { return kName; }
+
+  template <class Self, class Visit>
+  static void fields(Self& w, Visit&& visit) {
+    visit("alpha", w.alpha);
+    visit("sweeps", w.sweeps);
+    visit("tile_w", w.tile_w);
+    visit("wc_n", w.wc_n);
+    visit("wm_n", w.wm_n);
+    visit("sec_per_cell", w.sec_per_cell);
+    visit("msgs_pm1", w.msgs_pm1);
+    visit("bytes_pm1n", w.bytes_pm1n);
+  }
 };
 
 }  // namespace isoee::model

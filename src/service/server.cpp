@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -55,38 +54,47 @@ TcpServer::TcpServer(Service& service, int port) : service_(service) {
 
 TcpServer::~TcpServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
+  for (Connection& c : connections_) {
+    if (c.thread.joinable()) c.thread.join();
   }
 }
 
 void TcpServer::serve() {
   while (!service_.shutdown_requested()) {
+    reap_closed();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready <= 0) continue;  // timeout or EINTR: re-check shutdown
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    {
-      std::lock_guard<std::mutex> lock(live_mu_);
-      live_fds_.push_back(fd);
-    }
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, &conn] { serve_connection(conn); });
   }
   {
     // Wake connection threads blocked in read(): it returns 0 and they exit.
     // Only the read side is shut, so a reply still being computed (the
     // `shutdown` request's own included) is written out in full.
-    std::lock_guard<std::mutex> lock(live_mu_);
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RD);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Connection& c : connections_) {
+      if (!c.closed) ::shutdown(c.fd, SHUT_RD);
+    }
   }
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& c : connections_) c.thread.join();
   connections_.clear();
 }
 
-void TcpServer::serve_connection(int fd) {
+void TcpServer::reap_closed() {
+  // A closed connection's thread has nothing left to do but return.
+  std::lock_guard<std::mutex> lock(mu_);
+  connections_.remove_if([](Connection& c) {
+    if (c.closed) c.thread.join();
+    return c.closed;
+  });
+}
+
+void TcpServer::serve_connection(Connection& conn) {
+  const int fd = conn.fd;
   std::string buffer;
   char chunk[4096];
   while (!service_.shutdown_requested()) {
@@ -121,11 +129,9 @@ void TcpServer::serve_connection(int fd) {
     if (n <= 0) break;  // client closed (or error)
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
-  {
-    std::lock_guard<std::mutex> lock(live_mu_);
-    live_fds_.erase(std::find(live_fds_.begin(), live_fds_.end(), fd));
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   ::close(fd);
+  conn.closed = true;
 }
 
 std::size_t run_stdin(Service& service, std::istream& in, std::ostream& out) {

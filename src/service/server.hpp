@@ -13,11 +13,11 @@
 #pragma once
 
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/service.hpp"
 
@@ -36,20 +36,29 @@ class TcpServer {
   /// shutdown_requested(), then shuts the read side of every connection still
   /// open (so a client idling in read() cannot hold the server up, while a
   /// request already being served still gets its reply) and joins their
-  /// threads before returning.
+  /// threads before returning. Threads of closed connections are joined as
+  /// the accept loop goes, so a long-lived server holds one thread (and one
+  /// stack) per open connection, not per connection ever accepted.
   void serve();
 
  private:
-  void serve_connection(int fd);
+  struct Connection {
+    int fd = -1;
+    bool closed = false;  // guarded by mu_; set when fd is closed
+    std::thread thread;
+  };
+
+  void serve_connection(Connection& conn);
+  void reap_closed();  // joins the threads of closed connections
 
   Service& service_;
   int listen_fd_ = -1;
   int port_ = 0;
-  std::vector<std::thread> connections_;
-  // Connection fds not yet closed. A connection thread removes its own fd
-  // before close(), so serve() never touches an fd number the OS reused.
-  std::mutex live_mu_;
-  std::vector<int> live_fds_;
+  // Connections not yet joined; only serve() adds or removes entries. Each
+  // thread marks its own entry closed, under mu_, as it closes its fd, so
+  // serve() never touches an fd number the OS reused.
+  std::mutex mu_;
+  std::list<Connection> connections_;
 };
 
 /// Feeds request lines from `in` to the service and writes one response line

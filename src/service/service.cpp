@@ -9,7 +9,6 @@
 #include "analysis/policy.hpp"
 #include "analysis/study.hpp"
 #include "benchtools/calibrate.hpp"
-#include "exec/codec.hpp"
 #include "model/isocontour.hpp"
 #include "model/model.hpp"
 #include "model/serialize.hpp"
@@ -47,10 +46,11 @@ struct ServiceMetrics {
 }
 
 sim::MachineSpec spec_for(const std::string& name) {
-  if (name == "system_g") return sim::system_g();
-  if (name == "dori") return sim::dori();
-  fail(ErrorCode::kUnknownMachine,
-       "unknown machine '" + name + "' (have: system_g, dori)");
+  try {
+    return sim::machine_preset(name);
+  } catch (const std::invalid_argument& e) {
+    fail(ErrorCode::kUnknownMachine, e.what());
+  }
 }
 
 const analysis::AppInfo& app_for(const std::string& name) {
@@ -212,7 +212,7 @@ Service::Calibration Service::resolve_model(const Request& req) const {
   const analysis::AppInfo& app = app_for(req.app);
   if (req.calibrated) {
     std::lock_guard<std::mutex> lock(cal_mu_);
-    const auto it = calibrations_.find(req.machine + '\x1f' + req.app);
+    const auto it = calibrations_.find(spec.name + '\x1f' + req.app);
     if (it == calibrations_.end()) {
       fail(ErrorCode::kNotCalibrated,
            "no calibration for (" + req.machine + ", " + req.app + "); call calibrate first");
@@ -227,6 +227,13 @@ Service::Calibration Service::resolve_model(const Request& req) const {
          "app '" + req.app + "' ships no stock model; calibrate it, then pass calibrated:true");
   }
   return cal;
+}
+
+void Service::install(const sim::MachineSpec& spec, const std::string& app,
+                      const model::MachineParams& machine,
+                      std::unique_ptr<model::WorkloadModel> workload) {
+  std::lock_guard<std::mutex> lock(cal_mu_);
+  calibrations_[spec.name + '\x1f' + app] = Calibration{machine, std::move(workload)};
 }
 
 std::string Service::handle_predict(const Request& req, std::string* tier, bool* coalesced) {
@@ -253,26 +260,9 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   const analysis::AppInfo& app = app_for(req.app);
   require_valid_sim_point(app, spec, req.p);
   const double f = req.f_ghz > 0.0 ? req.f_ghz : spec.cpu.base_ghz;
-  std::shared_ptr<const analysis::BenchmarkAdapter> adapter = app.make_adapter();
-  const std::string key = analysis::study_key("measure", exec::machine_fingerprint(spec),
-                                              adapter->fingerprint(), req.n, req.p, f);
-
-  exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, req.p);
-  c.cache_key = key;
-  const sim::MachineSpec machine = spec;
-  const double n = req.n;
-  const int p = req.p;
-  c.run = [adapter, machine, n, p, f]() -> std::string {
-    analysis::RunOptions options;
-    options.f_ghz = f;
-    double snapped = n;
-    const sim::RunResult run = adapter->run(machine, n, p, options, &snapped);
-    return exec::encode_doubles({snapped, run.total_energy_j(), run.makespan,
-                                 run.mean_alpha()});
-  };
   std::vector<exec::Case> cases;
-  cases.push_back(std::move(c));
+  cases.push_back(analysis::measure_case(spec, app.make_adapter(), req.n, req.p, f));
+  const std::string key = cases[0].cache_key;
 
   SimScheduler::Ticket ticket = scheduler_->submit(
       key, std::move(cases), [](const std::vector<exec::CaseResult>& results) {
@@ -290,8 +280,7 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
     fail(ErrorCode::kSimFailed, e.what());
   }
   *tier = outcome.simulated ? "sim" : "cache";
-  const std::vector<double> v = exec::decode_doubles(outcome.payload);
-  if (v.size() != 4) fail(ErrorCode::kInternal, "measure payload: wrong arity");
+  const analysis::Measurement actual = analysis::decode_measurement(outcome.payload);
 
   // A measured request is the one place a live service produces both a
   // closed-form prediction and a simulated actual for the same operating
@@ -301,18 +290,19 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   try {
     const Calibration cal = resolve_model(req);
     const model::IsoEnergyModel m(cal.machine.at_frequency(f));
-    const model::AppParams app = cal.workload->at(v[0], req.p);
+    const model::AppParams app = cal.workload->at(actual.n, req.p);
     const model::PerfPrediction perf = m.predict_performance(app);
     const model::EnergyPrediction energy = m.predict_energy(app);
-    obs::drift().record({req.machine, req.app, req.p, f, "energy_j"}, energy.Ep, v[1]);
-    obs::drift().record({req.machine, req.app, req.p, f, "time_s"}, perf.Tp, v[2]);
+    obs::drift().record({req.machine, req.app, req.p, f, "energy_j"}, energy.Ep,
+                        actual.energy_j);
+    obs::drift().record({req.machine, req.app, req.p, f, "time_s"}, perf.Tp, actual.time_s);
   } catch (const RequestError&) {
     // No stock or fitted model for this app: nothing to compare against.
   }
 
-  return "{" + json_field("n", v[0]) + "," + json_field("p", double(req.p)) + "," +
-         json_field("f_ghz", f) + "," + json_field("energy_j", v[1]) + "," +
-         json_field("time_s", v[2]) + "," + json_field("alpha", v[3]) + "}";
+  return "{" + json_field("n", actual.n) + "," + json_field("p", double(req.p)) + "," +
+         json_field("f_ghz", f) + "," + json_field("energy_j", actual.energy_j) + "," +
+         json_field("time_s", actual.time_s) + "," + json_field("alpha", actual.alpha) + "}";
 }
 
 std::string Service::handle_calibrate(const Request& req, std::string* tier, bool* coalesced) {
@@ -372,13 +362,7 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
     fail(ErrorCode::kInternal, "calibration payload: unparsable");
   }
 
-  Calibration cal;
-  cal.machine = *mp;
-  cal.workload = std::shared_ptr<const model::WorkloadModel>(std::move(workload));
-  {
-    std::lock_guard<std::mutex> lock(cal_mu_);
-    calibrations_[req.machine + '\x1f' + req.app] = cal;
-  }
+  install(spec, req.app, *mp, std::move(workload));
   ISOEE_INFO("service: calibrated (%s, %s) from %zu points", req.machine.c_str(),
              req.app.c_str(), samples);
 
@@ -457,20 +441,14 @@ std::string Service::handle_iso_contour(const Request& req) {
 }
 
 std::string Service::handle_install(const Request& req) {
-  spec_for(req.machine);  // validates the machine name
+  const sim::MachineSpec spec = spec_for(req.machine);
   app_for(req.app);
   const std::optional<model::MachineParams> mp = model::parse_machine(req.machine_params);
   if (!mp) fail(ErrorCode::kInvalidParams, "param 'machine_params' is not parsable");
   std::unique_ptr<model::WorkloadModel> workload = model::parse_workload(req.workload);
   if (workload == nullptr) fail(ErrorCode::kInvalidParams, "param 'workload' is not parsable");
 
-  Calibration cal;
-  cal.machine = *mp;
-  cal.workload = std::shared_ptr<const model::WorkloadModel>(std::move(workload));
-  {
-    std::lock_guard<std::mutex> lock(cal_mu_);
-    calibrations_[req.machine + '\x1f' + req.app] = cal;
-  }
+  install(spec, req.app, *mp, std::move(workload));
   ISOEE_INFO("service: installed calibration for (%s, %s)", req.machine.c_str(),
              req.app.c_str());
   return std::string("{\"machine\":\"") + req.machine + "\",\"app\":\"" + req.app +

@@ -82,13 +82,16 @@ class Service {
   /// fitted state when `req.calibrated`, stock defaults otherwise. Throws
   /// kNotCalibrated when neither exists.
   Calibration resolve_model(const Request& req) const;
+  /// Makes (machine, workload) the calibration `calibrated:true` selects.
+  void install(const sim::MachineSpec& spec, const std::string& app,
+               const model::MachineParams& machine, std::unique_ptr<model::WorkloadModel> workload);
 
   ServiceConfig config_;
   std::unique_ptr<SimScheduler> scheduler_;
   std::atomic<bool> shutdown_{false};
 
   mutable std::mutex cal_mu_;
-  std::map<std::string, Calibration> calibrations_;  // key: machine + '\x1f' + app
+  std::map<std::string, Calibration> calibrations_;  // key: spec name + '\x1f' + app
 };
 
 }  // namespace isoee::service

@@ -1,7 +1,9 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <stdexcept>
 
 namespace isoee::sim {
 
@@ -131,6 +133,17 @@ MachineSpec dori() {
 
   m.mem_overlap = 0.5;
   return m;
+}
+
+MachineSpec machine_preset(std::string_view name) {
+  std::string key;  // lower case, no underscores: "SystemG" -> "systemg"
+  for (const char c : name) {
+    if (c != '_') key += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (key == "systemg") return system_g();
+  if (key == "dori") return dori();
+  throw std::invalid_argument("unknown machine '" + std::string(name) +
+                              "' (have: system_g, dori)");
 }
 
 MachineSpec with_intra_node_link(MachineSpec m, double intra_t_s, double intra_bw_Bps) {

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace isoee::sim {
@@ -185,6 +186,10 @@ MachineSpec system_g();
 
 /// Preset modelled on the paper's Dori cluster (Ethernet, 2.0 GHz Opteron).
 MachineSpec dori();
+
+/// The preset "system_g" or "dori", matched ignoring case and underscores (so
+/// "SystemG" works too). Throws std::invalid_argument listing both otherwise.
+MachineSpec machine_preset(std::string_view name);
 
 /// Returns `m` with the two-level network enabled: same-node messages use a
 /// shared-memory-class link (intra_t_s, intra_bw_Bps) instead of the NIC.

@@ -17,6 +17,7 @@
 #include "analysis/surface.hpp"
 #include "analysis/workload_fit.hpp"
 #include "exec/cache.hpp"
+#include "exec/codec.hpp"
 #include "model/serialize.hpp"
 
 namespace {
@@ -262,6 +263,32 @@ TEST(CalibrationPlan, MachineParamsCaseRoundTripsTheNominalVector) {
   EXPECT_EQ(model::serialize(decoded),
             model::serialize(tools::nominal_machine_params(spec)));
   EXPECT_THROW(analysis::decode_machine_params("no separator"), std::invalid_argument);
+}
+
+// The payload bytes are what cache directories hold, so they are pinned: a
+// cache written by an earlier build must keep serving this entry.
+TEST(CalibrationPlan, MachineParamsPayloadIsPinned) {
+  EXPECT_EQ(analysis::machine_params_case(sim::system_g(), /*measured=*/false).run(),
+            "SystemG\x1f"
+            "3fe199999999999a 4006666666666666 4006666666666666 3e75798ee2308c3a "
+            "3ec4f8b588e368f1 3deb7cdfd9d7bdbb 403d000000000000 4028000000000000 "
+            "4014000000000000 0000000000000000 4000000000000000 0000000000000000 "
+            "0000000000000000");
+}
+
+TEST(CalibrationPlan, MeasureCaseKeysByPointAndRoundTrips) {
+  const auto spec = sim::system_g();
+  const std::shared_ptr<const analysis::BenchmarkAdapter> ep = analysis::make_ep_adapter();
+  const exec::Case c = analysis::measure_case(spec, ep, 3000, 2, 2.4);
+  EXPECT_EQ(c.cache_key, analysis::study_key("measure", exec::machine_fingerprint(spec),
+                                             ep->fingerprint(), 3000, 2, 2.4));
+  const analysis::Measurement m = analysis::decode_measurement(c.run());
+  EXPECT_EQ(m.n, 3000.0);
+  EXPECT_GT(m.energy_j, 0.0);
+  EXPECT_GT(m.time_s, 0.0);
+  EXPECT_GT(m.alpha, 0.0);
+  EXPECT_THROW(analysis::decode_measurement(exec::encode_doubles({1.0, 2.0, 3.0})),
+               std::invalid_argument);
 }
 
 // --- app registry ------------------------------------------------------------------

@@ -67,6 +67,24 @@ TEST(Machine, PresetTopologyMatchesPaper) {
   EXPECT_EQ(d.cores_per_node(), 4);
 }
 
+TEST(Machine, PresetLookupIgnoresCaseAndUnderscoresAndRejectsOtherNames) {
+  for (const char* name : {"system_g", "SystemG", "systemg"}) {
+    EXPECT_EQ(sim::machine_preset(name).name, "SystemG") << name;
+  }
+  for (const char* name : {"dori", "Dori"}) {
+    EXPECT_EQ(sim::machine_preset(name).name, "Dori") << name;
+  }
+  for (const char* name : {"", "system", "doris", "system-g"}) {
+    try {
+      (void)sim::machine_preset(name);
+      ADD_FAILURE() << "accepted '" << name << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown machine '" + std::string(name) + "' (have: system_g, dori)");
+    }
+  }
+}
+
 TEST(Machine, ValidateCatchesBadSpecs) {
   auto m = tiny_machine();
   m.nodes = 0;
