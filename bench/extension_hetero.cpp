@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
                  "future work in the paper: 'extend the current model to heterogeneous systems'");
 
   // Calibrate an EP workload (compute-dominated: clean class-speed contrast).
-  analysis::EnergyStudy study(spec, analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::A)));
+  analysis::EnergyStudy study(spec, analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::A)),
+                              true, bench::exec_config());
   const double ns[] = {1 << 17, 1 << 18, 1 << 19};
   const int calib_ps[] = {2, 4};
   study.calibrate(ns, calib_ps);
@@ -64,7 +65,8 @@ int main(int argc, char** argv) {
 
   // EE across mixed partitions for CG: does adding slow nodes ever pay?
   std::printf("\n-- CG: pure-fast vs mixed vs pure-slow partitions of 8 ranks --\n");
-  analysis::EnergyStudy cg(spec, analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)));
+  analysis::EnergyStudy cg(spec, analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)),
+                           true, bench::exec_config());
   const double cg_ns[] = {2000, 4000, 8000};
   cg.calibrate(cg_ns, calib_ps);
   util::Table mix({"partition", "pred_time_s", "pred_J", "EE"});

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   bench::heading("Extension: I/O-intensive workload (CKPT) through the T_io path",
                  "the paper's Eq 5-9 I/O terms, exercised instead of left at ~0");
 
-  analysis::EnergyStudy study(spec, analysis::make_ckpt_adapter());
+  analysis::EnergyStudy study(spec, analysis::make_ckpt_adapter(), true, bench::exec_config());
   const double ns[] = {1 << 17, 1 << 18, 1 << 19};
   const int calib_ps[] = {2, 4, 8};
   study.calibrate(ns, calib_ps);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const char* paper_err[] = {"6.64%", "4.99%", "8.31%"};
   int case_idx = 0;
   for (auto& c : cases) {
-    analysis::EnergyStudy study(machine, std::move(c.adapter));
+    analysis::EnergyStudy study(machine, std::move(c.adapter), true, bench::exec_config());
     study.calibrate(c.calib_ns, calib_ps);
     std::vector<double> errors;
     for (int p : ps) {

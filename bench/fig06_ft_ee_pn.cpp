@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
                  "larger n raises EE; larger p lowers it");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::B)));
+                              analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::B)),
+                              true, bench::exec_config());
   const double ns_calib[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
   const int calib_ps[] = {2, 4, 8, 16};
   study.calibrate(ns_calib, calib_ps);
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
   const double ns[] = {32. * 32 * 32,   64. * 64 * 64,    128. * 128 * 128,
                        256. * 256 * 256, 512. * 512 * 512};
   const auto surface = analysis::ee_surface_pn(study.machine_params(), study.workload(),
-                                               2.8, ps, ns);
+                                               2.8, ps, ns, bench::exec_config());
   bench::emit_surface(surface, "fig06_ft_ee_pn");
   return 0;
 }

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
                  "EE ~ 1 everywhere: near-ideal iso-energy-efficiency");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::B)));
+                              analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::B)),
+                              true, bench::exec_config());
   const double ns[] = {1 << 18, 1 << 19, 1 << 20};
   const int calib_ps[] = {2, 4, 8, 16};
   study.calibrate(ns, calib_ps);
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   const double fs[] = {1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8};
   const auto surface = analysis::ee_surface_pf(study.machine_params(), study.workload(), n,
-                                               ps, fs);
+                                               ps, fs, bench::exec_config());
   bench::emit_surface(surface, "fig07_ep_ee_pf");
   return 0;
 }

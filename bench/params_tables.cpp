@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   util::Table t2({"app", "alpha", "W_c", "W_m", "dW_oc", "dW_om", "M", "B", "T_io(s)"});
   const int calib_ps[] = {2, 4, 8};
   for (auto& c : cases) {
-    analysis::EnergyStudy study(spec, std::move(c.adapter));
+    analysis::EnergyStudy study(spec, std::move(c.adapter), true, bench::exec_config());
     study.calibrate(c.ns, calib_ps);
     const auto a = study.workload().at(c.n, 8);
     t2.add_row({study.workload().name(), util::num(a.alpha, 3), util::sci(a.W_c, 2),

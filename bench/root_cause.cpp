@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   util::Table table({"app", "EE@p=64", "msg_startup_J", "bytes_J", "comp_ovh_J",
                      "mem_ovh_J", "imbalance_J", "dominant_cause", "best_knob"});
   for (auto& c : cases) {
-    analysis::EnergyStudy study(machine, std::move(c.adapter));
+    analysis::EnergyStudy study(machine, std::move(c.adapter), true, bench::exec_config());
     study.calibrate(c.ns, calib_ps);
     const auto& mp = study.machine_params();
     const auto app = study.workload().at(c.n, p);

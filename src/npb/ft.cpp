@@ -1,6 +1,11 @@
 #include "npb/ft.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numbers>
 #include <optional>
 #include <span>
@@ -20,6 +25,9 @@ using Complex = std::complex<double>;
 /// Signed frequency of grid index i on an axis of length n.
 int signed_freq(int i, int n) { return i <= n / 2 ? i : i - n; }
 
+/// k^2 of one axis' signed frequency k.
+std::uint64_t square(int k) { return static_cast<std::uint64_t>(std::int64_t{k} * k); }
+
 /// Per-rank working state for the slab-decomposed FFT.
 struct FtState {
   const FtConfig* cfg;
@@ -30,6 +38,7 @@ struct FtState {
   int nzl, nxl;             // local slab thicknesses (z-slab / x-slab)
   std::uint64_t local_pts;  // n / p
   std::uint64_t local_bytes;
+  std::size_t block;        // points per all-to-all block: nzl * ny * nxl
 
   FtState(sim::RankCtx& c, const FtConfig& config)
       : cfg(&config), ctx(&c), comm(c, config.collectives), p(c.size()), r(c.rank()) {
@@ -45,6 +54,7 @@ struct FtState {
     nxl = config.nx / p;
     local_pts = config.total_points() / static_cast<std::uint64_t>(p);
     local_bytes = local_pts * sizeof(Complex);
+    block = static_cast<std::size_t>(local_pts) / static_cast<std::size_t>(p);
   }
 
   // Annotation helpers: charge the simulator per whole stage. The charged
@@ -106,98 +116,125 @@ void fft_z(FtState& st, std::vector<Complex>& b, bool inverse) {
   st.charge_fft_stage(st.cfg->nz);
 }
 
-/// Transpose z-slabs -> x-slabs via all-to-all. a is (zl,y,x); returns (xl,y,z).
-/// `a` is consumed: it is freed once packed, before the exchange allocates.
-std::vector<Complex> transpose_fwd(FtState& st, std::vector<Complex> a) {
-  const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
-  const std::size_t block =
-      static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(ny) *
-      static_cast<std::size_t>(st.nxl);
-  std::vector<Complex> sendbuf(block * static_cast<std::size_t>(st.p));
-  // Pack: destination d receives our z-planes restricted to its x-range,
-  // ordered (zl, y, xd).
-  std::size_t w = 0;
-  for (int d = 0; d < st.p; ++d) {
-    for (int zl = 0; zl < st.nzl; ++zl) {
-      for (int y = 0; y < ny; ++y) {
-        const std::size_t base = (static_cast<std::size_t>(zl) * ny + y) * nx;
-        for (int xd = d * st.nxl; xd < (d + 1) * st.nxl; ++xd) {
-          sendbuf[w++] = a[base + static_cast<std::size_t>(xd)];
+/// Copies the rows x cols matrix at `src` (row stride src_ld) transposed into
+/// `dst` (row stride dst_ld): dst[c*dst_ld + r] = src[r*src_ld + c]. Tiles of
+/// kTile x kTile keep the strided side's cache lines live until they are full.
+void transpose_tiled(const Complex* src, std::size_t src_ld, Complex* dst, std::size_t dst_ld,
+                     int rows, int cols) {
+  constexpr int kTile = 16;
+  for (int r0 = 0; r0 < rows; r0 += kTile) {
+    const int r1 = std::min(rows, r0 + kTile);
+    for (int c0 = 0; c0 < cols; c0 += kTile) {
+      const int c1 = std::min(cols, c0 + kTile);
+      for (int r = r0; r < r1; ++r) {
+        const Complex* in = src + static_cast<std::size_t>(r) * src_ld;
+        for (int c = c0; c < c1; ++c) {
+          dst[static_cast<std::size_t>(c) * dst_ld + static_cast<std::size_t>(r)] = in[c];
         }
       }
     }
   }
-  st.charge_pack();
-  a = std::vector<Complex>();
-
-  std::vector<Complex> recvbuf(sendbuf.size());
-  {
-    powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
-    st.comm.alltoall(std::span<const Complex>(sendbuf), std::span<Complex>(recvbuf), block);
-  }
-
-  // Unpack into (xl, y, z): source s contributed z in its slab.
-  std::vector<Complex> b(block * static_cast<std::size_t>(st.p));
-  for (int s = 0; s < st.p; ++s) {
-    std::size_t rd = block * static_cast<std::size_t>(s);
-    for (int zl = 0; zl < st.nzl; ++zl) {
-      const int z = s * st.nzl + zl;
-      for (int y = 0; y < ny; ++y) {
-        for (int xl = 0; xl < st.nxl; ++xl) {
-          b[(static_cast<std::size_t>(xl) * ny + y) * nz + static_cast<std::size_t>(z)] =
-              recvbuf[rd++];
-        }
-      }
-    }
-  }
-  st.charge_pack();
-  return b;
 }
 
-/// Transpose x-slabs -> z-slabs (inverse of transpose_fwd). b is (xl,y,z),
-/// consumed like transpose_fwd's input.
-std::vector<Complex> transpose_bwd(FtState& st, std::vector<Complex> b) {
+/// Transpose z-slabs -> x-slabs via all-to-all: `data` is (zl,y,x) on entry
+/// and (xl,y,z) on return. `scratch` (same size) stages the exchange: pack
+/// data -> scratch, exchange scratch -> data, unpack data -> scratch, swap.
+void transpose_fwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>& scratch) {
   const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
-  const std::size_t block =
-      static_cast<std::size_t>(st.nzl) * static_cast<std::size_t>(ny) *
-      static_cast<std::size_t>(st.nxl);
-  std::vector<Complex> sendbuf(block * static_cast<std::size_t>(st.p));
-  // Destination d owns z-planes [d*nzl, (d+1)*nzl); pack (zd, y, xl) for it.
-  std::size_t w = 0;
+  const auto nxl = static_cast<std::size_t>(st.nxl);
+  // Pack: destination d receives our z-planes restricted to its x-range,
+  // ordered (zl, y, xd).
+  Complex* w = scratch.data();
   for (int d = 0; d < st.p; ++d) {
-    for (int zd = d * st.nzl; zd < (d + 1) * st.nzl; ++zd) {
+    for (int zl = 0; zl < st.nzl; ++zl) {
       for (int y = 0; y < ny; ++y) {
-        for (int xl = 0; xl < st.nxl; ++xl) {
-          sendbuf[w++] =
-              b[(static_cast<std::size_t>(xl) * ny + y) * nz + static_cast<std::size_t>(zd)];
-        }
+        const Complex* row = data.data() + (static_cast<std::size_t>(zl) * ny + y) * nx;
+        w = std::copy_n(row + static_cast<std::size_t>(d) * nxl, nxl, w);
       }
     }
   }
   st.charge_pack();
-  b = std::vector<Complex>();
 
-  std::vector<Complex> recvbuf(sendbuf.size());
   {
     powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
-    st.comm.alltoall(std::span<const Complex>(sendbuf), std::span<Complex>(recvbuf), block);
+    st.comm.alltoall(std::span<const Complex>(scratch), std::span<Complex>(data), st.block);
+  }
+
+  // Unpack into (xl, y, z): source s contributed z in its slab, so each
+  // (s, y) is an nzl x nxl transpose into x-rows ny*nz apart.
+  const std::size_t plane = static_cast<std::size_t>(ny) * static_cast<std::size_t>(nz);
+  for (int s = 0; s < st.p; ++s) {
+    for (int y = 0; y < ny; ++y) {
+      transpose_tiled(data.data() + st.block * static_cast<std::size_t>(s) +
+                          static_cast<std::size_t>(y) * nxl,
+                      static_cast<std::size_t>(ny) * nxl,
+                      scratch.data() + static_cast<std::size_t>(y) * nz +
+                          static_cast<std::size_t>(s) * static_cast<std::size_t>(st.nzl),
+                      plane, st.nzl, st.nxl);
+    }
+  }
+  st.charge_pack();
+  data.swap(scratch);
+}
+
+/// Transpose x-slabs -> z-slabs (inverse of transpose_fwd): `data` is
+/// (xl,y,z) on entry and (zl,y,x) on return, staged through `scratch` the
+/// same way.
+void transpose_bwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>& scratch) {
+  const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
+  const auto nxl = static_cast<std::size_t>(st.nxl);
+  // Destination d owns z-planes [d*nzl, (d+1)*nzl); pack (zd, y, xl) for it:
+  // per (d, y), an nxl x nzl transpose out of x-rows ny*nz apart.
+  const std::size_t plane = static_cast<std::size_t>(ny) * static_cast<std::size_t>(nz);
+  for (int d = 0; d < st.p; ++d) {
+    for (int y = 0; y < ny; ++y) {
+      transpose_tiled(data.data() + static_cast<std::size_t>(y) * nz +
+                          static_cast<std::size_t>(d) * static_cast<std::size_t>(st.nzl),
+                      plane,
+                      scratch.data() + st.block * static_cast<std::size_t>(d) +
+                          static_cast<std::size_t>(y) * nxl,
+                      static_cast<std::size_t>(ny) * nxl, st.nxl, st.nzl);
+    }
+  }
+  st.charge_pack();
+
+  {
+    powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
+    st.comm.alltoall(std::span<const Complex>(scratch), std::span<Complex>(data), st.block);
   }
 
   // Unpack into (zl, y, x): source s contributed x in its x-slab.
-  std::vector<Complex> a(block * static_cast<std::size_t>(st.p));
+  const Complex* rd = data.data();
   for (int s = 0; s < st.p; ++s) {
-    std::size_t rd = block * static_cast<std::size_t>(s);
     for (int zl = 0; zl < st.nzl; ++zl) {
       for (int y = 0; y < ny; ++y) {
-        const std::size_t base = (static_cast<std::size_t>(zl) * ny + y) * nx;
-        for (int xs = s * st.nxl; xs < (s + 1) * st.nxl; ++xs) {
-          a[base + static_cast<std::size_t>(xs)] = recvbuf[rd++];
-        }
+        Complex* row = scratch.data() + (static_cast<std::size_t>(zl) * ny + y) * nx;
+        std::copy_n(rd, nxl, row + static_cast<std::size_t>(s) * nxl);
+        rd += nxl;
       }
     }
   }
   st.charge_pack();
-  return a;
+  data.swap(scratch);
+}
+
+/// exp(c*k2) for every integer k2 in [0, k2_max]. Every rank of a run needs
+/// the same table, and on thin grids (ny = 1, nx = nz = p) it is far larger
+/// than one rank's slab, so ranks share it: it lives while a rank holds it.
+std::shared_ptr<const std::vector<double>> evolve_table(double c, std::uint64_t k2_max) {
+  using Key = std::pair<std::uint64_t, std::uint64_t>;  // (bits of c, k2_max)
+  static std::mutex mu;
+  static std::map<Key, std::weak_ptr<const std::vector<double>>> live;
+  const std::lock_guard lock(mu);
+  std::erase_if(live, [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<const std::vector<double>>& slot = live[{std::bit_cast<std::uint64_t>(c), k2_max}];
+  if (auto table = slot.lock()) return table;
+  auto table = std::make_shared<std::vector<double>>(k2_max + 1);
+  for (std::uint64_t k2 = 0; k2 <= k2_max; ++k2) {
+    (*table)[k2] = std::exp(c * static_cast<double>(k2));
+  }
+  slot = table;
+  return table;
 }
 
 }  // namespace
@@ -222,58 +259,58 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
     st.charge_pointwise(10);
   }
 
+  // The whole run works in three local-size arrays: the field `u`, the
+  // inverse-transform copy `w`, and the `scratch` each transpose stages
+  // through.
+  std::vector<Complex> w(st.local_pts), scratch(st.local_pts);
+
   // --- forward 3-D FFT --------------------------------------------------------
-  std::vector<Complex> ut;  // frequency-domain field, x-slab layout
   {
     powerpack::OptionalPhase ph(phases, ctx, "ft.fft_forward");
     fft_x(st, u, /*inverse=*/false);
     fft_y(st, u, /*inverse=*/false);
-    ut = transpose_fwd(st, std::move(u));
-    fft_z(st, ut, /*inverse=*/false);
+    transpose_fwd(st, u, scratch);  // u is now the x-slab frequency-domain field
+    fft_z(st, u, /*inverse=*/false);
   }
 
-  // --- evolve factors (x-slab layout) -----------------------------------------
-  std::vector<double> factor(st.local_pts);
+  // --- evolve factors: exp(c*k2) depends only on the integer k2 ----------------
+  std::shared_ptr<const std::vector<double>> factor;
   {
     powerpack::OptionalPhase ph(phases, ctx, "ft.setup_evolve");
     const double c = -4.0 * config.evolve_alpha * std::numbers::pi * std::numbers::pi;
-    std::size_t idx = 0;
-    for (int xl = 0; xl < st.nxl; ++xl) {
-      const int kx = signed_freq(st.r * st.nxl + xl, nx);
-      for (int y = 0; y < ny; ++y) {
-        const int ky = signed_freq(y, ny);
-        for (int z = 0; z < nz; ++z) {
-          const int kz = signed_freq(z, nz);
-          const double k2 = static_cast<double>(kx) * kx + static_cast<double>(ky) * ky +
-                            static_cast<double>(kz) * kz;
-          factor[idx++] = std::exp(c * k2);
-        }
-      }
-    }
+    factor = evolve_table(c, square(nx / 2) + square(ny / 2) + square(nz / 2));
     st.charge_pointwise(costs::kFtEvolveInstrPerPoint);
   }
 
   // --- iterations ---------------------------------------------------------------
   FtResult result;
   result.checksums.reserve(static_cast<std::size_t>(config.iters));
-  std::vector<Complex> cur = std::move(ut);  // evolves by one factor step per iteration
   for (int it = 1; it <= config.iters; ++it) {
     // The inverse FFT works on a copy; evolving writes the copy in the same
     // pass.
-    std::vector<Complex> tmp(cur.size());
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.evolve");
-      for (std::size_t i = 0; i < cur.size(); ++i) tmp[i] = (cur[i] *= factor[i]);
+      const double* f = factor->data();
+      std::size_t i = 0;
+      for (int xl = 0; xl < st.nxl; ++xl) {
+        const std::uint64_t kx2 = square(signed_freq(st.r * st.nxl + xl, nx));
+        for (int y = 0; y < ny; ++y) {
+          const std::uint64_t kxy2 = kx2 + square(signed_freq(y, ny));
+          for (int z = 0; z < nz; ++z, ++i) {
+            w[i] = (u[i] *= f[kxy2 + square(signed_freq(z, nz))]);
+          }
+        }
+      }
       st.charge_pointwise(costs::kFtEvolveInstrPerPoint);
     }
-    std::vector<Complex> w;
     {
       powerpack::OptionalPhase ph(phases, ctx, "ft.fft_inverse");
-      fft_z(st, tmp, /*inverse=*/true);
-      w = transpose_bwd(st, std::move(tmp));
+      fft_z(st, w, /*inverse=*/true);
+      transpose_bwd(st, w, scratch);
       fft_y(st, w, /*inverse=*/true);
       fft_x(st, w, /*inverse=*/true);
-      for (auto& v : w) v *= inv_n;  // one global 1/N scale for the inverse
+      // The global 1/N scale of the inverse is applied where w is read: at
+      // the checksum's sampled points.
       st.charge_pointwise(2);
     }
     {
@@ -287,7 +324,8 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
         const int s = j % nz;
         if (s >= z_lo && s < z_hi) {
           local_sum += w[(static_cast<std::size_t>(s - z_lo) * ny + rr) * nx +
-                         static_cast<std::size_t>(q)];
+                         static_cast<std::size_t>(q)] *
+                       inv_n;
         }
       }
       ctx.compute(costs::kFtChecksumInstrPerPoint * 1024 / static_cast<unsigned>(st.p) + 16);

@@ -135,7 +135,8 @@ void RankCtx::advance(double seconds, Activity activity) {
   time_.total = clock_;
   switch (activity) {
     case Activity::kCompute:
-      time_.compute_by_ghz[ghz_] += seconds;
+      if (compute_at_gear_ == nullptr) compute_at_gear_ = &time_.compute_by_ghz[ghz_];
+      *compute_at_gear_ += seconds;
       time_.compute_issued += seconds;
       break;
     case Activity::kMemory:
@@ -256,6 +257,7 @@ double RankCtx::set_frequency(double ghz) {
                         {obs::arg_num("from_ghz", ghz_), obs::arg_num("to_ghz", chosen)});
     }
     ghz_ = chosen;
+    compute_at_gear_ = nullptr;
     ++counters_.dvfs_transitions;
     ++events_;
   }
@@ -374,6 +376,11 @@ struct EngineMetrics {
     return m;
   }
 };
+
+// Registered at load time, so a snapshot from a process that never starts a
+// simulation (a warm-cache rerun) still lists sim.runs_started and its
+// siblings, at 0.
+[[maybe_unused]] const EngineMetrics& registered_at_load = EngineMetrics::get();
 }  // namespace
 
 std::uint64_t Engine::total_runs_started() {

@@ -187,6 +187,11 @@ class RankCtx {
   double clock_ = 0.0;
   double ghz_ = 0.0;
   TimeBreakdown time_;
+  // time_.compute_by_ghz[ghz_], resolved on the first compute at this gear
+  // and reset by set_frequency: advance skips the map lookup. std::map
+  // references survive insertion, and no entry is made for a gear that
+  // never computes.
+  double* compute_at_gear_ = nullptr;
   RankCounters counters_;
   util::Xoshiro256 noise_rng_;
   util::Xoshiro256 perturb_rng_;

@@ -289,6 +289,80 @@ TEST(Ft, ChecksumsMatchRecordedValues) {
   }
 }
 
+/// Rank 0's checksums of one FT run.
+std::vector<std::complex<double>> ft_checksums(const npb::FtConfig& cfg, int p) {
+  Engine eng(test_machine());
+  std::vector<std::complex<double>> got;
+  eng.run(p, [&](RankCtx& ctx) {
+    auto res = npb::ft_rank(ctx, cfg);
+    if (ctx.rank() == 0) got = res.checksums;
+  });
+  return got;
+}
+
+TEST(Ft, ChecksumsAreBitIdenticalToParent) {
+  // Two-iteration checksums recorded, as hex floats, from the build before
+  // the three-array workspace (per-call transpose buffers, a per-point
+  // factor array, an in-place 1/N scale). Staging, the k^2 factor table and
+  // the scale at the checksum reads change no bit of them.
+  struct Recorded {
+    int n;
+    int p;
+    std::complex<double> sums[2];
+  };
+  const Recorded recorded[] = {
+      {32, 1, {{0x1.d012872f47cc6p+8, 0x1.1c0016becf966p+9},
+               {0x1.d072d6878c971p+8, 0x1.1bd27a2773bb7p+9}}},
+      {32, 2, {{0x1.d012872f47ccap+8, 0x1.1c0016becf96cp+9},
+               {0x1.d072d6878c991p+8, 0x1.1bd27a2773bb4p+9}}},
+      {32, 4, {{0x1.d012872f47cc8p+8, 0x1.1c0016becf97p+9},
+               {0x1.d072d6878c999p+8, 0x1.1bd27a2773bb7p+9}}},
+      {32, 8, {{0x1.d012872f47cc8p+8, 0x1.1c0016becf97p+9},
+               {0x1.d072d6878c99cp+8, 0x1.1bd27a2773bbap+9}}},
+      {32, 16, {{0x1.d012872f47ccap+8, 0x1.1c0016becf96ep+9},
+                {0x1.d072d6878c998p+8, 0x1.1bd27a2773bb8p+9}}},
+      {64, 1, {{0x1.134d3cfbe3669p+9, 0x1.f4d389740379ap+8},
+               {0x1.12a4958c7ee88p+9, 0x1.f568dd6dd4fap+8}}},
+      {64, 2, {{0x1.134d3cfbe3671p+9, 0x1.f4d3897403798p+8},
+               {0x1.12a4958c7ee7bp+9, 0x1.f568dd6dd4f9ep+8}}},
+      {64, 4, {{0x1.134d3cfbe3674p+9, 0x1.f4d389740379ap+8},
+               {0x1.12a4958c7ee7fp+9, 0x1.f568dd6dd4fa4p+8}}},
+      {64, 8, {{0x1.134d3cfbe3674p+9, 0x1.f4d389740379cp+8},
+               {0x1.12a4958c7ee8p+9, 0x1.f568dd6dd4fa6p+8}}},
+      {64, 16, {{0x1.134d3cfbe3674p+9, 0x1.f4d389740379ap+8},
+                {0x1.12a4958c7ee7fp+9, 0x1.f568dd6dd4fa1p+8}}},
+  };
+  for (const Recorded& rec : recorded) {
+    npb::FtConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = rec.n;
+    cfg.iters = 2;
+    const auto got = ft_checksums(cfg, rec.p);
+    ASSERT_EQ(got.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(got[i], rec.sums[i]) << "n=" << rec.n << " p=" << rec.p << " iter=" << i;
+    }
+  }
+}
+
+TEST(Ft, ChecksumsIdenticalAcrossAlltoallAlgorithms) {
+  // The transposes exchange from the scratch array into the field array;
+  // every all-to-all algorithm must deliver the same blocks into it.
+  npb::FtConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 16;
+  cfg.iters = 2;
+  for (int p : {4, 8}) {
+    const auto pairwise = ft_checksums(cfg, p);
+    ASSERT_EQ(pairwise.size(), 2u);
+    for (auto algo : {smpi::AlltoallAlgo::kRing, smpi::AlltoallAlgo::kNaive,
+                      smpi::AlltoallAlgo::kBruck}) {
+      npb::FtConfig other = cfg;
+      other.collectives.alltoall = algo;
+      EXPECT_EQ(ft_checksums(other, p), pairwise)
+          << "p=" << p << " algo=" << static_cast<int>(algo);
+    }
+  }
+}
+
 TEST(Ft, ZeroEvolveRoundTripsToInitialField) {
   // With evolve_alpha = 0 the evolve factor is 1, so every iteration's field
   // is the inverse FFT of the forward FFT: the initial data. The checksum

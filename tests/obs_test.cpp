@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <span>
 #include <fstream>
 #include <sstream>
@@ -168,6 +169,18 @@ TEST(Metrics, EngineRunsFeedTheGlobalRegistry) {
 
   EXPECT_EQ(runs.value(), runs_before + 1);
   EXPECT_EQ(msgs.value() - msgs_before, result.counters.messages_sent);
+}
+
+TEST(Metrics, EngineCountersAreListedBeforeAnyRun) {
+  // A process that starts no simulation (a warm-cache rerun) must still
+  // report the engine's counters, at 0, so gates can require the keys.
+  // ctest runs this test in its own process, where no engine has run.
+  std::map<std::string, std::string> rows;
+  for (const auto& s : obs::metrics().snapshot()) rows[s.name] = s.value;
+  for (const char* name : {"sim.runs_started", "sim.messages_sent", "engine.events_processed"}) {
+    ASSERT_TRUE(rows.contains(name)) << name;
+  }
+  EXPECT_EQ(rows["sim.runs_started"], std::to_string(sim::Engine::total_runs_started()));
 }
 
 TEST(Metrics, SnapshotSchemaIsStable) {
