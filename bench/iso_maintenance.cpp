@@ -4,6 +4,10 @@
 // simulations (E1 / Ep). If the model is right, the measured EE curve is flat
 // at the target while the fixed-size curve decays — the paper's scalability
 // decision-making loop (Section V.B) closed against ground truth.
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "analysis/study.hpp"
 #include "bench/common.hpp"
 #include "model/isocontour.hpp"
@@ -13,43 +17,54 @@ using namespace isoee;
 
 namespace {
 
-void maintain(analysis::EnergyStudy& study, const std::string& name, double target,
+void maintain(const analysis::EnergyStudy& study, const std::string& name, double target,
               double fixed_n, double n_lo, double n_hi) {
   std::printf("\n-- %s: hold EE at %.2f by scaling n with p --\n", name.c_str(), target);
   const int ps[] = {2, 4, 8, 16, 32};
   util::Table table({"p", "n_from_contour", "EE_model", "EE_measured(iso)",
                      "EE_measured(fixed n)"});
 
-  // Measured E1 baselines (sequential runs at each contour size and at the
-  // fixed size).
-  double snapped_fixed = fixed_n;
-  const double e1_fixed =
-      study.adapter().run(study.machine(), fixed_n, 1, analysis::RunOptions(), &snapped_fixed)
-          .total_energy_j();
-
-  for (int p : ps) {
+  // One batch of the parallel runs (at each contour size and at the fixed
+  // size) plus the fixed size's sequential E1 baseline; then one batch of
+  // the sequential baselines at the sizes the contour runs snapped to.
+  std::vector<std::pair<double, int>> runs = {{fixed_n, 1}};
+  // Per p: where its contour run (0 = contour unreachable) and its fixed-size
+  // run sit in `runs`.
+  std::vector<std::size_t> iso_run(std::size(ps), 0), fixed_run(std::size(ps), 0);
+  for (std::size_t i = 0; i < std::size(ps); ++i) {
     const double n_iso = model::required_problem_size(
-        study.machine_params(), study.workload(), p, study.machine_params().base_ghz,
+        study.machine_params(), study.workload(), ps[i], study.machine_params().base_ghz,
         target, n_lo, n_hi);
-    std::string n_cell = "unreachable", model_cell = "-", iso_cell = "-";
     if (n_iso > 0) {
-      double snapped = n_iso;
-      const auto run_p =
-          study.adapter().run(study.machine(), n_iso, p, analysis::RunOptions(), &snapped);
-      const auto run_1 =
-          study.adapter().run(study.machine(), snapped, 1, analysis::RunOptions(), &snapped);
-      n_cell = util::sci(snapped, 2);
+      iso_run[i] = runs.size();
+      runs.emplace_back(n_iso, ps[i]);
+    }
+    fixed_run[i] = runs.size();
+    runs.emplace_back(fixed_n, ps[i]);
+  }
+  const std::vector<analysis::Measurement> measured = study.measure(runs);
+  std::vector<std::pair<double, int>> baselines;
+  for (const std::size_t r : iso_run) {
+    if (r != 0) baselines.emplace_back(measured[r].n, 1);
+  }
+  const std::vector<analysis::Measurement> sequential = study.measure(baselines);
+
+  const double e1_fixed = measured[0].energy_j;
+  std::size_t next_baseline = 0;
+  for (std::size_t i = 0; i < std::size(ps); ++i) {
+    const int p = ps[i];
+    std::string n_cell = "unreachable", model_cell = "-", iso_cell = "-";
+    if (iso_run[i] != 0) {
+      const analysis::Measurement& run_1 = sequential[next_baseline++];
+      n_cell = util::sci(run_1.n, 2);
       model_cell = util::num(
-          model::ee_at(study.machine_params(), study.workload(), snapped, p,
+          model::ee_at(study.machine_params(), study.workload(), run_1.n, p,
                        study.machine_params().base_ghz),
           4);
-      iso_cell = util::num(run_1.total_energy_j() / run_p.total_energy_j(), 4);
+      iso_cell = util::num(run_1.energy_j / measured[iso_run[i]].energy_j, 4);
     }
-    double snapped = fixed_n;
-    const auto run_fixed =
-        study.adapter().run(study.machine(), fixed_n, p, analysis::RunOptions(), &snapped);
     table.add_row({util::num(p), n_cell, model_cell, iso_cell,
-                   util::num(e1_fixed / run_fixed.total_energy_j(), 4)});
+                   util::num(e1_fixed / measured[fixed_run[i]].energy_j, 4)});
   }
   bench::emit(table, "iso_maintenance_" + name);
 }

@@ -1,5 +1,6 @@
 #include "analysis/study.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
@@ -504,6 +505,22 @@ model::PerfPrediction EnergyStudy::predict_performance(double n, int p, double f
   return model.predict_performance(workload_->at(n, p));
 }
 
+std::vector<Measurement> EnergyStudy::measure(std::span<const std::pair<double, int>> points,
+                                              double f_ghz) const {
+  const double f = f_ghz > 0.0 ? f_ghz : machine_params_.base_ghz;
+  std::vector<exec::Case> cases;
+  cases.reserve(points.size());
+  for (const auto& [n, p] : points) cases.push_back(measure_case(machine_, adapter_, n, p, f));
+  const std::vector<exec::CaseResult> results = exec::run_batch(cases, batch_options());
+  std::vector<Measurement> out;
+  out.reserve(results.size());
+  for (const exec::CaseResult& r : results) {
+    if (!r.ok()) throw std::runtime_error("measurement run failed: " + r.error);
+    out.push_back(decode_measurement(r.payload));
+  }
+  return out;
+}
+
 ValidationPoint EnergyStudy::validate(double n, int p, double f_ghz) const {
   if (!workload_) throw std::logic_error("EnergyStudy: calibrate() before validate()");
   ValidationPoint point;
@@ -511,8 +528,7 @@ ValidationPoint EnergyStudy::validate(double n, int p, double f_ghz) const {
   point.p = p;
   point.f_ghz = f_ghz > 0.0 ? f_ghz : machine_params_.base_ghz;
 
-  const Measurement actual = decode_measurement(
-      run_case(measure_case(machine_, adapter_, n, p, point.f_ghz), "validation run"));
+  const Measurement actual = measure(std::array{std::pair{n, p}}, point.f_ghz)[0];
   point.n = actual.n;
   point.actual_j = actual.energy_j;
   point.actual_s = actual.time_s;

@@ -16,6 +16,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/runner.hpp"
@@ -176,6 +177,12 @@ class EnergyStudy {
 
   /// Full simulation + model prediction at the same point.
   ValidationPoint validate(double n, int p, double f_ghz = 0.0) const;
+
+  /// Full simulations at the (n, p) points and gear `f_ghz` (0 = base), run
+  /// as one batch of measure_cases with the study's executor settings and
+  /// cache. One Measurement per point, in order; throws when a run failed.
+  std::vector<Measurement> measure(std::span<const std::pair<double, int>> points,
+                                   double f_ghz = 0.0) const;
 
   const model::MachineParams& machine_params() const { return machine_params_; }
   const model::WorkloadModel& workload() const { return *workload_; }

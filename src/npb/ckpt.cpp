@@ -18,13 +18,12 @@ CkptResult ckpt_rank(sim::RankCtx& ctx, const CkptConfig& config,
                            static_cast<std::uint64_t>(p);
   const std::uint64_t hi = config.elements * static_cast<std::uint64_t>(r + 1) /
                            static_cast<std::uint64_t>(p);
-  std::vector<double> state;
-  state.reserve(static_cast<std::size_t>(hi - lo));
+  std::vector<double> state(static_cast<std::size_t>(hi - lo));
   {
     powerpack::OptionalPhase phase(phases, ctx, "ckpt.init");
     util::NpbRandom rng(config.seed);
     rng.skip(lo);
-    for (std::uint64_t i = lo; i < hi; ++i) state.push_back(rng.next());
+    rng.fill(state);
     ctx.compute_mem(10 * state.size(), state.size() / 8);
   }
 

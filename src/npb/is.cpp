@@ -1,6 +1,8 @@
 #include "npb/is.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -23,14 +25,20 @@ IsResult is_rank(sim::RankCtx& ctx, const IsConfig& config, powerpack::PhaseLog*
                            static_cast<std::uint64_t>(p);
   const std::uint64_t hi = config.n_keys * static_cast<std::uint64_t>(r + 1) /
                            static_cast<std::uint64_t>(p);
-  std::vector<std::uint32_t> keys;
-  keys.reserve(static_cast<std::size_t>(hi - lo));
+  std::vector<std::uint32_t> keys(static_cast<std::size_t>(hi - lo));
   {
     powerpack::OptionalPhase phase(phases, ctx, "is.generate");
     util::NpbRandom rng(config.seed);
     rng.skip(lo);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      keys.push_back(static_cast<std::uint32_t>(rng.next() * static_cast<double>(key_range)));
+    // Deviates are drawn a block at a time (4 KiB of fiber stack) through
+    // fill(), which overlaps several generator chains.
+    std::array<double, 512> block;
+    for (std::size_t i = 0; i < keys.size();) {
+      const std::size_t m = std::min(block.size(), keys.size() - i);
+      rng.fill(std::span<double>(block.data(), m));
+      for (std::size_t j = 0; j < m; ++j, ++i) {
+        keys[i] = static_cast<std::uint32_t>(block[j] * static_cast<double>(key_range));
+      }
     }
     ctx.compute_mem(costs::kIsInstrPerKeyGen * keys.size(), keys.size() / 16);
   }

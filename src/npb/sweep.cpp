@@ -1,5 +1,6 @@
 #include "npb/sweep.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -35,9 +36,8 @@ SweepResult sweep_rank(sim::RankCtx& ctx, const SweepConfig& config,
     powerpack::OptionalPhase phase(phases, ctx, "sweep.init");
     util::NpbRandom rng(config.seed);
     rng.skip(static_cast<std::uint64_t>(row0) * nx);
-    for (int i = 0; i < rows; ++i) {
-      for (int j = 0; j < config.nx; ++j) at(i, j) = rng.next();
-    }
+    // The local rows follow the ghost row contiguously: one fill() draws them.
+    rng.fill(std::span<double>(u).subspan(nx));
     ctx.compute_mem(8ull * static_cast<std::uint64_t>(rows) * nx,
                     static_cast<std::uint64_t>(rows) * nx / 8);
   }

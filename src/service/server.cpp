@@ -96,12 +96,13 @@ void TcpServer::reap_closed() {
 void TcpServer::serve_connection(Connection& conn) {
   const int fd = conn.fd;
   std::string buffer;
+  std::size_t consumed = 0;  // buffer[0, consumed) is already handled
   char chunk[4096];
   while (!service_.shutdown_requested()) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = buffer.find('\n', consumed);
     if (newline != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+      std::string line = buffer.substr(consumed, newline - consumed);
+      consumed = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;  // blank lines are keep-alives
       if (line == "metrics") {
@@ -116,7 +117,7 @@ void TcpServer::serve_connection(Connection& conn) {
       if (!write_all(fd, service_.handle_line(line) + "\n")) break;
       continue;
     }
-    if (buffer.size() > kMaxLineBytes) {
+    if (buffer.size() - consumed > kMaxLineBytes) {
       // An unframed flood; answer once and drop the connection rather than
       // buffering without bound.
       write_all(fd, render_error("null", ErrorCode::kInvalidRequest,
@@ -125,6 +126,9 @@ void TcpServer::serve_connection(Connection& conn) {
                         "\n");
       break;
     }
+    // Every complete line is handled: compact once per read, not per line.
+    buffer.erase(0, consumed);
+    consumed = 0;
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n <= 0) break;  // client closed (or error)
     buffer.append(chunk, static_cast<std::size_t>(n));

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 namespace isoee::util {
 
@@ -101,15 +102,17 @@ class Xoshiro256 {
   bool have_spare_ = false;
 };
 
-/// NPB-style linear congruential generator (a^k * s mod 2^46), used by the EP
-/// and CG kernels so their random streams match the benchmark definitions.
+/// NPB-style linear congruential generator (a^k * s mod 2^46), used by the
+/// src/npb kernels so their random streams match the benchmark definitions.
 class NpbRandom {
  public:
   static constexpr double kA = 1220703125.0;  // 5^13, the NPB multiplier
 
   explicit NpbRandom(double seed = 314159265.0) : seed_(seed) {}
 
-  /// Returns a uniform deviate in (0, 1) and advances the stream.
+  /// Returns a uniform deviate in (0, 1) and advances the stream. Kernels
+  /// draw through fill() or NpbPairStream; this one-step form is the
+  /// reference they are tested against.
   double next() { return randlc(seed_, kA); }
 
   /// Current raw seed value.
@@ -131,19 +134,28 @@ class NpbRandom {
   /// where that many next() calls would. The serial chain is split into
   /// kFillChains interleaved chains, each stepping by a^kFillChains, so
   /// independent multiplies overlap in the pipeline. randlc is exact integer
-  /// arithmetic mod 2^46, so the output is bit-identical to stepping.
+  /// arithmetic mod 2^46, so the output is bit-identical to stepping. Set-up
+  /// is O(1) (the powers of a are computed once), so small blocks cost the
+  /// same per deviate as large ones.
   void fill(std::span<double> out) {
-    constexpr double r46 = 0x1.0p-46;
+    constexpr double r46 = 0x1.0p-46, t46 = 0x1.0p46;
     const std::size_t n = out.size();
-    const double start = seed_;
+    if (n == 0) return;
+    static const std::array<double, kFillChains> a_pow = [] {
+      std::array<double, kFillChains> pow{};  // pow[k] = a^(k+1) mod 2^46
+      double a = 1.0;
+      for (double& ak : pow) {
+        (void)randlc(a, kA);
+        ak = a;
+      }
+      return pow;
+    }();
     std::array<double, kFillChains> x{};  // chain k holds state k+1, k+1+K, ...
-    double s = seed_;
-    for (double& xk : x) {
-      (void)randlc(s, kA);
-      xk = s;
+    for (std::size_t k = 0; k < kFillChains; ++k) {
+      x[k] = seed_;
+      (void)randlc(x[k], a_pow[k]);
     }
-    double a_k = kA;  // a^K mod 2^46
-    for (std::size_t k = 1; k < kFillChains; ++k) (void)randlc(a_k, kA);
+    const double a_k = a_pow[kFillChains - 1];
     std::size_t i = 0;
     for (; i + kFillChains <= n; i += kFillChains) {
       for (std::size_t k = 0; k < kFillChains; ++k) {
@@ -152,8 +164,8 @@ class NpbRandom {
       }
     }
     for (std::size_t k = 0; i < n; ++i, ++k) out[i] = r46 * x[k];
-    seed_ = start;
-    skip(n);
+    // The last deviate is the new state times 2^-46, exactly.
+    seed_ = t46 * out[n - 1];
   }
 
   /// Core NPB randlc: x = a*x mod 2^46, returns x * 2^-46. Exactly the
@@ -178,6 +190,39 @@ class NpbRandom {
   static constexpr std::size_t kFillChains = 8;
 
   double seed_;
+};
+
+/// Draws an NpbRandom stream two deviates at a time, bit-identical to two
+/// next() calls: the odd and the even positions run as two chains, each
+/// stepping by a^2 mod 2^46. A pair costs one randlc latency instead of two,
+/// and a caller that consumes each pair as it comes (EP's acceptance test)
+/// overlaps its own arithmetic with the chains. Unlike fill(), whose eight
+/// chains run at the rate of the core's arithmetic units, this stays bound
+/// by the chains' latency, so its speed does not follow whatever else is
+/// running on the core.
+class NpbPairStream {
+ public:
+  /// Starts where `from` stands; `from` itself does not advance.
+  explicit NpbPairStream(const NpbRandom& from) : odd_(from.seed()), even_(from.seed()) {
+    (void)NpbRandom::randlc(odd_, NpbRandom::kA);
+    (void)NpbRandom::randlc(even_, kA2);
+  }
+
+  /// The stream's next two deviates, in order.
+  std::pair<double, double> next() {
+    constexpr double r46 = 0x1.0p-46;
+    const double first = r46 * odd_, second = r46 * even_;
+    (void)NpbRandom::randlc(odd_, kA2);
+    (void)NpbRandom::randlc(even_, kA2);
+    return {first, second};
+  }
+
+ private:
+  static constexpr double kA2 =  // a^2 mod 2^46 (a = 5^13, so a^2 < 2^64)
+      static_cast<double>((1220703125ULL * 1220703125ULL) % (1ULL << 46));
+
+  double odd_;   // state of the pair's first deviate
+  double even_;  // state of the pair's second deviate
 };
 
 }  // namespace isoee::util

@@ -3,6 +3,7 @@
 // reproduction invariant — results independent of the processor count.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <latch>
@@ -17,6 +18,7 @@
 #include "npb/fft.hpp"
 #include "npb/ft.hpp"
 #include "npb/is.hpp"
+#include "npb/mg.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -226,6 +228,36 @@ TEST(Ep, MoreRanksShortenMakespan) {
   EXPECT_NEAR(t1 / t8, 8.0, 0.5);  // EP scales almost perfectly
 }
 
+TEST(Ep, ResultsAreBitIdenticalToSteppedStream) {
+  // Class S results recorded, sums as hex floats, from the build that drew
+  // every deviate with next(). p = 3 puts rank slices at trials 87381 and
+  // 174762, off every block edge, so a deviate dropped or repeated where
+  // one fill() block ends and the next begins changes these numbers.
+  struct Recorded {
+    int p;
+    double sx, sy;
+  };
+  const Recorded recorded[] = {
+      {1, 0x1.76a3c988d5097p+7, -0x1.7bbda7456b055p+8},
+      {3, 0x1.76a3c988d509bp+7, -0x1.7bbda7456b044p+8},
+  };
+  const std::array<std::uint64_t, 10> counts = {96200, 91230, 16950, 1056, 22, 0, 0, 0, 0, 0};
+  const npb::EpConfig cfg = npb::ep_class(npb::ProblemClass::S);
+  for (const Recorded& rec : recorded) {
+    Engine eng(test_machine());
+    std::vector<npb::EpResult> per_rank(static_cast<std::size_t>(rec.p));
+    eng.run(rec.p, [&](RankCtx& ctx) {
+      per_rank[static_cast<std::size_t>(ctx.rank())] = npb::ep_rank(ctx, cfg);
+    });
+    for (const npb::EpResult& res : per_rank) {
+      EXPECT_EQ(res.sx, rec.sx) << "p=" << rec.p;
+      EXPECT_EQ(res.sy, rec.sy) << "p=" << rec.p;
+      EXPECT_EQ(res.pairs, 205458u) << "p=" << rec.p;
+      EXPECT_EQ(res.counts, counts) << "p=" << rec.p;
+    }
+  }
+}
+
 // --- FT ------------------------------------------------------------------------
 
 TEST(Ft, ChecksumsIndependentOfRankCount) {
@@ -425,6 +457,39 @@ TEST(Ft, CommunicationBytesMatchStructuralModel) {
   EXPECT_LT(static_cast<double>(res.counters.bytes_sent), 1.05 * transpose_bytes);
 }
 
+TEST(Mg, ResidualsAreBitIdenticalToSteppedStream) {
+  // 32^3, 4 V-cycles: residual norms recorded, as hex floats, from the build
+  // that drew the right-hand side with next(). MG needs nz % p == 0, so the
+  // second rank count is 4 (slab slices start at multiples of 8192 points).
+  struct Recorded {
+    int p;
+    double initial;
+    double norms[4];
+  };
+  const Recorded recorded[] = {
+      {1, 0x1.a20ded0f911aep+6,
+       {0x1.6dfbd8ed6a03p+3, 0x1.28bfb70080e77p+1, 0x1.109eaf757ff1p+0, 0x1.d88a536ab316ap-2}},
+      {4, 0x1.a20ded0f9119cp+6,
+       {0x1.68befd3862e1p+3, 0x1.092d5cf70d682p+1, 0x1.98c621df0a3c6p-1, 0x1.c81a9439d816ep-3}},
+  };
+  npb::MgConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 32;
+  cfg.cycles = 4;
+  for (const Recorded& rec : recorded) {
+    Engine eng(test_machine());
+    npb::MgResult got;
+    eng.run(rec.p, [&](RankCtx& ctx) {
+      auto res = npb::mg_rank(ctx, cfg);
+      if (ctx.rank() == 0) got = std::move(res);
+    });
+    EXPECT_EQ(got.initial_residual, rec.initial) << "p=" << rec.p;
+    ASSERT_EQ(got.residual_norms.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(got.residual_norms[i], rec.norms[i]) << "p=" << rec.p << " cycle=" << i;
+    }
+  }
+}
+
 // --- CG ------------------------------------------------------------------------
 
 TEST(Cg, MatrixIsSymmetric) {
@@ -528,6 +593,32 @@ TEST_P(IsRankCounts, SortsAndConservesKeys) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, IsRankCounts, ::testing::Values(1, 2, 3, 4, 7, 8, 16));
+
+TEST(Is, BucketSizesAreBitIdenticalToSteppedStream) {
+  // Per-rank bucket sizes recorded from the build that drew every key with
+  // next(). Each depends on every key's value; at p = 3 and 7 the rank
+  // slices start off the 512-deviate block edges.
+  struct Recorded {
+    int p;
+    std::vector<std::uint64_t> local_keys;
+  };
+  const Recorded recorded[] = {
+      {1, {65536}},
+      {3, {21826, 21751, 21959}},
+      {7, {9441, 9305, 9344, 9190, 9366, 9608, 9282}},
+  };
+  npb::IsConfig cfg;
+  cfg.n_keys = 1 << 16;
+  cfg.key_bits = 14;
+  for (const Recorded& rec : recorded) {
+    Engine eng(test_machine());
+    std::vector<std::uint64_t> got(static_cast<std::size_t>(rec.p));
+    eng.run(rec.p, [&](RankCtx& ctx) {
+      got[static_cast<std::size_t>(ctx.rank())] = npb::is_rank(ctx, cfg).local_keys;
+    });
+    EXPECT_EQ(got, rec.local_keys) << "p=" << rec.p;
+  }
+}
 
 // --- classes ----------------------------------------------------------------------
 

@@ -724,6 +724,56 @@ TEST(Endpoints, TcpShutdownStillRepliesToARequestInFlight) {
   EXPECT_EQ(tier_of(v), "sim");
 }
 
+TEST(Endpoints, TcpAnswersAThousandPipelinedRequestsInOrder) {
+  // 1000 request lines in one write arrive in a few large reads; the server
+  // frames every line out of its buffer and answers each one, in order.
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+  constexpr int kRequests = 1000;
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests += "{\"id\":" + std::to_string(i) +
+                R"(,"method":"predict","params":{"machine":"system_g","app":"EP","n":1e6,"p":4}})" +
+                "\n";
+  }
+  const int fd = connect_loopback(server.port());
+  // Replies are read while the requests are still being written, so neither
+  // side can stall on a full socket buffer.
+  std::thread writer([&] {
+    EXPECT_EQ(::write(fd, requests.data(), requests.size()),
+              static_cast<ssize_t>(requests.size()));
+  });
+  std::vector<std::string> replies;
+  std::string pending;
+  char chunk[4096];
+  while (replies.size() < static_cast<std::size_t>(kRequests)) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;
+    pending.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    for (std::size_t nl; (nl = pending.find('\n', start)) != std::string::npos; start = nl + 1) {
+      replies.push_back(pending.substr(start, nl - start));
+    }
+    pending.erase(0, start);
+  }
+  writer.join();
+  const int admin = connect_loopback(server.port());
+  EXPECT_TRUE(response_ok(parse_response(round_trip(admin, R"({"method":"shutdown"})"))));
+  ::close(admin);
+  ::close(fd);
+  serving.join();
+
+  ASSERT_EQ(replies.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_TRUE(pending.empty());
+  for (int i = 0; i < kRequests; ++i) {
+    const auto v = parse_response(replies[static_cast<std::size_t>(i)]);
+    EXPECT_TRUE(response_ok(v)) << replies[static_cast<std::size_t>(i)];
+    ASSERT_NE(v.find("id"), nullptr);
+    EXPECT_EQ(v.find("id")->number, static_cast<double>(i));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry endpoints: metrics, model_health in stats, install.
 // ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 // Tests for the SWEEP wavefront-pipeline kernel: dependence-order
 // correctness (p-invariant checksum), pipeline timing structure, and
-// model-validation behaviour under inherent imbalance.
+// model-validation behaviour under inherent imbalance — plus the SWEEP and
+// CKPT checksums pinned to the stream the kernels draw.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "analysis/study.hpp"
+#include "npb/ckpt.hpp"
 #include "npb/classes.hpp"
 #include "npb/sweep.hpp"
 #include "sim/engine.hpp"
@@ -39,6 +43,37 @@ TEST(Sweep, ChecksumInvariantAcrossRanks) {
   EXPECT_NE(base, 0.0);
   for (int p : {2, 3, 4, 8, 16}) {
     EXPECT_NEAR(checksum_at(cfg, p), base, 1e-9 * std::abs(base)) << "p=" << p;
+  }
+}
+
+TEST(Sweep, ChecksumIsBitIdenticalToSteppedStream) {
+  // Recorded, as a hex float, from the build that drew the source term with
+  // next(). At p = 3 the rank slices start at rows 42 and 85, so the stream
+  // is sliced at cells 5376 and 10880.
+  npb::SweepConfig cfg;
+  cfg.nx = cfg.ny = 128;
+  cfg.tile_w = 32;
+  cfg.sweeps = 3;
+  for (int p : {1, 3}) EXPECT_EQ(checksum_at(cfg, p), 0x1.efdad00a9a7cp+5) << "p=" << p;
+}
+
+TEST(Ckpt, ChecksumIsBitIdenticalToSteppedStream) {
+  // Recorded, as hex floats, from the build that drew the state with next().
+  // At p = 3 the slices start at elements 21845 and 43690.
+  npb::CkptConfig cfg;
+  cfg.elements = 1 << 16;
+  cfg.iterations = 8;
+  cfg.ckpt_every = 4;
+  const std::pair<int, double> recorded[] = {{1, 0x1.e4cb7dbe0a14bp+13},
+                                             {3, 0x1.e4cb7dbe0a0fcp+13}};
+  for (const auto& [p, checksum] : recorded) {
+    Engine eng(machine());
+    double got = 0.0;
+    eng.run(p, [&](RankCtx& ctx) {
+      auto res = npb::ckpt_rank(ctx, cfg);
+      if (ctx.rank() == 0) got = res.checksum;
+    });
+    EXPECT_EQ(got, checksum) << "p=" << p;
   }
 }
 

@@ -113,6 +113,48 @@ TEST(NpbRandom, FillMatchesStepping) {
       EXPECT_EQ(filled.next(), stepped.next());
     }
   }
+  // Kernels draw their streams in small back-to-back blocks, so each fill()
+  // must leave the state exactly where the next one starts: sizes 1..17
+  // cover every remainder of the 8 interleaved chains, 256 a full block,
+  // and an empty fill leaves the state alone.
+  for (const double seed : {314159265.0, 271828183.0}) {
+    NpbRandom stepped(seed), filled(seed);
+    stepped.skip(12345);
+    filled.skip(12345);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+    sizes.push_back(256);
+    sizes.push_back(0);
+    sizes.push_back(256);
+    for (const std::size_t n : sizes) {
+      std::vector<double> want(n), got(n);
+      for (double& v : want) v = stepped.next();
+      filled.fill(got);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], want[i]) << "seed=" << seed << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(filled.seed(), stepped.seed()) << "seed=" << seed << " n=" << n;
+    }
+    EXPECT_EQ(filled.next(), stepped.next());
+  }
+}
+
+TEST(NpbPairStream, MatchesStepping) {
+  for (const double seed : {314159265.0, 271828183.0}) {
+    NpbRandom stepped(seed), start(seed);
+    stepped.skip(12345);  // start mid-stream, as EP's ranks do
+    start.skip(12345);
+    const double before = start.seed();
+    NpbPairStream pairs(start);
+    for (int i = 0; i < 10000; ++i) {
+      const double first = stepped.next();
+      const double second = stepped.next();
+      const auto [u, v] = pairs.next();
+      ASSERT_EQ(u, first) << "seed=" << seed << " pair=" << i;
+      ASSERT_EQ(v, second) << "seed=" << seed << " pair=" << i;
+    }
+    EXPECT_EQ(start.seed(), before);  // the source stream does not advance
+  }
 }
 
 TEST(NpbRandom, SkipZeroIsIdentity) {
