@@ -10,7 +10,6 @@
 // runs FT with every collective dropped to a low gear (GearScope) and
 // compares measured time/energy against both the full-gear run and the
 // model's predicted impact.
-#include "analysis/runner.hpp"
 #include "analysis/study.hpp"
 #include "bench/common.hpp"
 #include "npb/classes.hpp"
@@ -30,19 +29,25 @@ int main(int argc, char** argv) {
   const int p = 16;
   auto config = npb::ft_class(npb::ProblemClass::A);
 
-  util::Table table({"comm_gear_GHz", "time_s", "energy_J", "slowdown", "energy_saved"});
-  double base_time = 0.0, base_energy = 0.0;
-  for (double gear : {0.0, 1.6, 1.2, 1.0}) {  // 0 = no controller
+  // One FT class-A run per comm gear (0 = no controller), as one batch. The
+  // gear is part of the adapter's fingerprint, so each run caches apart.
+  const double gears[] = {0.0, 1.6, 1.2, 1.0};
+  std::vector<exec::Case> cases;
+  for (double gear : gears) {
     config.collectives.comm_gear_ghz = gear;
-    const auto run = analysis::run_ft(machine, config, p);
-    if (gear == 0.0) {
-      base_time = run.makespan;
-      base_energy = run.total_energy_j();
-    }
-    table.add_row({gear == 0.0 ? "off" : util::num(gear, 1), util::num(run.makespan, 4),
-                   util::num(run.total_energy_j(), 1),
-                   util::pct(100.0 * (run.makespan / base_time - 1.0)),
-                   util::pct(100.0 * (1.0 - run.total_energy_j() / base_energy))});
+    cases.push_back(analysis::measure_case(machine, analysis::make_ft_adapter(config),
+                                           static_cast<double>(config.total_points()), p, 0.0));
+  }
+  const std::vector<std::string> runs = bench::run_cases(cases);
+
+  util::Table table({"comm_gear_GHz", "time_s", "energy_J", "slowdown", "energy_saved"});
+  const analysis::Measurement base = analysis::decode_measurement(runs[0]);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const analysis::Measurement run = analysis::decode_measurement(runs[i]);
+    table.add_row({gears[i] == 0.0 ? "off" : util::num(gears[i], 1), util::num(run.time_s, 4),
+                   util::num(run.energy_j, 1),
+                   util::pct(100.0 * (run.time_s / base.time_s - 1.0)),
+                   util::pct(100.0 * (1.0 - run.energy_j / base.energy_j))});
   }
   bench::emit(table, "ablation_comm_dvfs");
 

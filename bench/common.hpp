@@ -36,7 +36,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/surface.hpp"
 #include "exec/executor.hpp"
@@ -195,6 +198,22 @@ inline const char* out_dir() { return detail::csv_dir().c_str(); }
 /// The shared --jobs / --cache-dir settings, for handing to run_sweep,
 /// EnergyStudy, and the surface generators.
 inline const exec::ExecConfig& exec_config() { return detail::exec_cfg(); }
+
+/// Runs `cases` as one exec::run_batch under the --jobs/--cache-dir settings
+/// and returns their payloads in order; throws when a case failed.
+inline std::vector<std::string> run_cases(const std::vector<exec::Case>& cases) {
+  const exec::ExecConfig& cfg = exec_config();
+  exec::ResultCache cache(cfg.cache_dir, cfg.cache_max_bytes);
+  exec::BatchOptions batch;
+  batch.thread_budget = cfg.jobs;
+  batch.cache = cache.enabled() ? &cache : nullptr;
+  std::vector<std::string> payloads;
+  for (exec::CaseResult& r : exec::run_batch(cases, batch)) {
+    if (!r.ok()) throw std::runtime_error("bench case failed: " + r.error);
+    payloads.push_back(std::move(r.payload));
+  }
+  return payloads;
+}
 
 /// Prints a section header.
 inline void heading(const std::string& title, const std::string& paper_note) {

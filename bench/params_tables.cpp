@@ -18,8 +18,11 @@ int main(int argc, char** argv) {
 
   // --- Table 1: machine-dependent parameters -------------------------------------
   util::Table t1({"parameter", "SystemG", "Dori", "definition"});
-  auto g = tools::calibrate_machine(bench::with_noise(sim::system_g()));
-  auto d = tools::calibrate_machine(bench::with_noise(sim::dori()));
+  const std::vector<std::string> vectors =
+      bench::run_cases({analysis::machine_params_case(bench::with_noise(sim::system_g()), true),
+                        analysis::machine_params_case(bench::with_noise(sim::dori()), true)});
+  const model::MachineParams g = analysis::decode_machine_params(vectors[0]);
+  const model::MachineParams d = analysis::decode_machine_params(vectors[1]);
   t1.add_row({"t_c = CPI/f (s)", util::sci(g.t_c(), 3), util::sci(d.t_c(), 3),
               "avg time per on-chip instruction"});
   t1.add_row({"CPI", util::num(g.cpi, 3), util::num(d.cpi, 3), "measured cycles/instr"});

@@ -63,6 +63,6 @@ int main(int argc, char** argv) {
       "pipeline imbalance (T_idle). 'halve-p' being the universal best knob is the\n"
       "model restating Section V.B.5: more parallelism always costs efficiency —\n"
       "the interesting decisions trade it against a deadline or power cap (see\n"
-      "examples/power_budget).\n");
+      "docs/SERVICE.md, \"Recipes\").\n");
   return 0;
 }

@@ -77,16 +77,6 @@ OpKind op_from_name(std::string_view name) {
   throw std::invalid_argument("unknown op: " + std::string(name));
 }
 
-const char* machine_name(MachineKind m) {
-  return m == MachineKind::kSystemG ? "systemg" : "dori";
-}
-
-MachineKind machine_from_name(std::string_view name) {
-  if (name == "systemg") return MachineKind::kSystemG;
-  if (name == "dori") return MachineKind::kDori;
-  throw std::invalid_argument("unknown machine: " + std::string(name));
-}
-
 bool op_has_algorithms(OpKind op) {
   return op == OpKind::kBcast || op == OpKind::kAllreduce || op == OpKind::kAllgather ||
          op == OpKind::kAlltoall;
@@ -130,8 +120,13 @@ void CheckConfig::canonicalize() {
   }
   if (tuned) algo = 0;  // the table decides; normalize the ignored knob
   root = is_rooted(op) ? std::clamp(root, 0, p - 1) : 0;
-  const sim::MachineSpec preset =
-      machine == MachineKind::kSystemG ? sim::system_g() : sim::dori();
+  // Any spelling machine_preset accepts ("System_G", "DORI") becomes its
+  // lower-case preset name, which is what repro strings carry.
+  const sim::MachineSpec preset = sim::machine_preset(machine);
+  machine.clear();
+  for (const char c : preset.name) {
+    machine += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
   gear_index =
       std::clamp(gear_index, 0, static_cast<int>(preset.cpu.gears_ghz.size()) - 1);
 }
@@ -141,7 +136,7 @@ std::string CheckConfig::repro() const {
   s += "op=";
   s += op_name(op);
   s += ",machine=";
-  s += machine_name(machine);
+  s += machine;
   s += ",topo=";
   s += hierarchical ? "two" : "flat";
   s += ",p=" + std::to_string(p);
@@ -185,7 +180,7 @@ CheckConfig CheckConfig::from_repro(std::string_view text) {
   };
   // op first: algorithm names are resolved within its family.
   if (const auto* v = take("op")) cfg.op = op_from_name(*v);
-  if (const auto* v = take("machine")) cfg.machine = machine_from_name(*v);
+  if (const auto* v = take("machine")) cfg.machine = *v;
   if (const auto* v = take("topo")) {
     if (*v != "flat" && *v != "two") {
       throw std::invalid_argument("repro: topo must be flat or two, got " + *v);
@@ -225,7 +220,7 @@ CheckConfig CheckConfig::from_repro(std::string_view text) {
 }
 
 sim::MachineSpec machine_for(const CheckConfig& cfg) {
-  sim::MachineSpec m = cfg.machine == MachineKind::kSystemG ? sim::system_g() : sim::dori();
+  sim::MachineSpec m = sim::machine_preset(cfg.machine);
   if (cfg.hierarchical) m = sim::with_intra_node_link(std::move(m));
   m.noise.enabled = cfg.noise;
   std::uint64_t s = cfg.seed;

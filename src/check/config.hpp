@@ -16,8 +16,6 @@
 
 namespace isoee::check {
 
-enum class MachineKind { kSystemG, kDori };
-
 /// Operations the harness can generate. Collective families with multiple
 /// registered algorithms map onto smpi::Family; kernels exercise the full
 /// sim-vs-analytical-model differential.
@@ -48,9 +46,6 @@ inline constexpr OpKind kAllOps[] = {
 const char* op_name(OpKind op);
 OpKind op_from_name(std::string_view name);  // throws std::invalid_argument
 
-const char* machine_name(MachineKind m);
-MachineKind machine_from_name(std::string_view name);
-
 /// True when the op is a collective family with >1 registered algorithm.
 bool op_has_algorithms(OpKind op);
 /// The registry family of a multi-algorithm op (only valid when
@@ -61,7 +56,7 @@ smpi::Family op_family(OpKind op);
 /// payload values, variable counts, noise stream, and perturbation stream.
 struct CheckConfig {
   std::uint64_t seed = 1;
-  MachineKind machine = MachineKind::kSystemG;
+  std::string machine = "systemg";  // canonical sim::machine_preset name
   bool hierarchical = false;  // two-level (intra-node link) topology
   bool noise = false;         // lognormal timing jitter on
   int gear_index = 0;         // starting DVFS gear (index into gears_ghz)
@@ -76,7 +71,9 @@ struct CheckConfig {
 
   /// Clamps the config onto the harness's valid envelope (p within machine
   /// cores and kernel divisibility constraints, algo within the family,
-  /// root < p, ...). Generator and shrinker both funnel through this.
+  /// root < p, ...) and `machine` onto its canonical preset name (throws
+  /// std::invalid_argument for an unknown machine). Generator and shrinker
+  /// both funnel through this.
   void canonicalize();
 
   /// Compact replayable form, e.g.

@@ -25,7 +25,7 @@ CheckConfig generate_case(std::uint64_t sweep_seed, int index) {
   c.seed = rng() | 1;  // never 0
   c.op = kAllOps[static_cast<std::size_t>(index % kOpCount)];
   c.hierarchical = index % 2 == 1;
-  c.machine = (index / 2) % 2 == 0 ? MachineKind::kSystemG : MachineKind::kDori;
+  c.machine = (index / 2) % 2 == 0 ? "systemg" : "dori";
 
   const int rank_pick = index / kOpCount;  // advances once per op cycle
   c.p = (rank_pick % 3 == 2)

@@ -32,7 +32,7 @@ std::vector<CheckConfig> mutations(const CheckConfig& c) {
   push([](CheckConfig& m) { m.comm_gear = false; });
   push([](CheckConfig& m) { m.gear_index = 0; });
   push([](CheckConfig& m) { m.root = 0; });
-  push([](CheckConfig& m) { m.machine = MachineKind::kSystemG; });
+  push([](CheckConfig& m) { m.machine = "systemg"; });
   push([](CheckConfig& m) { m.algo = 0; });
   push([](CheckConfig& m) { m.seed = 1; });
   return out;

@@ -1,7 +1,8 @@
 // Plain-text serialization of calibrated model state: the machine-dependent
 // vector and fitted workload models round-trip through a simple
 // `key = value` format so an expensive calibration pass can be saved and
-// reloaded (e.g. by examples/calibrate).
+// reloaded (the query service's `calibrate` replies carry these texts and
+// its `install` reads them).
 //
 // Format:
 //   [machine]

@@ -163,7 +163,7 @@ class NpbRandom {
         (void)randlc(x[k], a_k);
       }
     }
-    for (std::size_t k = 0; i < n; ++i, ++k) out[i] = r46 * x[k];
+    for (std::size_t k = 0; i < n && k < kFillChains; ++i, ++k) out[i] = r46 * x[k];
     // The last deviate is the new state times 2^-46, exactly.
     seed_ = t46 * out[n - 1];
   }

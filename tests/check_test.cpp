@@ -74,6 +74,24 @@ TEST(Repro, RoundTripsForEveryGeneratedConfig) {
     const std::string text = cfg.repro();
     EXPECT_EQ(check::CheckConfig::from_repro(text), cfg) << text;
   }
+  // Both presets, written out: parsing a canonical repro and printing it
+  // again gives back the same bytes.
+  for (const char* text :
+       {"op=alltoall,machine=dori,topo=two,p=6,elems=0,algo=bruck,tuned=0,root=0,gear=5,"
+        "commgear=1,noise=1,perturb=0,seed=9",
+        "op=bcast,machine=systemg,topo=flat,p=5,elems=16,algo=linear,tuned=0,root=4,gear=3,"
+        "commgear=0,noise=0,perturb=1,seed=3"}) {
+    EXPECT_EQ(check::CheckConfig::from_repro(text).repro(), text);
+  }
+  // Decision: the machine key accepts every spelling sim::machine_preset
+  // does (any case, underscores ignored) and prints the canonical lower-case
+  // preset name, so a hand-written repro replays the same case and shrunk
+  // repros stay comparable byte for byte.
+  const check::CheckConfig spelled = check::CheckConfig::from_repro("op=bcast,machine=System_G");
+  EXPECT_EQ(spelled.machine, "systemg");
+  EXPECT_EQ(spelled, check::CheckConfig::from_repro("op=bcast,machine=systemg"));
+  EXPECT_NE(spelled.repro().find(",machine=systemg,"), std::string::npos) << spelled.repro();
+  EXPECT_EQ(check::CheckConfig::from_repro("machine=DORI").machine, "dori");
 }
 
 TEST(Repro, ParserIsOrderInsensitive) {
@@ -110,6 +128,8 @@ TEST(Repro, ParserRejectsMalformedInput) {
   EXPECT_THROW(check::CheckConfig::from_repro("op=bcast,topo=ring"),
                std::invalid_argument);
   EXPECT_THROW(check::CheckConfig::from_repro("op=bcast,noise=yes"),
+               std::invalid_argument);
+  EXPECT_THROW(check::CheckConfig::from_repro("op=bcast,machine=vax"),
                std::invalid_argument);
 }
 

@@ -575,6 +575,41 @@ TEST(Endpoints, ShutdownStopsTheStdinLoopMidStream) {
   EXPECT_EQ(text.find("\"id\":3"), std::string::npos);
 }
 
+// The recipes of docs/SERVICE.md: each request script in docs/requests runs
+// through the stdin transport and gets one reply per request line, every one
+// a result. A typo'd param or method turns its reply into an error.
+class RequestScript : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RequestScript, EveryReplyIsOk) {
+  const std::string path = std::string(ISOEE_REQUESTS_DIR) + "/" + GetParam() + ".jsonl";
+  std::ifstream file(path);
+  ASSERT_TRUE(file) << path;
+  std::stringstream script;
+  script << file.rdbuf();
+  std::size_t requests = 0;
+  for (std::string line; std::getline(script, line);) requests += line.empty() ? 0 : 1;
+  script.clear();
+  script.seekg(0);
+
+  Service svc{ServiceConfig{}};
+  std::ostringstream out;
+  EXPECT_EQ(service::run_stdin(svc, script, out), requests);
+  std::istringstream replies(out.str());
+  std::size_t n = 0;
+  for (std::string line; std::getline(replies, line); ++n) {
+    EXPECT_TRUE(response_ok(parse_response(line))) << path << " reply " << n + 1 << ": " << line;
+  }
+  EXPECT_GT(n, 0u);
+  EXPECT_EQ(n, requests);
+}
+
+INSTANTIATE_TEST_SUITE_P(Recipes, RequestScript,
+                         ::testing::Values("calibrate", "power_budget", "scaling_advisor",
+                                           "dvfs_explorer"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
 /// Connects a blocking TCP client to the loopback server on `port`.
 int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

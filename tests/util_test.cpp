@@ -2,6 +2,7 @@
 // statistics, tables, and the CLI parser.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -136,6 +137,32 @@ TEST(NpbRandom, FillMatchesStepping) {
       EXPECT_EQ(filled.seed(), stepped.seed()) << "seed=" << seed << " n=" << n;
     }
     EXPECT_EQ(filled.next(), stepped.next());
+  }
+}
+
+// fill() into a fixed-size array. Once fill is inlined with the size known
+// at compile time, GCC -O3 checks the tail loop against the 8 chains; a tail
+// bounded only by the array size draws -Waggressive-loop-optimizations
+// ("iteration 8 invokes undefined behavior") and breaks the -Werror build.
+// flatten inlines fill here as a small fixed-size caller would; in this
+// file it has too many callers to be inlined otherwise. 512 is a whole
+// number of chain rounds; 13 leaves a tail of 5.
+template <std::size_t N>
+[[gnu::flatten]] std::array<double, N> fill_array(NpbRandom& rng) {
+  std::array<double, N> out{};
+  rng.fill(out);
+  return out;
+}
+
+TEST(NpbRandom, FillIntoFixedSizeArraysMatchesStepping) {
+  for (const double seed : {314159265.0, 271828183.0}) {
+    NpbRandom stepped(seed), filled(seed);
+    stepped.skip(777);
+    filled.skip(777);
+    for (const double v : fill_array<512>(filled)) EXPECT_EQ(v, stepped.next());
+    EXPECT_EQ(filled.seed(), stepped.seed()) << "seed=" << seed;
+    for (const double v : fill_array<13>(filled)) EXPECT_EQ(v, stepped.next());
+    EXPECT_EQ(filled.seed(), stepped.seed()) << "seed=" << seed;
   }
 }
 
