@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   std::vector<exec::Case> cases;
   for (double gear : gears) {
     config.collectives.comm_gear_ghz = gear;
-    cases.push_back(analysis::measure_case(machine, analysis::make_ft_adapter(config),
+    cases.push_back(analysis::measure_case(machine, analysis::make_adapter(config),
                                            static_cast<double>(config.total_points()), p, 0.0));
   }
   const std::vector<std::string> runs = bench::run_cases(cases);
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   // Model-side prediction of the same effect: communication runs at the low
   // gear (f_comm_ghz), computation stays at base.
-  analysis::EnergyStudy study(machine, analysis::make_ft_adapter(config), true,
+  analysis::EnergyStudy study(machine, analysis::make_adapter(config), true,
                               bench::exec_config());
   const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
   const int calib_ps[] = {2, 4, 8};

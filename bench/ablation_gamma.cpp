@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                  "paper assumes gamma = 2 (Kim et al.); sensitivity check");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)),
+                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
                               true, bench::exec_config());
   const double ns[] = {2000, 4000, 8000};
   const int calib_ps[] = {2, 4, 8};

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
     double n;
   };
   std::vector<Case> cases;
-  cases.push_back({"FT", analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::A)),
+  cases.push_back({"FT", analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
-  cases.push_back({"CG", analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)),
+  cases.push_back({"CG", analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
                    {2000, 4000, 8000}, 14000});
 
   const int calib_ps[] = {2, 4, 8};

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                  "Section II positioning of the iso-energy-efficiency model");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::B)),
+                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
                               true, bench::exec_config());
   const double ns[] = {4000, 8000, 16000};
   const int calib_ps[] = {2, 4, 8};

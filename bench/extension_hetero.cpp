@@ -3,10 +3,10 @@
 // the extended model (model/hetero.hpp) predicts job time, energy, and EE
 // for any workload split, and is validated against DVFS-heterogeneous
 // simulations (per-rank gears).
-#include <mutex>
-
 #include "analysis/study.hpp"
 #include "bench/common.hpp"
+#include "exec/cache.hpp"
+#include "exec/codec.hpp"
 #include "model/hetero.hpp"
 #include "npb/classes.hpp"
 #include "util/stats.hpp"
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
                  "future work in the paper: 'extend the current model to heterogeneous systems'");
 
   // Calibrate an EP workload (compute-dominated: clean class-speed contrast).
-  analysis::EnergyStudy study(spec, analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::A)),
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)),
                               true, bench::exec_config());
   const double ns[] = {1 << 17, 1 << 18, 1 << 19};
   const int calib_ps[] = {2, 4};
@@ -33,26 +33,44 @@ int main(int argc, char** argv) {
   classes[1] = {"slow-1.6GHz", study.machine_params().at_frequency(1.6), 4};
 
   // Sweep the share given to the fast class; validate each split in the
-  // simulator with per-rank gears.
+  // simulator with per-rank gears. One case per split, keyed by the machine,
+  // the shares, the instruction total and the gears; the payload is
+  // {makespan, total energy}.
+  const double splits[] = {0.30, 0.50, 0.64, 0.80};
+  const double total_instr = study.workload().at(n, 8).W_c;
+  const std::vector<double> gears = {2.8, 2.8, 2.8, 2.8, 1.6, 1.6, 1.6, 1.6};
+  std::vector<exec::Case> cases;
+  for (double s0 : splits) {
+    const std::vector<double> shares = {s0, 1.0 - s0};
+    exec::Case c;
+    c.threads = sim::resolve_engine_workers(0, 8);
+    c.cache_key = std::string("hetero-split\x1f") + exec::machine_fingerprint(spec) + '\x1f' +
+                  exec::encode_doubles(shares) + '\x1f' + exec::encode_f64(total_instr) +
+                  '\x1f' + exec::encode_doubles(gears);
+    c.run = [spec, shares, total_instr, gears] {
+      sim::EngineOptions opts;
+      opts.per_rank_ghz = gears;
+      sim::Engine eng(spec, opts);
+      const auto res = eng.run(8, [&](sim::RankCtx& ctx) {
+        const bool fast = ctx.rank() < 4;
+        const double share = (fast ? shares[0] : shares[1]) / 4.0;
+        ctx.compute(static_cast<std::uint64_t>(total_instr * share));
+      });
+      return exec::encode_doubles({res.makespan, res.total_energy_j()});
+    };
+    cases.push_back(std::move(c));
+  }
+  const std::vector<std::string> runs = bench::run_cases(cases);
+
   util::Table table({"fast_share", "pred_time_s", "meas_time_s", "pred_J", "meas_J",
                      "err", "EE"});
-  const double total_instr = study.workload().at(n, 8).W_c;
-  for (double s0 : {0.30, 0.50, 0.64, 0.80}) {
-    const double shares[] = {s0, 1.0 - s0};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double shares[] = {splits[i], 1.0 - splits[i]};
     const auto pred = model::predict_hetero(classes, study.workload(), n, shares);
-
-    sim::EngineOptions opts;
-    opts.per_rank_ghz = {2.8, 2.8, 2.8, 2.8, 1.6, 1.6, 1.6, 1.6};
-    sim::Engine eng(spec, opts);
-    auto res = eng.run(8, [&](sim::RankCtx& ctx) {
-      const bool fast = ctx.rank() < 4;
-      const double share = (fast ? shares[0] : shares[1]) / 4.0;
-      ctx.compute(static_cast<std::uint64_t>(total_instr * share));
-    });
-    table.add_row({util::num(s0, 2), util::num(pred.Tp, 4), util::num(res.makespan, 4),
-                   util::num(pred.Ep, 2), util::num(res.total_energy_j(), 2),
-                   util::pct(util::ape(res.total_energy_j(), pred.Ep)),
-                   util::num(pred.EE, 4)});
+    const std::vector<double> res = exec::decode_doubles(runs[i]);
+    table.add_row({util::num(splits[i], 2), util::num(pred.Tp, 4), util::num(res[0], 4),
+                   util::num(pred.Ep, 2), util::num(res[1], 2),
+                   util::pct(util::ape(res[1], pred.Ep)), util::num(pred.EE, 4)});
   }
   bench::emit(table, "extension_hetero_splits");
 
@@ -65,7 +83,7 @@ int main(int argc, char** argv) {
 
   // EE across mixed partitions for CG: does adding slow nodes ever pay?
   std::printf("\n-- CG: pure-fast vs mixed vs pure-slow partitions of 8 ranks --\n");
-  analysis::EnergyStudy cg(spec, analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)),
+  analysis::EnergyStudy cg(spec, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
                            true, bench::exec_config());
   const double cg_ns[] = {2000, 4000, 8000};
   cg.calibrate(cg_ns, calib_ps);

@@ -27,17 +27,17 @@ int main(int argc, char** argv) {
     double validate_n;
   };
   std::vector<Case> cases;
-  cases.push_back({"EP", analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::W)),
+  cases.push_back({"EP", analysis::make_adapter(npb::ep_class(npb::ProblemClass::W)),
                    {1 << 17, 1 << 18, 1 << 19}, static_cast<double>(1 << 21)});
-  cases.push_back({"FT", analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::W)),
+  cases.push_back({"FT", analysis::make_adapter(npb::ft_class(npb::ProblemClass::W)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
-  cases.push_back({"CG", analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::W)),
+  cases.push_back({"CG", analysis::make_adapter(npb::cg_class(npb::ProblemClass::W)),
                    {1000, 2000, 4000}, 7000});
-  cases.push_back({"IS", analysis::make_is_adapter(npb::is_class(npb::ProblemClass::W)),
+  cases.push_back({"IS", analysis::make_adapter(npb::is_class(npb::ProblemClass::W)),
                    {1 << 17, 1 << 18, 1 << 19}, static_cast<double>(1 << 21)});
   // MG calibration grids all support the pinned 3-level hierarchy, keeping
   // the fitted halo-communication coefficients consistent across sizes.
-  cases.push_back({"MG", analysis::make_mg_adapter(npb::mg_class(npb::ProblemClass::W)),
+  cases.push_back({"MG", analysis::make_adapter(npb::mg_class(npb::ProblemClass::W)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
 
   const int calib_ps[] = {2, 4};

@@ -29,11 +29,11 @@ int main(int argc, char** argv) {
     double validate_n;
   };
   std::vector<Case> cases;
-  cases.push_back({"EP", analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::B)),
+  cases.push_back({"EP", analysis::make_adapter(npb::ep_class(npb::ProblemClass::B)),
                    {1 << 18, 1 << 19, 1 << 20}, static_cast<double>(1 << 24)});
-  cases.push_back({"FT", analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::B)),
+  cases.push_back({"FT", analysis::make_adapter(npb::ft_class(npb::ProblemClass::B)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 128. * 128 * 128});
-  cases.push_back({"CG", analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::B)),
+  cases.push_back({"CG", analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
                    {4000, 8000, 16000}, 75000});
 
   const int calib_ps[] = {2, 4, 8, 16};

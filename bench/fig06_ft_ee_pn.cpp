@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                  "larger n raises EE; larger p lowers it");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::B)),
+                              analysis::make_adapter(npb::ft_class(npb::ProblemClass::B)),
                               true, bench::exec_config());
   const double ns_calib[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
   const int calib_ps[] = {2, 4, 8, 16};

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                  "EE ~ 1 everywhere: near-ideal iso-energy-efficiency");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::B)),
+                              analysis::make_adapter(npb::ep_class(npb::ProblemClass::B)),
                               true, bench::exec_config());
   const double ns[] = {1 << 18, 1 << 19, 1 << 20};
   const int calib_ps[] = {2, 4, 8, 16};

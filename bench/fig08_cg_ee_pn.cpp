@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
                  "EE falls with p, rises with n");
 
   analysis::EnergyStudy study(machine,
-                              analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::B)),
+                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
                               true, bench::exec_config());
   const double ns_calib[] = {4000, 8000, 16000};
   const int calib_ps[] = {2, 4, 8, 16};

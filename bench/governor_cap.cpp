@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   {
     auto config = npb::ft_class(npb::ProblemClass::A);
     auto study = std::make_unique<analysis::EnergyStudy>(
-        machine, analysis::make_ft_adapter(config), true, bench::exec_config());
+        machine, analysis::make_adapter(config), true, bench::exec_config());
     const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
@@ -96,12 +96,12 @@ int main(int argc, char** argv) {
                        [machine, config, p](const analysis::RunOptions& o) {
                          return analysis::run_ft(machine, config, p, o);
                        },
-                       analysis::ft_problem_size(config)});
+                       static_cast<double>(config.total_points())});
   }
   {
     auto config = npb::cg_class(npb::ProblemClass::A);
     auto study = std::make_unique<analysis::EnergyStudy>(
-        machine, analysis::make_cg_adapter(config), true, bench::exec_config());
+        machine, analysis::make_adapter(config), true, bench::exec_config());
     const double ns[] = {2000, 4000, 8000};
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
                        [machine, config, p](const analysis::RunOptions& o) {
                          return analysis::run_cg(machine, config, p, o);
                        },
-                       analysis::cg_problem_size(config)});
+                       static_cast<double>(config.n)});
   }
 
   util::Table table({"app", "cap_W", "mode", "gear", "viol_frac", "energy_J", "time_s",

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
   {
     analysis::EnergyStudy ft(machine,
-                             analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::A)),
+                             analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
                              true, bench::exec_config());
     const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
     const int calib_ps[] = {2, 4, 8};
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   }
   {
     analysis::EnergyStudy cg(machine,
-                             analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)),
+                             analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
                              true, bench::exec_config());
     const double ns[] = {2000, 4000, 8000};
     const int calib_ps[] = {2, 4, 8};

@@ -55,17 +55,17 @@ int main(int argc, char** argv) {
     double n;
   };
   std::vector<Case> cases;
-  cases.push_back({analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)),
                    {1 << 17, 1 << 18, 1 << 19}, static_cast<double>(1 << 22)});
-  cases.push_back({analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
-  cases.push_back({analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
                    {2000, 4000, 8000}, 14000});
-  cases.push_back({analysis::make_is_adapter(npb::is_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::is_class(npb::ProblemClass::A)),
                    {1 << 17, 1 << 18, 1 << 19}, static_cast<double>(1 << 22)});
-  cases.push_back({analysis::make_mg_adapter(npb::mg_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::mg_class(npb::ProblemClass::A)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
-  cases.push_back({analysis::make_sweep_adapter(npb::sweep_class(npb::ProblemClass::S)),
+  cases.push_back({analysis::make_adapter(npb::sweep_class(npb::ProblemClass::S)),
                    {128. * 128, 256. * 256, 512. * 512}, 512. * 512});
 
   util::Table t2({"app", "alpha", "W_c", "W_m", "dW_oc", "dW_om", "M", "B", "T_io(s)"});

@@ -24,15 +24,15 @@ int main(int argc, char** argv) {
     double n;
   };
   std::vector<Case> cases;
-  cases.push_back({analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::B)),
+  cases.push_back({analysis::make_adapter(npb::ep_class(npb::ProblemClass::B)),
                    {1 << 18, 1 << 19, 1 << 20}, static_cast<double>(1 << 24)});
-  cases.push_back({analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::B)),
+  cases.push_back({analysis::make_adapter(npb::ft_class(npb::ProblemClass::B)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 128. * 128 * 128});
-  cases.push_back({analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::B)),
+  cases.push_back({analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
                    {4000, 8000, 16000}, 75000});
-  cases.push_back({analysis::make_mg_adapter(npb::mg_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::mg_class(npb::ProblemClass::A)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
-  cases.push_back({analysis::make_sweep_adapter(npb::sweep_class(npb::ProblemClass::S)),
+  cases.push_back({analysis::make_adapter(npb::sweep_class(npb::ProblemClass::S)),
                    {128. * 128, 256. * 256, 512. * 512}, 512. * 512});
 
   const int calib_ps[] = {2, 4, 8};

@@ -44,17 +44,17 @@ int main(int argc, char** argv) {
   std::printf("calibrating policies on %s (cap %.0f W, pmax %d)...\n\n",
               machine.name.c_str(), cap_w, p_max);
   const int calib_ps[] = {2, 4, 8};
-  analysis::EnergyStudy ft(machine, analysis::make_ft_adapter(npb::ft_class(npb::ProblemClass::A)));
+  analysis::EnergyStudy ft(machine, analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)));
   {
     const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
     ft.calibrate(ns, calib_ps);
   }
-  analysis::EnergyStudy cg(machine, analysis::make_cg_adapter(npb::cg_class(npb::ProblemClass::A)));
+  analysis::EnergyStudy cg(machine, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)));
   {
     const double ns[] = {2000, 4000, 8000};
     cg.calibrate(ns, calib_ps);
   }
-  analysis::EnergyStudy ep(machine, analysis::make_ep_adapter(npb::ep_class(npb::ProblemClass::A)));
+  analysis::EnergyStudy ep(machine, analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)));
   {
     const double ns[] = {1 << 17, 1 << 18, 1 << 19};
     ep.calibrate(ns, calib_ps);

@@ -78,28 +78,24 @@ PolicyChoice best_energy_under_deadline(const model::MachineParams& machine,
                                         std::span<const int> ps,
                                         std::span<const double> gears_ghz,
                                         double deadline_s) {
-  PolicyChoice best;
+  PolicyChoice best;  // lowest energy within the deadline
   best.feasible = false;
   best.energy_j = std::numeric_limits<double>::infinity();
+  PolicyChoice fastest;  // fallback when nothing meets the deadline
+  fastest.feasible = false;
+  fastest.time_s = std::numeric_limits<double>::infinity();
   for (const auto& c : enumerate_configs(machine, workload, n, ps, gears_ghz)) {
+    if (c.time_s < fastest.time_s) {
+      fastest = c;
+      fastest.feasible = false;
+    }
     if (c.time_s > deadline_s) continue;
     if (c.energy_j < best.energy_j) {
       best = c;
       best.feasible = true;
     }
   }
-  return best;
-}
-
-DvfsImpact dvfs_impact(const model::MachineParams& machine,
-                       const model::WorkloadModel& workload, double n, int p, double f_from,
-                       double f_to) {
-  const PolicyChoice from = evaluate(machine, workload, n, p, f_from);
-  const PolicyChoice to = evaluate(machine, workload, n, p, f_to);
-  DvfsImpact impact;
-  if (from.time_s > 0.0) impact.time_ratio = to.time_s / from.time_s;
-  if (from.energy_j > 0.0) impact.energy_ratio = to.energy_j / from.energy_j;
-  return impact;
+  return best.feasible ? best : fastest;
 }
 
 }  // namespace isoee::analysis

@@ -2,8 +2,7 @@
 // "policy" box of the paper's Fig 1. The paper's headline critique of prior
 // controllers is that their effects are qualitative; with an accurate
 // energy/performance model, policies become *quantitative*: pick (p, f)
-// under a hard power cap, bound the cost of a DVFS decision before making
-// it, or maximise efficiency subject to a deadline.
+// under a hard power cap, or minimise energy subject to a deadline.
 #pragma once
 
 #include <span>
@@ -44,21 +43,11 @@ PolicyChoice best_under_power_cap(const model::MachineParams& machine,
                                   std::span<const int> ps, std::span<const double> gears_ghz,
                                   double cap_w);
 
-/// Lowest-energy configuration with predicted time <= `deadline_s`.
+/// Lowest-energy configuration with predicted time <= `deadline_s`. When no
+/// configuration meets the deadline, the fastest one with feasible=false.
 PolicyChoice best_energy_under_deadline(const model::MachineParams& machine,
                                         const model::WorkloadModel& workload, double n,
                                         std::span<const int> ps,
                                         std::span<const double> gears_ghz, double deadline_s);
-
-/// Quantitative impact of a DVFS decision: predicted time and energy ratios
-/// of running at f_to instead of f_from (the "quantitatively bound the
-/// effects of power management on performance" use case).
-struct DvfsImpact {
-  double time_ratio = 1.0;    // T(f_to) / T(f_from)
-  double energy_ratio = 1.0;  // E(f_to) / E(f_from)
-};
-DvfsImpact dvfs_impact(const model::MachineParams& machine,
-                       const model::WorkloadModel& workload, double n, int p, double f_from,
-                       double f_to);
 
 }  // namespace isoee::analysis

@@ -82,9 +82,4 @@ sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig
   return run_kernel<npb::sweep_rank>(machine, config, p, options);
 }
 
-double ft_problem_size(const npb::FtConfig& config) {
-  return static_cast<double>(config.total_points());
-}
-double cg_problem_size(const npb::CgConfig& config) { return static_cast<double>(config.n); }
-
 }  // namespace isoee::analysis

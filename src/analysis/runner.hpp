@@ -57,9 +57,4 @@ sim::RunResult run_ckpt(const sim::MachineSpec& machine, const npb::CkptConfig& 
 sim::RunResult run_sweep(const sim::MachineSpec& machine, const npb::SweepConfig& config,
                          int p, const RunOptions& options = RunOptions());
 
-/// Problem-size measure used by the workload models: FT grid points, CG
-/// matrix order.
-double ft_problem_size(const npb::FtConfig& config);
-double cg_problem_size(const npb::CgConfig& config);
-
 }  // namespace isoee::analysis

@@ -1,5 +1,6 @@
 #include "analysis/study.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -58,279 +59,181 @@ Record decode_numbers(std::string_view payload, const char* what) {
   return record;
 }
 
-class EpAdapter final : public BenchmarkAdapter {
- public:
-  explicit EpAdapter(npb::EpConfig base) : base_(base) {}
-  std::string name() const override { return "EP"; }
-
-  std::string fingerprint() const override {
-    return "EP;trials=" + std::to_string(base_.trials) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::EpConfig cfg = base_;
-    cfg.trials = static_cast<std::uint64_t>(n);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.trials);
-    return run_ep(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::EpWorkload>(fit_ep_workload(samples, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.trials); }
-
- private:
-  npb::EpConfig base_;
-};
-
-class FtAdapter final : public BenchmarkAdapter {
- public:
-  explicit FtAdapter(npb::FtConfig base) : base_(base) {}
-  std::string name() const override { return "FT"; }
-
-  std::string fingerprint() const override {
-    return "FT;nx=" + std::to_string(base_.nx) + ";ny=" + std::to_string(base_.ny) +
-           ";nz=" + std::to_string(base_.nz) + ";iters=" + std::to_string(base_.iters) +
-           ";alpha=" + exec::encode_f64(base_.evolve_alpha) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    const npb::FtConfig cfg = config_for(n, p);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.total_points());
-    return run_ft(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::FtWorkload>(fit_ft_workload(samples, base_.iters, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.total_points()); }
-
-  /// Snaps n to a power-of-two cubic grid with sides >= p (slab constraint).
-  npb::FtConfig config_for(double n, int p) const {
-    npb::FtConfig cfg = base_;
-    int side = 4;
-    while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
-    // side^3 <= n < (2*side)^3: choose the closer one in log space.
-    if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
-    while (side < p) side *= 2;  // decomposition requires nx, nz >= p
-    cfg.nx = cfg.ny = cfg.nz = side;
-    return cfg;
-  }
-
- private:
-  npb::FtConfig base_;
-};
-
-class CgAdapter final : public BenchmarkAdapter {
- public:
-  explicit CgAdapter(npb::CgConfig base) : base_(base) {}
-  std::string name() const override { return "CG"; }
-
-  std::string fingerprint() const override {
-    return "CG;n=" + std::to_string(base_.n) + ";offsets=" + std::to_string(base_.offsets) +
-           ";outer=" + std::to_string(base_.outer) + ";inner=" + std::to_string(base_.inner) +
-           ";shift=" + exec::encode_f64(base_.shift) + ";seed=" + std::to_string(base_.seed) +
-           ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::CgConfig cfg = base_;
-    cfg.n = std::max(static_cast<int>(n), 4 * p);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.n);
-    return run_cg(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::CgWorkload>(fit_cg_workload(
-        samples, base_.outer, base_.inner, 2.0 * base_.offsets + 1.0, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.n); }
-
- private:
-  npb::CgConfig base_;
-};
-
-class IsAdapter final : public BenchmarkAdapter {
- public:
-  explicit IsAdapter(npb::IsConfig base) : base_(base) {}
-  std::string name() const override { return "IS"; }
-
-  std::string fingerprint() const override {
-    return "IS;nkeys=" + std::to_string(base_.n_keys) +
-           ";bits=" + std::to_string(base_.key_bits) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::IsConfig cfg = base_;
-    cfg.n_keys = static_cast<std::uint64_t>(n);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.n_keys);
-    return run_is(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::IsWorkload>(fit_is_workload(samples, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.n_keys); }
-
- private:
-  npb::IsConfig base_;
-};
-
-class MgAdapter final : public BenchmarkAdapter {
- public:
-  explicit MgAdapter(npb::MgConfig base) : base_(base) {}
-  std::string name() const override { return "MG"; }
-
-  std::string fingerprint() const override {
-    return "MG;nx=" + std::to_string(base_.nx) + ";ny=" + std::to_string(base_.ny) +
-           ";nz=" + std::to_string(base_.nz) + ";cycles=" + std::to_string(base_.cycles) +
-           ";pre=" + std::to_string(base_.pre_smooth) +
-           ";post=" + std::to_string(base_.post_smooth) +
-           ";maxlev=" + std::to_string(base_.max_levels) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    const npb::MgConfig cfg = config_for(n, p);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.total_points());
-    return run_mg(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::MgWorkload>(fit_mg_workload(samples, base_.cycles, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.total_points()); }
-
-  /// Snaps n to a cubic power-of-two grid with nz/p >= 2, and pins the level
-  /// hierarchy so predictions stay comparable across p.
-  npb::MgConfig config_for(double n, int p) const {
-    npb::MgConfig cfg = base_;
-    int side = 8;
-    while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
-    if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
-    while (side < 2 * p) side *= 2;  // slab constraint nz/p >= 2
-    cfg.nx = cfg.ny = cfg.nz = side;
-    if (cfg.max_levels == 0) cfg.max_levels = 3;
-    return cfg;
-  }
-
- private:
-  npb::MgConfig base_;
-};
-
-class CkptAdapter final : public BenchmarkAdapter {
- public:
-  explicit CkptAdapter(npb::CkptConfig base) : base_(base) {}
-  std::string name() const override { return "CKPT"; }
-
-  std::string fingerprint() const override {
-    return "CKPT;elements=" + std::to_string(base_.elements) +
-           ";iterations=" + std::to_string(base_.iterations) +
-           ";every=" + std::to_string(base_.ckpt_every) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    npb::CkptConfig cfg = base_;
-    cfg.elements = static_cast<std::uint64_t>(n);
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.elements);
-    return run_ckpt(machine, cfg, p, options);
-  }
-
-  std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
-                                            double t_m) const override {
-    return std::make_unique<model::CkptWorkload>(
-        fit_ckpt_workload(samples, base_.iterations, base_.ckpt_every, t_m));
-  }
-
-  double default_n() const override { return static_cast<double>(base_.elements); }
-
- private:
-  npb::CkptConfig base_;
-};
-
-class SweepAdapter final : public BenchmarkAdapter {
- public:
-  explicit SweepAdapter(npb::SweepConfig base) : base_(base) {}
-  std::string name() const override { return "SWEEP"; }
-
-  std::string fingerprint() const override {
-    return "SWEEP;nx=" + std::to_string(base_.nx) + ";ny=" + std::to_string(base_.ny) +
-           ";sweeps=" + std::to_string(base_.sweeps) +
-           ";tile=" + std::to_string(base_.tile_w) +
-           ";seed=" + exec::encode_f64(base_.seed) + ";coll=" + collectives_fp(base_.collectives);
-  }
-
-  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
-                     const RunOptions& options, double* snapped_n) const override {
-    // Square grid with side a multiple of tile_w and >= p rows.
-    npb::SweepConfig cfg = base_;
-    int side = cfg.tile_w;
-    while (static_cast<double>(side + cfg.tile_w) * (side + cfg.tile_w) <= n) {
-      side += cfg.tile_w;
+/// "<NAME>;key=value;…" over a config's field list: integers in decimal,
+/// doubles as IEEE-754 hex, the collective stack as collectives_fp.
+template <class Config>
+std::string config_fingerprint(const char* name, const Config& config) {
+  std::string fp = name;
+  Config::fields(config, [&fp](const char* key, const auto& member) {
+    using T = std::remove_cvref_t<decltype(member)>;
+    fp += std::string(";") + key + "=";
+    if constexpr (std::is_same_v<T, smpi::CollectiveConfig>) {
+      fp += collectives_fp(member);
+    } else if constexpr (std::is_integral_v<T>) {
+      fp += std::to_string(member);
+    } else {
+      fp += exec::encode_f64(member);
     }
-    while (side < p) side += cfg.tile_w;
-    cfg.nx = cfg.ny = side;
-    if (snapped_n != nullptr) *snapped_n = static_cast<double>(cfg.total_cells());
-    return run_sweep(machine, cfg, p, options);
+  });
+  return fp;
+}
+
+/// Snaps n to a power-of-two cube side >= `min_side`, starting from `side`:
+/// side^3 <= n < (2*side)^3, then the closer of the two in log space.
+int cube_side(double n, int side, int min_side) {
+  while (static_cast<double>(side) * side * side * 8.0 <= n && side < 1024) side *= 2;
+  if (n > 0 && std::log2(n) - 3.0 * std::log2(side) > 1.5) side *= 2;
+  while (side < min_side) side *= 2;
+  return side;
+}
+
+// One row per app: its config, runner and workload model, the problem size a
+// config runs (`size`), the config a size request at p ranks runs (`snap`),
+// the workload fit, whether a stock model exists (workloads.hpp defaults; MG,
+// CKPT and SWEEP must be calibrated first) and whether p must be a power of
+// two.
+using Samples = std::span<const CounterSample>;
+
+struct Ep {
+  using Config = npb::EpConfig;
+  using Workload = model::EpWorkload;
+  static constexpr auto run = &run_ep;
+  static constexpr bool kStock = true, kPow2P = false;
+  static double size(const Config& c) { return static_cast<double>(c.trials); }
+  static Config snap(Config c, double n, int) {
+    c.trials = static_cast<std::uint64_t>(n);
+    return c;
+  }
+  static Workload fit(const Config&, Samples s, double t_m) { return fit_ep_workload(s, t_m); }
+};
+
+struct Ft {
+  using Config = npb::FtConfig;
+  using Workload = model::FtWorkload;
+  static constexpr auto run = &run_ft;
+  static constexpr bool kStock = true, kPow2P = true;
+  static double size(const Config& c) { return static_cast<double>(c.total_points()); }
+  static Config snap(Config c, double n, int p) {
+    c.nx = c.ny = c.nz = cube_side(n, 4, p);  // slab decomposition: nx, nz >= p
+    return c;
+  }
+  static Workload fit(const Config& c, Samples s, double t_m) {
+    return fit_ft_workload(s, c.iters, t_m);
+  }
+};
+
+struct Cg {
+  using Config = npb::CgConfig;
+  using Workload = model::CgWorkload;
+  static constexpr auto run = &run_cg;
+  static constexpr bool kStock = true, kPow2P = false;
+  static double size(const Config& c) { return static_cast<double>(c.n); }
+  static Config snap(Config c, double n, int p) {
+    c.n = std::max(static_cast<int>(n), 4 * p);
+    return c;
+  }
+  static Workload fit(const Config& c, Samples s, double t_m) {
+    return fit_cg_workload(s, c.outer, c.inner, 2.0 * c.offsets + 1.0, t_m);
+  }
+};
+
+struct Is {
+  using Config = npb::IsConfig;
+  using Workload = model::IsWorkload;
+  static constexpr auto run = &run_is;
+  static constexpr bool kStock = true, kPow2P = false;
+  static double size(const Config& c) { return static_cast<double>(c.n_keys); }
+  static Config snap(Config c, double n, int) {
+    c.n_keys = static_cast<std::uint64_t>(n);
+    return c;
+  }
+  static Workload fit(const Config&, Samples s, double t_m) { return fit_is_workload(s, t_m); }
+};
+
+struct Mg {
+  using Config = npb::MgConfig;
+  using Workload = model::MgWorkload;
+  static constexpr auto run = &run_mg;
+  static constexpr bool kStock = false, kPow2P = true;
+  static double size(const Config& c) { return static_cast<double>(c.total_points()); }
+  /// Pins the level hierarchy so predictions stay comparable across p.
+  static Config snap(Config c, double n, int p) {
+    c.nx = c.ny = c.nz = cube_side(n, 8, 2 * p);  // slab constraint nz/p >= 2
+    if (c.max_levels == 0) c.max_levels = 3;
+    return c;
+  }
+  static Workload fit(const Config& c, Samples s, double t_m) {
+    return fit_mg_workload(s, c.cycles, t_m);
+  }
+};
+
+struct Ckpt {
+  using Config = npb::CkptConfig;
+  using Workload = model::CkptWorkload;
+  static constexpr auto run = &run_ckpt;
+  static constexpr bool kStock = false, kPow2P = false;
+  static double size(const Config& c) { return static_cast<double>(c.elements); }
+  static Config snap(Config c, double n, int) {
+    c.elements = static_cast<std::uint64_t>(n);
+    return c;
+  }
+  static Workload fit(const Config& c, Samples s, double t_m) {
+    return fit_ckpt_workload(s, c.iterations, c.ckpt_every, t_m);
+  }
+};
+
+struct Sweep {
+  using Config = npb::SweepConfig;
+  using Workload = model::SweepWorkload;
+  static constexpr auto run = &run_sweep;
+  static constexpr bool kStock = false, kPow2P = false;
+  static double size(const Config& c) { return static_cast<double>(c.total_cells()); }
+  /// Square grid with side a multiple of tile_w and >= p rows.
+  static Config snap(Config c, double n, int p) {
+    int side = c.tile_w;
+    while (static_cast<double>(side + c.tile_w) * (side + c.tile_w) <= n) side += c.tile_w;
+    while (side < p) side += c.tile_w;
+    c.nx = c.ny = side;
+    return c;
+  }
+  static Workload fit(const Config& c, Samples s, double t_m) {
+    return fit_sweep_workload(s, c.sweeps, c.tile_w, t_m);
+  }
+};
+
+template <class App>
+class KernelAdapter final : public BenchmarkAdapter {
+ public:
+  using Config = typename App::Config;
+  explicit KernelAdapter(Config base) : base_(std::move(base)) {}
+  std::string name() const override { return App::Workload::kName; }
+
+  std::string fingerprint() const override {
+    return config_fingerprint(App::Workload::kName, base_);
+  }
+
+  sim::RunResult run(const sim::MachineSpec& machine, double n, int p,
+                     const RunOptions& options, double* snapped_n) const override {
+    const Config cfg = App::snap(base_, n, p);
+    if (snapped_n != nullptr) *snapped_n = App::size(cfg);
+    return App::run(machine, cfg, p, options);
   }
 
   std::unique_ptr<model::WorkloadModel> fit(std::span<const CounterSample> samples,
                                             double t_m) const override {
-    return std::make_unique<model::SweepWorkload>(
-        fit_sweep_workload(samples, base_.sweeps, base_.tile_w, t_m));
+    return std::make_unique<typename App::Workload>(App::fit(base_, samples, t_m));
   }
 
-  double default_n() const override { return static_cast<double>(base_.total_cells()); }
+  double default_n() const override { return App::size(base_); }
 
  private:
-  npb::SweepConfig base_;
+  Config base_;
 };
 
-}  // namespace
-
-std::unique_ptr<BenchmarkAdapter> make_ep_adapter(npb::EpConfig base) {
-  return std::make_unique<EpAdapter>(base);
+template <class App>
+std::unique_ptr<BenchmarkAdapter> adapter(typename App::Config base) {
+  return std::make_unique<KernelAdapter<App>>(std::move(base));
 }
-std::unique_ptr<BenchmarkAdapter> make_ft_adapter(npb::FtConfig base) {
-  return std::make_unique<FtAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_cg_adapter(npb::CgConfig base) {
-  return std::make_unique<CgAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_is_adapter(npb::IsConfig base) {
-  return std::make_unique<IsAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_mg_adapter(npb::MgConfig base) {
-  return std::make_unique<MgAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_ckpt_adapter(npb::CkptConfig base) {
-  return std::make_unique<CkptAdapter>(base);
-}
-std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base) {
-  return std::make_unique<SweepAdapter>(base);
-}
-
-namespace {
 
 /// An app's stock model: one immutable instance per workload type.
 template <class Workload>
@@ -339,17 +242,28 @@ std::shared_ptr<const model::WorkloadModel> stock() {
   return w;
 }
 
-constexpr AppInfo kApps[] = {
-    {"EP", [] { return make_ep_adapter(); }, &stock<model::EpWorkload>, false},
-    {"FT", [] { return make_ft_adapter(); }, &stock<model::FtWorkload>, true},
-    {"CG", [] { return make_cg_adapter(); }, &stock<model::CgWorkload>, false},
-    {"IS", [] { return make_is_adapter(); }, &stock<model::IsWorkload>, false},
-    {"MG", [] { return make_mg_adapter(); }, nullptr, true},
-    {"CKPT", [] { return make_ckpt_adapter(); }, nullptr, false},
-    {"SWEEP", [] { return make_sweep_adapter(); }, nullptr, false},
-};
+template <class App>
+constexpr AppInfo app_row() {
+  return {App::Workload::kName, [] { return adapter<App>(typename App::Config()); },
+          App::kStock ? &stock<typename App::Workload> : nullptr, App::kPow2P};
+}
+
+constexpr AppInfo kApps[] = {app_row<Ep>(), app_row<Ft>(),   app_row<Cg>(),    app_row<Is>(),
+                             app_row<Mg>(), app_row<Ckpt>(), app_row<Sweep>()};
 
 }  // namespace
+
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::EpConfig base) { return adapter<Ep>(base); }
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::FtConfig base) { return adapter<Ft>(base); }
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::CgConfig base) { return adapter<Cg>(base); }
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::IsConfig base) { return adapter<Is>(base); }
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::MgConfig base) { return adapter<Mg>(base); }
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::CkptConfig base) {
+  return adapter<Ckpt>(base);
+}
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::SweepConfig base) {
+  return adapter<Sweep>(base);
+}
 
 std::span<const AppInfo> app_table() { return kApps; }
 

@@ -9,7 +9,7 @@
 //      validate against full "measured" simulations.
 //
 // The BenchmarkAdapter hides the per-kernel config plumbing so the same study
-// logic drives EP, FT, CG, and IS.
+// logic drives every kernel (EP, FT, CG, IS, MG, CKPT, SWEEP).
 #pragma once
 
 #include <memory>
@@ -35,10 +35,9 @@ class BenchmarkAdapter {
   virtual ~BenchmarkAdapter() = default;
   virtual std::string name() const = 0;
 
-  /// Deterministic digest of every base-config field that influences run():
+  /// Deterministic digest of the base config, built from its field list:
   /// two adapters with different fingerprints may produce different
-  /// measurements at the same (n, p). Result-cache keys are built from this,
-  /// so omitting a significant field here silently reuses stale results.
+  /// measurements at the same (n, p). Result-cache keys are built from this.
   virtual std::string fingerprint() const = 0;
 
   /// Runs the kernel at problem size ~n on p ranks; returns the measurement.
@@ -57,13 +56,15 @@ class BenchmarkAdapter {
   virtual double default_n() const = 0;
 };
 
-std::unique_ptr<BenchmarkAdapter> make_ep_adapter(npb::EpConfig base = npb::EpConfig());
-std::unique_ptr<BenchmarkAdapter> make_ft_adapter(npb::FtConfig base = npb::FtConfig());
-std::unique_ptr<BenchmarkAdapter> make_cg_adapter(npb::CgConfig base = npb::CgConfig());
-std::unique_ptr<BenchmarkAdapter> make_is_adapter(npb::IsConfig base = npb::IsConfig());
-std::unique_ptr<BenchmarkAdapter> make_mg_adapter(npb::MgConfig base = npb::MgConfig());
-std::unique_ptr<BenchmarkAdapter> make_ckpt_adapter(npb::CkptConfig base = npb::CkptConfig());
-std::unique_ptr<BenchmarkAdapter> make_sweep_adapter(npb::SweepConfig base = npb::SweepConfig());
+/// The adapter of a kernel config: one KernelAdapter<App> per app row
+/// (study.cpp). Its fingerprint walks the config's field list.
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::EpConfig base);
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::FtConfig base);
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::CgConfig base);
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::IsConfig base);
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::MgConfig base);
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::CkptConfig base);
+std::unique_ptr<BenchmarkAdapter> make_adapter(npb::SweepConfig base);
 
 /// One row of the app registry: everything that is known about an app by
 /// its name alone.

@@ -44,6 +44,21 @@ std::vector<CounterSample> parallel(std::span<const CounterSample> samples) {
   return out;
 }
 
+/// The sequential fit W_c = a*n, W_m = b*n over the p = 1 samples, with W_m
+/// in effective off-chip accesses. Leaves `a` and `b` as they are without any.
+void fit_sequential(std::span<const CounterSample> seq, double t_m, double& a, double& b) {
+  std::vector<double> ns, instr, mem;
+  for (const auto& s : seq) {
+    ns.push_back(s.n);
+    instr.push_back(s.instructions);
+    mem.push_back(s.mem_time / t_m);
+  }
+  if (!seq.empty()) {
+    a = ols1(ns, instr);
+    b = ols1(ns, mem);
+  }
+}
+
 }  // namespace
 
 CounterSample make_sample(const sim::RunResult& run, double n, int p) {
@@ -66,17 +81,7 @@ model::EpWorkload fit_ep_workload(std::span<const CounterSample> samples, double
   const auto seq = sequential(samples);
   const auto par = parallel(samples);
 
-  // Sequential: W_c = a*n, W_m = b*n.
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);  // effective off-chip accesses
-  }
-  if (!seq.empty()) {
-    w.wc_per_trial = ols1(ns, instr);
-    w.wm_per_trial = ols1(ns, mem);
-  }
+  fit_sequential(seq, t_m, w.wc_per_trial, w.wm_per_trial);
 
   // Overheads vs p*ceil_log2(p) (allreduce combine work).
   std::vector<double> basis, dwoc;
@@ -100,14 +105,14 @@ model::FtWorkload fit_ft_workload(std::span<const CounterSample> samples, int it
   // Sequential: W_c = a*n*log2(n) + b*n. The two-column fit needs >= 3
   // sizes — with two, the near-collinear columns (log2 n varies slowly)
   // produce wildly oscillating coefficients.
+  std::vector<double> col_nlogn, col_n, instr, mem;
+  for (const auto& s : seq) {
+    col_nlogn.push_back(s.n * std::log2(s.n));
+    col_n.push_back(s.n);
+    instr.push_back(s.instructions);
+    mem.push_back(s.mem_time / t_m);
+  }
   if (seq.size() >= 3) {
-    std::vector<double> col_nlogn, col_n, instr, mem;
-    for (const auto& s : seq) {
-      col_nlogn.push_back(s.n * std::log2(s.n));
-      col_n.push_back(s.n);
-      instr.push_back(s.instructions);
-      mem.push_back(s.mem_time / t_m);
-    }
     const std::vector<std::vector<double>> cols = {col_nlogn, col_n};
     const OlsResult fit = ols(cols, instr);
     if (fit.ok) {
@@ -117,13 +122,6 @@ model::FtWorkload fit_ft_workload(std::span<const CounterSample> samples, int it
     w.wm_n = ols1(col_n, mem);
   } else if (!seq.empty()) {
     // One or two sizes: stable one-term fits.
-    std::vector<double> col_nlogn, col_n, instr, mem;
-    for (const auto& s : seq) {
-      col_nlogn.push_back(s.n * std::log2(s.n));
-      col_n.push_back(s.n);
-      instr.push_back(s.instructions);
-      mem.push_back(s.mem_time / t_m);
-    }
     w.wc_nlogn = ols1(col_nlogn, instr);
     w.wc_n = 0.0;
     w.wm_n = ols1(col_n, mem);
@@ -162,16 +160,7 @@ model::CgWorkload fit_cg_workload(std::span<const CounterSample> samples, int ou
   const auto seq = sequential(samples);
   const auto par = parallel(samples);
 
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
+  fit_sequential(seq, t_m, w.wc_n, w.wm_n);
 
   // Overheads vs n*(p-1): the gathered-vector assembly terms.
   std::vector<double> basis, dwoc, dwom;
@@ -197,16 +186,7 @@ model::IsWorkload fit_is_workload(std::span<const CounterSample> samples, double
   const auto seq = sequential(samples);
   const auto par = parallel(samples);
 
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
+  fit_sequential(seq, t_m, w.wc_n, w.wm_n);
 
   if (par.size() >= 2) {
     std::vector<double> col_plogp, col_p, dwoc, dwom;
@@ -238,16 +218,7 @@ model::MgWorkload fit_mg_workload(std::span<const CounterSample> samples, int cy
   const auto seq = sequential(samples);
   const auto par = parallel(samples);
 
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
+  fit_sequential(seq, t_m, w.wc_n, w.wm_n);
 
   std::vector<double> col_p, col_n23p, dwoc, dwom, msgs, bytes;
   for (const auto& s : par) {
@@ -276,16 +247,7 @@ model::CkptWorkload fit_ckpt_workload(std::span<const CounterSample> samples,
   w.ckpt_every = ckpt_every;
   const auto seq = sequential(samples);
 
-  std::vector<double> ns, instr, mem;
-  for (const auto& s : seq) {
-    ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
-  }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-  }
+  fit_sequential(seq, t_m, w.wc_n, w.wm_n);
 
   // I/O time over all samples: T_io = io_p * p + io_n * n.
   std::vector<double> col_p, col_n, io;
@@ -314,18 +276,13 @@ model::SweepWorkload fit_sweep_workload(std::span<const CounterSample> samples, 
   const auto seq = sequential(samples);
   const auto par = parallel(samples);
 
-  std::vector<double> ns, instr, mem, wall;
+  fit_sequential(seq, t_m, w.wc_n, w.wm_n);
+  std::vector<double> ns, wall;
   for (const auto& s : seq) {
     ns.push_back(s.n);
-    instr.push_back(s.instructions);
-    mem.push_back(s.mem_time / t_m);
     wall.push_back(s.makespan);
   }
-  if (!seq.empty()) {
-    w.wc_n = ols1(ns, instr);
-    w.wm_n = ols1(ns, mem);
-    w.sec_per_cell = ols1(ns, wall);  // one rank's issued seconds per cell
-  }
+  if (!seq.empty()) w.sec_per_cell = ols1(ns, wall);  // one rank's issued seconds per cell
 
   std::vector<double> col_pm1, col_pm1n, msgs, bytes;
   for (const auto& s : par) {

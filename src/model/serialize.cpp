@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -160,29 +159,6 @@ std::unique_ptr<WorkloadModel> parse_workload(const std::string& text) {
   if (!doc || doc->workload_name.empty()) return nullptr;
   const WorkloadType* type = find_workload_type(doc->workload_name);
   return type != nullptr ? type->parse(doc->workload) : nullptr;
-}
-
-bool save_calibration(const std::string& path, const MachineParams& machine,
-                      const WorkloadModel& workload) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << serialize(machine) << "\n" << serialize(workload);
-  return static_cast<bool>(out);
-}
-
-std::optional<CalibrationFile> load_calibration(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  auto machine = parse_machine(text);
-  auto workload = parse_workload(text);
-  if (!machine || !workload) return std::nullopt;
-  CalibrationFile file;
-  file.machine = *machine;
-  file.workload = std::move(workload);
-  return file;
 }
 
 }  // namespace isoee::model

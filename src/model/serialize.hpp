@@ -14,7 +14,7 @@
 //   ...
 //
 // Exactly one [machine] section and at most one [workload <NAME>] section per
-// document (the CalibrationFile helpers bundle one of each).
+// document.
 #pragma once
 
 #include <memory>
@@ -40,18 +40,5 @@ std::string serialize(const WorkloadModel& workload);
 /// Parses a [workload ...] section into the matching model type; nullptr on
 /// malformed input or unknown workload name.
 std::unique_ptr<WorkloadModel> parse_workload(const std::string& text);
-
-/// A bundled calibration: machine vector + fitted workload.
-struct CalibrationFile {
-  MachineParams machine;
-  std::unique_ptr<WorkloadModel> workload;
-};
-
-/// Writes machine + workload to `path`. Returns false on I/O failure.
-bool save_calibration(const std::string& path, const MachineParams& machine,
-                      const WorkloadModel& workload);
-
-/// Loads a calibration bundle; nullopt on failure.
-std::optional<CalibrationFile> load_calibration(const std::string& path);
 
 }  // namespace isoee::model

@@ -34,6 +34,19 @@ struct CgConfig {
   double shift = 20.0;  // eigenvalue shift (NPB lambda shift)
   std::uint64_t seed = 0xC6C6ULL;
   smpi::CollectiveConfig collectives{};
+
+  /// The field list (see model::MachineParams::fields), which the study
+  /// fingerprint names: renaming a key invalidates every warm result cache.
+  template <class Self, class Visit>
+  static void fields(Self& c, Visit&& visit) {
+    visit("n", c.n);
+    visit("offsets", c.offsets);
+    visit("outer", c.outer);
+    visit("inner", c.inner);
+    visit("shift", c.shift);
+    visit("seed", c.seed);
+    visit("coll", c.collectives);
+  }
 };
 
 struct CgResult {

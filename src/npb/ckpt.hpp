@@ -23,6 +23,17 @@ struct CkptConfig {
   int ckpt_every = 5;                // checkpoint period (iterations)
   double seed = 314159265.0;
   smpi::CollectiveConfig collectives{};
+
+  /// The field list (see model::MachineParams::fields), which the study
+  /// fingerprint names: renaming a key invalidates every warm result cache.
+  template <class Self, class Visit>
+  static void fields(Self& c, Visit&& visit) {
+    visit("elements", c.elements);
+    visit("iterations", c.iterations);
+    visit("every", c.ckpt_every);
+    visit("seed", c.seed);
+    visit("coll", c.collectives);
+  }
 };
 
 struct CkptResult {

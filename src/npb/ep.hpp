@@ -21,6 +21,15 @@ struct EpConfig {
   std::uint64_t trials = 1 << 20;  // total Marsaglia trials across all ranks
   double seed = 271828183.0;       // NPB EP seed
   smpi::CollectiveConfig collectives{};
+
+  /// The field list (see model::MachineParams::fields), which the study
+  /// fingerprint names: renaming a key invalidates every warm result cache.
+  template <class Self, class Visit>
+  static void fields(Self& c, Visit&& visit) {
+    visit("trials", c.trials);
+    visit("seed", c.seed);
+    visit("coll", c.collectives);
+  }
 };
 
 struct EpResult {

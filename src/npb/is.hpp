@@ -20,6 +20,16 @@ struct IsConfig {
   int key_bits = 16;               // keys uniform in [0, 2^key_bits)
   double seed = 314159265.0;
   smpi::CollectiveConfig collectives{};
+
+  /// The field list (see model::MachineParams::fields), which the study
+  /// fingerprint names: renaming a key invalidates every warm result cache.
+  template <class Self, class Visit>
+  static void fields(Self& c, Visit&& visit) {
+    visit("nkeys", c.n_keys);
+    visit("bits", c.key_bits);
+    visit("seed", c.seed);
+    visit("coll", c.collectives);
+  }
 };
 
 struct IsResult {

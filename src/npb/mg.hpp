@@ -32,6 +32,21 @@ struct MgConfig {
   double seed = 314159265.0;
   smpi::CollectiveConfig collectives{};
 
+  /// The field list (see model::MachineParams::fields), which the study
+  /// fingerprint names: renaming a key invalidates every warm result cache.
+  template <class Self, class Visit>
+  static void fields(Self& c, Visit&& visit) {
+    visit("nx", c.nx);
+    visit("ny", c.ny);
+    visit("nz", c.nz);
+    visit("cycles", c.cycles);
+    visit("pre", c.pre_smooth);
+    visit("post", c.post_smooth);
+    visit("maxlev", c.max_levels);
+    visit("seed", c.seed);
+    visit("coll", c.collectives);
+  }
+
   std::uint64_t total_points() const {
     return static_cast<std::uint64_t>(nx) * static_cast<std::uint64_t>(ny) *
            static_cast<std::uint64_t>(nz);

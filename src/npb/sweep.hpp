@@ -29,6 +29,18 @@ struct SweepConfig {
   double seed = 314159265.0;
   smpi::CollectiveConfig collectives{};
 
+  /// The field list (see model::MachineParams::fields), which the study
+  /// fingerprint names: renaming a key invalidates every warm result cache.
+  template <class Self, class Visit>
+  static void fields(Self& c, Visit&& visit) {
+    visit("nx", c.nx);
+    visit("ny", c.ny);
+    visit("sweeps", c.sweeps);
+    visit("tile", c.tile_w);
+    visit("seed", c.seed);
+    visit("coll", c.collectives);
+  }
+
   std::uint64_t total_cells() const {
     return static_cast<std::uint64_t>(nx) * static_cast<std::uint64_t>(ny);
   }

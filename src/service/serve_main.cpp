@@ -72,18 +72,20 @@ int main(int argc, char** argv) {
     obs::set_global_sink(nullptr);
     const auto events = collector.sorted();
     if (obs::ChromeTraceWriter::write(events, trace_out, {{"source", "isoee-serve"}})) {
-      std::printf("[trace] %s (%zu events)\n", trace_out.c_str(), events.size());
+      std::fprintf(stderr, "[trace] %s (%zu events)\n", trace_out.c_str(), events.size());
     }
   }
   if (const std::string path = cli.get("metrics-out"); !path.empty()) {
     const bool is_json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
     const bool ok =
         is_json ? obs::metrics().write_json(path) : obs::metrics().write_csv(path);
-    if (ok) std::printf("[metrics] %s\n", path.c_str());
+    if (ok) std::fprintf(stderr, "[metrics] %s\n", path.c_str());
   }
   if (const std::string path = cli.get("prom-out"); !path.empty()) {
-    if (obs::metrics().write_prometheus(path)) std::printf("[prom] %s\n", path.c_str());
+    if (obs::metrics().write_prometheus(path)) {
+      std::fprintf(stderr, "[prom] %s\n", path.c_str());
+    }
   }
-  std::printf("isoee_serve: done (%zu stdin requests)\n", handled);
+  std::fprintf(stderr, "isoee_serve: done (%zu stdin requests)\n", handled);
   return 0;
 }

@@ -19,6 +19,7 @@
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "model/serialize.hpp"
+#include "npb/classes.hpp"
 
 namespace {
 
@@ -189,7 +190,8 @@ TEST(EnergyStudy, ExactnessWithoutNoise) {
   // unmodelled collective wait skew).
   auto spec = sim::system_g();
   spec.noise.enabled = false;
-  analysis::EnergyStudy study(spec, analysis::make_ep_adapter(), /*measured=*/false);
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::EpConfig()),
+                              /*measured=*/false);
   const double ns[] = {1 << 15, 1 << 16, 1 << 17};
   const int ps[] = {2, 4};
   study.calibrate(ns, ps);
@@ -202,7 +204,7 @@ TEST(EnergyStudy, ExactnessWithoutNoise) {
 TEST(EnergyStudy, PaperBandErrorsWithNoise) {
   auto spec = sim::system_g();
   spec.noise.enabled = true;
-  analysis::EnergyStudy study(spec, analysis::make_cg_adapter());
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CgConfig()));
   const double ns[] = {1000, 2000, 4000};
   const int ps[] = {2, 4, 8};
   study.calibrate(ns, ps);
@@ -218,14 +220,15 @@ TEST(EnergyStudy, PaperBandErrorsWithNoise) {
 
 TEST(EnergyStudy, PredictBeforeCalibrateThrows) {
   auto spec = sim::system_g();
-  analysis::EnergyStudy study(spec, analysis::make_ep_adapter(), /*measured=*/false);
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::EpConfig()),
+                              /*measured=*/false);
   EXPECT_THROW((void)study.predict(1000, 4), std::logic_error);
 }
 
 TEST(EnergyStudy, FtAdapterSnapsToValidGrid) {
   auto spec = sim::system_g();
   spec.noise.enabled = false;
-  analysis::EnergyStudy study(spec, analysis::make_ft_adapter(), /*measured=*/false);
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::FtConfig()), /*measured=*/false);
   const double ns[] = {32.0 * 32 * 32};
   const int ps[] = {2};
   study.calibrate(ns, ps);
@@ -235,7 +238,8 @@ TEST(EnergyStudy, FtAdapterSnapsToValidGrid) {
 
 TEST(CalibrationPlan, SizesAtOneRankThenRanksAtTheLargestSize) {
   const auto spec = sim::system_g();
-  const std::shared_ptr<const analysis::BenchmarkAdapter> ep = analysis::make_ep_adapter();
+  const std::shared_ptr<const analysis::BenchmarkAdapter> ep =
+      analysis::make_adapter(npb::EpConfig());
   const std::string machine_fp = exec::machine_fingerprint(spec);
   const double ns[] = {1000, 2000};
   const int ps[] = {1, 2, 4};  // p=1 is already covered by the size sweep
@@ -278,7 +282,8 @@ TEST(CalibrationPlan, MachineParamsPayloadIsPinned) {
 
 TEST(CalibrationPlan, MeasureCaseKeysByPointAndRoundTrips) {
   const auto spec = sim::system_g();
-  const std::shared_ptr<const analysis::BenchmarkAdapter> ep = analysis::make_ep_adapter();
+  const std::shared_ptr<const analysis::BenchmarkAdapter> ep =
+      analysis::make_adapter(npb::EpConfig());
   const exec::Case c = analysis::measure_case(spec, ep, 3000, 2, 2.4);
   EXPECT_EQ(c.cache_key, analysis::study_key("measure", exec::machine_fingerprint(spec),
                                              ep->fingerprint(), 3000, 2, 2.4));
@@ -331,6 +336,114 @@ TEST(AppRegistry, StockModelsExistForExactlyEpFtCgIs) {
   // The stock models are the workloads.hpp defaults.
   EXPECT_EQ(model::serialize(*analysis::find_app("FT")->stock_model()),
             model::serialize(model::FtWorkload()));
+}
+
+// Every adapter fingerprint heads its result-cache keys, so these literals,
+// printed by the build before adapters walked the config field lists, must
+// never change by accident: a change orphans every warm --cache-dir entry.
+TEST(AppRegistry, FingerprintsArePinned) {
+  // The default config of each app, in table order, with its default n.
+  const std::pair<const char*, double> defaults[] = {
+      {"EP;trials=1048576;seed=41b033c4d7000000"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       1048576},
+      {"FT;nx=64;ny=64;nz=64;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       262144},
+      {"CG;n=14000;offsets=6;outer=15;inner=25;shift=4034000000000000;seed=50886"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       14000},
+      {"IS;nkeys=1048576;bits=16;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       1048576},
+      {"MG;nx=64;ny=64;nz=64;cycles=4;pre=2;post=2;maxlev=0;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       262144},
+      {"CKPT;elements=1048576;iterations=20;every=5;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       1048576},
+      {"SWEEP;nx=512;ny=512;sweeps=4;tile=64;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000",
+       262144},
+  };
+  const auto apps = analysis::app_table();
+  ASSERT_EQ(apps.size(), std::size(defaults));
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const auto adapter = apps[i].make_adapter();
+    EXPECT_EQ(adapter->fingerprint(), defaults[i].first) << apps[i].name;
+    EXPECT_EQ(adapter->default_n(), defaults[i].second) << apps[i].name;
+  }
+
+  // Each class preset a bench driver runs.
+  using npb::ProblemClass;
+  const std::pair<std::unique_ptr<analysis::BenchmarkAdapter>, const char*> presets[] = {
+      {analysis::make_adapter(npb::ep_class(ProblemClass::A)),
+       "EP;trials=4194304;seed=41b033c4d7000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::ep_class(ProblemClass::B)),
+       "EP;trials=16777216;seed=41b033c4d7000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::ep_class(ProblemClass::W)),
+       "EP;trials=1048576;seed=41b033c4d7000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::ft_class(ProblemClass::A)),
+       "FT;nx=64;ny=64;nz=64;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::ft_class(ProblemClass::B)),
+       "FT;nx=128;ny=128;nz=128;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::ft_class(ProblemClass::W)),
+       "FT;nx=64;ny=64;nz=64;iters=4;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::cg_class(ProblemClass::A)),
+       "CG;n=14000;offsets=6;outer=15;inner=25;shift=4034000000000000;seed=50886"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::cg_class(ProblemClass::B)),
+       "CG;n=75000;offsets=6;outer=15;inner=25;shift=4034000000000000;seed=50886"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::cg_class(ProblemClass::W)),
+       "CG;n=7000;offsets=6;outer=10;inner=25;shift=4034000000000000;seed=50886"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::is_class(ProblemClass::A)),
+       "IS;nkeys=4194304;bits=16;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::is_class(ProblemClass::W)),
+       "IS;nkeys=1048576;bits=15;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::mg_class(ProblemClass::A)),
+       "MG;nx=64;ny=64;nz=64;cycles=6;pre=2;post=2;maxlev=0;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::mg_class(ProblemClass::W)),
+       "MG;nx=64;ny=64;nz=64;cycles=4;pre=2;post=2;maxlev=0;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::mg_class(ProblemClass::S)),
+       "MG;nx=32;ny=32;nz=32;cycles=4;pre=2;post=2;maxlev=0;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+      {analysis::make_adapter(npb::sweep_class(ProblemClass::S)),
+       "SWEEP;nx=256;ny=256;sweeps=4;tile=64;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,0000000000000000"},
+  };
+  for (const auto& [adapter, fingerprint] : presets) {
+    EXPECT_EQ(adapter->fingerprint(), fingerprint);
+  }
+
+  // ablation_comm_dvfs: FT class A with its collectives at a comm gear.
+  const std::pair<double, const char*> comm_gears[] = {
+      {1.6,
+       "FT;nx=64;ny=64;nz=64;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,3ff999999999999a"},
+      {1.2,
+       "FT;nx=64;ny=64;nz=64;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,3ff3333333333333"},
+      {1.0,
+       "FT;nx=64;ny=64;nz=64;iters=6;alpha=3eb0c6f7a0b5ed8d;seed=41b2b9b0a1000000"
+       ";coll=0,0,0,0,fixed,3ff0000000000000"},
+  };
+  for (const auto& [gear, fingerprint] : comm_gears) {
+    npb::FtConfig config = npb::ft_class(ProblemClass::A);
+    config.collectives.comm_gear_ghz = gear;
+    EXPECT_EQ(analysis::make_adapter(config)->fingerprint(), fingerprint) << gear;
+  }
 }
 
 // --- baselines ---------------------------------------------------------------------

@@ -638,12 +638,14 @@ TEST(WarmCache, StudyRerunExecutesZeroSimulationsAndReproducesResults) {
   const double ns[] = {1 << 14, 1 << 15};
   const int ps[] = {2, 4};
 
-  analysis::EnergyStudy cold(spec, analysis::make_ep_adapter(), /*measured=*/true, ec);
+  analysis::EnergyStudy cold(spec, analysis::make_adapter(npb::EpConfig()), /*measured=*/true,
+                             ec);
   cold.calibrate(ns, ps);
   const auto v_cold = cold.validate(1 << 16, 4);
 
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
-  analysis::EnergyStudy warm(spec, analysis::make_ep_adapter(), /*measured=*/true, ec);
+  analysis::EnergyStudy warm(spec, analysis::make_adapter(npb::EpConfig()), /*measured=*/true,
+                             ec);
   warm.calibrate(ns, ps);
   const auto v_warm = warm.validate(1 << 16, 4);
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before)

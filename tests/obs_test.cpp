@@ -350,7 +350,8 @@ TEST(Drift, StudyValidationFeedsTheGlobalMonitor) {
   obs::drift().reset();
   auto spec = sim::system_g();
   spec.noise.enabled = false;
-  analysis::EnergyStudy study(spec, analysis::make_ep_adapter(), /*measured=*/false);
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::EpConfig()),
+                              /*measured=*/false);
   const double ns[] = {1 << 15, 1 << 16, 1 << 17};
   const int ps[] = {2, 4};
   study.calibrate(ns, ps);

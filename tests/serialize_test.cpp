@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -285,27 +284,12 @@ TEST(Serialize, MissingKeysKeepDefaultsAndUnknownKeysAreIgnored) {
   EXPECT_EQ(model::serialize(*parsed), model::serialize(expected));
 }
 
-TEST(Serialize, FileRoundTrip) {
-  const auto m = sample_machine();
-  model::CgWorkload cg;
-  cg.wc_n = 12345.6;
-  const std::string path = "/tmp/isoee_serialize_test.calib";
-  ASSERT_TRUE(model::save_calibration(path, m, cg));
-  const auto loaded = model::load_calibration(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->machine.name, "TestBox");
-  EXPECT_EQ(loaded->workload->name(), "CG");
-  EXPECT_DOUBLE_EQ(loaded->workload->at(1000, 4).W_c, cg.at(1000, 4).W_c);
-  std::filesystem::remove(path);
-}
-
 TEST(Serialize, MalformedInputsRejected) {
   EXPECT_FALSE(model::parse_machine("").has_value());
   EXPECT_FALSE(model::parse_machine("[workload FT]\nalpha = 1\n").has_value());
   EXPECT_FALSE(model::parse_machine("[machine\ncpi = 1\n").has_value());
   EXPECT_EQ(model::parse_workload("[machine]\ncpi = 1\n"), nullptr);
   EXPECT_EQ(model::parse_workload("[workload BOGUS]\nalpha = 1\n"), nullptr);
-  EXPECT_FALSE(model::load_calibration("/nonexistent/path.calib").has_value());
 }
 
 TEST(Serialize, IgnoresCommentsAndWhitespace) {

@@ -13,11 +13,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -25,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/policy.hpp"
 #include "analysis/study.hpp"
 #include "exec/executor.hpp"
 #include "model/isocontour.hpp"
@@ -280,6 +285,37 @@ TEST(ModelTier, OptimizeMaxPMatchesDirectModel) {
   EXPECT_DOUBLE_EQ(v.find("result")->find("p")->number, double(want));
 }
 
+// No configuration of CG n=75000 finishes in 0.5 s on SystemG: the reply is
+// still valid JSON, naming the fastest configuration with feasible=false.
+TEST(ModelTier, InfeasibleDeadlineRepliesWithTheFastestConfiguration) {
+  Service svc{ServiceConfig{}};
+  const std::string line = svc.handle_line(
+      R"({"method":"optimize","params":{"machine":"system_g","app":"CG","n":75000,"objective":"min_energy_under_deadline","deadline_s":0.5}})");
+  const util::JsonValue v = util::parse_json(line);
+  ASSERT_TRUE(response_ok(v)) << line;
+  const auto* result = v.find("result");
+  ASSERT_NE(result, nullptr);
+  ASSERT_NE(result->find("feasible"), nullptr);
+  EXPECT_FALSE(result->find("feasible")->boolean);
+  for (const auto& [key, value] : result->object) {
+    if (value.is(util::JsonValue::Type::kNumber)) {
+      EXPECT_TRUE(std::isfinite(value.number)) << key;
+    }
+  }
+  EXPECT_GT(result->find("time_s")->number, 0.5);
+
+  const model::MachineParams mp = tools::nominal_machine_params(sim::system_g());
+  const model::CgWorkload cg;
+  std::vector<int> ps;
+  for (int p = 2; p <= std::min(sim::system_g().total_cores(), 1024); p *= 2) ps.push_back(p);
+  double fastest = std::numeric_limits<double>::infinity();
+  for (const auto& c :
+       analysis::enumerate_configs(mp, cg, 75000, ps, sim::system_g().cpu.gears_ghz)) {
+    fastest = std::min(fastest, c.time_s);
+  }
+  EXPECT_DOUBLE_EQ(result->find("time_s")->number, fastest);
+}
+
 TEST(ModelTier, IsoContourMatchesDirectModel) {
   Service svc{ServiceConfig{}};
   const auto v = parse_response(svc.handle_line(
@@ -431,8 +467,8 @@ TEST(SimTier, StudyAndServiceShareCalibrationCache) {
   const std::string cal_line =
       R"({"method":"calibrate","params":{"machine":"system_g","app":"EP","ns":[20000,40000],"ps":[2]}})";
   const auto make_study = [](const std::string& dir) {
-    return std::make_unique<analysis::EnergyStudy>(sim::system_g(), analysis::make_ep_adapter(),
-                                                   true, exec::ExecConfig{2, dir});
+    return std::make_unique<analysis::EnergyStudy>(
+        sim::system_g(), analysis::make_adapter(npb::EpConfig()), true, exec::ExecConfig{2, dir});
   };
   const auto expect_same_fit = [](const util::JsonValue& response,
                                    const analysis::EnergyStudy& study) {
@@ -481,7 +517,7 @@ TEST(SimTier, StudyAndServiceShareMeasurements) {
     const double ns[] = {20000, 40000};
     const int ps[] = {2};
     auto study = std::make_unique<analysis::EnergyStudy>(
-        sim::system_g(), analysis::make_ep_adapter(), true, exec::ExecConfig{2, dir});
+        sim::system_g(), analysis::make_adapter(npb::EpConfig()), true, exec::ExecConfig{2, dir});
     study->calibrate(ns, ps);
     return study;
   };
@@ -541,6 +577,30 @@ TEST(SimTier, SimulationPointValidationHappensBeforeAnySimulation) {
 // ---------------------------------------------------------------------------
 // Stats, shutdown, and the stdin transport.
 // ---------------------------------------------------------------------------
+
+// Standard output of `isoee_serve --stdin` carries the replies and nothing
+// else (status lines go to stderr), so a client can parse it line by line.
+TEST(Endpoints, ServeStdinWritesOnlyJsonRepliesToStdout) {
+  const std::string dir = scratch_dir("serve_stdin");
+  fs::create_directories(dir);
+  const std::string command = std::string("'") + ISOEE_SERVE_BIN + "' --stdin --metrics-out '" +
+                              dir + "/metrics.json' < '" + ISOEE_REQUESTS_DIR +
+                              "/power_budget.jsonl' 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, pipe)) > 0;) out.append(buf, got);
+  EXPECT_EQ(::pclose(pipe), 0);
+
+  std::istringstream lines(out);
+  std::size_t n = 0;
+  for (std::string line; std::getline(lines, line); ++n) {
+    EXPECT_TRUE(response_ok(parse_response(line))) << "line " << n + 1 << ": " << line;
+  }
+  EXPECT_EQ(n, 5u);  // one reply per request of the script
+  EXPECT_TRUE(fs::exists(dir + "/metrics.json"));
+}
 
 TEST(Endpoints, StatsReportsCountersAndRunsStarted) {
   Service svc{ServiceConfig{}};

@@ -152,7 +152,7 @@ TEST(SweepStudy, ValidatesDespiteImbalance) {
   auto spec = machine();
   spec.noise.enabled = true;
   analysis::EnergyStudy study(spec,
-                              analysis::make_sweep_adapter(npb::sweep_class(npb::ProblemClass::S)));
+                              analysis::make_adapter(npb::sweep_class(npb::ProblemClass::S)));
   const double ns[] = {128. * 128, 256. * 256, 512. * 512};
   const int ps[] = {2, 4, 8};
   study.calibrate(ns, ps);
