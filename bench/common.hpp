@@ -102,10 +102,7 @@ inline void write_observability_artifacts() {
   }
   if (!metrics_out().empty()) {
     const std::string& path = metrics_out();
-    const bool is_json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-    const bool ok = is_json ? obs::metrics().write_json(path)
-                            : obs::metrics().write_csv(path);
-    if (ok) {
+    if (obs::metrics().write(path)) {
       std::printf("[metrics] %s\n", path.c_str());
     } else {
       ISOEE_ERROR("failed to write --metrics-out %s", path.c_str());

@@ -194,6 +194,10 @@ bool MetricsRegistry::write_json(const std::string& path) const {
   return write_text_file(path, render_json());
 }
 
+bool MetricsRegistry::write(const std::string& path) const {
+  return path.ends_with(".json") ? write_json(path) : write_csv(path);
+}
+
 std::string MetricsRegistry::render_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;

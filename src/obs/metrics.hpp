@@ -121,6 +121,8 @@ class MetricsRegistry {
   bool write_csv(const std::string& path) const;
   /// Writes the snapshot as a JSON object keyed by metric name.
   bool write_json(const std::string& path) const;
+  /// write_json for a `.json` path, write_csv otherwise (the --metrics-out rule).
+  bool write(const std::string& path) const;
   /// The same JSON object as write_json, returned as a string (used by the
   /// service `metrics` endpoint).
   std::string render_json() const;

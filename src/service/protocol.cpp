@@ -170,6 +170,7 @@ const char* error_code_name(ErrorCode code) {
 }
 
 std::string json_num(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;

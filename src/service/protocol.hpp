@@ -109,7 +109,7 @@ inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 /// `id_json_out` so the error response still correlates.
 Request parse_request(const std::string& line, std::string* id_json_out = nullptr);
 
-/// Renders a double as a JSON number (%.17g — reparses to the same bits).
+/// A double as a JSON number (%.17g: reparses to the same bits); null if not finite.
 std::string json_num(double v);
 
 /// `{"id":<id>,"ok":true,"tier":"<tier>","coalesced":<b>,"result":<fragment>}`

@@ -76,10 +76,7 @@ int main(int argc, char** argv) {
     }
   }
   if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-    const bool is_json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-    const bool ok =
-        is_json ? obs::metrics().write_json(path) : obs::metrics().write_csv(path);
-    if (ok) std::fprintf(stderr, "[metrics] %s\n", path.c_str());
+    if (obs::metrics().write(path)) std::fprintf(stderr, "[metrics] %s\n", path.c_str());
   }
   if (const std::string path = cli.get("prom-out"); !path.empty()) {
     if (obs::metrics().write_prometheus(path)) {

@@ -1,17 +1,17 @@
 #include "service/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace isoee::service {
 
@@ -29,6 +29,19 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
+/// The reply to one request line, newline-terminated, or "" for a blank
+/// keep-alive line. Both transports answer through this.
+std::string answer_line(Service& service, std::string line) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line.empty()) return {};
+  // GET-less scrape: the bare word `metrics` (not valid JSON, so no protocol
+  // request can collide with it) answers with the Prometheus text exposition,
+  // `# EOF`-terminated so scrapers know the snapshot is complete. The JSON
+  // protocol proper is untouched — this carve-out lives only in the transports.
+  if (line == "metrics") return obs::metrics().render_prometheus();
+  return service.handle_line(line) + "\n";
+}
+
 }  // namespace
 
 TcpServer::TcpServer(Service& service, int port) : service_(service) {
@@ -42,9 +55,8 @@ TcpServer::TcpServer(Service& service, int port) : service_(service) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
+      ::listen(listen_fd_, 64) != 0 || ::pipe2(wake_, O_NONBLOCK | O_CLOEXEC) != 0) {
     ::close(listen_fd_);
-    listen_fd_ = -1;
     throw std::runtime_error("cannot listen on port " + std::to_string(port));
   }
   socklen_t len = sizeof addr;
@@ -53,104 +65,114 @@ TcpServer::TcpServer(Service& service, int port) : service_(service) {
 }
 
 TcpServer::~TcpServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (Connection& c : connections_) {
-    if (c.thread.joinable()) c.thread.join();
-  }
+  for (const int fd : {listen_fd_, wake_[0], wake_[1]}) ::close(fd);
 }
 
 void TcpServer::serve() {
+  std::vector<pollfd> fds;  // listen, wake, then each idle connection in order
   while (!service_.shutdown_requested()) {
-    reap_closed();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check shutdown
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    Connection& conn = connections_.emplace_back();
-    conn.fd = fd;
-    conn.thread = std::thread([this, &conn] { serve_connection(conn); });
-  }
-  {
-    // Wake connection threads blocked in read(): it returns 0 and they exit.
-    // Only the read side is shut, so a reply still being computed (the
-    // `shutdown` request's own included) is written out in full.
-    std::lock_guard<std::mutex> lock(mu_);
+    fds.assign({{listen_fd_, POLLIN, 0}, {wake_[0], POLLIN, 0}});
     for (const Connection& c : connections_) {
-      if (!c.closed) ::shutdown(c.fd, SHUT_RD);
+      if (!c.busy) fds.push_back({c.fd, POLLIN, 0});
     }
-  }
-  for (Connection& c : connections_) c.thread.join();
-  connections_.clear();
-}
-
-void TcpServer::reap_closed() {
-  // A closed connection's thread has nothing left to do but return.
-  std::lock_guard<std::mutex> lock(mu_);
-  connections_.remove_if([](Connection& c) {
-    if (c.closed) c.thread.join();
-    return c.closed;
-  });
-}
-
-void TcpServer::serve_connection(Connection& conn) {
-  const int fd = conn.fd;
-  std::string buffer;
-  std::size_t consumed = 0;  // buffer[0, consumed) is already handled
-  char chunk[4096];
-  while (!service_.shutdown_requested()) {
-    const std::size_t newline = buffer.find('\n', consumed);
-    if (newline != std::string::npos) {
-      std::string line = buffer.substr(consumed, newline - consumed);
-      consumed = newline + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;  // blank lines are keep-alives
-      if (line == "metrics") {
-        // GET-less scrape: the bare word `metrics` (not valid JSON, so no
-        // protocol request can collide with it) answers with the Prometheus
-        // text exposition, `# EOF`-terminated so scrapers know the snapshot
-        // is complete. The JSON protocol proper is untouched — this carve-out
-        // lives only in the transports.
-        if (!write_all(fd, obs::metrics().render_prometheus())) break;
-        continue;
+    // Every reply ends with a wake, so the timeout only backs up a shutdown
+    // requested outside this server (an in-process caller or the stdin loop).
+    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/100) <= 0) continue;
+    std::size_t i = 2;
+    for (Connection& c : connections_) {
+      if (c.busy || fds[i++].revents == 0) continue;
+      c.busy = true;
+      std::unique_lock<std::mutex> lock(mu_);
+      ready_.push_back(&c);
+      const bool start_worker = ready_.size() > idle_workers_;  // none idle for it
+      lock.unlock();
+      if (start_worker) {
+        workers_.emplace_back([this] { work(); });
+      } else {
+        ready_cv_.notify_one();
       }
-      if (!write_all(fd, service_.handle_line(line) + "\n")) break;
-      continue;
     }
-    if (buffer.size() - consumed > kMaxLineBytes) {
-      // An unframed flood; answer once and drop the connection rather than
-      // buffering without bound.
-      write_all(fd, render_error("null", ErrorCode::kInvalidRequest,
-                                 "request line exceeds " + std::to_string(kMaxLineBytes) +
-                                     " bytes") +
-                        "\n");
-      break;
+    if (fds[1].revents != 0) {
+      char sink[256];
+      while (::read(wake_[0], sink, sizeof sink) > 0) continue;
+      std::lock_guard<std::mutex> lock(mu_);
+      for (Connection* c : done_) c->busy = false;
+      done_.clear();
     }
-    // Every complete line is handled: compact once per read, not per line.
-    buffer.erase(0, consumed);
-    consumed = 0;
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n <= 0) break;  // client closed (or error)
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    connections_.remove_if([](const Connection& c) { return !c.busy && c.fd < 0; });
+    if (fds[0].revents != 0) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) connections_.emplace_back().fd = fd;
+    }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ::close(fd);
-  conn.closed = true;
+  // Idle connections, those handed back included, close at once. A worker
+  // still answering writes its reply in full, then closes its connection.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    for (Connection* c : done_) c->busy = false;
+  }
+  ready_cv_.notify_all();
+  for (Connection& c : connections_) {
+    if (!c.busy && c.fd >= 0) ::close(c.fd);
+  }
+  for (std::thread& w : workers_) w.join();
+}
+
+void TcpServer::work() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    ++idle_workers_;
+    ready_cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
+    --idle_workers_;
+    if (ready_.empty()) return;  // stopping, and every hand-off is served
+    Connection* conn = ready_.front();
+    ready_.pop_front();
+    lock.unlock();
+    const bool keep = answer(*conn);
+    lock.lock();
+    if (!keep || stopping_) {
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
+    done_.push_back(conn);
+    // Still under the lock, so this worker counts as idle again before
+    // serve() can hand it more work. A full pipe already means "awake".
+    (void)!::write(wake_[1], "", 1);
+  }
+}
+
+bool TcpServer::answer(Connection& conn) {
+  char chunk[16384];
+  const ssize_t n = ::read(conn.fd, chunk, sizeof chunk);
+  if (n <= 0) return false;  // client closed (or error)
+  conn.buffer.append(chunk, static_cast<std::size_t>(n));
+  std::size_t consumed = 0;  // buffer[0, consumed) is answered
+  for (std::size_t nl; (nl = conn.buffer.find('\n', consumed)) != std::string::npos;
+       consumed = nl + 1) {
+    if (service_.shutdown_requested()) return false;
+    const std::string line = conn.buffer.substr(consumed, nl - consumed);
+    if (!write_all(conn.fd, answer_line(service_, line))) return false;
+  }
+  conn.buffer.erase(0, consumed);  // compact once per read, not per line
+  if (conn.buffer.size() > kMaxLineBytes) {
+    // An unframed flood; answer once and drop the connection rather than
+    // buffering without bound.
+    const std::string limit = std::to_string(kMaxLineBytes);
+    write_all(conn.fd, render_error("null", ErrorCode::kInvalidRequest,
+                                    "request line exceeds " + limit + " bytes") + "\n");
+    return false;
+  }
+  return true;
 }
 
 std::size_t run_stdin(Service& service, std::istream& in, std::ostream& out) {
   std::size_t handled = 0;
   std::string line;
   while (!service.shutdown_requested() && std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line == "metrics") {  // same scrape carve-out as the TCP transport
-      out << obs::metrics().render_prometheus();
-      out.flush();
-      ++handled;
-      continue;
-    }
-    out << service.handle_line(line) << "\n";
+    const std::string reply = answer_line(service, line);
+    if (reply.empty()) continue;
+    out << reply;
     out.flush();
     ++handled;
   }

@@ -1,23 +1,24 @@
 // Transports for the query service: a line-delimited TCP server and a
-// stdin/stdout loop.
+// stdin/stdout loop, both answering each line through one handler.
 //
-// The TCP server is deliberately plain POSIX: accept loop with a poll()
-// timeout so a `shutdown` request is noticed promptly, one thread per
-// connection (the service's own admission controller bounds simulation
-// concurrency, so connection threads mostly block on futures), newline-framed
-// requests and responses. Shutdown shuts the read side of every open
-// connection, so a client that idles without closing cannot keep the server
-// alive, while replies still being computed are written out in full. The
-// stdin loop runs the identical request path without any sockets — it is what
-// the tests and CI smoke drive.
+// The TCP server is plain POSIX, and every fd has one owner at a time: serve()
+// poll()s the listening socket, a wake pipe and every connection no worker is
+// serving, and hands a readable one to a worker. The worker reads once,
+// answers every complete line in order, hands the connection back (or closes
+// it) and writes the wake pipe. Workers are reused; a new one starts only when
+// none is idle, so threads are bounded by the connections being served at
+// once, not by the sockets open. The stdin loop runs the same request path
+// without sockets — it is what the tests and CI smoke drive.
 #pragma once
 
-#include <istream>
+#include <condition_variable>
+#include <deque>
+#include <iosfwd>
 #include <list>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/service.hpp"
 
@@ -32,33 +33,35 @@ class TcpServer {
 
   int port() const { return port_; }
 
-  /// Accepts and serves connections until the service reports
-  /// shutdown_requested(), then shuts the read side of every connection still
-  /// open (so a client idling in read() cannot hold the server up, while a
-  /// request already being served still gets its reply) and joins their
-  /// threads before returning. Threads of closed connections are joined as
-  /// the accept loop goes, so a long-lived server holds one thread (and one
-  /// stack) per open connection, not per connection ever accepted.
+  /// Serves connections until the service reports shutdown_requested(), then
+  /// closes every idle connection at once, lets the workers write out the
+  /// replies they are computing, and joins them before returning.
   void serve();
 
  private:
   struct Connection {
-    int fd = -1;
-    bool closed = false;  // guarded by mu_; set when fd is closed
-    std::thread thread;
+    int fd = -1;         // -1 once a worker has closed it
+    bool busy = false;   // handed to a worker; only serve()'s thread uses it
+    std::string buffer;  // bytes read but not yet answered
   };
 
-  void serve_connection(Connection& conn);
-  void reap_closed();  // joins the threads of closed connections
+  void work();                    // one worker's loop
+  bool answer(Connection& conn);  // one read, every complete line; false = close
 
   Service& service_;
   int listen_fd_ = -1;
+  int wake_[2] = {-1, -1};  // workers write, serve() polls the read end
   int port_ = 0;
-  // Connections not yet joined; only serve() adds or removes entries. Each
-  // thread marks its own entry closed, under mu_, as it closes its fd, so
-  // serve() never touches an fd number the OS reused.
-  std::mutex mu_;
+  // Only serve()'s thread adds or erases connections and starts workers; a
+  // worker touches only the connection it was handed.
   std::list<Connection> connections_;
+  std::vector<std::thread> workers_;
+  std::condition_variable ready_cv_;  // a hand-off, or stopping_
+  std::mutex mu_;                     // guards the four fields below
+  std::deque<Connection*> ready_;  // handed off, not yet taken by a worker
+  std::vector<Connection*> done_;  // served and handed back
+  std::size_t idle_workers_ = 0;
+  bool stopping_ = false;
 };
 
 /// Feeds request lines from `in` to the service and writes one response line

@@ -2,7 +2,11 @@
 // fuzzing over the request grammar), the three-tier answer path (model /
 // cache / sim), request coalescing, admission control, the calibrate flow
 // and its cache shared with analysis::EnergyStudy, the stdin transport, and
-// TCP shutdown while a client idles or waits on a reply.
+// the TCP transport over loopback: shutdown while a client idles or waits on
+// a reply, no thread per connection (a live-thread count with 256 sockets
+// open), and chaos clients (a half line then close, a client that vanishes
+// mid-simulation, an unframed flood, lines split at arbitrary bytes), each
+// under a watchdog so a hang fails instead of wedging the suite.
 //
 // The sim-tier tests use small EP cases so the whole binary stays in the
 // seconds range; the serving-smoke CI job covers the TCP transport and load.
@@ -10,6 +14,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
@@ -314,6 +320,20 @@ TEST(ModelTier, InfeasibleDeadlineRepliesWithTheFastestConfiguration) {
     fastest = std::min(fastest, c.time_s);
   }
   EXPECT_DOUBLE_EQ(result->find("time_s")->number, fastest);
+}
+
+// JSON has no inf or nan: a prediction whose EEF overflows (a vanishing
+// problem size on a thousand ranks) replies with null, and the reply parses.
+TEST(ModelTier, NonFiniteNumbersRenderAsNull) {
+  Service svc{ServiceConfig{}};
+  const std::string line = svc.handle_line(
+      R"({"method":"predict","params":{"machine":"dori","app":"FT","n":1e-300,"p":1024}})");
+  util::JsonValue v;
+  ASSERT_NO_THROW(v = util::parse_json(line)) << line;
+  ASSERT_TRUE(response_ok(v)) << line;
+  const auto* eef = v.find("result")->find("EEF");
+  ASSERT_NE(eef, nullptr) << line;
+  EXPECT_TRUE(eef->is(util::JsonValue::Type::kNull)) << line;
 }
 
 TEST(ModelTier, IsoContourMatchesDirectModel) {
@@ -725,52 +745,88 @@ TEST(Endpoints, TcpShutdownReturnsWhileAnotherClientIsIdle) {
   EXPECT_TRUE(in_time) << "serve() waited on an idle client after shutdown";
 }
 
-/// This process's virtual memory size in bytes (VmSize of /proc/self/status).
-std::uint64_t vm_size_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7)) * 1024;
-  }
-  return 0;
+/// Entries of /proc/self/<dir>: "task" counts live threads, "fd" open files.
+std::size_t proc_self_entries(const std::string& dir) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : fs::directory_iterator("/proc/self/" + dir)) ++n;
+  return n;
 }
 
-// A thread that has exited keeps its stack until it is joined, so a server
-// that joined connection threads only at shutdown grew by a stack (8 MiB of
-// address space) per connection ever accepted: about 1.6 GB over these 200
-// cycles. Closed connections are now joined as the accept loop goes. The
-// cycles run one at a time, so at most a few connection threads (the one
-// serving and any still noticing their client's close) exist at once.
-TEST(Endpoints, TcpJoinsClosedConnectionThreadsAsItGoes) {
-  Service svc{ServiceConfig{}};
-  service::TcpServer server(svc, 0);
-  std::thread serving([&] { server.serve(); });
-  const auto cycles = [&](int n) {
-    for (int i = 0; i < n; ++i) {
-      const int fd = connect_loopback(server.port());
-      EXPECT_TRUE(response_ok(parse_response(round_trip(fd, R"({"method":"stats"})"))));
-      ::close(fd);
+/// Aborts the test binary, naming the test, unless the scope is left within
+/// `limit`: a transport regression fails the suite instead of hanging it.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit, name = std::string(::testing::UnitTest::GetInstance()
+                                                     ->current_test_info()
+                                                     ->name())] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %llds\n", name.c_str(),
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
     }
-  };
-  // Warm-up: malloc arenas and the thread-stack cache reach their steady
-  // size here, so the measured growth is what the 200 cycles leave behind.
-  cycles(20);
-  const std::uint64_t before = vm_size_bytes();
-  const std::uint64_t limit = before + (256ull << 20);
-  cycles(200);
-  // The accept loop joins closed connections on each pass and wakes at least
-  // every 100 ms; give a loaded host a few seconds of passes.
-  std::uint64_t after = vm_size_bytes();
-  for (int i = 0; i < 30 && after >= limit; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    after = vm_size_bytes();
+    cv_.notify_all();
+    thread_.join();
   }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: it uses every member above
+};
+
+/// Asks the server to stop over a fresh connection and joins its serve()
+/// thread. Returns how long serve() took to return.
+std::chrono::duration<double> stop_serving(service::TcpServer& server,
+                                           std::thread& serving) {
+  const auto start = std::chrono::steady_clock::now();
   const int admin = connect_loopback(server.port());
   EXPECT_TRUE(response_ok(parse_response(round_trip(admin, R"({"method":"shutdown"})"))));
   ::close(admin);
   serving.join();
-  ASSERT_GT(before, 0u);
-  EXPECT_LT(after, limit) << "VmSize grew from " << before << " to " << after << " bytes";
+  return std::chrono::steady_clock::now() - start;
+}
+
+// Contract: serve() starts no thread for a connection. Workers are reused and
+// a new one starts only when none is idle, so 256 connections held open and
+// answered one after another, and then 200 connect/close cycles, grow the
+// process by the few workers that served them, not by a thread per socket.
+// Counting threads, not address space, keeps malloc arenas out of the count.
+TEST(Endpoints, TcpHoldsNoThreadPerConnection) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+  const std::size_t before = proc_self_entries("task");
+  constexpr std::size_t kWorkerSlack = 8;
+
+  std::vector<int> held;
+  for (int i = 0; i < 256; ++i) {
+    held.push_back(connect_loopback(server.port()));
+    EXPECT_TRUE(response_ok(parse_response(round_trip(held.back(), R"({"method":"stats"})"))));
+  }
+  const std::size_t while_held = proc_self_entries("task");
+  for (int i = 0; i < 200; ++i) {
+    const int fd = connect_loopback(server.port());
+    EXPECT_TRUE(response_ok(parse_response(round_trip(fd, R"({"method":"stats"})"))));
+    ::close(fd);
+  }
+  const std::size_t after_cycles = proc_self_entries("task");
+  stop_serving(server, serving);
+  for (const int fd : held) ::close(fd);
+
+  EXPECT_LE(while_held, before + kWorkerSlack)
+      << "threads grew from " << before << " to " << while_held << " with 256 open";
+  EXPECT_LE(after_cycles, before + kWorkerSlack)
+      << "threads grew from " << before << " to " << after_cycles << " over 200 cycles";
 }
 
 TEST(Endpoints, TcpShutdownStillRepliesToARequestInFlight) {
@@ -861,6 +917,141 @@ TEST(Endpoints, TcpAnswersAThousandPipelinedRequestsInOrder) {
 
   ASSERT_EQ(replies.size(), static_cast<std::size_t>(kRequests));
   EXPECT_TRUE(pending.empty());
+  for (int i = 0; i < kRequests; ++i) {
+    const auto v = parse_response(replies[static_cast<std::size_t>(i)]);
+    EXPECT_TRUE(response_ok(v)) << replies[static_cast<std::size_t>(i)];
+    ASSERT_NE(v.find("id"), nullptr);
+    EXPECT_EQ(v.find("id")->number, static_cast<double>(i));
+  }
+}
+
+// Chaos: clients that misbehave at the byte level. Each runs under a
+// watchdog, so a transport that hangs fails the suite instead of wedging it.
+
+TEST(Endpoints, TcpChaosHalfLineThenCloseGetsNoReply) {
+  Watchdog watchdog(std::chrono::seconds(30));
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+
+  const int half = connect_loopback(server.port());
+  const std::string partial = R"({"method":"sta)";
+  EXPECT_EQ(::write(half, partial.data(), partial.size()),
+            static_cast<ssize_t>(partial.size()));
+  ::shutdown(half, SHUT_WR);
+  char c = 0;
+  EXPECT_EQ(::read(half, &c, 1), 0) << "an unterminated line got a reply";
+  ::close(half);
+
+  const int next = connect_loopback(server.port());
+  EXPECT_TRUE(response_ok(parse_response(round_trip(next, R"({"method":"stats"})"))));
+  ::close(next);
+  stop_serving(server, serving);
+}
+
+TEST(Endpoints, TcpChaosClientVanishesWhileItsQuerySimulates) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+  const std::size_t fds_before = proc_self_entries("fd");
+
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  const int gone = connect_loopback(server.port());
+  const std::string request = measured_line(5e6, 2) + "\n";
+  EXPECT_EQ(::write(gone, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (sim::Engine::total_runs_started() == runs_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::close(gone);
+
+  // The reply meets a closed peer: an error for the server, never a SIGPIPE
+  // that kills this process. The server then closes its end of the socket.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (proc_self_entries("fd") != fds_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(proc_self_entries("fd"), fds_before)
+      << "the vanished client's socket is still open";
+  EXPECT_GT(sim::Engine::total_runs_started(), runs_before);
+
+  const int next = connect_loopback(server.port());
+  EXPECT_TRUE(response_ok(parse_response(round_trip(next, R"({"method":"stats"})"))));
+  ::close(next);
+  EXPECT_LT(stop_serving(server, serving).count(), 5.0) << "shutdown was slow";
+}
+
+TEST(Endpoints, TcpChaosUnframedFloodGetsOneErrorThenEof) {
+  Watchdog watchdog(std::chrono::seconds(30));
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+
+  const int fd = connect_loopback(server.port());
+  const std::string flood(service::kMaxLineBytes + 1, 'x');
+  EXPECT_EQ(::write(fd, flood.data(), flood.size()), static_cast<ssize_t>(flood.size()));
+  std::string received;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof chunk)) > 0;) {
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  stop_serving(server, serving);
+
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 1) << received;
+  ASSERT_EQ(received.back(), '\n');
+  received.pop_back();
+  EXPECT_EQ(error_code_of(parse_response(received)), "invalid_request") << received;
+}
+
+TEST(Endpoints, TcpChaosLinesSplitAtArbitraryBytesAreAnsweredInOrder) {
+  Watchdog watchdog(std::chrono::seconds(60));
+  Service svc{ServiceConfig{}};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+
+  // CRLF endings and blank keep-alive lines ride along; only requests reply.
+  constexpr int kRequests = 200;
+  std::string stream;
+  for (int i = 0; i < kRequests; ++i) {
+    stream += "{\"id\":" + std::to_string(i) +
+              R"(,"method":"predict","params":{"machine":"system_g","app":"EP","n":1e6,"p":4}})" +
+              (i % 3 == 0 ? "\r\n" : "\n") + (i % 7 == 0 ? "\n" : "");
+  }
+  const int fd = connect_loopback(server.port());
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  std::thread writer([&] {
+    util::Xoshiro256 rng(24);
+    for (std::size_t off = 0; off < stream.size();) {
+      const std::size_t len = std::min<std::size_t>(1 + rng.below(97), stream.size() - off);
+      ASSERT_EQ(::write(fd, stream.data() + off, len), static_cast<ssize_t>(len));
+      off += len;
+      if (rng.below(4) == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::string> replies;
+  std::string pending;
+  char chunk[4096];
+  while (replies.size() < static_cast<std::size_t>(kRequests)) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;
+    pending.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    for (std::size_t nl; (nl = pending.find('\n', start)) != std::string::npos; start = nl + 1) {
+      replies.push_back(pending.substr(start, nl - start));
+    }
+    pending.erase(0, start);
+  }
+  writer.join();
+  ::close(fd);
+  stop_serving(server, serving);
+
+  ASSERT_EQ(replies.size(), static_cast<std::size_t>(kRequests));
   for (int i = 0; i < kRequests; ++i) {
     const auto v = parse_response(replies[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(response_ok(v)) << replies[static_cast<std::size_t>(i)];
