@@ -438,9 +438,9 @@ int main(int argc, char** argv) {
       const std::uint64_t runs_before = stats_runs_started(*monitor);
       const int volley = std::max(2, clients);
       std::vector<std::string> responses(static_cast<std::size_t>(volley));
-      // In process, a gate job holds the scheduler's dispatcher until every
-      // query but the first has coalesced, so the check cannot race the first
-      // simulation finishing. Over --connect the scheduler is out of reach and
+      // In process, a gate holds the scheduler's whole host-thread budget
+      // until every query but the first has coalesced, so the check cannot
+      // race the first simulation finishing. Over --connect the scheduler is out of reach and
       // only the barrier below narrows the window (docs/SERVICE.md).
       std::unique_ptr<service::SchedulerGate> gate;
       if (local) gate = std::make_unique<service::SchedulerGate>(local->scheduler());

@@ -12,12 +12,6 @@ namespace isoee::exec {
 
 namespace {
 
-int resolve_budget(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 bool failed(const CaseResult& r, const BatchOptions& opts) {
   if (!r.error.empty()) return true;
   return opts.is_failure && opts.is_failure(r);
@@ -62,6 +56,12 @@ void absorb_stats(const BatchStats& stats) {
 }
 
 }  // namespace
+
+int resolve_budget(int requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 std::uint64_t case_seed(std::uint64_t root_seed, std::uint64_t index) {
   std::uint64_t s = root_seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));

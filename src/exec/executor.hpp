@@ -92,6 +92,10 @@ struct BatchOptions {
   BatchStats* stats = nullptr;   // optional observability out-param
 };
 
+/// The host-thread budget `requested` stands for: itself when positive,
+/// otherwise std::thread::hardware_concurrency() (at least 1).
+int resolve_budget(int requested);
+
 /// Runs the batch and returns one result per case, in submission order.
 std::vector<CaseResult> run_batch(const std::vector<Case>& cases,
                                   const BatchOptions& opts = {});

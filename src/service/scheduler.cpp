@@ -1,7 +1,6 @@
 #include "service/scheduler.hpp"
 
-#include <atomic>
-#include <stdexcept>
+#include <algorithm>
 #include <thread>
 #include <utility>
 
@@ -24,137 +23,82 @@ struct SchedulerMetrics {
 }  // namespace
 
 SimScheduler::SimScheduler(const SchedulerConfig& config)
-    : config_(config), cache_(config.cache_dir, config.cache_max_bytes) {
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
-}
-
-SimScheduler::~SimScheduler() { stop(); }
+    : budget_(exec::resolve_budget(config.jobs)),
+      max_pending_(config.max_pending),
+      cache_(config.cache_dir, config.cache_max_bytes) {}
 
 SimScheduler::Ticket SimScheduler::submit(
     const std::string& key, std::vector<exec::Case> cases,
     std::function<std::string(const std::vector<exec::CaseResult>&)> fold) {
+  int width = 0;
+  for (const exec::Case& c : cases) width += c.threads;
+  exec::BatchOptions opts;
+  opts.thread_budget = std::clamp(width, 1, budget_);
+  opts.cache = cache_.enabled() ? &cache_ : nullptr;
+
+  SchedulerMetrics& metrics = SchedulerMetrics::get();
   Ticket ticket;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
     ticket.result = it->second;
     ticket.coalesced = true;
-    SchedulerMetrics::get().coalesced.inc();
+    metrics.coalesced.inc();
     return ticket;
   }
-  if (stopping_ || pending_ >= config_.max_pending) {
+  if (pending_ >= max_pending_) {
     ticket.rejected = true;
-    SchedulerMetrics::get().rejected.inc();
+    metrics.rejected.inc();
     return ticket;
   }
-  Job job;
-  job.key = key;
-  job.cases = std::move(cases);
-  job.fold = std::move(fold);
-  job.promise = std::make_shared<std::promise<Outcome>>();
-  ticket.result = job.promise->get_future().share();
+  std::promise<Outcome> promise;
+  ticket.result = promise.get_future().share();
   inflight_.emplace(key, ticket.result);
-  queue_.push_back(std::move(job));
-  ++pending_;
-  SchedulerMetrics::get().queue_depth.set(static_cast<double>(pending_));
-  cv_.notify_one();
+  metrics.queue_depth.set(static_cast<double>(++pending_));
+  try {
+    std::vector<exec::CaseResult> results;
+    {
+      const Turn turn(*this, opts.thread_budget, lock);
+      results = exec::run_batch(cases, opts);
+    }
+    Outcome outcome;
+    for (const exec::CaseResult& r : results) outcome.simulated |= !r.from_cache;
+    outcome.payload = fold(results);
+    promise.set_value(std::move(outcome));
+  } catch (...) {
+    promise.set_exception(std::current_exception());
+  }
+  metrics.jobs_run.inc();
+  // Only now does an identical key stop coalescing onto this job — the
+  // result is fulfilled, so latecomers either read the warm cache or rerun.
+  lock.lock();
+  inflight_.erase(key);
+  metrics.queue_depth.set(static_cast<double>(--pending_));
   return ticket;
 }
 
-void SimScheduler::stop() {
+SimScheduler::Turn::Turn(SimScheduler& scheduler, int width, std::unique_lock<std::mutex>& held)
+    : scheduler_(scheduler), width_(width) {
+  SimScheduler& s = scheduler_;
+  const std::uint64_t mine = s.next_turn_++;
+  s.turn_cv_.wait(held, [&] { return s.head_turn_ == mine && s.in_use_ + width_ <= s.budget_; });
+  s.in_use_ += width_;
+  ++s.head_turn_;
+  held.unlock();
+  s.turn_cv_.notify_all();  // the next turn may fit in what is left
+}
+
+SimScheduler::Turn::~Turn() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && !dispatcher_.joinable()) return;
-    stopping_ = true;
-    cv_.notify_one();
+    std::lock_guard<std::mutex> lock(scheduler_.mu_);
+    scheduler_.in_use_ -= width_;
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
-
-void SimScheduler::dispatch_loop() {
-  for (;;) {
-    std::vector<Job> jobs;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty() && stopping_) return;
-      // Drain everything queued so far: one run_batch per cycle shares the
-      // host-thread budget across concurrent requests.
-      jobs.reserve(queue_.size());
-      while (!queue_.empty()) {
-        jobs.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    run_jobs(std::move(jobs));
-  }
-}
-
-void SimScheduler::run_jobs(std::vector<Job> jobs) {
-  std::vector<exec::Case> batch;
-  std::vector<std::size_t> offsets;  // first case index of each job
-  for (const Job& job : jobs) {
-    offsets.push_back(batch.size());
-    batch.insert(batch.end(), job.cases.begin(), job.cases.end());
-  }
-  offsets.push_back(batch.size());
-
-  exec::BatchOptions opts;
-  opts.thread_budget = config_.jobs;
-  opts.cache = cache_.enabled() ? &cache_ : nullptr;
-  const std::vector<exec::CaseResult> results = exec::run_batch(batch, opts);
-
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::vector<exec::CaseResult> slice(results.begin() + offsets[j],
-                                              results.begin() + offsets[j + 1]);
-    Outcome outcome;
-    for (const exec::CaseResult& r : slice) outcome.simulated |= !r.from_cache;
-    try {
-      outcome.payload = jobs[j].fold(slice);
-      jobs[j].promise->set_value(std::move(outcome));
-    } catch (...) {
-      jobs[j].promise->set_exception(std::current_exception());
-    }
-    SchedulerMetrics::get().jobs_run.inc();
-    // Only now does an identical key stop coalescing onto this job — the
-    // result is fulfilled, so latecomers either read the warm cache or rerun.
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(jobs[j].key);
-    --pending_;
-    SchedulerMetrics::get().queue_depth.set(static_cast<double>(pending_));
-  }
+  scheduler_.turn_cv_.notify_all();
 }
 
 SchedulerGate::SchedulerGate(SimScheduler& scheduler) {
-  static std::atomic<std::uint64_t> next_id{0};
-  exec::Case gate;
-  gate.run = [state = state_]() -> std::string {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->running = true;
-    state->cv.notify_all();
-    state->cv.wait(lock, [&] { return state->released; });
-    return std::string();
-  };
-  std::string key = "scheduler-gate/";
-  key += std::to_string(next_id.fetch_add(1));
-  const SimScheduler::Ticket ticket =
-      scheduler.submit(key, {std::move(gate)},
-                       [](const std::vector<exec::CaseResult>&) { return std::string(); });
-  if (ticket.rejected) throw std::runtime_error("SchedulerGate: gate job was rejected");
-  done_ = ticket.result;
+  std::unique_lock<std::mutex> lock(scheduler.mu_);
+  turn_.emplace(scheduler, scheduler.budget_, lock);
   coalesced_before_ = SchedulerMetrics::get().coalesced.value();
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->running; });
-}
-
-SchedulerGate::~SchedulerGate() { release(); }
-
-void SchedulerGate::release() {
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->released = true;
-    state_->cv.notify_all();
-  }
-  done_.wait();
 }
 
 bool SchedulerGate::release_after_coalesced(std::uint64_t n, std::chrono::milliseconds timeout) {

@@ -42,6 +42,14 @@ std::string answer_line(Service& service, std::string line) {
   return service.handle_line(line) + "\n";
 }
 
+/// The one reply to a line longer than kMaxLineBytes; neither transport
+/// buffers such a line whole.
+std::string overlong_reply() {
+  return render_error("null", ErrorCode::kInvalidRequest,
+                      "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes") +
+         "\n";
+}
+
 }  // namespace
 
 TcpServer::TcpServer(Service& service, int port) : service_(service) {
@@ -158,9 +166,7 @@ bool TcpServer::answer(Connection& conn) {
   if (conn.buffer.size() > kMaxLineBytes) {
     // An unframed flood; answer once and drop the connection rather than
     // buffering without bound.
-    const std::string limit = std::to_string(kMaxLineBytes);
-    write_all(conn.fd, render_error("null", ErrorCode::kInvalidRequest,
-                                    "request line exceeds " + limit + " bytes") + "\n");
+    write_all(conn.fd, overlong_reply());
     return false;
   }
   return true;
@@ -168,13 +174,35 @@ bool TcpServer::answer(Connection& conn) {
 
 std::size_t run_stdin(Service& service, std::istream& in, std::ostream& out) {
   std::size_t handled = 0;
-  std::string line;
-  while (!service.shutdown_requested() && std::getline(in, line)) {
-    const std::string reply = answer_line(service, line);
-    if (reply.empty()) continue;
-    out << reply;
+  const auto reply = [&](const std::string& text) {
+    if (text.empty()) return;
+    out << text;
     out.flush();
     ++handled;
+  };
+  std::string line;
+  bool overlong = false;  // the line passed kMaxLineBytes: answered, rest discarded
+  char chunk[16384];
+  while (!service.shutdown_requested()) {
+    // Reads through the next '\n' (consumed, not stored) or a full chunk,
+    // which sets failbit while more of the line is still to come.
+    in.getline(chunk, sizeof chunk);
+    const bool cut = in.fail() && !in.eof() && !in.bad();
+    const bool newline = !in.fail() && !in.eof();
+    if (!overlong) line.append(chunk, static_cast<std::size_t>(in.gcount()) - newline);
+    if (!overlong && line.size() > kMaxLineBytes) {
+      reply(overlong_reply());
+      overlong = true;
+      line.clear();
+    }
+    if (cut) {
+      in.clear();
+      continue;
+    }
+    if (!overlong) reply(answer_line(service, std::move(line)));
+    line.clear();
+    overlong = false;
+    if (!newline) break;  // end of input
   }
   return handled;
 }

@@ -65,8 +65,10 @@ class TcpServer {
 };
 
 /// Feeds request lines from `in` to the service and writes one response line
-/// per request to `out`, until EOF or a handled `shutdown`. Returns the
-/// number of requests handled.
+/// per request to `out`, until EOF or a handled `shutdown`. Lines are read in
+/// bounded chunks: one longer than kMaxLineBytes gets the `invalid_request`
+/// reply the TCP transport writes, and the rest of it is discarded unbuffered.
+/// Returns the number of replies written.
 std::size_t run_stdin(Service& service, std::istream& in, std::ostream& out);
 
 }  // namespace isoee::service

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -92,6 +93,24 @@ std::vector<int> pow2_ps(int cap) {
   for (int p = 2; p <= cap; p *= 2) ps.push_back(p);
   if (ps.empty()) ps.push_back(1);
   return ps;
+}
+
+/// Submits a simulation-backed job and waits for it, reporting whether it
+/// coalesced and which tier answered. Throws kOverloaded when admission
+/// control rejects the job and kSimFailed when a case or the fold failed.
+Outcome run_job(SimScheduler& scheduler, const std::string& key, std::vector<exec::Case> cases,
+                std::function<std::string(const std::vector<exec::CaseResult>&)> fold,
+                std::string* tier, bool* coalesced) {
+  const SimScheduler::Ticket ticket = scheduler.submit(key, std::move(cases), std::move(fold));
+  if (ticket.rejected) fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
+  *coalesced = ticket.coalesced;
+  try {
+    Outcome outcome = ticket.result.get();
+    *tier = outcome.simulated ? "sim" : "cache";
+    return outcome;
+  } catch (const std::exception& e) {
+    fail(ErrorCode::kSimFailed, e.what());
+  }
 }
 
 double host_now_s() {
@@ -264,22 +283,13 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
   cases.push_back(analysis::measure_case(spec, app.make_adapter(), req.n, req.p, f));
   const std::string key = cases[0].cache_key;
 
-  SimScheduler::Ticket ticket = scheduler_->submit(
-      key, std::move(cases), [](const std::vector<exec::CaseResult>& results) {
+  const Outcome outcome = run_job(
+      *scheduler_, key, std::move(cases),
+      [](const std::vector<exec::CaseResult>& results) {
         if (!results[0].ok()) throw std::runtime_error(results[0].error);
         return results[0].payload;
-      });
-  if (ticket.rejected) {
-    fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
-  }
-  *coalesced = ticket.coalesced;
-  Outcome outcome;
-  try {
-    outcome = ticket.result.get();
-  } catch (const std::exception& e) {
-    fail(ErrorCode::kSimFailed, e.what());
-  }
-  *tier = outcome.simulated ? "sim" : "cache";
+      },
+      tier, coalesced);
   const analysis::Measurement actual = analysis::decode_measurement(outcome.payload);
 
   // A measured request is the one place a live service produces both a
@@ -328,8 +338,8 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
   std::string job_key = "calibrate-job";
   for (const exec::Case& c : cases) job_key += '\x1e' + c.cache_key;
 
-  SimScheduler::Ticket ticket = scheduler_->submit(
-      job_key, std::move(cases),
+  const Outcome outcome = run_job(
+      *scheduler_, job_key, std::move(cases),
       [adapter](const std::vector<exec::CaseResult>& results) -> std::string {
         for (const exec::CaseResult& r : results) {
           if (!r.ok()) throw std::runtime_error("calibration case failed: " + r.error);
@@ -339,18 +349,8 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
             *adapter, std::span(results).subspan(1), mp.t_m);
         // \x1e separates the two [section] documents (never appears in them).
         return model::serialize(mp) + '\x1e' + model::serialize(*workload);
-      });
-  if (ticket.rejected) {
-    fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
-  }
-  *coalesced = ticket.coalesced;
-  Outcome outcome;
-  try {
-    outcome = ticket.result.get();
-  } catch (const std::exception& e) {
-    fail(ErrorCode::kSimFailed, e.what());
-  }
-  *tier = outcome.simulated ? "sim" : "cache";
+      },
+      tier, coalesced);
 
   const std::size_t sep = outcome.payload.find('\x1e');
   if (sep == std::string::npos) fail(ErrorCode::kInternal, "calibration payload: no separator");

@@ -12,9 +12,10 @@
 //            coefficients lands here: predict, optimize, iso_contour.
 //   cache  — the content-addressed exec::ResultCache: a simulation-backed
 //            answer whose every case was already on disk. No simulation runs.
-//   sim    — batched execution on the exec::run_batch host-thread pool via
-//            the SimScheduler: admission-controlled, and coalesced so that N
-//            identical in-flight queries cost one simulation.
+//   sim    — an exec::run_batch on the requester's thread via the
+//            SimScheduler: admission-controlled, coalesced so that N
+//            identical in-flight queries cost one simulation, and waiting its
+//            turn in the one FIFO host-thread budget (--jobs).
 //
 // The response's `tier` field reports which tier actually answered.
 //

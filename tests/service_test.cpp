@@ -1,7 +1,8 @@
 // Tier-1 tests for src/service: the wire protocol (strict parsing + seeded
 // fuzzing over the request grammar), the three-tier answer path (model /
-// cache / sim), request coalescing, admission control, the calibrate flow
-// and its cache shared with analysis::EnergyStudy, the stdin transport, and
+// cache / sim), request coalescing, admission control, the scheduler's FIFO
+// host-thread budget, the calibrate flow and its cache shared with
+// analysis::EnergyStudy, the stdin transport (an overlong line included), and
 // the TCP transport over loopback: shutdown while a client idles or waits on
 // a reply, no thread per connection (a live-thread count with 256 sockets
 // open), and chaos clients (a half line then close, a client that vanishes
@@ -42,6 +43,7 @@
 #include "model/serialize.hpp"
 #include "model/workloads.hpp"
 #include "obs/drift.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -405,8 +407,8 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
   std::vector<std::string> responses(kClients);
   {
-    // The gate holds the dispatcher, so the first query stays in flight
-    // until every other one has coalesced onto it.
+    // The gate holds the whole host-thread budget, so the first query stays
+    // in flight until every other one has coalesced onto it.
     service::SchedulerGate gate(svc.scheduler());
     std::vector<std::thread> clients;
     for (int i = 0; i < kClients; ++i) {
@@ -595,6 +597,161 @@ TEST(SimTier, SimulationPointValidationHappensBeforeAnySimulation) {
 }
 
 // ---------------------------------------------------------------------------
+// The scheduler's host-thread budget, driven through svc.scheduler() with
+// cases that record when they start and how many run at once.
+// ---------------------------------------------------------------------------
+
+class RunProbe {
+ public:
+  /// A case that logs `label` as it starts, then keeps running until
+  /// `together` probe cases have run at once, release() is called, or
+  /// `linger` passes — so cases the budget lets overlap do overlap.
+  exec::Case make(std::string label, int together, std::chrono::milliseconds linger) {
+    exec::Case c;
+    c.run = [this, label = std::move(label), together, linger] {
+      std::unique_lock<std::mutex> lock(mu_);
+      started_.push_back(label);
+      peak_ = std::max(peak_, ++running_);
+      cv_.notify_all();
+      cv_.wait_for(lock, linger, [&] { return released_ || peak_ >= together; });
+      --running_;
+      return std::string();
+    };
+    return c;
+  }
+
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  /// Waits up to 30 s for `n` cases to have started; false on timeout.
+  bool wait_started(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30), [&] { return started_.size() >= n; });
+  }
+
+  int peak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+
+  std::vector<std::string> started() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int running_ = 0;
+  int peak_ = 0;
+  bool released_ = false;
+  std::vector<std::string> started_;
+};
+
+/// Submits `cases` as one job whose fold returns "" and waits for it.
+void run_job(Service& svc, const std::string& key, std::vector<exec::Case> cases) {
+  const service::SimScheduler::Ticket ticket = svc.scheduler().submit(
+      key, std::move(cases), [](const std::vector<exec::CaseResult>&) { return std::string(); });
+  EXPECT_FALSE(ticket.rejected) << key;
+  if (!ticket.rejected) ticket.result.wait();
+}
+
+/// Waits up to 30 s for the `service.queue_depth` gauge to read `n`.
+bool wait_queue_depth(double n) {
+  const obs::Gauge& depth = obs::metrics().gauge("service.queue_depth");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (depth.value() != n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return depth.value() == n;
+}
+
+TEST(SimTier, BudgetOfOneRunsOneJobAtATimeAndOfTwoRunsTwo) {
+  for (const int jobs : {1, 2}) {
+    ServiceConfig config;
+    config.jobs = jobs;
+    Service svc{config};
+    RunProbe probe;
+    // Under a budget of 1 each case lingers a little, giving the other job
+    // the chance to (wrongly) start; under 2 they wait for each other.
+    const auto linger = std::chrono::milliseconds(jobs == 1 ? 100 : 30000);
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 2; ++i) {
+      clients.emplace_back([&, i] {
+        std::vector<exec::Case> cases;
+        cases.push_back(probe.make("job", 2, linger));
+        run_job(svc, "budget/" + std::to_string(i), std::move(cases));
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(probe.peak(), jobs) << "jobs=" << jobs;
+  }
+}
+
+TEST(SimTier, BudgetTurnsAreFifoSoANarrowJobWaitsBehindAWideOne) {
+  ServiceConfig config;
+  config.jobs = 2;
+  Service svc{config};
+  RunProbe probe;
+  const auto job = [&](const std::string& key, int cases, int together) {
+    std::vector<exec::Case> batch;
+    for (int i = 0; i < cases; ++i) {
+      batch.push_back(probe.make(key, together, std::chrono::seconds(60)));
+    }
+    return std::thread([&svc, key, batch = std::move(batch)]() mutable {
+      run_job(svc, key, std::move(batch));
+    });
+  };
+  // "a" holds one of the two threads until released.
+  std::thread a = job("a", 1, 3);
+  EXPECT_TRUE(probe.wait_started(1));
+  // "b" is two cases wide, so it waits for "a".
+  std::thread b = job("b", 2, 2);
+  EXPECT_TRUE(wait_queue_depth(2));
+  // "c" is one case wide and one thread is free, but its turn is after "b".
+  std::thread c = job("c", 1, 1);
+  EXPECT_TRUE(wait_queue_depth(3));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // room to jump the line
+  EXPECT_EQ(probe.started(), std::vector<std::string>{"a"});
+
+  probe.release();
+  for (std::thread* t : {&a, &b, &c}) t->join();
+  EXPECT_EQ(probe.started(), (std::vector<std::string>{"a", "b", "b", "c"}));
+  EXPECT_TRUE(wait_queue_depth(0));
+}
+
+TEST(SimTier, AFailedFoldIsNotCoalescedOntoAndTheKeyRunsAgain) {
+  Service svc{ServiceConfig{}};
+  std::atomic<int> runs{0};
+  const auto counted = [&] {
+    std::vector<exec::Case> cases(1);
+    cases[0].run = [&runs] {
+      ++runs;
+      return std::string("payload");
+    };
+    return cases;
+  };
+  const service::SimScheduler::Ticket failed = svc.scheduler().submit(
+      "fails-once", counted(), [](const std::vector<exec::CaseResult>&) -> std::string {
+        throw std::runtime_error("fold failed");
+      });
+  ASSERT_FALSE(failed.rejected);
+  EXPECT_THROW(failed.result.get(), std::runtime_error);
+
+  const service::SimScheduler::Ticket again = svc.scheduler().submit(
+      "fails-once", counted(),
+      [](const std::vector<exec::CaseResult>& results) { return results[0].payload; });
+  ASSERT_FALSE(again.rejected);
+  EXPECT_FALSE(again.coalesced);
+  EXPECT_EQ(again.result.get().payload, "payload");
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(obs::metrics().gauge("service.queue_depth").value(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
 // Stats, shutdown, and the stdin transport.
 // ---------------------------------------------------------------------------
 
@@ -653,6 +810,61 @@ TEST(Endpoints, ShutdownStopsTheStdinLoopMidStream) {
   const std::string text = out.str();
   EXPECT_NE(text.find("\"stopping\":true"), std::string::npos);
   EXPECT_EQ(text.find("\"id\":3"), std::string::npos);
+}
+
+/// An input that yields `line_bytes` bytes of 'x', a newline, then `tail`,
+/// made up block by block instead of stored, and that notes how many bytes it
+/// had handed out when it first found a reply written to `out`.
+class OverlongLineSource : public std::streambuf {
+ public:
+  OverlongLineSource(std::size_t line_bytes, std::string tail, std::ostringstream& out)
+      : line_bytes_(line_bytes), tail_(std::move(tail)), out_(out) {}
+
+  /// An upper bound on the bytes read before the first reply was written.
+  std::size_t first_reply_at() const { return first_reply_at_; }
+
+ protected:
+  int_type underflow() override {
+    if (first_reply_at_ == kNever && std::streamoff(out_.tellp()) > 0) first_reply_at_ = served_;
+    const std::size_t total = line_bytes_ + 1 + tail_.size();
+    const std::size_t n = std::min(sizeof block_, total - served_);
+    if (n == 0) return traits_type::eof();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t at = served_ + i;
+      block_[i] = at < line_bytes_ ? 'x' : at == line_bytes_ ? '\n' : tail_[at - line_bytes_ - 1];
+    }
+    served_ += n;
+    setg(block_, block_, block_ + n);
+    return traits_type::to_int_type(block_[0]);
+  }
+
+ private:
+  static constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  std::size_t line_bytes_;
+  std::string tail_;
+  std::ostringstream& out_;
+  char block_[4096];
+  std::size_t served_ = 0;
+  std::size_t first_reply_at_ = kNever;
+};
+
+// Contract: the stdin loop never holds more than a bounded slice of a line. An
+// 8 MiB line gets the TCP transport's `invalid_request` reply as soon as it
+// passes kMaxLineBytes, the rest is discarded, and the next line is answered.
+TEST(Endpoints, StdinOverlongLineIsRejectedWithoutBufferingIt) {
+  Service svc{ServiceConfig{}};
+  std::ostringstream out;
+  OverlongLineSource source(std::size_t{8} << 20, R"({"method":"stats"})" "\n", out);
+  std::istream in(&source);
+  EXPECT_EQ(service::run_stdin(svc, in, out), 2u);
+
+  std::istringstream replies(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(error_code_of(parse_response(lines[0])), "invalid_request");
+  EXPECT_TRUE(response_ok(parse_response(lines[1])));
+  EXPECT_LE(source.first_reply_at(), service::kMaxLineBytes + 64 * 1024);
 }
 
 // The recipes of docs/SERVICE.md: each request script in docs/requests runs
