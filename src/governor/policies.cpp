@@ -15,21 +15,6 @@ double effective_comm_gear(const std::vector<double>& gears, double comm_gear_gh
 }
 
 // ---------------------------------------------------------------------------
-// NoopPolicy
-// ---------------------------------------------------------------------------
-
-class NoopPolicy final : public Policy {
- public:
-  const char* name() const override { return "noop"; }
-  Decision decide(const Observation& obs) override {
-    Decision d;
-    d.f_ghz = obs.current_ghz;
-    d.reason = "noop";
-    return d;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Communication-phase gear handling shared by CapPolicy and EeTargetPolicy:
 // save the compute gear on phase entry, run the comm gear, restore on exit.
 // ---------------------------------------------------------------------------
@@ -216,10 +201,6 @@ class EeTargetPolicy final : public Policy, CommGearMixin {
 double comm_gear_from(const sim::MachineSpec& machine,
                       const smpi::CollectiveConfig& collectives) {
   return effective_comm_gear(machine.cpu.gears_ghz, collectives.comm_gear_ghz);
-}
-
-PolicyFactory make_noop_policy() {
-  return [] { return std::make_unique<NoopPolicy>(); };
 }
 
 PolicyFactory make_cap_policy(CapPolicyConfig config) {

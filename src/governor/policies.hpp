@@ -6,8 +6,8 @@
 // rank's Observation — which carries deterministic cluster-level estimates —
 // so decisions are reproducible regardless of host thread scheduling.
 //
-// Three policies ship with the library:
-//   * NoopPolicy      — never touches the gear (open-loop baseline).
+// Two policies ship with the library (an open-loop baseline is simply a run
+// without a governor):
 //   * CapPolicy       — hysteresis cluster-power-cap enforcer with reactive
 //                       communication-phase gear-down.
 //   * EeTargetPolicy  — evaluates the calibrated iso-energy-efficiency model
@@ -70,9 +70,6 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
 /// settings from silently disagreeing.
 double comm_gear_from(const sim::MachineSpec& machine,
                       const smpi::CollectiveConfig& collectives);
-
-/// Open-loop baseline: always keeps the current gear.
-PolicyFactory make_noop_policy();
 
 /// Hysteresis power-cap enforcer.
 ///

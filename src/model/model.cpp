@@ -6,7 +6,7 @@ namespace isoee::model {
 
 PerfPrediction IsoEnergyModel::predict_performance(const AppParams& app) const {
   PerfPrediction perf;
-  const double t_c = machine_.t_c();
+  const double t_c = t_c_;
   const double t_m = machine_.t_m;
 
   // Sequential: T1 = alpha * (W_c t_c + W_m t_m + T_io)   (Eqs 5-6, 10).
@@ -31,9 +31,9 @@ PerfPrediction IsoEnergyModel::predict_performance(const AppParams& app) const {
 
 EnergyPrediction IsoEnergyModel::predict_energy(const AppParams& app) const {
   EnergyPrediction e;
-  const double t_c = machine_.t_c();
+  const double t_c = t_c_;
   const double t_m = machine_.t_m;
-  const double dp_c = machine_.dp_c();
+  const double dp_c = dp_c_;
 
   // Sequential energy (Eq 13):
   //   E1 = alpha*T1 * P_idle-system + W_c t_c dP_c + W_m t_m dP_m + T_io dP_io.
@@ -57,7 +57,7 @@ EnergyPrediction IsoEnergyModel::predict_energy(const AppParams& app) const {
   e.Ep_io_delta = (T_net + app.T_io) * machine_.dp_io;
   // Extension: busy-poll CPU power during communication (0 by default, the
   // paper's Eq 12 behaviour).
-  e.Ep_cpu_delta += T_net * machine_.dp_poll();
+  e.Ep_cpu_delta += T_net * dp_poll_;
   e.Ep = e.Ep_idle + e.Ep_cpu_delta + e.Ep_mem_delta + e.Ep_io_delta;
 
   // Overhead, factor, iso-energy-efficiency (Eqs 16, 19, 21). EEF is

@@ -3,6 +3,8 @@
 // efficiency factor EEF (Eq 3/19), and iso-energy-efficiency EE (Eq 4/21).
 #pragma once
 
+#include <utility>
+
 #include "model/params.hpp"
 
 namespace isoee::model {
@@ -33,10 +35,17 @@ struct EnergyPrediction {
 
 /// Stateless evaluator for the analytical model. Constructed around a
 /// machine-dependent vector; every call supplies an application vector
-/// already evaluated at the (n, p) of interest.
+/// already evaluated at the (n, p) of interest. The frequency-dependent
+/// machine constants (t_c, dP_c and the busy-poll increment, one pow each)
+/// are evaluated once here, by MachineParams' own expressions, so the
+/// inverse solvers can query one model thousands of times.
 class IsoEnergyModel {
  public:
-  explicit IsoEnergyModel(MachineParams machine) : machine_(machine) {}
+  explicit IsoEnergyModel(MachineParams machine)
+      : machine_(std::move(machine)),
+        t_c_(machine_.t_c()),
+        dp_c_(machine_.dp_c()),
+        dp_poll_(machine_.dp_poll()) {}
 
   const MachineParams& machine() const { return machine_; }
 
@@ -63,6 +72,9 @@ class IsoEnergyModel {
 
  private:
   MachineParams machine_;
+  double t_c_;      // machine_.t_c()
+  double dp_c_;     // machine_.dp_c()
+  double dp_poll_;  // machine_.dp_poll()
 };
 
 }  // namespace isoee::model

@@ -1,21 +1,16 @@
 #include "model/serialize.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
+#include "util/table.hpp"
+
 namespace isoee::model {
 
 namespace {
-
-std::string fmt(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 using KeyValues = std::map<std::string, std::string>;
 
@@ -70,7 +65,7 @@ void write_fields(const Record& record, std::string& out) {
     out += key;
     out += " = ";
     if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(value)>>) {
-      out += fmt(value);
+      util::append_num17(out, value);
     } else {
       out += value;
     }

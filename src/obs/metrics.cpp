@@ -13,12 +13,6 @@ namespace isoee::obs {
 
 namespace {
 
-std::string fmt_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return std::string(buf);
-}
-
 // Bucket upper bounds are human-chosen round numbers (1e-3, 64, 0.05, ...);
 // %.12g keeps them exact while avoiding %.17g artifacts like
 // "9.9999999999999995e-07" for 1e-6.
@@ -135,7 +129,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     out.push_back({name, "counter", std::to_string(c->value())});
   }
   for (const auto& [name, g] : gauges_) {
-    out.push_back({name, "gauge", fmt_double(g->value())});
+    out.push_back({name, "gauge", util::num17(g->value())});
   }
   for (const auto& [name, h] : histograms_) {
     std::uint64_t cum = 0;
@@ -146,7 +140,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     }
     cum += h->bucket_count(h->bounds().size());
     out.push_back({bucket_row_name(name, "+Inf"), "histogram", std::to_string(cum)});
-    out.push_back({name + "_sum", "histogram", fmt_double(h->sum())});
+    out.push_back({name + "_sum", "histogram", util::num17(h->sum())});
     out.push_back({name + "_count", "histogram", std::to_string(h->count())});
   }
   std::sort(out.begin(), out.end(), [](const MetricSample& a, const MetricSample& b) {
@@ -209,7 +203,7 @@ std::string MetricsRegistry::render_prometheus() const {
   for (const auto& [name, g] : gauges_) {
     const std::string p = prom_name(name);
     out += "# TYPE " + p + " gauge\n";
-    out += p + " " + fmt_double(g->value()) + "\n";
+    out += p + " " + util::num17(g->value()) + "\n";
   }
   for (const auto& [name, h] : histograms_) {
     const std::string p = prom_name(name);
@@ -222,7 +216,7 @@ std::string MetricsRegistry::render_prometheus() const {
     }
     cum += h->bucket_count(h->bounds().size());
     out += p + "_bucket{le=\"+Inf\"} " + std::to_string(cum) + "\n";
-    out += p + "_sum " + fmt_double(h->sum()) + "\n";
+    out += p + "_sum " + util::num17(h->sum()) + "\n";
     out += p + "_count " + std::to_string(h->count()) + "\n";
   }
   out += "# EOF\n";

@@ -8,21 +8,12 @@
 #include <tuple>
 
 #include "util/log.hpp"
+#include "util/table.hpp"
 
 namespace isoee::obs {
 
-namespace {
-
-std::string fmt_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return std::string(buf);
-}
-
-}  // namespace
-
 TraceArg arg_num(std::string key, double value) {
-  return TraceArg{std::move(key), fmt_double(value)};
+  return TraceArg{std::move(key), util::num17(value)};
 }
 
 TraceArg arg_int(std::string key, long long value) {
@@ -149,10 +140,10 @@ std::string ChromeTraceWriter::render(
     first = false;
     out += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" + json_escape(e.cat) +
            "\",\"pid\":0,\"tid\":" + std::to_string(e.rank) +
-           ",\"ts\":" + fmt_double(e.t0 * 1e6);
+           ",\"ts\":" + util::num17(e.t0 * 1e6);
     switch (e.kind) {
       case TraceEvent::Kind::kSpan:
-        out += ",\"ph\":\"X\",\"dur\":" + fmt_double(e.dur * 1e6);
+        out += ",\"ph\":\"X\",\"dur\":" + util::num17(e.dur * 1e6);
         break;
       case TraceEvent::Kind::kInstant:
         out += ",\"ph\":\"i\",\"s\":\"t\"";

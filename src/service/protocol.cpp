@@ -1,11 +1,11 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 
 #include "obs/obs.hpp"
 #include "util/json.hpp"
+#include "util/table.hpp"
 
 namespace isoee::service {
 
@@ -169,11 +169,18 @@ const char* error_code_name(ErrorCode code) {
   return "internal";
 }
 
+void append_json_num(std::string& out, double v) {
+  if (std::isfinite(v)) {
+    util::append_num17(out, v);
+  } else {
+    out += "null";
+  }
+}
+
 std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_json_num(out, v);
+  return out;
 }
 
 Request parse_request(const std::string& line, std::string* id_json_out) {

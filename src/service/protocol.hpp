@@ -109,8 +109,14 @@ inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 /// `id_json_out` so the error response still correlates.
 Request parse_request(const std::string& line, std::string* id_json_out = nullptr);
 
-/// A double as a JSON number (%.17g: reparses to the same bits); null if not finite.
+/// A double as a JSON number, null if not finite. Finite values print as
+/// printf's %.17g does (17 significant digits reparse to the same bits), but
+/// through util::append_num17's std::to_chars, about 4x cheaper per number
+/// than snprintf; a 64-p iso_contour reply carries 192 of them.
 std::string json_num(double v);
+
+/// json_num appended to `out`, for renderers that build one reply string.
+void append_json_num(std::string& out, double v);
 
 /// `{"id":<id>,"ok":true,"tier":"<tier>","coalesced":<b>,"result":<fragment>}`
 std::string render_ok(const std::string& id_json, const std::string& tier, bool coalesced,

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -80,6 +81,21 @@ void require_valid_sim_point(const analysis::AppInfo& app, const sim::MachineSpe
 
 std::string json_field(const char* key, double v) {
   return std::string("\"") + key + "\":" + json_num(v);
+}
+
+/// Appends `"k1":v1,"k2":v2,...` (json_num values) to a reply being built in
+/// place, with no per-field temporaries.
+void append_fields(std::string& out,
+                   std::initializer_list<std::pair<const char*, double>> fields) {
+  bool first = true;
+  for (const auto& [key, v] : fields) {
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += key;
+    out += "\":";
+    append_json_num(out, v);
+  }
 }
 
 std::string json_field(const char* key, std::uint64_t v) {
@@ -263,14 +279,24 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
     const model::AppParams app = cal.workload->at(req.n, req.p);
     const model::PerfPrediction perf = m.predict_performance(app);
     const model::EnergyPrediction energy = m.predict_energy(app);
-    return "{" + json_field("n", req.n) + "," + json_field("p", double(req.p)) + "," +
-           json_field("f_ghz", f) + "," + json_field("T1", perf.T1) + "," +
-           json_field("Tp", perf.Tp) + "," + json_field("T_net", perf.T_net) + "," +
-           json_field("speedup", perf.speedup) + "," +
-           json_field("perf_efficiency", perf.perf_efficiency) + "," +
-           json_field("E1", energy.E1) + "," + json_field("Ep", energy.Ep) + "," +
-           json_field("Eo", energy.Eo) + "," + json_field("EEF", energy.EEF) + "," +
-           json_field("EE", energy.EE) + "}";
+    std::string out;
+    out.reserve(384);
+    out += '{';
+    append_fields(out, {{"n", req.n},
+                        {"p", double(req.p)},
+                        {"f_ghz", f},
+                        {"T1", perf.T1},
+                        {"Tp", perf.Tp},
+                        {"T_net", perf.T_net},
+                        {"speedup", perf.speedup},
+                        {"perf_efficiency", perf.perf_efficiency},
+                        {"E1", energy.E1},
+                        {"Ep", energy.Ep},
+                        {"Eo", energy.Eo},
+                        {"EEF", energy.EEF},
+                        {"EE", energy.EE}});
+    out += '}';
+    return out;
   }
 
   // Measured tier: one full simulation through the scheduler (coalesced,
@@ -425,19 +451,19 @@ std::string Service::handle_iso_contour(const Request& req) {
   const std::vector<model::ContourPoint> contour = model::iso_ee_contour(
       cal.machine, *cal.workload, req.target_ee, ps, f, req.n_lo, req.n_hi);
 
-  std::string out = "{" + json_field("target_ee", req.target_ee) + "," +
-                    json_field("f_ghz", f) + ",\"points\":[";
+  std::string out;
+  out.reserve(64 + 73 * contour.size());  // a point prints in at most 73 bytes
+  out += '{';
+  append_fields(out, {{"target_ee", req.target_ee}, {"f_ghz", f}});
+  out += ",\"points\":[";
   for (std::size_t i = 0; i < contour.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '{';
-    out += json_field("p", double(contour[i].p));
-    out += ',';
-    out += json_field("n", contour[i].n);
-    out += ',';
-    out += json_field("ee", contour[i].ee);
+    out += i == 0 ? "{" : ",{";
+    const model::ContourPoint& pt = contour[i];
+    append_fields(out, {{"p", double(pt.p)}, {"n", pt.n}, {"ee", pt.ee}});
     out += '}';
   }
-  return out + "]}";
+  out += "]}";
+  return out;
 }
 
 std::string Service::handle_install(const Request& req) {

@@ -67,29 +67,6 @@ double ape(double actual, double predicted) {
   return 100.0 * std::abs(predicted - actual) / std::abs(actual);
 }
 
-double mape(std::span<const double> actual, std::span<const double> predicted) {
-  assert(actual.size() == predicted.size());
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    if (actual[i] == 0.0) continue;
-    sum += ape(actual[i], predicted[i]);
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-double rmse(std::span<const double> actual, std::span<const double> predicted) {
-  assert(actual.size() == predicted.size());
-  if (actual.empty()) return 0.0;
-  double ss = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double d = predicted[i] - actual[i];
-    ss += d * d;
-  }
-  return std::sqrt(ss / static_cast<double>(actual.size()));
-}
-
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());

@@ -29,15 +29,8 @@ struct LinearFit {
 /// Ordinary least squares fit of y on x. Requires xs.size() == ys.size() >= 2.
 LinearFit fit_line(std::span<const double> xs, std::span<const double> ys);
 
-/// Mean absolute percentage error of predictions vs actuals (in percent).
-/// Pairs with actual == 0 are skipped. Returns 0 for empty input.
-double mape(std::span<const double> actual, std::span<const double> predicted);
-
 /// Absolute percentage error of a single prediction (in percent).
 double ape(double actual, double predicted);
-
-/// Root-mean-square error.
-double rmse(std::span<const double> actual, std::span<const double> predicted);
 
 /// p-th percentile (0..100) via linear interpolation; input need not be sorted.
 double percentile(std::span<const double> xs, double p);

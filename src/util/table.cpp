@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -135,6 +136,19 @@ std::string pct(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f%%", value);
   return buf;
+}
+
+void append_num17(std::string& out, double value) {
+  char buf[32];  // the longest is "-2.2250738585072014e-308", 24 chars
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+std::string num17(double value) {
+  std::string out;
+  append_num17(out, value);
+  return out;
 }
 
 }  // namespace isoee::util

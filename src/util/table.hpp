@@ -51,4 +51,13 @@ inline std::string num(std::size_t value) { return num(static_cast<long long>(va
 /// Formats a percentage with two decimals, e.g. "4.99%".
 std::string pct(double value);
 
+/// Appends `value` as printf's "%.17g" prints it in the C locale, byte for
+/// byte ("inf", "-nan" and subnormals included): 17 significant digits read
+/// back to the same bits. Through std::to_chars, which the standard defines
+/// to match "%.17g" and which skips printf's format parsing and locale.
+void append_num17(std::string& out, double value);
+
+/// append_num17 into a fresh string.
+std::string num17(double value);
+
 }  // namespace isoee::util

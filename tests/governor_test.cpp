@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <complex>
+#include <memory>
 #include <vector>
 
 #include "governor/gearsel.hpp"
@@ -379,10 +380,23 @@ TEST(GovernorLoop, FtUnderTightCapHoldsCapAndStillVerifies) {
   }
 }
 
+/// Always keeps the current gear: the governor's plumbing with no control law.
+class PassThroughPolicy final : public governor::Policy {
+ public:
+  const char* name() const override { return "pass-through"; }
+  governor::Decision decide(const governor::Observation& obs) override {
+    governor::Decision d;
+    d.f_ghz = obs.current_ghz;
+    d.reason = "pass-through";
+    return d;
+  }
+};
+
 TEST(GovernorLoop, NoopPolicyNeverActuates) {
   const auto machine = noisy_machine();
   governor::GovernorSpec gspec;
-  governor::Governor gov(machine, gspec, governor::make_noop_policy());
+  governor::Governor gov(machine, gspec,
+                         [] { return std::make_unique<PassThroughPolicy>(); });
   powerpack::PhaseLog phases;
   phases.set_observer(gov.phase_hook());
   gov.begin_job(4);

@@ -4,7 +4,10 @@
 // iso-contour solvers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "model/comm.hpp"
 #include "model/isocontour.hpp"
@@ -391,6 +394,49 @@ TEST(IsoContour, ContourIsMonotoneInP) {
     EXPECT_GE(pt.n, prev_n) << "larger p should need larger n";
     prev_n = pt.n;
   }
+}
+
+// The contour advances every p's bisection in lockstep and keeps the EE it
+// computed at the answer; per p it must be exactly the one-p solve followed
+// by an EE evaluation at the answer (at n_hi when there is none).
+TEST(IsoContour, ContourEqualsPerPSolveBitForBit) {
+  MachineParams polling = test_machine();
+  polling.poll_factor = 0.3;
+  polling.f_comm_ghz = 1.2;
+  const MachineParams machines[] = {test_machine(), polling};
+  const model::EpWorkload ep;
+  const model::FtWorkload ft;
+  const model::CgWorkload cg;
+  const model::IsWorkload is;
+  const model::WorkloadModel* apps[] = {&ep, &ft, &cg, &is};
+  std::vector<int> ps;
+  for (int k = 0; k < 16; ++k) ps.push_back(1 + 5 * k);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  int points = 0;
+  for (const MachineParams& m : machines) {
+    for (const model::WorkloadModel* app : apps) {
+      for (double f : {2.0, 1.6}) {
+        for (int t = 0; t <= 19; ++t) {
+          const double target = 0.05 + 0.05 * t - (t == 19 ? 0.01 : 0.0);  // .05 ... .99
+          const auto contour = model::iso_ee_contour(m, *app, target, ps, f, 1e2, 1e10);
+          ASSERT_EQ(contour.size(), ps.size());
+          for (std::size_t i = 0; i < ps.size(); ++i) {
+            const int p = ps[i];
+            const double n =
+                model::required_problem_size(m, *app, p, f, target, 1e2, 1e10);
+            const double ee = model::ee_at(m, *app, n > 0.0 ? n : 1e10, p, f);
+            EXPECT_EQ(contour[i].p, p);
+            EXPECT_EQ(bits(contour[i].n), bits(n)) << app->name() << " p=" << p
+                                                   << " target=" << target;
+            EXPECT_EQ(bits(contour[i].ee), bits(ee)) << app->name() << " p=" << p
+                                                     << " target=" << target;
+            ++points;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 2 * 4 * 2 * 20 * 16);
 }
 
 TEST(IsoContour, BestFrequencySelectsFromGears) {

@@ -38,6 +38,7 @@
 
 #include "analysis/policy.hpp"
 #include "analysis/study.hpp"
+#include "exec/codec.hpp"
 #include "exec/executor.hpp"
 #include "model/isocontour.hpp"
 #include "model/serialize.hpp"
@@ -365,6 +366,76 @@ TEST(ModelTier, UncalibratedAppsWithoutStockCoefficientsAreNotCalibrated) {
         R"(","n":1e6,"p":4}})"));
     EXPECT_FALSE(response_ok(v)) << app;
     EXPECT_EQ(error_code_of(v), "not_calibrated") << app;
+  }
+}
+
+/// A 64-p iso_contour line in perfbench's service_mix shape (ps = offset +
+/// stride * k).
+std::string contour_line(const char* machine, const char* app, double target_ee,
+                         int offset, int stride) {
+  std::string ps;
+  for (int k = 0; k < 64; ++k) {
+    if (k != 0) ps += ',';
+    ps += std::to_string(offset + stride * k);
+  }
+  return std::string(R"({"method":"iso_contour","params":{"machine":")") + machine +
+         R"(","app":")" + app + R"(","target_ee":)" + service::json_num(target_ee) +
+         R"(,"ps":[)" + ps + "]}}";
+}
+
+// Golden bytes: FNV-1a of each model-tier result fragment (and of one
+// calibrate reply, whose texts print through model::serialize), recorded
+// before the solver and number formatting were rewritten for speed. Any
+// changed byte in an answer fails here.
+TEST(ModelTier, ResponsesAreByteIdenticalToParent) {
+  struct Golden {
+    std::string line;
+    std::uint64_t fnv;
+  };
+  const Golden golden[] = {
+      {R"({"method":"predict","params":{"machine":"system_g","app":"EP","n":2e6,"p":16}})",
+       0x99904e843013db06ULL},
+      {R"({"method":"predict","params":{"machine":"dori","app":"FT","n":4.2e6,"p":32,"f_ghz":1.6}})",
+       0x9207ffae6d9da911ULL},
+      {R"({"method":"predict","params":{"machine":"system_g","app":"CG","n":75000,"p":64}})",
+       0xcceecaacf0064241ULL},
+      {R"({"method":"predict","params":{"machine":"dori","app":"IS","n":3.3e7,"p":8}})",
+       0xcb9b2ca45854a96dULL},
+      {R"({"method":"predict","params":{"machine":"dori","app":"FT","n":1e-300,"p":1024}})",
+       0x9e72eeba2f29446dULL},
+      {R"({"method":"optimize","params":{"machine":"dori","app":"CG","n":1e6,"objective":"min_time_under_cap","cap_w":900}})",
+       0x234759373d7a8549ULL},
+      {R"({"method":"optimize","params":{"machine":"system_g","app":"FT","n":2.1e6,"objective":"min_energy_under_deadline","deadline_s":0.7}})",
+       0xa0c0d31c85631c24ULL},
+      {R"({"method":"optimize","params":{"machine":"system_g","app":"FT","n":4.2e6,"objective":"max_p","target_ee":0.5,"p_max":512}})",
+       0xf64848b1c42acd06ULL},
+      {R"({"method":"optimize","params":{"machine":"dori","app":"EP","n":5e7,"objective":"best_f_ee","p":16}})",
+       0xad6d8bb437360fc7ULL},
+      {R"({"method":"optimize","params":{"machine":"system_g","app":"IS","n":1e7,"objective":"best_f_energy","p":32}})",
+       0x589f92606f544211ULL},
+      {contour_line("system_g", "EP", 0.95, 1, 1), 0xb7a70a5587242c05ULL},
+      {contour_line("system_g", "FT", 0.5, 3, 2), 0x09ecc687f14d53c1ULL},
+      {contour_line("system_g", "CG", 0.35, 2, 3), 0xc3f374e5031a2467ULL},
+      {contour_line("system_g", "IS", 0.7, 8, 4), 0x9a9959f5ae9386b4ULL},
+      {contour_line("dori", "EP", 0.99, 5, 1), 0xd23ab9d3b8022206ULL},
+      {contour_line("dori", "FT", 0.62, 4, 3), 0x3bfc7549a6a78c70ULL},
+      {contour_line("dori", "CG", 0.2, 7, 2), 0x6b270d56d1858ec4ULL},
+      {contour_line("dori", "IS", 0.45, 6, 4), 0xc71d441ad5377df3ULL},
+      {R"({"method":"iso_contour","params":{"machine":"dori","app":"CG","target_ee":0.4,"ps":[2,3,5,8,13,21,34,55],"n_lo":3000,"n_hi":5e8}})",
+       0xeb3aab2358f219f0ULL},
+      {R"({"method":"iso_contour","params":{"machine":"system_g","app":"FT","target_ee":0.9999,"ps":[64,128,256]}})",
+       0x674a371787e88f27ULL},
+      {R"({"method":"calibrate","params":{"machine":"system_g","app":"EP","ns":[20000,40000],"ps":[2]}})",
+       0x86a173877c8882f2ULL},
+  };
+  Service svc{ServiceConfig{}};
+  for (const Golden& g : golden) {
+    const std::string response = svc.handle_line(g.line);
+    ASSERT_TRUE(response_ok(parse_response(response))) << response;
+    const std::uint64_t got = exec::fnv1a(stable_fragment(response));
+    char hex[24];
+    std::snprintf(hex, sizeof hex, "0x%016llxULL", static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, g.fnv) << g.line << "\n  got " << hex << " for " << response;
   }
 }
 

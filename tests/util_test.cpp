@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -240,24 +242,10 @@ TEST(Stats, FitLineDegenerateX) {
   EXPECT_DOUBLE_EQ(f.intercept, 2.0);
 }
 
-TEST(Stats, MapeAndApe) {
+TEST(Stats, Ape) {
   EXPECT_DOUBLE_EQ(ape(100.0, 105.0), 5.0);
   EXPECT_DOUBLE_EQ(ape(100.0, 95.0), 5.0);
-  const std::vector<double> a = {100, 200};
-  const std::vector<double> p = {110, 180};
-  EXPECT_DOUBLE_EQ(mape(a, p), 10.0);
-}
-
-TEST(Stats, MapeSkipsZeroActuals) {
-  const std::vector<double> a = {0, 100};
-  const std::vector<double> p = {5, 110};
-  EXPECT_DOUBLE_EQ(mape(a, p), 10.0);
-}
-
-TEST(Stats, Rmse) {
-  const std::vector<double> a = {0, 0};
-  const std::vector<double> p = {3, 4};
-  EXPECT_NEAR(rmse(a, p), std::sqrt(12.5), 1e-12);
+  EXPECT_DOUBLE_EQ(ape(0.0, 5.0), 0.0);
 }
 
 TEST(Stats, Percentile) {
@@ -303,6 +291,56 @@ TEST(Table, Formatters) {
   EXPECT_EQ(num(42LL), "42");
   EXPECT_EQ(pct(4.99), "4.99%");
   EXPECT_EQ(sci(12345.0, 2), "1.23e+04");
+}
+
+// num17 goes through std::to_chars; every serializer that prints a
+// round-trip double (service replies, model texts, traces, metrics) relies
+// on it printing exactly what snprintf("%.17g") did.
+TEST(Table, Num17MatchesPrintfG17ByteForByte) {
+  const auto printf_g17 = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double named[] = {0.0,
+                          -0.0,
+                          inf,
+                          -inf,
+                          nan,
+                          -nan,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          -std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::epsilon(),
+                          1e-6,
+                          2.8,
+                          3.0,
+                          1e22,
+                          1e17,
+                          1e16,
+                          123456789012345678.0,
+                          0.1,
+                          -1.5e-300};
+  for (double v : named) EXPECT_EQ(num17(v), printf_g17(v)) << printf_g17(v);
+
+  std::string appended = "x=";
+  append_num17(appended, 2.8);
+  EXPECT_EQ(appended, "x=2.7999999999999998");
+
+  // Random bit patterns reach every exponent, subnormals and NaN payloads.
+  Xoshiro256 rng(17);
+  int differ = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (num17(v) != printf_g17(v) && ++differ <= 5) {
+      ADD_FAILURE() << "num17 " << num17(v) << " vs %.17g " << printf_g17(v);
+    }
+  }
+  EXPECT_EQ(differ, 0);
 }
 
 // --- cli ---------------------------------------------------------------------
