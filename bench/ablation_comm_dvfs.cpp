@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   // Model-side prediction of the same effect: communication runs at the low
   // gear (f_comm_ghz), computation stays at base.
   analysis::EnergyStudy study(machine, analysis::make_adapter(config), true,
-                              bench::exec_config());
+                              bench::executor());
   const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
   const int calib_ps[] = {2, 4, 8};
   study.calibrate(ns, calib_ps);

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   util::Table table({"benchmark", "alpha_measured", "avg_err_with_alpha",
                      "avg_err_alpha_1"});
   for (auto& c : cases) {
-    analysis::EnergyStudy study(machine, std::move(c.adapter), true, bench::exec_config());
+    analysis::EnergyStudy study(machine, std::move(c.adapter), true, bench::executor());
     study.calibrate(c.calib_ns, calib_ps);
     const NoOverlap no_alpha(study.workload());
 

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   analysis::EnergyStudy study(machine,
                               analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
-                              true, bench::exec_config());
+                              true, bench::executor());
   const double ns[] = {4000, 8000, 16000};
   const int calib_ps[] = {2, 4, 8};
   study.calibrate(ns, calib_ps);

@@ -192,20 +192,18 @@ inline bool init(int argc, const char* const* argv) {
 
 inline const char* out_dir() { return detail::csv_dir().c_str(); }
 
-/// The shared --jobs / --cache-dir settings, for handing to run_sweep,
-/// EnergyStudy, and the surface generators.
-inline const exec::ExecConfig& exec_config() { return detail::exec_cfg(); }
+/// The process's one executor, built on first use from --jobs / --cache-dir
+/// (so after init), for handing to EnergyStudy and the surface generators.
+inline exec::Executor& executor() {
+  static exec::Executor executor(detail::exec_cfg());
+  return executor;
+}
 
-/// Runs `cases` as one exec::run_batch under the --jobs/--cache-dir settings
-/// and returns their payloads in order; throws when a case failed.
+/// Runs `cases` as one batch on executor() and returns their payloads in
+/// order; throws when a case failed.
 inline std::vector<std::string> run_cases(const std::vector<exec::Case>& cases) {
-  const exec::ExecConfig& cfg = exec_config();
-  exec::ResultCache cache(cfg.cache_dir, cfg.cache_max_bytes);
-  exec::BatchOptions batch;
-  batch.thread_budget = cfg.jobs;
-  batch.cache = cache.enabled() ? &cache : nullptr;
   std::vector<std::string> payloads;
-  for (exec::CaseResult& r : exec::run_batch(cases, batch)) {
+  for (exec::CaseResult& r : executor().run(cases)) {
     if (!r.ok()) throw std::runtime_error("bench case failed: " + r.error);
     payloads.push_back(std::move(r.payload));
   }

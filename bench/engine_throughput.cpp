@@ -54,7 +54,7 @@ Measurement run_case(const sim::MachineSpec& machine, int p,
   Measurement m;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < repeats; ++i) {
-    // A fresh Engine per repeat, like exec::run_batch executes a sweep: the
+    // A fresh Engine per repeat, like exec::Executor runs a sweep: the
     // per-job setup cost (fiber stacks, scheduler state) is part of what is
     // measured.
     sim::Engine engine(machine);

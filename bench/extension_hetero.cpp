@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   // Calibrate an EP workload (compute-dominated: clean class-speed contrast).
   analysis::EnergyStudy study(spec, analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)),
-                              true, bench::exec_config());
+                              true, bench::executor());
   const double ns[] = {1 << 17, 1 << 18, 1 << 19};
   const int calib_ps[] = {2, 4};
   study.calibrate(ns, calib_ps);
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   // EE across mixed partitions for CG: does adding slow nodes ever pay?
   std::printf("\n-- CG: pure-fast vs mixed vs pure-slow partitions of 8 ranks --\n");
   analysis::EnergyStudy cg(spec, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
-                           true, bench::exec_config());
+                           true, bench::executor());
   const double cg_ns[] = {2000, 4000, 8000};
   cg.calibrate(cg_ns, calib_ps);
   util::Table mix({"partition", "pred_time_s", "pred_J", "EE"});

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                  "the paper's Eq 5-9 I/O terms, exercised instead of left at ~0");
 
   analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CkptConfig()), true,
-                              bench::exec_config());
+                              bench::executor());
   const double ns[] = {1 << 17, 1 << 18, 1 << 19};
   const int calib_ps[] = {2, 4, 8};
   study.calibrate(ns, calib_ps);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   util::Table table({"benchmark", "n", "actual_J", "predicted_J", "error", "accuracy"});
   for (auto& c : cases) {
     analysis::EnergyStudy study(machine, std::move(c.adapter), /*measured_calibration=*/true,
-                                bench::exec_config());
+                                bench::executor());
     study.calibrate(c.calib_ns, calib_ps);
     const auto v = study.validate(c.validate_n, /*p=*/4);
     table.add_row({c.name, util::num(v.n, 0), util::num(v.actual_j, 1),

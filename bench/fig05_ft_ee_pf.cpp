@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   analysis::EnergyStudy study(machine,
                               analysis::make_adapter(npb::ft_class(npb::ProblemClass::B)),
-                              true, bench::exec_config());
+                              true, bench::executor());
   const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
   const int calib_ps[] = {2, 4, 8, 16};
   study.calibrate(ns, calib_ps);
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   const double fs[] = {1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8};
   const auto surface = analysis::ee_surface_pf(study.machine_params(), study.workload(), n,
-                                               ps, fs, bench::exec_config());
+                                               ps, fs, bench::executor());
   bench::emit_surface(surface, "fig05_ft_ee_pf");
   return 0;
 }

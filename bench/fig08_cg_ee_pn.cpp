@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   analysis::EnergyStudy study(machine,
                               analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
-                              true, bench::exec_config());
+                              true, bench::executor());
   const double ns_calib[] = {4000, 8000, 16000};
   const int calib_ps[] = {2, 4, 8, 16};
   study.calibrate(ns_calib, calib_ps);
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   const double ns[] = {7000, 14000, 35000, 75000, 150000, 300000};
   const auto surface = analysis::ee_surface_pn(study.machine_params(), study.workload(),
-                                               2.8, ps, ns, bench::exec_config());
+                                               2.8, ps, ns, bench::executor());
   bench::emit_surface(surface, "fig08_cg_ee_pn");
   return 0;
 }

@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   const int cases = static_cast<int>(cli.get_int("cases"));
   check::SweepOptions opts;
   opts.shrink_budget = static_cast<int>(cli.get_int("shrink-budget"));
-  opts.exec.jobs = static_cast<int>(cli.get_int("jobs"));
-  opts.exec.cache_dir = cli.get("cache-dir");
+  const int jobs = static_cast<int>(cli.get_int("jobs"));
+  exec::Executor executor({jobs, cli.get("cache-dir"), 0});
 
   const long long budget_s = cli.get_int("budget-seconds");
   check::SweepStats stats;
@@ -80,19 +80,19 @@ int main(int argc, char** argv) {
     // how much gets covered, never what any covered case produces.
     const int chunk = static_cast<int>(cli.get_int("chunk"));
     std::printf("fuzz_soak: %llds budget, %d-case chunks from seed %llu (jobs=%d)\n",
-                budget_s, chunk, static_cast<unsigned long long>(seed), opts.exec.jobs);
+                budget_s, chunk, static_cast<unsigned long long>(seed), jobs);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(budget_s);
     while (std::chrono::steady_clock::now() < deadline) {
-      check::SweepStats chunk_stats = check::run_sweep(seed, chunk, opts);
+      check::SweepStats chunk_stats = check::run_sweep(seed, chunk, executor, opts);
       stats.merge(chunk_stats);
       opts.start += chunk;
       if (!chunk_stats.ok()) break;  // stop soaking, report what failed
     }
   } else {
     std::printf("fuzz_soak: %d cases from seed %llu (jobs=%d)\n", cases,
-                static_cast<unsigned long long>(seed), opts.exec.jobs);
-    stats = check::run_sweep(seed, cases, opts);
+                static_cast<unsigned long long>(seed), jobs);
+    stats = check::run_sweep(seed, cases, executor, opts);
   }
   std::printf("%s\n", stats.summary().c_str());
   if (!stats.covered_all_algorithms()) {

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   {
     auto config = npb::ft_class(npb::ProblemClass::A);
     auto study = std::make_unique<analysis::EnergyStudy>(
-        machine, analysis::make_adapter(config), true, bench::exec_config());
+        machine, analysis::make_adapter(config), true, bench::executor());
     const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   {
     auto config = npb::cg_class(npb::ProblemClass::A);
     auto study = std::make_unique<analysis::EnergyStudy>(
-        machine, analysis::make_adapter(config), true, bench::exec_config());
+        machine, analysis::make_adapter(config), true, bench::executor());
     const double ns[] = {2000, 4000, 8000};
     const int calib_ps[] = {2, 4, 8};
     study->calibrate(ns, calib_ps);

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   {
     analysis::EnergyStudy ft(machine,
                              analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
-                             true, bench::exec_config());
+                             true, bench::executor());
     const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
     const int calib_ps[] = {2, 4, 8};
     ft.calibrate(ns, calib_ps);
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   {
     analysis::EnergyStudy cg(machine,
                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
-                             true, bench::exec_config());
+                             true, bench::executor());
     const double ns[] = {2000, 4000, 8000};
     const int calib_ps[] = {2, 4, 8};
     cg.calibrate(ns, calib_ps);

@@ -50,9 +50,10 @@ void BM_SurfaceGeneration(benchmark::State& state) {
   model::CgWorkload cg;
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128};
   const double fs[] = {1.6, 2.0, 2.4, 2.8};
+  exec::Executor serial;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::ee_surface_pf(params(), cg, 75000, ps, fs).ee.size());
+        analysis::ee_surface_pf(params(), cg, 75000, ps, fs, serial).ee.size());
   }
 }
 BENCHMARK(BM_SurfaceGeneration);

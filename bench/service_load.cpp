@@ -438,12 +438,13 @@ int main(int argc, char** argv) {
       const std::uint64_t runs_before = stats_runs_started(*monitor);
       const int volley = std::max(2, clients);
       std::vector<std::string> responses(static_cast<std::size_t>(volley));
-      // In process, a gate holds the scheduler's whole host-thread budget
-      // until every query but the first has coalesced, so the check cannot
-      // race the first simulation finishing. Over --connect the scheduler is out of reach and
-      // only the barrier below narrows the window (docs/SERVICE.md).
-      std::unique_ptr<service::SchedulerGate> gate;
-      if (local) gate = std::make_unique<service::SchedulerGate>(local->scheduler());
+      // In process, a gate holds the executor's whole host-thread budget
+      // until every query but the first has joined its run, so the check
+      // cannot race the first simulation finishing. Over --connect the
+      // executor is out of reach and only the barrier below narrows the
+      // window (docs/SERVICE.md).
+      std::unique_ptr<exec::BudgetGate> gate;
+      if (local) gate = std::make_unique<exec::BudgetGate>(local->executor());
       std::atomic<int> arrived{0};
       std::mutex mu;
       std::condition_variable cv;
@@ -477,8 +478,8 @@ int main(int argc, char** argv) {
           }
         });
       }
-      if (gate && !gate->release_after_coalesced(static_cast<std::uint64_t>(volley - 1),
-                                                 std::chrono::seconds(60))) {
+      if (gate && !gate->release_after_joined(static_cast<std::uint64_t>(volley - 1),
+                                              std::chrono::seconds(60))) {
         rc = fail("concurrent identical cold queries did not all coalesce in 60 s");
       }
       for (std::thread& t : threads) t.join();

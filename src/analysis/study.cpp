@@ -367,28 +367,18 @@ Measurement decode_measurement(const std::string& payload) {
 }
 
 EnergyStudy::EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdapter> adapter,
-                         bool measured_calibration, exec::ExecConfig exec)
-    : machine_(std::move(machine)),
-      adapter_(std::move(adapter)),
-      exec_(std::move(exec)),
-      cache_(std::make_unique<exec::ResultCache>(exec_.cache_dir, exec_.cache_max_bytes)) {
+                         bool measured_calibration, exec::Executor& exec)
+    : machine_(std::move(machine)), adapter_(std::move(adapter)), exec_(exec) {
   // The microbenchmark pass itself runs simulations, so it is cached too —
   // otherwise a "warm" figure rerun would still simulate its calibration.
   machine_params_ = decode_machine_params(
       run_case(machine_params_case(machine_, measured_calibration), "machine calibration"));
 }
 
-exec::BatchOptions EnergyStudy::batch_options() const {
-  exec::BatchOptions batch;
-  batch.thread_budget = exec_.jobs;
-  batch.cache = cache_->enabled() ? cache_.get() : nullptr;
-  return batch;
-}
-
 std::string EnergyStudy::run_case(exec::Case c, const char* what) const {
   std::vector<exec::Case> cases;
   cases.push_back(std::move(c));
-  std::vector<exec::CaseResult> results = exec::run_batch(cases, batch_options());
+  std::vector<exec::CaseResult> results = exec_.run(cases);
   if (!results[0].ok()) {
     throw std::runtime_error(std::string(what) + " failed: " + results[0].error);
   }
@@ -399,7 +389,7 @@ void EnergyStudy::calibrate(std::span<const double> ns, std::span<const int> ps)
   // Each calibration point is an independent simulation, so they run as a
   // batch on the executor pool (and are individually cacheable).
   const std::vector<exec::CaseResult> results =
-      exec::run_batch(calibration_cases(machine_, adapter_, ns, ps), batch_options());
+      exec_.run(calibration_cases(machine_, adapter_, ns, ps));
   workload_ = fit_calibration(*adapter_, results, machine_params_.t_m);
   ISOEE_INFO("%s: fitted workload model from %zu samples", adapter_->name().c_str(),
              results.size());
@@ -425,7 +415,7 @@ std::vector<Measurement> EnergyStudy::measure(std::span<const std::pair<double, 
   std::vector<exec::Case> cases;
   cases.reserve(points.size());
   for (const auto& [n, p] : points) cases.push_back(measure_case(machine_, adapter_, n, p, f));
-  const std::vector<exec::CaseResult> results = exec::run_batch(cases, batch_options());
+  const std::vector<exec::CaseResult> results = exec_.run(cases);
   std::vector<Measurement> out;
   out.reserve(results.size());
   for (const exec::CaseResult& r : results) {

@@ -86,9 +86,9 @@ const AppInfo* find_app(std::string_view name);
 // --- calibration as plan + fit ---------------------------------------------
 //
 // Calibration is a batch of independent, cacheable simulation cases followed
-// by a pure fold. EnergyStudy runs the batch on exec::run_batch; the query
-// service runs the same cases through its scheduler. Both therefore share
-// cache keys and payload bytes, so one warms the other's --cache-dir.
+// by a pure fold. EnergyStudy and the query service run the same cases on an
+// exec::Executor, so they share cache keys and payload bytes, and one warms
+// the other's --cache-dir.
 
 /// Cache key of one simulation-derived study quantity: `kind` is
 /// "calibrate" (a calibration point) or "measure" (a measure_case).
@@ -158,15 +158,14 @@ class EnergyStudy {
  public:
   /// `measured_calibration` selects between microbenchmark-measured machine
   /// parameters (the paper's protocol; inherits noise) and nominal spec
-  /// values (ground truth, for exactness tests). `exec` carries the shared
-  /// --jobs / --cache-dir settings: calibration and validation runs execute
-  /// on the exec::run_batch pool, and with a cache directory every
-  /// simulation-derived quantity (machine microbenchmark parameters, counter
-  /// samples, validation measurements) is content-addressed on disk — a warm
-  /// rerun of a figure driver executes zero simulations and reproduces its
-  /// CSVs byte for byte.
+  /// values (ground truth, for exactness tests). Calibration and validation
+  /// runs execute on `exec`, the process's executor, which must outlive the
+  /// study. With a cache directory every simulation-derived quantity
+  /// (machine microbenchmark parameters, counter samples, validation
+  /// measurements) is content-addressed on disk — a warm rerun of a figure
+  /// driver executes zero simulations and reproduces its CSVs byte for byte.
   EnergyStudy(sim::MachineSpec machine, std::unique_ptr<BenchmarkAdapter> adapter,
-              bool measured_calibration = true, exec::ExecConfig exec = {});
+              bool measured_calibration, exec::Executor& exec);
 
   /// Runs the benchmark over the given calibration points and fits the
   /// workload model. Typical: a couple of n at p=1 plus small p at default n.
@@ -180,8 +179,8 @@ class EnergyStudy {
   ValidationPoint validate(double n, int p, double f_ghz = 0.0) const;
 
   /// Full simulations at the (n, p) points and gear `f_ghz` (0 = base), run
-  /// as one batch of measure_cases with the study's executor settings and
-  /// cache. One Measurement per point, in order; throws when a run failed.
+  /// as one batch of measure_cases on the study's executor. One Measurement
+  /// per point, in order; throws when a run failed.
   std::vector<Measurement> measure(std::span<const std::pair<double, int>> points,
                                    double f_ghz = 0.0) const;
 
@@ -191,15 +190,13 @@ class EnergyStudy {
   const BenchmarkAdapter& adapter() const { return *adapter_; }
 
  private:
-  exec::BatchOptions batch_options() const;
-  /// Runs one case with the study's executor settings; returns its payload
-  /// and throws, naming `what`, when it failed.
+  /// Runs one case on the study's executor; returns its payload and throws,
+  /// naming `what`, when it failed.
   std::string run_case(exec::Case c, const char* what) const;
 
   sim::MachineSpec machine_;
   std::shared_ptr<const BenchmarkAdapter> adapter_;
-  exec::ExecConfig exec_;
-  std::unique_ptr<exec::ResultCache> cache_;
+  exec::Executor& exec_;
   model::MachineParams machine_params_;
   std::unique_ptr<model::WorkloadModel> workload_;
 };

@@ -8,10 +8,10 @@ namespace isoee::analysis {
 
 namespace {
 
-/// Evaluates one row per p on the executor pool. Each row is written into its
+/// Evaluates one row per p as one batch on the executor. Each row is written into its
 /// preallocated slot, so the grid layout (and every value — pure arithmetic on
 /// the fitted model) is independent of the thread budget.
-void fill_rows(EeSurface& s, const exec::ExecConfig& exec,
+void fill_rows(EeSurface& s, exec::Executor& exec,
                const std::function<double(int, double)>& cell) {
   s.ee.assign(s.ps.size(), {});
   std::vector<exec::Case> cases;
@@ -27,9 +27,7 @@ void fill_rows(EeSurface& s, const exec::ExecConfig& exec,
     };
     cases.push_back(std::move(c));
   }
-  exec::BatchOptions batch;
-  batch.thread_budget = exec.jobs;
-  exec::run_batch(cases, batch);
+  exec.run(cases);
 }
 
 }  // namespace
@@ -37,7 +35,7 @@ void fill_rows(EeSurface& s, const exec::ExecConfig& exec,
 EeSurface ee_surface_pf(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double n,
                         std::span<const int> ps, std::span<const double> fs_ghz,
-                        const exec::ExecConfig& exec) {
+                        exec::Executor& exec) {
   EeSurface s{.title = workload.name() + " EE(p, f), n = " + util::num(n, 0),
               .col_axis = "f (GHz)",
               .ps = {ps.begin(), ps.end()},
@@ -51,7 +49,7 @@ EeSurface ee_surface_pf(const model::MachineParams& machine,
 EeSurface ee_surface_pn(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double f_ghz,
                         std::span<const int> ps, std::span<const double> ns,
-                        const exec::ExecConfig& exec) {
+                        exec::Executor& exec) {
   EeSurface s{.title = workload.name() + " EE(p, n), f = " + util::num(f_ghz, 1) + " GHz",
               .col_axis = "n",
               .ps = {ps.begin(), ps.end()},

@@ -24,18 +24,18 @@ struct EeSurface {
 };
 
 /// EE over (p, f) at fixed n (Figs 5, 7, 9). Rows are independent analytic
-/// evaluations of the fitted model; with exec.jobs != 1 they are computed on
-/// the executor pool — the grid is identical for every jobs value.
+/// evaluations of the fitted model, run as one batch on `exec` — the grid is
+/// identical for every budget.
 EeSurface ee_surface_pf(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double n,
                         std::span<const int> ps, std::span<const double> fs_ghz,
-                        const exec::ExecConfig& exec = {});
+                        exec::Executor& exec);
 
 /// EE over (p, n) at fixed f (Figs 6, 8).
 EeSurface ee_surface_pn(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double f_ghz,
                         std::span<const int> ps, std::span<const double> ns,
-                        const exec::ExecConfig& exec = {});
+                        exec::Executor& exec);
 
 /// Renders the surface as an aligned table (EE with 4 decimals).
 util::Table surface_table(const EeSurface& surface);

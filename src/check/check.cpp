@@ -46,7 +46,8 @@ void SweepStats::merge(const SweepStats& other) {
   cache_hits += other.cache_hits;
 }
 
-SweepStats run_sweep(std::uint64_t seed, int count, const SweepOptions& opts) {
+SweepStats run_sweep(std::uint64_t seed, int count, exec::Executor& exec,
+                     const SweepOptions& opts) {
   SweepStats stats;
 
   // Coverage accounting is a pure function of the generated configs, so it is
@@ -74,14 +75,13 @@ SweepStats run_sweep(std::uint64_t seed, int count, const SweepOptions& opts) {
   // the sweep options, so the payloads (and therefore the failure list) are
   // identical for every jobs value, and cacheable under a key derived from
   // exactly those inputs.
-  exec::ResultCache cache(opts.exec.cache_dir, opts.exec.cache_max_bytes);
   std::vector<exec::Case> cases;
   cases.reserve(configs.size());
   for (const CheckConfig& cfg : configs) {
     exec::Case c;
     c.threads = sim::resolve_engine_workers(0, cfg.p);  // fiber-engine workers
                                                         // the oracle's runs use
-    if (cache.enabled()) {
+    if (exec.cache().enabled()) {
       c.cache_key = "sweep\x1f" + cfg.repro() +
                     "\x1f"
                     "fault=" +
@@ -104,11 +104,7 @@ SweepStats run_sweep(std::uint64_t seed, int count, const SweepOptions& opts) {
   }
 
   exec::BatchStats batch_stats;
-  exec::BatchOptions batch;
-  batch.thread_budget = opts.exec.jobs;
-  batch.cache = cache.enabled() ? &cache : nullptr;
-  batch.stats = &batch_stats;
-  const std::vector<exec::CaseResult> results = exec::run_batch(cases, batch);
+  const std::vector<exec::CaseResult> results = exec.run(cases, &batch_stats);
   stats.cache_hits = batch_stats.cache_hits;
 
   for (std::size_t i = 0; i < results.size(); ++i) {

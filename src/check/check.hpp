@@ -51,14 +51,14 @@ struct SweepOptions {
   int shrink_budget = 120;           // oracle calls per failure minimization
   int start = 0;                     // first case index (chunked soak runs)
   FaultInjection fault;              // test hook; defaults to no fault
-  exec::ExecConfig exec;             // --jobs / --cache-dir
 };
 
 /// Runs generated configs at indices [opts.start, opts.start + count) under
-/// the oracle. Cases execute on the exec::run_batch pool (opts.exec.jobs);
-/// because every case — oracle run and shrink included — is a pure function
-/// of its own config, the returned stats, failures, and shrunk repros are
-/// byte-identical for every jobs value.
-SweepStats run_sweep(std::uint64_t seed, int count, const SweepOptions& opts = {});
+/// the oracle. Cases execute as one batch on `exec`; because every case —
+/// oracle run and shrink included — is a pure function of its own config, the
+/// returned stats, failures, and shrunk repros are byte-identical for every
+/// budget.
+SweepStats run_sweep(std::uint64_t seed, int count, exec::Executor& exec,
+                     const SweepOptions& opts = {});
 
 }  // namespace isoee::check

@@ -1,41 +1,60 @@
-// Batch case executor: runs independent, deterministic simulation cases on a
-// bounded pool with results delivered in submission order.
+// Batch case executor: one per process. It runs independent, deterministic
+// simulation cases under one FIFO host-thread budget, lets a batch join a case
+// another batch is already running, and caches results on disk. Results come
+// back in submission order.
 //
 // Concurrency is budgeted in *host threads*, not cases. A simulated job costs
 // its fiber-scheduler worker count — sim::resolve_engine_workers(0, nranks),
 // typically 1 for the small jobs that dominate sweeps — NOT nranks, so a
 // default budget admits many p=1024 cases concurrently. Simulation call sites
 // declare `threads = resolve_engine_workers(...)`; non-engine work declares
-// what it actually spawns. The pool admits cases while sum(threads) of the running
-// set stays within the budget (default: hardware_concurrency). Admission is
-// strictly FIFO — the next case in submission order is admitted as soon as
-// its cost fits — which bounds memory, avoids starving wide cases, and keeps
-// the wall-clock profile reproducible. A case wider than the whole budget
-// runs alone (its cost clamps to the budget) instead of deadlocking.
+// what it actually spawns.
+//
+// Batches and turns: each Executor::run call is one batch. Under one lock it
+// registers every keyed case that is not already in flight, joins each one
+// that is (its result is the registering run's), and takes its place in line.
+// Turns are granted strictly in line order: a batch waits until every earlier
+// batch has its turn and its width — the sum of its non-joined cases'
+// `threads`, clamped to [1, budget] — fits in what is free. A wide batch is
+// never starved by narrow ones behind it, and one wider than the whole budget
+// runs alone instead of deadlocking. A batch whose every case joined takes no
+// turn. Within its turn a batch admits its own cases in submission order
+// while their summed cost fits the width; a cache probe happens inside the
+// turn, so a warm batch still waits for it. The calling thread is worker 0,
+// so a width of 1 starts no thread.
+//
+// No join can wait on a later batch: a batch joins only keys that earlier
+// registrations own, those owners stand earlier in line, and a batch waits
+// for its joins only after its own cases ran and its turn was given back. The
+// earliest batch in line therefore waits on nothing, and every wait ends.
 //
 // Determinism contract: case bodies must be pure functions of their own
 // inputs (per-case seeded RNG, no shared mutable state). Under that contract
 // the result vector — order, payloads, errors — is bit-identical for every
-// budget, serial included; src/check asserts this for its whole sweep
-// pipeline. The executor provides `case_seed` to derive decorrelated per-case
-// seeds from one root seed.
+// budget, serial included, and whether a case ran or joined; src/check
+// asserts this for its whole sweep pipeline. `case_seed` derives decorrelated
+// per-case seeds from one root seed.
 //
 // Failure semantics: a case that throws has the exception text recorded in
-// its slot; the batch keeps going unless `fail_fast` is set, in which case
-// every case not yet admitted is marked `skipped`. Cases already running
-// always complete. (A simulated rank that throws no longer wedges its peers:
-// the engine poisons all mailboxes on first error, so blocked ranks unwind
-// with sim::RankAbandoned and the case returns instead of deadlocking the
-// pool slot forever.)
+// its slot (and in every slot that joined it); the batch keeps going. (A
+// simulated rank that throws does not wedge its peers: the engine poisons all
+// mailboxes on first error, so blocked ranks unwind with sim::RankAbandoned
+// and the case returns.) Errors are never cached, and a key leaves the
+// in-flight table when its batch finishes, so the next batch runs it again.
 //
 // Caching: a case may carry a content-address `cache_key`; on hit the stored
-// payload is returned without admitting the case at all (zero simulations on
-// a warm cache), on miss the case runs and its payload is stored. Errors and
-// skips are never cached.
+// payload is returned without running the case (zero simulations on a warm
+// cache), on miss the case runs and its payload is stored.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,14 +62,12 @@
 
 namespace isoee::exec {
 
-/// Shared "how to execute batches" knobs, as carried by the bench/CLI flags
-/// --jobs and --cache-dir.
+/// How a process executes batches, as carried by the bench/CLI flags --jobs
+/// and --cache-dir.
 struct ExecConfig {
   int jobs = 1;            // host-thread budget; 0 = hardware_concurrency, 1 = serial
   std::string cache_dir;   // empty = result caching off
   std::uint64_t cache_max_bytes = 0;  // on-disk cap, oldest pruned (0 = unbounded)
-
-  bool parallel() const { return jobs != 1; }
 };
 
 /// One independent unit of work. `run` produces the case's serialized result
@@ -59,46 +76,96 @@ struct Case {
   int threads = 1;                    // host threads consumed while running
                                       // (engine jobs: resolved worker count)
   std::string cache_key;              // content address; empty = never cached
+                                      // and never shared with another batch
   std::function<std::string()> run;
 };
 
 struct CaseResult {
   std::string payload;
   bool from_cache = false;
-  bool skipped = false;   // cancelled by fail_fast before being admitted
   std::string error;      // exception text; empty = completed normally
 
-  bool ok() const { return error.empty() && !skipped; }
+  bool ok() const { return error.empty(); }
 };
 
-/// Aggregate batch observability (all fields are totals for one run_batch).
+/// Observability for one Executor::run.
 struct BatchStats {
-  int max_threads_in_use = 0;  // peak of sum(threads) over running cases
-  std::uint64_t started = 0;   // cases actually executed
+  int max_threads_in_use = 0;  // peak of sum(threads) over this batch's running cases
+  std::uint64_t started = 0;   // cases this batch executed
   std::uint64_t cache_hits = 0;
-  std::uint64_t skipped = 0;
+  std::uint64_t joined = 0;    // cases whose key another run had in flight
 };
 
-struct BatchOptions {
-  /// Host-thread budget; 0 means std::thread::hardware_concurrency().
-  int thread_budget = 0;
+class Executor {
+ public:
+  explicit Executor(const ExecConfig& config = {});
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
-  /// Cancel every not-yet-admitted case after the first failure. A case fails
-  /// when it throws or when `is_failure` returns true for its result.
-  bool fail_fast = false;
-  std::function<bool(const CaseResult&)> is_failure;
+  /// Runs the batch and returns one result per case, in submission order.
+  /// Throws std::logic_error when called from inside a case body: the
+  /// enclosing batch holds the turn the nested one would wait for.
+  std::vector<CaseResult> run(const std::vector<Case>& cases,
+                              BatchStats* stats = nullptr);
 
-  ResultCache* cache = nullptr;  // optional; see Case::cache_key
-  BatchStats* stats = nullptr;   // optional observability out-param
+  ResultCache& cache() { return cache_; }
+
+ private:
+  friend class BudgetGate;
+
+  /// Holds `width` threads of the budget for its lifetime. The constructor
+  /// takes its place in line while `held` locks mu_, waits for its turn (turns
+  /// come strictly in line order) and returns with `held` unlocked.
+  class Turn {
+   public:
+    Turn(Executor& executor, int width, std::unique_lock<std::mutex>& held);
+    ~Turn();
+    Turn(const Turn&) = delete;
+    Turn& operator=(const Turn&) = delete;
+
+   private:
+    Executor& executor_;
+    int width_;
+  };
+
+  /// Runs cases[i] for every i in `own` within a turn `width` threads wide.
+  void run_own(const std::vector<Case>& cases, const std::vector<std::size_t>& own,
+               int width, std::vector<CaseResult>& results, BatchStats& stats);
+
+  const int budget_;  // ExecConfig::jobs resolved: threads shared by every batch
+  ResultCache cache_;
+
+  std::mutex mu_;
+  std::condition_variable turn_cv_;  // the head turn may fit, or moved on
+  std::uint64_t next_turn_ = 0;  // handed to the next Turn constructed
+  std::uint64_t head_turn_ = 0;  // the oldest turn not yet granted
+  int in_use_ = 0;               // threads held by granted turns
+  int batches_ = 0;              // batches in line or running (exec.queue_depth)
+  std::map<std::string, std::shared_future<CaseResult>> inflight_;
 };
 
-/// The host-thread budget `requested` stands for: itself when positive,
-/// otherwise std::thread::hardware_concurrency() (at least 1).
-int resolve_budget(int requested);
+/// Holds an executor's whole host-thread budget, so that batches run
+/// meanwhile wait for their turn. The first of N identical requests then
+/// registers its key as in flight and the other N-1 join it before anything
+/// can run, which makes coalescing checks deterministic instead of a race
+/// against the first run finishing. The constructor returns once the budget
+/// is held; release() (or the destructor) gives it back.
+class BudgetGate {
+ public:
+  explicit BudgetGate(Executor& executor);
 
-/// Runs the batch and returns one result per case, in submission order.
-std::vector<CaseResult> run_batch(const std::vector<Case>& cases,
-                                  const BatchOptions& opts = {});
+  /// Gives the budget back. Idempotent.
+  void release() { turn_.reset(); }
+
+  /// Waits until `n` cases (process-wide, the `exec.cases_joined` counter)
+  /// have joined a run in flight since the gate was built, or until `timeout`
+  /// passes, then release()s. Returns whether all `n` joined in time.
+  bool release_after_joined(std::uint64_t n, std::chrono::milliseconds timeout);
+
+ private:
+  std::optional<Executor::Turn> turn_;
+  std::uint64_t joined_before_ = 0;
+};
 
 /// Derives a decorrelated per-case seed from a root seed and the case index
 /// (splitmix64 of the pair), so no two cases ever share a generator stream.

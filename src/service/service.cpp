@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -30,6 +31,8 @@ struct ServiceMetrics {
   obs::Counter& tier_model = obs::metrics().counter("service.tier_model");
   obs::Counter& tier_cache = obs::metrics().counter("service.tier_cache");
   obs::Counter& tier_sim = obs::metrics().counter("service.tier_sim");
+  obs::Counter& coalesced = obs::metrics().counter("service.coalesced");
+  obs::Counter& rejected = obs::metrics().counter("service.rejected");
   obs::Histogram& latency_model_s =
       obs::metrics().histogram("service.latency_model_s", obs::default_time_buckets_s());
   obs::Histogram& latency_cache_s =
@@ -111,24 +114,6 @@ std::vector<int> pow2_ps(int cap) {
   return ps;
 }
 
-/// Submits a simulation-backed job and waits for it, reporting whether it
-/// coalesced and which tier answered. Throws kOverloaded when admission
-/// control rejects the job and kSimFailed when a case or the fold failed.
-Outcome run_job(SimScheduler& scheduler, const std::string& key, std::vector<exec::Case> cases,
-                std::function<std::string(const std::vector<exec::CaseResult>&)> fold,
-                std::string* tier, bool* coalesced) {
-  const SimScheduler::Ticket ticket = scheduler.submit(key, std::move(cases), std::move(fold));
-  if (ticket.rejected) fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
-  *coalesced = ticket.coalesced;
-  try {
-    Outcome outcome = ticket.result.get();
-    *tier = outcome.simulated ? "sim" : "cache";
-    return outcome;
-  } catch (const std::exception& e) {
-    fail(ErrorCode::kSimFailed, e.what());
-  }
-}
-
 double host_now_s() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point start = clock::now();
@@ -137,16 +122,41 @@ double host_now_s() {
 
 }  // namespace
 
-Service::Service(ServiceConfig config) : config_(std::move(config)) {
-  SchedulerConfig sched;
-  sched.jobs = config_.jobs;
-  sched.max_pending = config_.max_pending;
-  sched.cache_dir = config_.cache_dir;
-  sched.cache_max_bytes = config_.cache_max_bytes;
-  scheduler_ = std::make_unique<SimScheduler>(sched);
-}
+Service::Service(ServiceConfig config)
+    : config_(std::move(config)),
+      executor_({config_.jobs, config_.cache_dir, config_.cache_max_bytes}) {}
 
 Service::~Service() = default;
+
+std::string Service::run_job(const std::vector<exec::Case>& cases, const Fold& fold,
+                             std::string* tier, bool* coalesced) {
+  ServiceMetrics& metrics = ServiceMetrics::get();
+  if (pending_.fetch_add(1) >= config_.max_pending) {
+    --pending_;
+    metrics.rejected.inc();
+    fail(ErrorCode::kOverloaded, "simulation queue is full; retry later");
+  }
+  exec::BatchStats stats;
+  std::vector<exec::CaseResult> results;
+  try {
+    results = executor_.run(cases, &stats);
+  } catch (...) {
+    --pending_;
+    throw;
+  }
+  --pending_;
+  *coalesced = stats.joined > 0;
+  if (*coalesced) metrics.coalesced.inc();
+  const bool simulated = std::any_of(results.begin(), results.end(), [](const auto& r) {
+    return !r.from_cache;
+  });
+  *tier = simulated ? "sim" : "cache";
+  try {
+    return fold(results);
+  } catch (const std::exception& e) {
+    fail(ErrorCode::kSimFailed, e.what());
+  }
+}
 
 std::string Service::handle_line(const std::string& line) {
   ServiceMetrics& metrics = ServiceMetrics::get();
@@ -299,24 +309,22 @@ std::string Service::handle_predict(const Request& req, std::string* tier, bool*
     return out;
   }
 
-  // Measured tier: one full simulation through the scheduler (coalesced,
-  // admission-controlled, warm-cache short-circuited inside run_batch).
+  // Measured tier: one full simulation on the executor (admission-controlled,
+  // joined onto an identical run in flight, answered from a warm cache).
   const sim::MachineSpec spec = spec_for(req.machine);
   const analysis::AppInfo& app = app_for(req.app);
   require_valid_sim_point(app, spec, req.p);
   const double f = req.f_ghz > 0.0 ? req.f_ghz : spec.cpu.base_ghz;
   std::vector<exec::Case> cases;
   cases.push_back(analysis::measure_case(spec, app.make_adapter(), req.n, req.p, f));
-  const std::string key = cases[0].cache_key;
-
-  const Outcome outcome = run_job(
-      *scheduler_, key, std::move(cases),
+  const std::string payload = run_job(
+      cases,
       [](const std::vector<exec::CaseResult>& results) {
         if (!results[0].ok()) throw std::runtime_error(results[0].error);
         return results[0].payload;
       },
       tier, coalesced);
-  const analysis::Measurement actual = analysis::decode_measurement(outcome.payload);
+  const analysis::Measurement actual = analysis::decode_measurement(payload);
 
   // A measured request is the one place a live service produces both a
   // closed-form prediction and a simulated actual for the same operating
@@ -361,11 +369,9 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
   std::vector<exec::Case> cases = analysis::calibration_cases(spec, adapter, ns, ps);
   cases.insert(cases.begin(), analysis::machine_params_case(spec, true));
   const std::size_t samples = cases.size() - 1;
-  std::string job_key = "calibrate-job";
-  for (const exec::Case& c : cases) job_key += '\x1e' + c.cache_key;
 
-  const Outcome outcome = run_job(
-      *scheduler_, job_key, std::move(cases),
+  const std::string payload = run_job(
+      cases,
       [adapter](const std::vector<exec::CaseResult>& results) -> std::string {
         for (const exec::CaseResult& r : results) {
           if (!r.ok()) throw std::runtime_error("calibration case failed: " + r.error);
@@ -378,10 +384,10 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
       },
       tier, coalesced);
 
-  const std::size_t sep = outcome.payload.find('\x1e');
+  const std::size_t sep = payload.find('\x1e');
   if (sep == std::string::npos) fail(ErrorCode::kInternal, "calibration payload: no separator");
-  const std::string machine_text = outcome.payload.substr(0, sep);
-  const std::string workload_text = outcome.payload.substr(sep + 1);
+  const std::string machine_text = payload.substr(0, sep);
+  const std::string workload_text = payload.substr(sep + 1);
   const std::optional<model::MachineParams> mp = model::parse_machine(machine_text);
   std::unique_ptr<model::WorkloadModel> workload = model::parse_workload(workload_text);
   if (!mp || workload == nullptr) {
@@ -501,15 +507,15 @@ std::string Service::handle_metrics() {
 
 std::string Service::handle_stats() {
   const ServiceMetrics& m = ServiceMetrics::get();
-  const exec::ResultCache& cache = scheduler_->cache();
+  const exec::ResultCache& cache = executor_.cache();
   return "{" + json_field("runs_started", sim::Engine::total_runs_started()) + "," +
          json_field("requests", m.requests.value()) + "," +
          json_field("errors", m.errors.value()) + "," +
          json_field("tier_model", m.tier_model.value()) + "," +
          json_field("tier_cache", m.tier_cache.value()) + "," +
          json_field("tier_sim", m.tier_sim.value()) + "," +
-         json_field("coalesced", obs::metrics().counter("service.coalesced").value()) +
-         "," + json_field("rejected", obs::metrics().counter("service.rejected").value()) +
+         json_field("coalesced", m.coalesced.value()) + "," +
+         json_field("rejected", m.rejected.value()) +
          "," + json_field("cache_hits", cache.hits()) + "," +
          json_field("cache_misses", cache.misses()) + "," +
          json_field("cache_stores", cache.stores()) + "," +

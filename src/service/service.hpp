@@ -12,10 +12,12 @@
 //            coefficients lands here: predict, optimize, iso_contour.
 //   cache  — the content-addressed exec::ResultCache: a simulation-backed
 //            answer whose every case was already on disk. No simulation runs.
-//   sim    — an exec::run_batch on the requester's thread via the
-//            SimScheduler: admission-controlled, coalesced so that N
-//            identical in-flight queries cost one simulation, and waiting its
-//            turn in the one FIFO host-thread budget (--jobs).
+//   sim    — the request's cases run on the process's one exec::Executor, on
+//            the requester's thread: admission-controlled (max_pending), a
+//            case whose key another request is already running joins that
+//            run so N identical in-flight queries cost one simulation, and
+//            each batch waits its turn in the one FIFO host-thread budget
+//            (--jobs).
 //
 // The response's `tier` field reports which tier actually answered.
 //
@@ -31,21 +33,24 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "model/params.hpp"
 #include "model/workloads.hpp"
 #include "service/protocol.hpp"
-#include "service/scheduler.hpp"
+#include "exec/executor.hpp"
 
 namespace isoee::service {
 
 struct ServiceConfig {
   int jobs = 1;               // host-thread budget for the simulation tier
-  int max_pending = 64;       // admission cap (distinct in-flight sim jobs)
+  int max_pending = 64;       // admission cap: sim-tier requests waiting or running,
+                              // those that joined another request's run included
   std::string cache_dir;      // warm tier ("" = no cache: cold queries simulate)
   std::uint64_t cache_max_bytes = 0;  // on-disk cap, oldest pruned (0 = unbounded)
   double slow_request_s = 0.0;        // ISOEE_WARN requests slower than this (0 = off)
@@ -63,7 +68,8 @@ class Service {
   /// Set once a `shutdown` request was handled; transports stop accepting.
   bool shutdown_requested() const { return shutdown_.load(); }
 
-  SimScheduler& scheduler() { return *scheduler_; }
+  /// The executor every simulation-backed request runs on.
+  exec::Executor& executor() { return executor_; }
 
  private:
   struct Calibration {
@@ -71,6 +77,14 @@ class Service {
     std::shared_ptr<const model::WorkloadModel> workload;
   };
 
+  /// Runs a simulation-backed request's cases and folds their results.
+  /// Reports which tier answered ("sim" when any case simulated, "cache"
+  /// otherwise) and whether any case joined another request's run. Throws
+  /// kOverloaded when max_pending sim-tier requests are already waiting or
+  /// running, and kSimFailed when the fold throws.
+  using Fold = std::function<std::string(const std::vector<exec::CaseResult>&)>;
+  std::string run_job(const std::vector<exec::Case>& cases, const Fold& fold,
+                      std::string* tier, bool* coalesced);
   std::string handle_predict(const Request& req, std::string* tier, bool* coalesced);
   std::string handle_calibrate(const Request& req, std::string* tier, bool* coalesced);
   std::string handle_optimize(const Request& req);
@@ -88,7 +102,8 @@ class Service {
                const model::MachineParams& machine, std::unique_ptr<model::WorkloadModel> workload);
 
   ServiceConfig config_;
-  std::unique_ptr<SimScheduler> scheduler_;
+  exec::Executor executor_;
+  std::atomic<int> pending_{0};  // sim-tier requests waiting or running
   std::atomic<bool> shutdown_{false};
 
   mutable std::mutex cal_mu_;

@@ -58,7 +58,7 @@ int default_engine_workers() {
 int auto_engine_workers(int nranks) {
   // Small jobs run fastest on one worker — a fiber switch is tens of
   // nanoseconds while a cross-worker wakeup is a cv round-trip — and
-  // exec::run_batch already parallelizes across cases. Only large jobs are
+  // exec::Executor already parallelizes across cases. Only large jobs are
   // worth spreading over host cores.
   if (nranks < 256) return 1;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

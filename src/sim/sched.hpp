@@ -144,7 +144,7 @@ class FiberScheduler {
 
   int nranks_;
   // One-worker runs (the common case: hundreds of small study cases, where
-  // exec::run_batch parallelizes across cases instead) execute the whole
+  // exec::Executor parallelizes across cases instead) execute the whole
   // schedule on the calling thread, so every mailbox lock, inbox hand-off,
   // and cv wakeup is skipped — deliveries push straight into the lone
   // worker's ready heap.

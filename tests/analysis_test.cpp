@@ -190,8 +190,9 @@ TEST(EnergyStudy, ExactnessWithoutNoise) {
   // unmodelled collective wait skew).
   auto spec = sim::system_g();
   spec.noise.enabled = false;
+  exec::Executor executor;
   analysis::EnergyStudy study(spec, analysis::make_adapter(npb::EpConfig()),
-                              /*measured=*/false);
+                              /*measured=*/false, executor);
   const double ns[] = {1 << 15, 1 << 16, 1 << 17};
   const int ps[] = {2, 4};
   study.calibrate(ns, ps);
@@ -204,7 +205,9 @@ TEST(EnergyStudy, ExactnessWithoutNoise) {
 TEST(EnergyStudy, PaperBandErrorsWithNoise) {
   auto spec = sim::system_g();
   spec.noise.enabled = true;
-  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CgConfig()));
+  exec::Executor executor;
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CgConfig()), true,
+                              executor);
   const double ns[] = {1000, 2000, 4000};
   const int ps[] = {2, 4, 8};
   study.calibrate(ns, ps);
@@ -220,15 +223,18 @@ TEST(EnergyStudy, PaperBandErrorsWithNoise) {
 
 TEST(EnergyStudy, PredictBeforeCalibrateThrows) {
   auto spec = sim::system_g();
+  exec::Executor executor;
   analysis::EnergyStudy study(spec, analysis::make_adapter(npb::EpConfig()),
-                              /*measured=*/false);
+                              /*measured=*/false, executor);
   EXPECT_THROW((void)study.predict(1000, 4), std::logic_error);
 }
 
 TEST(EnergyStudy, FtAdapterSnapsToValidGrid) {
   auto spec = sim::system_g();
   spec.noise.enabled = false;
-  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::FtConfig()), /*measured=*/false);
+  exec::Executor executor;
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::FtConfig()),
+                              /*measured=*/false, executor);
   const double ns[] = {32.0 * 32 * 32};
   const int ps[] = {2};
   study.calibrate(ns, ps);
@@ -495,7 +501,8 @@ TEST(Surface, GridShapeAndMonotonicity) {
   model::FtWorkload ft;
   const int ps[] = {1, 4, 16, 64};
   const double fs[] = {1.6, 2.0, 2.4, 2.8};
-  const auto s = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs);
+  exec::Executor executor;
+  const auto s = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs, executor);
   ASSERT_EQ(s.ee.size(), 4u);
   ASSERT_EQ(s.ee[0].size(), 4u);
   // EE declines with p at every frequency (FT, paper Fig 5).
@@ -511,7 +518,8 @@ TEST(Surface, TableAndAsciiRender) {
   model::CgWorkload cg;
   const int ps[] = {1, 8, 64};
   const double ns[] = {7000, 75000};
-  const auto s = analysis::ee_surface_pn(machine, cg, 2.8, ps, ns);
+  exec::Executor executor;
+  const auto s = analysis::ee_surface_pn(machine, cg, 2.8, ps, ns, executor);
   const auto table = analysis::surface_table(s);
   EXPECT_EQ(table.rows(), 3u);
   const std::string art = analysis::surface_ascii(s);

@@ -42,7 +42,8 @@ constexpr std::uint64_t kSweepSeed = 20260806ULL;
 // ---------------------------------------------------------------------------
 
 TEST(check_sweep, TwoHundredRandomConfigsHoldEveryInvariant) {
-  const auto stats = check::run_sweep(kSweepSeed, 200);
+  exec::Executor executor;
+  const auto stats = check::run_sweep(kSweepSeed, 200, executor);
   for (const auto& f : stats.failures) {
     ADD_FAILURE() << f.what << "\n  original: " << f.original.repro()
                   << "\n  shrunk:   " << f.shrunk_repro;
@@ -189,7 +190,8 @@ TEST(PlantedBug, OffByOneRingAllgatherIsCaughtAndShrunk) {
 TEST(PlantedBug, RandomSweepCatchesAndMinimizesTheFault) {
   check::SweepOptions opts;
   opts.fault.ring_allgather_off_by_one = true;
-  const auto stats = check::run_sweep(kSweepSeed, 100, opts);
+  exec::Executor executor;
+  const auto stats = check::run_sweep(kSweepSeed, 100, executor, opts);
 
   ASSERT_FALSE(stats.failures.empty())
       << "sweep generated no non-empty ring allgather case: " << stats.summary();

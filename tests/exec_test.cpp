@@ -7,6 +7,9 @@
 //   * a TSan-targeted stress run: oversubscribed pool, mixed-nranks engine
 //     cases, and an injected mid-case throw that must not deadlock (the
 //     engine poisons mailboxes so abandoned peers unwind);
+//   * one executor per process: concurrent batches share one FIFO budget,
+//     a key in flight runs once however many batches miss it, and a case
+//     body cannot nest a batch;
 //   * warm-cache runs execute zero simulations and reproduce results
 //     bit for bit (EnergyStudy calibration + validation);
 //   * parallel check::run_sweep is byte-identical to serial, and a shrunk
@@ -17,14 +20,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/study.hpp"
@@ -37,6 +43,7 @@
 #include "exec/codec.hpp"
 #include "exec/executor.hpp"
 #include "model/workloads.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
 
@@ -50,6 +57,14 @@ std::string scratch_dir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / ("isoee_exec_test_" + name);
   fs::remove_all(dir);
   return dir.string();
+}
+
+/// An executor config with `jobs` host threads and an optional cache directory.
+exec::ExecConfig exec_config(int jobs, std::string cache_dir = "") {
+  exec::ExecConfig config;
+  config.jobs = jobs;
+  config.cache_dir = std::move(cache_dir);
+  return config;
 }
 
 /// prefix + decimal i, appended piecewise: `"k" + std::to_string(i)` trips a
@@ -124,7 +139,7 @@ TEST(Codec, CaseSeedsAreDecorrelated) {
 }
 
 // ---------------------------------------------------------------------------
-// run_batch: ordering, budgeting, failure semantics.
+// Executor::run: ordering, budgeting, failure semantics.
 // ---------------------------------------------------------------------------
 
 TEST(RunBatch, ResultsArriveInSubmissionOrderRegardlessOfCompletionOrder) {
@@ -138,9 +153,8 @@ TEST(RunBatch, ResultsArriveInSubmissionOrderRegardlessOfCompletionOrder) {
     };
     cases.push_back(std::move(c));
   }
-  exec::BatchOptions opts;
-  opts.thread_budget = 8;
-  const auto results = exec::run_batch(cases, opts);
+  exec::Executor executor(exec_config(8));
+  const auto results = executor.run(cases);
   ASSERT_EQ(results.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(results[static_cast<std::size_t>(i)].ok());
@@ -169,10 +183,8 @@ TEST(RunBatch, HostThreadBudgetIsNeverExceeded) {
     cases.push_back(std::move(c));
   }
   exec::BatchStats stats;
-  exec::BatchOptions opts;
-  opts.thread_budget = kBudget;
-  opts.stats = &stats;
-  const auto results = exec::run_batch(cases, opts);
+  exec::Executor executor(exec_config(kBudget));
+  const auto results = executor.run(cases, &stats);
   for (const auto& r : results) EXPECT_TRUE(r.ok());
   EXPECT_LE(peak.load(), kBudget);
   EXPECT_LE(stats.max_threads_in_use, kBudget);
@@ -189,10 +201,8 @@ TEST(RunBatch, CaseWiderThanTheBudgetRunsAloneInsteadOfDeadlocking) {
   cases[2].threads = 2;
   cases[2].run = [] { return std::string("b"); };
   exec::BatchStats stats;
-  exec::BatchOptions opts;
-  opts.thread_budget = 4;
-  opts.stats = &stats;
-  const auto results = exec::run_batch(cases, opts);
+  exec::Executor executor(exec_config(4));
+  const auto results = executor.run(cases, &stats);
   EXPECT_EQ(results[0].payload, "wide");
   EXPECT_EQ(results[1].payload, "a");
   EXPECT_EQ(results[2].payload, "b");
@@ -249,10 +259,8 @@ TEST(RunBatch, EngineCaseCostIsResolvedWorkersNotRanks) {
       cases.push_back(std::move(c));
     }
     exec::BatchStats stats;
-    exec::BatchOptions opts;
-    opts.thread_budget = kBudget;
-    opts.stats = &stats;
-    const auto results = exec::run_batch(cases, opts);
+    exec::Executor executor(exec_config(kBudget));
+    const auto results = executor.run(cases, &stats);
     for (const auto& r : results) EXPECT_TRUE(r.ok());
     EXPECT_GE(peak_cases.load(), 2);  // wide cases genuinely overlapped
     EXPECT_LE(stats.max_threads_in_use, kBudget);
@@ -264,75 +272,12 @@ TEST(RunBatch, ThrowingCaseIsRecordedAndOthersComplete) {
   cases[0].run = [] { return std::string("ok0"); };
   cases[1].run = []() -> std::string { throw std::runtime_error("boom"); };
   cases[2].run = [] { return std::string("ok2"); };
-  exec::BatchOptions opts;
-  opts.thread_budget = 3;
-  const auto results = exec::run_batch(cases, opts);
+  exec::Executor executor(exec_config(3));
+  const auto results = executor.run(cases);
   EXPECT_TRUE(results[0].ok());
   EXPECT_EQ(results[1].error, "boom");
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
-}
-
-TEST(RunBatch, FailFastSkipsEverythingAfterTheFailureInSerialMode) {
-  std::vector<exec::Case> cases(6);
-  for (int i = 0; i < 6; ++i) {
-    cases[static_cast<std::size_t>(i)].run = [i]() -> std::string {
-      if (i == 2) throw std::runtime_error("fail at 2");
-      return std::to_string(i);
-    };
-  }
-  exec::BatchStats stats;
-  exec::BatchOptions opts;
-  opts.thread_budget = 1;  // serial: skip set is exactly the suffix
-  opts.fail_fast = true;
-  opts.stats = &stats;
-  const auto results = exec::run_batch(cases, opts);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_TRUE(results[1].ok());
-  EXPECT_EQ(results[2].error, "fail at 2");
-  for (int i = 3; i < 6; ++i) EXPECT_TRUE(results[static_cast<std::size_t>(i)].skipped);
-  EXPECT_EQ(stats.skipped, 3u);
-  EXPECT_EQ(stats.started, 3u);
-}
-
-TEST(RunBatch, FailFastCancelsNotYetAdmittedCasesInParallelMode) {
-  std::vector<exec::Case> cases(64);
-  for (int i = 0; i < 64; ++i) {
-    cases[static_cast<std::size_t>(i)].run = [i]() -> std::string {
-      if (i == 0) throw std::runtime_error("first case fails");
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      return std::to_string(i);
-    };
-  }
-  exec::BatchStats stats;
-  exec::BatchOptions opts;
-  opts.thread_budget = 2;
-  opts.fail_fast = true;
-  opts.stats = &stats;
-  const auto results = exec::run_batch(cases, opts);
-  EXPECT_EQ(results[0].error, "first case fails");
-  EXPECT_GT(stats.skipped, 0u);  // the long tail never ran
-  std::uint64_t skipped = 0;
-  for (const auto& r : results) skipped += r.skipped ? 1 : 0;
-  EXPECT_EQ(skipped, stats.skipped);
-}
-
-TEST(RunBatch, IsFailurePredicateTriggersFailFast) {
-  std::vector<exec::Case> cases(4);
-  for (int i = 0; i < 4; ++i) {
-    cases[static_cast<std::size_t>(i)].run = [i] {
-      return std::string(i == 1 ? "bad" : "good");
-    };
-  }
-  exec::BatchOptions opts;
-  opts.thread_budget = 1;
-  opts.fail_fast = true;
-  opts.is_failure = [](const exec::CaseResult& r) { return r.payload == "bad"; };
-  const auto results = exec::run_batch(cases, opts);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(results[1].payload, "bad");
-  EXPECT_TRUE(results[2].skipped);
-  EXPECT_TRUE(results[3].skipped);
 }
 
 TEST(RunBatch, ParallelPayloadsAreBitIdenticalToSerial) {
@@ -354,12 +299,10 @@ TEST(RunBatch, ParallelPayloadsAreBitIdenticalToSerial) {
     }
     return cases;
   };
-  exec::BatchOptions serial;
-  serial.thread_budget = 1;
-  exec::BatchOptions parallel;
-  parallel.thread_budget = 8;
-  const auto a = exec::run_batch(build(), serial);
-  const auto b = exec::run_batch(build(), parallel);
+  exec::Executor serial(exec_config(1));
+  exec::Executor parallel(exec_config(8));
+  const auto a = serial.run(build());
+  const auto b = parallel.run(build());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].payload, b[i].payload);
 }
@@ -413,10 +356,9 @@ TEST(ExecutorStress, OversubscribedEngineCasesWithInjectedThrowDoNotDeadlock) {
   };
 
   exec::BatchStats stats;
-  exec::BatchOptions opts;
-  opts.thread_budget = 4;  // far fewer host threads than sum(nranks) = 56
-  opts.stats = &stats;
-  const auto results = exec::run_batch(build(), opts);
+  // Far fewer host threads than sum(nranks) = 56.
+  exec::Executor executor(exec_config(4));
+  const auto results = executor.run(build(), &stats);
 
   ASSERT_EQ(results.size(), static_cast<std::size_t>(kCases));
   for (int i = 0; i < kCases; ++i) {
@@ -431,9 +373,8 @@ TEST(ExecutorStress, OversubscribedEngineCasesWithInjectedThrowDoNotDeadlock) {
   EXPECT_LE(stats.max_threads_in_use, 4);
 
   // And the whole batch is bit-identical serial vs oversubscribed-parallel.
-  exec::BatchOptions serial;
-  serial.thread_budget = 1;
-  const auto reference = exec::run_batch(build(), serial);
+  exec::Executor serial(exec_config(1));
+  const auto reference = serial.run(build());
   for (int i = 0; i < kCases; ++i) {
     EXPECT_EQ(results[static_cast<std::size_t>(i)].payload,
               reference[static_cast<std::size_t>(i)].payload)
@@ -441,6 +382,240 @@ TEST(ExecutorStress, OversubscribedEngineCasesWithInjectedThrowDoNotDeadlock) {
     EXPECT_EQ(results[static_cast<std::size_t>(i)].error,
               reference[static_cast<std::size_t>(i)].error)
         << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One executor per process: every batch takes its turn in one FIFO
+// host-thread budget and shares one in-flight table. The SimTier tests budget
+// the query service's simulation tier, which runs each request as one batch
+// on the service's executor; their cases record when they start and how many
+// run at once.
+// ---------------------------------------------------------------------------
+
+class RunProbe {
+ public:
+  /// A case that logs `label` as it starts, then keeps running until
+  /// `together` probe cases have run at once, release() is called, or
+  /// `linger` passes — so cases the budget lets overlap do overlap.
+  exec::Case make(std::string label, int together, std::chrono::milliseconds linger) {
+    exec::Case c;
+    c.run = [this, label = std::move(label), together, linger] {
+      std::unique_lock<std::mutex> lock(mu_);
+      started_.push_back(label);
+      peak_ = std::max(peak_, ++running_);
+      cv_.notify_all();
+      cv_.wait_for(lock, linger, [&] { return released_ || peak_ >= together; });
+      --running_;
+      return std::string();
+    };
+    return c;
+  }
+
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  /// Waits up to 30 s for `n` cases to have started; false on timeout.
+  bool wait_started(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30), [&] { return started_.size() >= n; });
+  }
+
+  int peak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+
+  std::vector<std::string> started() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int running_ = 0;
+  int peak_ = 0;
+  bool released_ = false;
+  std::vector<std::string> started_;
+};
+
+/// Runs `cases` as one batch and expects every case to have completed.
+void run_job(exec::Executor& executor, const std::vector<exec::Case>& cases) {
+  for (const exec::CaseResult& r : executor.run(cases)) EXPECT_TRUE(r.ok()) << r.error;
+}
+
+/// Waits up to 30 s for the `exec.queue_depth` gauge to read `n`.
+bool wait_queue_depth(double n) {
+  const obs::Gauge& depth = obs::metrics().gauge("exec.queue_depth");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (depth.value() != n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return depth.value() == n;
+}
+
+TEST(SimTier, BudgetOfOneRunsOneJobAtATimeAndOfTwoRunsTwo) {
+  for (const int jobs : {1, 2}) {
+    exec::Executor executor(exec_config(jobs));
+    RunProbe probe;
+    // Under a budget of 1 each case lingers a little, giving the other job
+    // the chance to (wrongly) start; under 2 they wait for each other.
+    const auto linger = std::chrono::milliseconds(jobs == 1 ? 100 : 30000);
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 2; ++i) {
+      clients.emplace_back([&] { run_job(executor, {probe.make("job", 2, linger)}); });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(probe.peak(), jobs) << "jobs=" << jobs;
+  }
+}
+
+TEST(SimTier, BudgetTurnsAreFifoSoANarrowJobWaitsBehindAWideOne) {
+  exec::Executor executor(exec_config(2));
+  RunProbe probe;
+  const auto job = [&](const std::string& label, int cases, int together) {
+    std::vector<exec::Case> batch;
+    for (int i = 0; i < cases; ++i) {
+      batch.push_back(probe.make(label, together, std::chrono::seconds(60)));
+    }
+    return std::thread([&executor, batch = std::move(batch)] { run_job(executor, batch); });
+  };
+  // "a" holds one of the two threads until released.
+  std::thread a = job("a", 1, 3);
+  EXPECT_TRUE(probe.wait_started(1));
+  // "b" is two cases wide, so it waits for "a".
+  std::thread b = job("b", 2, 2);
+  EXPECT_TRUE(wait_queue_depth(2));
+  // "c" is one case wide and one thread is free, but its turn is after "b".
+  std::thread c = job("c", 1, 1);
+  EXPECT_TRUE(wait_queue_depth(3));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // room to jump the line
+  EXPECT_EQ(probe.started(), std::vector<std::string>{"a"});
+
+  probe.release();
+  for (std::thread* t : {&a, &b, &c}) t->join();
+  EXPECT_EQ(probe.started(), (std::vector<std::string>{"a", "b", "b", "c"}));
+  EXPECT_TRUE(wait_queue_depth(0));
+}
+
+// The service folds a request's results after its batch returned, so a fold
+// that throws leaves nothing in flight: the next request runs the key again.
+TEST(SimTier, AFailedFoldIsNotCoalescedOntoAndTheKeyRunsAgain) {
+  exec::Executor executor;
+  std::atomic<int> runs{0};
+  const auto counted = [&] {
+    std::vector<exec::Case> cases(1);
+    cases[0].cache_key = "fails-once";
+    cases[0].run = [&runs] {
+      ++runs;
+      return std::string("payload");
+    };
+    return cases;
+  };
+  const auto failing_fold = [](const std::vector<exec::CaseResult>&) -> std::string {
+    throw std::runtime_error("fold failed");
+  };
+  EXPECT_THROW(failing_fold(executor.run(counted())), std::runtime_error);
+
+  exec::BatchStats again;
+  const auto results = executor.run(counted(), &again);
+  EXPECT_EQ(again.joined, 0u);
+  EXPECT_EQ(results[0].payload, "payload");
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(obs::metrics().gauge("exec.queue_depth").value(), 0.0);
+}
+
+TEST(Executor, ConcurrentBatchesShareOneBudget) {
+  exec::Executor executor(exec_config(2));
+  RunProbe probe;
+  // Each case lingers until four run at once or 200 ms pass, so with a budget
+  // per batch the two batches' cases would overlap four at a time.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      const auto linger = std::chrono::milliseconds(200);
+      run_job(executor, {probe.make("probe", 4, linger), probe.make("probe", 4, linger)});
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(probe.started().size(), 4u);
+  EXPECT_LE(probe.peak(), 2);
+}
+
+TEST(Executor, TwoBatchesMissingTheSameKeyRunItOnce) {
+  exec::Executor executor(exec_config(2));  // no cache directory
+  std::atomic<int> runs{0};
+  const auto batch = [&] {
+    std::vector<exec::Case> cases(1);
+    cases[0].cache_key = "shared";
+    cases[0].run = [&runs] {
+      ++runs;
+      return std::string("payload");
+    };
+    return cases;
+  };
+  exec::BatchStats stats[2];
+  std::string payloads[2];
+  {
+    // The gate keeps the first batch in line until the second has joined it.
+    exec::BudgetGate gate(executor);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back(
+          [&, t] { payloads[t] = executor.run(batch(), &stats[t])[0].payload; });
+    }
+    EXPECT_TRUE(gate.release_after_joined(1, std::chrono::seconds(30)));
+    for (auto& t : threads) t.join();
+  }
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(payloads[0], "payload");
+  EXPECT_EQ(payloads[1], "payload");
+  EXPECT_EQ(stats[0].started + stats[1].started, 1u);
+  EXPECT_EQ(stats[0].joined + stats[1].joined, 1u);
+}
+
+TEST(Executor, ARepeatedKeyInOneBatchRunsOnce) {
+  exec::Executor executor(exec_config(2));
+  std::atomic<int> runs{0};
+  std::vector<exec::Case> cases(3);
+  for (exec::Case& c : cases) {
+    c.cache_key = "repeated";
+    c.run = [&runs] {
+      ++runs;
+      return std::string("payload");
+    };
+  }
+  exec::BatchStats stats;
+  const auto results = executor.run(cases, &stats);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(stats.started, 1u);
+  EXPECT_EQ(stats.joined, 2u);
+  for (const exec::CaseResult& r : results) EXPECT_EQ(r.payload, "payload");
+}
+
+TEST(Executor, NestedRunIsRejected) {
+  for (const int jobs : {1, 2}) {
+    exec::Executor executor(exec_config(jobs));
+    std::vector<exec::Case> outer(1);
+    outer[0].run = [&executor]() -> std::string {
+      std::vector<exec::Case> inner(1);
+      inner[0].run = [] { return std::string("inner"); };
+      try {
+        executor.run(inner);
+      } catch (const std::logic_error&) {
+        return "rejected";
+      }
+      return "nested run returned";
+    };
+    EXPECT_EQ(executor.run(outer)[0].payload, "rejected") << "jobs=" << jobs;
+    // The guard covers the case body only: this thread runs batches again.
+    std::vector<exec::Case> after(1);
+    after[0].run = [] { return std::string("after"); };
+    EXPECT_EQ(executor.run(after)[0].payload, "after") << "jobs=" << jobs;
   }
 }
 
@@ -488,8 +663,7 @@ TEST(ResultCache, UnusableDirectoryDisablesTheCacheWithoutFailing) {
 }
 
 TEST(ResultCache, WarmBatchExecutesNothing) {
-  const std::string dir = scratch_dir("warm_batch");
-  exec::ResultCache cache(dir);
+  exec::Executor executor(exec_config(4, scratch_dir("warm_batch")));
   std::atomic<int> executions{0};
   const auto build = [&] {
     std::vector<exec::Case> cases;
@@ -505,17 +679,12 @@ TEST(ResultCache, WarmBatchExecutesNothing) {
     return cases;
   };
   exec::BatchStats cold_stats;
-  exec::BatchOptions opts;
-  opts.thread_budget = 4;
-  opts.cache = &cache;
-  opts.stats = &cold_stats;
-  const auto cold = exec::run_batch(build(), opts);
+  const auto cold = executor.run(build(), &cold_stats);
   EXPECT_EQ(executions.load(), 6);
   EXPECT_EQ(cold_stats.cache_hits, 0u);
 
   exec::BatchStats warm_stats;
-  opts.stats = &warm_stats;
-  const auto warm = exec::run_batch(build(), opts);
+  const auto warm = executor.run(build(), &warm_stats);
   EXPECT_EQ(executions.load(), 6) << "warm run must not execute any case";
   EXPECT_EQ(warm_stats.cache_hits, 6u);
   EXPECT_EQ(warm_stats.started, 0u);
@@ -526,8 +695,7 @@ TEST(ResultCache, WarmBatchExecutesNothing) {
 }
 
 TEST(ResultCache, ErrorsAreNeverCached) {
-  const std::string dir = scratch_dir("no_error_cache");
-  exec::ResultCache cache(dir);
+  exec::Executor executor(exec_config(1, scratch_dir("no_error_cache")));
   std::atomic<int> executions{0};
   const auto build = [&] {
     std::vector<exec::Case> cases(1);
@@ -538,10 +706,8 @@ TEST(ResultCache, ErrorsAreNeverCached) {
     };
     return cases;
   };
-  exec::BatchOptions opts;
-  opts.cache = &cache;
-  EXPECT_EQ(exec::run_batch(build(), opts)[0].error, "transient");
-  const auto second = exec::run_batch(build(), opts);
+  EXPECT_EQ(executor.run(build())[0].error, "transient");
+  const auto second = executor.run(build());
   EXPECT_EQ(second[0].payload, "recovered") << "the error must not have been cached";
   EXPECT_EQ(executions.load(), 2);
 }
@@ -632,20 +798,18 @@ TEST(WarmCache, StudyRerunExecutesZeroSimulationsAndReproducesResults) {
   const std::string dir = scratch_dir("study");
   auto spec = sim::system_g();
   spec.noise.enabled = false;
-  exec::ExecConfig ec;
-  ec.jobs = 4;
-  ec.cache_dir = dir;
+  exec::Executor executor(exec_config(4, dir));
   const double ns[] = {1 << 14, 1 << 15};
   const int ps[] = {2, 4};
 
   analysis::EnergyStudy cold(spec, analysis::make_adapter(npb::EpConfig()), /*measured=*/true,
-                             ec);
+                             executor);
   cold.calibrate(ns, ps);
   const auto v_cold = cold.validate(1 << 16, 4);
 
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
   analysis::EnergyStudy warm(spec, analysis::make_adapter(npb::EpConfig()), /*measured=*/true,
-                             ec);
+                             executor);
   warm.calibrate(ns, ps);
   const auto v_warm = warm.validate(1 << 16, 4);
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before)
@@ -671,9 +835,8 @@ TEST(Determinism, SurfaceGridIsIdenticalForEveryThreadBudget) {
   model::FtWorkload ft;
   const int ps[] = {1, 4, 16, 64, 256};
   const double fs[] = {1.6, 2.0, 2.4, 2.8};
-  exec::ExecConfig serial;  // jobs = 1
-  exec::ExecConfig parallel;
-  parallel.jobs = 8;
+  exec::Executor serial;  // jobs = 1
+  exec::Executor parallel(exec_config(8));
   const auto a = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs, serial);
   const auto b = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs, parallel);
   // Byte-for-byte CSV equality — exactly what the fig drivers emit.
@@ -682,14 +845,13 @@ TEST(Determinism, SurfaceGridIsIdenticalForEveryThreadBudget) {
 
 TEST(Determinism, ParallelRunSweepIsByteIdenticalToSerial) {
   constexpr std::uint64_t kSeed = 20260806ULL;
-  check::SweepOptions serial;
-  serial.fault.ring_allgather_off_by_one = true;  // guarantee failures + shrinks
-  serial.exec.jobs = 1;
-  check::SweepOptions parallel = serial;
-  parallel.exec.jobs = 8;
+  check::SweepOptions opts;
+  opts.fault.ring_allgather_off_by_one = true;  // guarantee failures + shrinks
+  exec::Executor serial(exec_config(1));
+  exec::Executor parallel(exec_config(8));
 
-  const auto a = check::run_sweep(kSeed, 200, serial);
-  const auto b = check::run_sweep(kSeed, 200, parallel);
+  const auto a = check::run_sweep(kSeed, 200, serial, opts);
+  const auto b = check::run_sweep(kSeed, 200, parallel, opts);
 
   EXPECT_EQ(a.summary(), b.summary());
   ASSERT_FALSE(a.failures.empty()) << "sweep generated no ring-allgather case";
@@ -725,13 +887,14 @@ TEST(Determinism, ShrunkReproIsIndependentOfSweepOffset) {
   // Sweep A reaches the case after shrinking earlier sweep positions' work;
   // sweep B starts directly at it. Before shrink() was made pure, the
   // shrinker's RNG state at arrival differed, and so did the output.
+  exec::Executor executor;
   check::SweepOptions from_zero;
   from_zero.fault = fault;
-  const auto sweep_a = check::run_sweep(kSeed, failing_index + 1, from_zero);
+  const auto sweep_a = check::run_sweep(kSeed, failing_index + 1, executor, from_zero);
 
   check::SweepOptions from_offset = from_zero;
   from_offset.start = failing_index;
-  const auto sweep_b = check::run_sweep(kSeed, 1, from_offset);
+  const auto sweep_b = check::run_sweep(kSeed, 1, executor, from_offset);
 
   ASSERT_EQ(sweep_b.failures.size(), 1u);
   const std::string* shrunk_a = nullptr;
@@ -753,14 +916,14 @@ TEST(Determinism, ShrunkReproIsIndependentOfSweepOffset) {
 // Chunked soak accounting: merged chunk stats equal the one-shot sweep.
 TEST(Determinism, ChunkedSweepStatsMergeToTheOneShotSweep) {
   constexpr std::uint64_t kSeed = 97ULL;
-  check::SweepOptions opts;
-  const auto whole = check::run_sweep(kSeed, 60, opts);
+  exec::Executor executor;
+  const auto whole = check::run_sweep(kSeed, 60, executor);
 
   check::SweepStats merged;
   for (int start = 0; start < 60; start += 20) {
     check::SweepOptions chunk;
     chunk.start = start;
-    merged.merge(check::run_sweep(kSeed, 20, chunk));
+    merged.merge(check::run_sweep(kSeed, 20, executor, chunk));
   }
   EXPECT_EQ(merged.summary(), whole.summary());
   EXPECT_EQ(merged.cases_per_op, whole.cases_per_op);

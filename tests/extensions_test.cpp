@@ -212,7 +212,9 @@ TEST(CkptStudy, ModelPredictsIoHeavyRuns) {
   auto spec = sim::system_g();
   spec.noise.enabled = true;
   spec.power.io_delta_w = 8.0;  // disks draw power while active
-  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CkptConfig()));
+  exec::Executor executor;
+  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CkptConfig()), true,
+                              executor);
   const double ns[] = {1 << 17, 1 << 18, 1 << 19};
   const int ps[] = {2, 4};
   study.calibrate(ns, ps);

@@ -119,7 +119,9 @@ TEST(Mg, SequentialHasNoMessages) {
 TEST(MgStudy, FitsAndValidatesWithinBand) {
   auto spec = machine();
   spec.noise.enabled = true;
-  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::mg_class(npb::ProblemClass::S)));
+  exec::Executor executor;
+  analysis::EnergyStudy study(
+      spec, analysis::make_adapter(npb::mg_class(npb::ProblemClass::S)), true, executor);
   const double ns[] = {32. * 32 * 32, 64. * 64 * 64};
   const int ps[] = {2, 4};
   study.calibrate(ns, ps);

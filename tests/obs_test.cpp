@@ -350,8 +350,9 @@ TEST(Drift, StudyValidationFeedsTheGlobalMonitor) {
   obs::drift().reset();
   auto spec = sim::system_g();
   spec.noise.enabled = false;
+  exec::Executor executor;
   analysis::EnergyStudy study(spec, analysis::make_adapter(npb::EpConfig()),
-                              /*measured=*/false);
+                              /*measured=*/false, executor);
   const double ns[] = {1 << 15, 1 << 16, 1 << 17};
   const int ps[] = {2, 4};
   study.calibrate(ns, ps);
@@ -561,13 +562,14 @@ TEST(Trace, RenderIsByteIdenticalAcrossJobsBudgets) {
     return cases;
   };
 
-  exec::BatchOptions serial;
-  serial.thread_budget = 1;
-  const auto serial_results = exec::run_batch(make_cases(), serial);
+  exec::ExecConfig config;
+  config.jobs = 1;
+  exec::Executor serial(config);
+  const auto serial_results = serial.run(make_cases());
 
-  exec::BatchOptions parallel;
-  parallel.thread_budget = 4;
-  const auto parallel_results = exec::run_batch(make_cases(), parallel);
+  config.jobs = 4;
+  exec::Executor parallel(config);
+  const auto parallel_results = parallel.run(make_cases());
 
   ASSERT_EQ(serial_results.size(), parallel_results.size());
   for (std::size_t i = 0; i < serial_results.size(); ++i) {

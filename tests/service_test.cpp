@@ -1,13 +1,13 @@
 // Tier-1 tests for src/service: the wire protocol (strict parsing + seeded
 // fuzzing over the request grammar), the three-tier answer path (model /
-// cache / sim), request coalescing, admission control, the scheduler's FIFO
-// host-thread budget, the calibrate flow and its cache shared with
-// analysis::EnergyStudy, the stdin transport (an overlong line included), and
-// the TCP transport over loopback: shutdown while a client idles or waits on
-// a reply, no thread per connection (a live-thread count with 256 sockets
-// open), and chaos clients (a half line then close, a client that vanishes
-// mid-simulation, an unframed flood, lines split at arbitrary bytes), each
-// under a watchdog so a hang fails instead of wedging the suite.
+// cache / sim), request coalescing, admission control, the calibrate flow and
+// its cache shared with analysis::EnergyStudy, the stdin transport (an
+// overlong line included), and the TCP transport over loopback: shutdown
+// while a client idles or waits on a reply, no thread per connection (a
+// live-thread count with 256 sockets open), and chaos clients (a half line
+// then close, a client that vanishes mid-simulation, an unframed flood, lines
+// split at arbitrary bytes), each under a watchdog so a hang fails instead of
+// wedging the suite.
 //
 // The sim-tier tests use small EP cases so the whole binary stays in the
 // seconds range; the serving-smoke CI job covers the TCP transport and load.
@@ -479,13 +479,13 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
   std::vector<std::string> responses(kClients);
   {
     // The gate holds the whole host-thread budget, so the first query stays
-    // in flight until every other one has coalesced onto it.
-    service::SchedulerGate gate(svc.scheduler());
+    // in flight until every other one has joined its run.
+    exec::BudgetGate gate(svc.executor());
     std::vector<std::thread> clients;
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] { responses[i] = svc.handle_line(line); });
     }
-    EXPECT_TRUE(gate.release_after_coalesced(kClients - 1, std::chrono::seconds(60)));
+    EXPECT_TRUE(gate.release_after_joined(kClients - 1, std::chrono::seconds(60)));
     for (auto& t : clients) t.join();
   }
 
@@ -552,6 +552,16 @@ TEST(SimTier, CalibrateFitsInstallsAndWarmRerunsFromCache) {
   EXPECT_EQ(stable_fragment(predicted), stable_fragment(svc.handle_line(predict_line)));
 }
 
+/// An EP study with its own executor over cache directory `dir`, standing in
+/// for a figure driver run as a separate process on the same directory.
+struct DirStudy {
+  exec::Executor executor;
+  analysis::EnergyStudy study;
+  explicit DirStudy(const std::string& dir)
+      : executor({2, dir, 0}),
+        study(sim::system_g(), analysis::make_adapter(npb::EpConfig()), true, executor) {}
+};
+
 // EnergyStudy and the service build calibration from the same analysis
 // cases, so either one warms the other's cache directory (docs/SERVICE.md).
 TEST(SimTier, StudyAndServiceShareCalibrationCache) {
@@ -560,8 +570,7 @@ TEST(SimTier, StudyAndServiceShareCalibrationCache) {
   const std::string cal_line =
       R"({"method":"calibrate","params":{"machine":"system_g","app":"EP","ns":[20000,40000],"ps":[2]}})";
   const auto make_study = [](const std::string& dir) {
-    return std::make_unique<analysis::EnergyStudy>(
-        sim::system_g(), analysis::make_adapter(npb::EpConfig()), true, exec::ExecConfig{2, dir});
+    return std::make_unique<DirStudy>(dir);
   };
   const auto expect_same_fit = [](const util::JsonValue& response,
                                    const analysis::EnergyStudy& study) {
@@ -576,7 +585,7 @@ TEST(SimTier, StudyAndServiceShareCalibrationCache) {
   // Study first: the service answers from the cache tier.
   config.cache_dir = scratch_dir("share_study_first");
   const auto study = make_study(config.cache_dir);
-  study->calibrate(ns, ps);
+  study->study.calibrate(ns, ps);
   {
     Service svc{config};
     const std::uint64_t runs_before = sim::Engine::total_runs_started();
@@ -584,7 +593,7 @@ TEST(SimTier, StudyAndServiceShareCalibrationCache) {
     ASSERT_TRUE(response_ok(v));
     EXPECT_EQ(tier_of(v), "cache");
     EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
-    expect_same_fit(v, *study);
+    expect_same_fit(v, study->study);
   }
 
   // Service first: the study starts no simulation.
@@ -595,9 +604,9 @@ TEST(SimTier, StudyAndServiceShareCalibrationCache) {
   EXPECT_EQ(tier_of(v), "sim");
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
   const auto warm = make_study(config.cache_dir);
-  warm->calibrate(ns, ps);
+  warm->study.calibrate(ns, ps);
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
-  expect_same_fit(v, *warm);
+  expect_same_fit(v, warm->study);
 }
 
 // EnergyStudy::validate and the measured predict run the same
@@ -609,9 +618,8 @@ TEST(SimTier, StudyAndServiceShareMeasurements) {
   const auto make_study = [](const std::string& dir) {
     const double ns[] = {20000, 40000};
     const int ps[] = {2};
-    auto study = std::make_unique<analysis::EnergyStudy>(
-        sim::system_g(), analysis::make_adapter(npb::EpConfig()), true, exec::ExecConfig{2, dir});
-    study->calibrate(ns, ps);
+    auto study = std::make_unique<DirStudy>(dir);
+    study->study.calibrate(ns, ps);
     return study;
   };
   const auto expect_same_point = [](const util::JsonValue& response,
@@ -627,7 +635,8 @@ TEST(SimTier, StudyAndServiceShareMeasurements) {
 
   // Study first: the service answers from the cache tier.
   config.cache_dir = scratch_dir("measure_study_first");
-  const analysis::ValidationPoint point = make_study(config.cache_dir)->validate(30000, 2);
+  const analysis::ValidationPoint point =
+      make_study(config.cache_dir)->study.validate(30000, 2);
   {
     Service svc{config};
     const std::uint64_t runs_before = sim::Engine::total_runs_started();
@@ -646,7 +655,7 @@ TEST(SimTier, StudyAndServiceShareMeasurements) {
   EXPECT_EQ(tier_of(v), "sim");
   const auto study = make_study(config.cache_dir);
   const std::uint64_t runs_before = sim::Engine::total_runs_started();
-  const analysis::ValidationPoint warm = study->validate(30000, 2);
+  const analysis::ValidationPoint warm = study->study.validate(30000, 2);
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
   expect_same_point(v, warm);
 }
@@ -665,161 +674,6 @@ TEST(SimTier, SimulationPointValidationHappensBeforeAnySimulation) {
         << line;
   }
   EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
-}
-
-// ---------------------------------------------------------------------------
-// The scheduler's host-thread budget, driven through svc.scheduler() with
-// cases that record when they start and how many run at once.
-// ---------------------------------------------------------------------------
-
-class RunProbe {
- public:
-  /// A case that logs `label` as it starts, then keeps running until
-  /// `together` probe cases have run at once, release() is called, or
-  /// `linger` passes — so cases the budget lets overlap do overlap.
-  exec::Case make(std::string label, int together, std::chrono::milliseconds linger) {
-    exec::Case c;
-    c.run = [this, label = std::move(label), together, linger] {
-      std::unique_lock<std::mutex> lock(mu_);
-      started_.push_back(label);
-      peak_ = std::max(peak_, ++running_);
-      cv_.notify_all();
-      cv_.wait_for(lock, linger, [&] { return released_ || peak_ >= together; });
-      --running_;
-      return std::string();
-    };
-    return c;
-  }
-
-  void release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
-  /// Waits up to 30 s for `n` cases to have started; false on timeout.
-  bool wait_started(std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::seconds(30), [&] { return started_.size() >= n; });
-  }
-
-  int peak() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return peak_;
-  }
-
-  std::vector<std::string> started() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return started_;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int running_ = 0;
-  int peak_ = 0;
-  bool released_ = false;
-  std::vector<std::string> started_;
-};
-
-/// Submits `cases` as one job whose fold returns "" and waits for it.
-void run_job(Service& svc, const std::string& key, std::vector<exec::Case> cases) {
-  const service::SimScheduler::Ticket ticket = svc.scheduler().submit(
-      key, std::move(cases), [](const std::vector<exec::CaseResult>&) { return std::string(); });
-  EXPECT_FALSE(ticket.rejected) << key;
-  if (!ticket.rejected) ticket.result.wait();
-}
-
-/// Waits up to 30 s for the `service.queue_depth` gauge to read `n`.
-bool wait_queue_depth(double n) {
-  const obs::Gauge& depth = obs::metrics().gauge("service.queue_depth");
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (depth.value() != n && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return depth.value() == n;
-}
-
-TEST(SimTier, BudgetOfOneRunsOneJobAtATimeAndOfTwoRunsTwo) {
-  for (const int jobs : {1, 2}) {
-    ServiceConfig config;
-    config.jobs = jobs;
-    Service svc{config};
-    RunProbe probe;
-    // Under a budget of 1 each case lingers a little, giving the other job
-    // the chance to (wrongly) start; under 2 they wait for each other.
-    const auto linger = std::chrono::milliseconds(jobs == 1 ? 100 : 30000);
-    std::vector<std::thread> clients;
-    for (int i = 0; i < 2; ++i) {
-      clients.emplace_back([&, i] {
-        std::vector<exec::Case> cases;
-        cases.push_back(probe.make("job", 2, linger));
-        run_job(svc, "budget/" + std::to_string(i), std::move(cases));
-      });
-    }
-    for (auto& t : clients) t.join();
-    EXPECT_EQ(probe.peak(), jobs) << "jobs=" << jobs;
-  }
-}
-
-TEST(SimTier, BudgetTurnsAreFifoSoANarrowJobWaitsBehindAWideOne) {
-  ServiceConfig config;
-  config.jobs = 2;
-  Service svc{config};
-  RunProbe probe;
-  const auto job = [&](const std::string& key, int cases, int together) {
-    std::vector<exec::Case> batch;
-    for (int i = 0; i < cases; ++i) {
-      batch.push_back(probe.make(key, together, std::chrono::seconds(60)));
-    }
-    return std::thread([&svc, key, batch = std::move(batch)]() mutable {
-      run_job(svc, key, std::move(batch));
-    });
-  };
-  // "a" holds one of the two threads until released.
-  std::thread a = job("a", 1, 3);
-  EXPECT_TRUE(probe.wait_started(1));
-  // "b" is two cases wide, so it waits for "a".
-  std::thread b = job("b", 2, 2);
-  EXPECT_TRUE(wait_queue_depth(2));
-  // "c" is one case wide and one thread is free, but its turn is after "b".
-  std::thread c = job("c", 1, 1);
-  EXPECT_TRUE(wait_queue_depth(3));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // room to jump the line
-  EXPECT_EQ(probe.started(), std::vector<std::string>{"a"});
-
-  probe.release();
-  for (std::thread* t : {&a, &b, &c}) t->join();
-  EXPECT_EQ(probe.started(), (std::vector<std::string>{"a", "b", "b", "c"}));
-  EXPECT_TRUE(wait_queue_depth(0));
-}
-
-TEST(SimTier, AFailedFoldIsNotCoalescedOntoAndTheKeyRunsAgain) {
-  Service svc{ServiceConfig{}};
-  std::atomic<int> runs{0};
-  const auto counted = [&] {
-    std::vector<exec::Case> cases(1);
-    cases[0].run = [&runs] {
-      ++runs;
-      return std::string("payload");
-    };
-    return cases;
-  };
-  const service::SimScheduler::Ticket failed = svc.scheduler().submit(
-      "fails-once", counted(), [](const std::vector<exec::CaseResult>&) -> std::string {
-        throw std::runtime_error("fold failed");
-      });
-  ASSERT_FALSE(failed.rejected);
-  EXPECT_THROW(failed.result.get(), std::runtime_error);
-
-  const service::SimScheduler::Ticket again = svc.scheduler().submit(
-      "fails-once", counted(),
-      [](const std::vector<exec::CaseResult>& results) { return results[0].payload; });
-  ASSERT_FALSE(again.rejected);
-  EXPECT_FALSE(again.coalesced);
-  EXPECT_EQ(again.result.get().payload, "payload");
-  EXPECT_EQ(runs.load(), 2);
-  EXPECT_EQ(obs::metrics().gauge("service.queue_depth").value(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

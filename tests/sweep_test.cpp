@@ -151,8 +151,9 @@ TEST(Sweep, MessageCountStructure) {
 TEST(SweepStudy, ValidatesDespiteImbalance) {
   auto spec = machine();
   spec.noise.enabled = true;
-  analysis::EnergyStudy study(spec,
-                              analysis::make_adapter(npb::sweep_class(npb::ProblemClass::S)));
+  exec::Executor executor;
+  analysis::EnergyStudy study(
+      spec, analysis::make_adapter(npb::sweep_class(npb::ProblemClass::S)), true, executor);
   const double ns[] = {128. * 128, 256. * 256, 512. * 512};
   const int ps[] = {2, 4, 8};
   study.calibrate(ns, ps);
