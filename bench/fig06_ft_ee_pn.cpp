@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const double ns[] = {32. * 32 * 32,   64. * 64 * 64,    128. * 128 * 128,
                        256. * 256 * 256, 512. * 512 * 512};
   const auto surface = analysis::ee_surface_pn(study.machine_params(), study.workload(),
-                                               2.8, ps, ns, bench::executor());
+                                               2.8, ps, ns);
   bench::emit_surface(surface, "fig06_ft_ee_pn");
   return 0;
 }

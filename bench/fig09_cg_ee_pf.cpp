@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   const double fs[] = {1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8};
   const auto surface = analysis::ee_surface_pf(study.machine_params(), study.workload(), n,
-                                               ps, fs, bench::executor());
+                                               ps, fs);
   bench::emit_surface(surface, "fig09_cg_ee_pf");
 
   // The DVFS-direction check the paper highlights: per p, does the highest

@@ -8,54 +8,42 @@ namespace isoee::analysis {
 
 namespace {
 
-/// Evaluates one row per p as one batch on the executor. Each row is written into its
-/// preallocated slot, so the grid layout (and every value — pure arithmetic on
-/// the fitted model) is independent of the thread budget.
-void fill_rows(EeSurface& s, exec::Executor& exec,
-               const std::function<double(int, double)>& cell) {
-  s.ee.assign(s.ps.size(), {});
-  std::vector<exec::Case> cases;
-  cases.reserve(s.ps.size());
-  for (std::size_t i = 0; i < s.ps.size(); ++i) {
-    exec::Case c;
-    c.run = [&s, &cell, i]() -> std::string {
-      std::vector<double> row;
-      row.reserve(s.cols.size());
-      for (double col : s.cols) row.push_back(cell(s.ps[i], col));
-      s.ee[i] = std::move(row);
-      return std::string();
-    };
-    cases.push_back(std::move(c));
+/// Evaluates every cell, row by row. Each cell is microseconds of pure
+/// arithmetic on the fitted model, far less than an executor turn costs.
+void fill_rows(EeSurface& s, const std::function<double(int, double)>& cell) {
+  s.ee.clear();
+  s.ee.reserve(s.ps.size());
+  for (const int p : s.ps) {
+    std::vector<double> row;
+    row.reserve(s.cols.size());
+    for (const double col : s.cols) row.push_back(cell(p, col));
+    s.ee.push_back(std::move(row));
   }
-  exec.run(cases);
 }
 
 }  // namespace
 
 EeSurface ee_surface_pf(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double n,
-                        std::span<const int> ps, std::span<const double> fs_ghz,
-                        exec::Executor& exec) {
+                        std::span<const int> ps, std::span<const double> fs_ghz) {
   EeSurface s{.title = workload.name() + " EE(p, f), n = " + util::num(n, 0),
               .col_axis = "f (GHz)",
               .ps = {ps.begin(), ps.end()},
               .cols = {fs_ghz.begin(), fs_ghz.end()},
               .ee = {}};
-  fill_rows(s, exec,
-            [&](int p, double f) { return model::ee_at(machine, workload, n, p, f); });
+  fill_rows(s, [&](int p, double f) { return model::ee_at(machine, workload, n, p, f); });
   return s;
 }
 
 EeSurface ee_surface_pn(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double f_ghz,
-                        std::span<const int> ps, std::span<const double> ns,
-                        exec::Executor& exec) {
+                        std::span<const int> ps, std::span<const double> ns) {
   EeSurface s{.title = workload.name() + " EE(p, n), f = " + util::num(f_ghz, 1) + " GHz",
               .col_axis = "n",
               .ps = {ps.begin(), ps.end()},
               .cols = {ns.begin(), ns.end()},
               .ee = {}};
-  fill_rows(s, exec,
+  fill_rows(s,
             [&](int p, double n) { return model::ee_at(machine, workload, n, p, f_ghz); });
   return s;
 }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/executor.hpp"
 #include "model/isocontour.hpp"
 #include "util/table.hpp"
 
@@ -23,19 +22,16 @@ struct EeSurface {
   std::vector<std::vector<double>> ee;  // [row][col]
 };
 
-/// EE over (p, f) at fixed n (Figs 5, 7, 9). Rows are independent analytic
-/// evaluations of the fitted model, run as one batch on `exec` — the grid is
-/// identical for every budget.
+/// EE over (p, f) at fixed n (Figs 5, 7, 9): analytic evaluations of the
+/// fitted model, no simulation.
 EeSurface ee_surface_pf(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double n,
-                        std::span<const int> ps, std::span<const double> fs_ghz,
-                        exec::Executor& exec);
+                        std::span<const int> ps, std::span<const double> fs_ghz);
 
 /// EE over (p, n) at fixed f (Figs 6, 8).
 EeSurface ee_surface_pn(const model::MachineParams& machine,
                         const model::WorkloadModel& workload, double f_ghz,
-                        std::span<const int> ps, std::span<const double> ns,
-                        exec::Executor& exec);
+                        std::span<const int> ps, std::span<const double> ns);
 
 /// Renders the surface as an aligned table (EE with 4 decimals).
 util::Table surface_table(const EeSurface& surface);

@@ -24,8 +24,9 @@ constexpr int ilog2(std::size_t x) {
 }
 
 /// Table-driven in-place radix-2 Cooley-Tukey FFT of one power-of-two size:
-/// a precomputed bit-reversal swap list and one cos/sin twiddle table per
-/// butterfly stage, with the butterflies in explicit re/im arithmetic.
+/// a precomputed bit-reversal swap list and a cos/sin twiddle table per
+/// butterfly stage. A butterfly works on a point's re and im as the two lanes
+/// of one vector, rounding exactly as explicit scalar re/im arithmetic does.
 ///
 /// Plans are immutable once built, and `get` hands out one process-wide plan
 /// per size, so any number of threads may share them. `inverse` applies the
@@ -56,9 +57,10 @@ class FftPlan {
 
   std::size_t n_;
   std::vector<std::pair<std::size_t, std::size_t>> swaps_;  // bit-reversal pairs, i < j
-  // The stage with half-length h (h = 1, 2, ..., n/2) reads entries
-  // [h-1, 2h-1): cos and sin of pi*k/h for k < h.
-  std::vector<double> cos_, sin_;
+  // Twiddles laid out as the butterflies read them: entry k of the stage
+  // with half-length h (h = 1, 2, ..., n/2, k < h) is the four doubles at
+  // 4*(h-1+k), (cos, cos, sin, -sin) of pi*k/h.
+  std::vector<double> twiddles_;
 };
 
 /// In-place FFT of `data` through the shared plan of its size. `data.size()`

@@ -131,39 +131,42 @@ class NpbRandom {
   }
 
   /// Fills `out` with the next out.size() deviates and leaves the stream
-  /// where that many next() calls would. The serial chain is split into
-  /// kFillChains interleaved chains, each stepping by a^kFillChains, so
-  /// independent multiplies overlap in the pipeline. randlc is exact integer
-  /// arithmetic mod 2^46, so the output is bit-identical to stepping. Set-up
-  /// is O(1) (the powers of a are computed once), so small blocks cost the
-  /// same per deviate as large ones.
+  /// where that many next() calls would. The state is an integer below 2^46
+  /// (every NPB seed is), so fill() steps it in uint64_t: a*x mod 2^46 is the
+  /// low 46 bits of the wrapped 64-bit product, one multiply and a mask,
+  /// exactly what randlc's double-double decomposition computes. The serial
+  /// chain is split into kFillChains interleaved chains, each stepping by
+  /// a^kFillChains, so independent multiplies overlap in the pipeline; the
+  /// output is bit-identical to stepping. Set-up is O(1) (the powers of a are
+  /// compile-time constants), so small blocks cost the same per deviate as
+  /// large ones.
   void fill(std::span<double> out) {
     constexpr double r46 = 0x1.0p-46, t46 = 0x1.0p46;
+    constexpr std::uint64_t m46 = (1ULL << 46) - 1;
     const std::size_t n = out.size();
     if (n == 0) return;
-    static const std::array<double, kFillChains> a_pow = [] {
-      std::array<double, kFillChains> pow{};  // pow[k] = a^(k+1) mod 2^46
-      double a = 1.0;
-      for (double& ak : pow) {
-        (void)randlc(a, kA);
-        ak = a;
-      }
+    static constexpr std::array<std::uint64_t, kFillChains> a_pow = [] {
+      std::array<std::uint64_t, kFillChains> pow{};  // pow[k] = a^(k+1) mod 2^46
+      std::uint64_t a = 1;
+      for (std::uint64_t& ak : pow) ak = a = (a * static_cast<std::uint64_t>(kA)) & m46;
       return pow;
     }();
-    std::array<double, kFillChains> x{};  // chain k holds state k+1, k+1+K, ...
-    for (std::size_t k = 0; k < kFillChains; ++k) {
-      x[k] = seed_;
-      (void)randlc(x[k], a_pow[k]);
-    }
-    const double a_k = a_pow[kFillChains - 1];
+    // Below 2^46, so the signed conversion is exact (and one instruction).
+    const auto deviate = [](std::uint64_t x) {
+      return r46 * static_cast<double>(static_cast<std::int64_t>(x));
+    };
+    const auto s = static_cast<std::uint64_t>(seed_);
+    std::array<std::uint64_t, kFillChains> x{};  // chain k holds state k+1, k+1+K, ...
+    for (std::size_t k = 0; k < kFillChains; ++k) x[k] = (a_pow[k] * s) & m46;
+    const std::uint64_t a_k = a_pow[kFillChains - 1];
     std::size_t i = 0;
     for (; i + kFillChains <= n; i += kFillChains) {
       for (std::size_t k = 0; k < kFillChains; ++k) {
-        out[i + k] = r46 * x[k];
-        (void)randlc(x[k], a_k);
+        out[i + k] = deviate(x[k]);
+        x[k] = (x[k] * a_k) & m46;
       }
     }
-    for (std::size_t k = 0; i < n && k < kFillChains; ++i, ++k) out[i] = r46 * x[k];
+    for (std::size_t k = 0; i < n && k < kFillChains; ++i, ++k) out[i] = deviate(x[k]);
     // The last deviate is the new state times 2^-46, exactly.
     seed_ = t46 * out[n - 1];
   }

@@ -501,8 +501,7 @@ TEST(Surface, GridShapeAndMonotonicity) {
   model::FtWorkload ft;
   const int ps[] = {1, 4, 16, 64};
   const double fs[] = {1.6, 2.0, 2.4, 2.8};
-  exec::Executor executor;
-  const auto s = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs, executor);
+  const auto s = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs);
   ASSERT_EQ(s.ee.size(), 4u);
   ASSERT_EQ(s.ee[0].size(), 4u);
   // EE declines with p at every frequency (FT, paper Fig 5).
@@ -513,13 +512,35 @@ TEST(Surface, GridShapeAndMonotonicity) {
   }
 }
 
+TEST(Surface, EveryCellIsTheModelsEeAt) {
+  const auto machine = tools::nominal_machine_params(sim::system_g());
+  model::FtWorkload ft;
+  const int ps[] = {1, 4, 16, 64, 256};
+  const double fs[] = {1.6, 2.0, 2.4, 2.8};
+  const double n = 64.0 * 64 * 64;
+  const auto pf = analysis::ee_surface_pf(machine, ft, n, ps, fs);
+  const double ns[] = {32.0 * 32 * 32, n};
+  const auto pn = analysis::ee_surface_pn(machine, ft, 2.4, ps, ns);
+  ASSERT_EQ(pf.ee.size(), std::size(ps));
+  ASSERT_EQ(pn.ee.size(), std::size(ps));
+  for (std::size_t r = 0; r < std::size(ps); ++r) {
+    ASSERT_EQ(pf.ee[r].size(), std::size(fs));
+    for (std::size_t c = 0; c < std::size(fs); ++c) {
+      EXPECT_EQ(pf.ee[r][c], model::ee_at(machine, ft, n, ps[r], fs[c])) << r << "," << c;
+    }
+    ASSERT_EQ(pn.ee[r].size(), std::size(ns));
+    for (std::size_t c = 0; c < std::size(ns); ++c) {
+      EXPECT_EQ(pn.ee[r][c], model::ee_at(machine, ft, ns[c], ps[r], 2.4)) << r << "," << c;
+    }
+  }
+}
+
 TEST(Surface, TableAndAsciiRender) {
   const auto machine = tools::nominal_machine_params(sim::system_g());
   model::CgWorkload cg;
   const int ps[] = {1, 8, 64};
   const double ns[] = {7000, 75000};
-  exec::Executor executor;
-  const auto s = analysis::ee_surface_pn(machine, cg, 2.8, ps, ns, executor);
+  const auto s = analysis::ee_surface_pn(machine, cg, 2.8, ps, ns);
   const auto table = analysis::surface_table(s);
   EXPECT_EQ(table.rows(), 3u);
   const std::string art = analysis::surface_ascii(s);

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "analysis/study.hpp"
-#include "analysis/surface.hpp"
 #include "check/check.hpp"
 #include "check/generators.hpp"
 #include "check/oracle.hpp"
@@ -42,7 +41,6 @@
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "exec/executor.hpp"
-#include "model/workloads.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
@@ -827,21 +825,8 @@ TEST(WarmCache, StudyRerunExecutesZeroSimulationsAndReproducesResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Surfaces and sweeps: parallel must be byte-identical to serial.
+// Sweeps: parallel must be byte-identical to serial.
 // ---------------------------------------------------------------------------
-
-TEST(Determinism, SurfaceGridIsIdenticalForEveryThreadBudget) {
-  const auto machine = tools::nominal_machine_params(sim::system_g());
-  model::FtWorkload ft;
-  const int ps[] = {1, 4, 16, 64, 256};
-  const double fs[] = {1.6, 2.0, 2.4, 2.8};
-  exec::Executor serial;  // jobs = 1
-  exec::Executor parallel(exec_config(8));
-  const auto a = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs, serial);
-  const auto b = analysis::ee_surface_pf(machine, ft, 64.0 * 64 * 64, ps, fs, parallel);
-  // Byte-for-byte CSV equality — exactly what the fig drivers emit.
-  EXPECT_EQ(analysis::surface_table(a).to_csv(), analysis::surface_table(b).to_csv());
-}
 
 TEST(Determinism, ParallelRunSweepIsByteIdenticalToSerial) {
   constexpr std::uint64_t kSeed = 20260806ULL;

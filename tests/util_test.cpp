@@ -142,6 +142,26 @@ TEST(NpbRandom, FillMatchesStepping) {
   }
 }
 
+TEST(NpbRandom, FillMatchesSteppingAcrossTheStateRange) {
+  // fill() steps the state in 64-bit integers, so check it at both ends of
+  // [1, 2^46) and at a state a long skip away, in blocks of one, one whole
+  // round of the interleaved chains, a round and a tail, and many rounds.
+  NpbRandom far(314159265.0);
+  far.skip((1ULL << 45) + 3);
+  for (const double seed : {1.0, 0x1.0p46 - 1.0, far.seed()}) {
+    NpbRandom stepped(seed), filled(seed);
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{8}, std::size_t{13}, std::size_t{4099}}) {
+      std::vector<double> want(n), got(n);
+      for (double& v : want) v = stepped.next();
+      filled.fill(got);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)), 0)
+          << "seed=" << seed << " n=" << n;
+      EXPECT_EQ(filled.seed(), stepped.seed()) << "seed=" << seed << " n=" << n;
+    }
+  }
+}
+
 // fill() into a fixed-size array. Once fill is inlined with the size known
 // at compile time, GCC -O3 checks the tail loop against the 8 chains; a tail
 // bounded only by the array size draws -Waggressive-loop-optimizations
