@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
 // how fast the virtual-time engine executes primitive operations, message
 // passing, and collectives — the cost of the simulation, not of the
-// simulated machine.
+// simulated machine — and of the FT kernel's host time (FFT plan passes,
+// whole FT runs).
 //
 // Extra mode: `micro_sim --check-obs-overhead [--tolerance=0.02]` asserts the
 // obs layer's contract that an *uninstalled* trace sink costs nothing beyond
@@ -12,6 +13,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -19,6 +22,8 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/runner.hpp"
+#include "npb/fft.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 #include "smpi/comm.hpp"
@@ -133,6 +138,68 @@ void BM_EngineComputeOpsTraced(benchmark::State& state) {
                           static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_EngineComputeOpsTraced)->Arg(1000)->Arg(10000)->MinTime(0.05);
+
+// --- FT host time --------------------------------------------------------------
+
+/// An n x n plane of seeded points: FT's x pass transforms its rows, the y
+/// pass its columns.
+std::vector<std::complex<double>> seeded_plane(std::size_t n) {
+  std::vector<std::complex<double>> plane(n * n);
+  for (std::size_t i = 0; i < plane.size(); ++i) {
+    plane[i] = {std::sin(0.37 * static_cast<double>(i)), std::cos(0.11 * static_cast<double>(i))};
+  }
+  return plane;
+}
+
+// One forward FftPlan::run per row of the plane. Each iteration restores
+// the plane first (a copy of n^2 points), so values stay bounded.
+void BM_FftPlanRun(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const npb::FftPlan& plan = npb::FftPlan::get(n);
+  const std::vector<std::complex<double>> input = seeded_plane(n);
+  std::vector<std::complex<double>> work(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), work.begin());
+    for (std::size_t row = 0; row < n; ++row) {
+      plan.run(std::span<std::complex<double>>(work).subspan(row * n, n), false);
+    }
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_FftPlanRun)->Arg(32)->Arg(64)->MinTime(0.05);
+
+// One forward FftPlan::run_columns over the whole plane (n columns).
+void BM_FftPlanColumns(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const npb::FftPlan& plan = npb::FftPlan::get(n);
+  const std::vector<std::complex<double>> input = seeded_plane(n);
+  std::vector<std::complex<double>> work(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), work.begin());
+    plan.run_columns(work, n, false);
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_FftPlanColumns)->Arg(32)->Arg(64)->MinTime(0.05);
+
+// A whole FT 64^3 run, 2 iterations, on p ranks: FFT passes, transposes,
+// evolve and the run's scratch block.
+void BM_FtRun(benchmark::State& state) {
+  const auto spec = machine();
+  const int p = static_cast<int>(state.range(0));
+  npb::FtConfig config;
+  config.nx = config.ny = config.nz = 64;
+  config.iters = 2;
+  for (auto _ : state) {
+    const sim::RunResult res = analysis::run_ft(spec, config, p);
+    benchmark::DoNotOptimize(res.makespan);
+  }
+}
+BENCHMARK(BM_FtRun)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
 // --- --check-obs-overhead ---------------------------------------------------
 

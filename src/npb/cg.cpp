@@ -103,7 +103,12 @@ std::vector<double> cg_dense_matrix(const CgConfig& config) {
   return dense;
 }
 
-CgResult cg_rank(sim::RankCtx& ctx, const CgConfig& config, powerpack::PhaseLog* phases) {
+// Aligned to 64 bytes so that where the SpMV inner loop sits in the
+// instruction cache does not move with the size of the code linked before
+// this function. With the loop across a 64-byte line, CG class W ran about
+// 15% slower on a 4-vCPU Xeon host (GCC 12, Release).
+[[gnu::aligned(64)]] CgResult cg_rank(sim::RankCtx& ctx, const CgConfig& config,
+                                      powerpack::PhaseLog* phases) {
   if (config.n < 4 * ctx.size()) {
     throw std::invalid_argument("cg: n too small for rank count");
   }

@@ -30,23 +30,43 @@ inline Point load(const double* p) {
 
 inline void store(double* p, Point v) { std::memcpy(p, &v, sizeof v); }
 
+/// One twiddle w = wr + i*wi as the butterflies use it: re = (wr, wr) and
+/// im = (-wi, wi).
+struct Twiddle {
+  Point re, im;
+};
+
 /// Butterfly with twiddle 1 (the first stage): a, b <- a + b, a - b.
-inline void butterfly1(double* a, double* b) {
-  const Point va = load(a), vb = load(b);
-  store(b, va - vb);
-  store(a, va + vb);
+inline void butterfly1(Point& a, Point& b) {
+  const Point t = a;
+  a = t + b;
+  b = t - b;
 }
 
-/// Butterfly with twiddle w = wr + i*wi: a, b <- a + w*b, a - w*b, given
-/// w_re = (wr, wr) and w_im = (-wi, wi). Each lane rounds exactly as the
-/// scalar form re = br*wr - bi*wi, im = br*wi + bi*wr does: negation is
-/// exact, x + (-y) is x - y, and + commutes. The ISO build (no GNU
-/// extensions) does not contract a*b + c into an FMA.
-inline void butterfly(double* a, double* b, Point w_re, Point w_im) {
-  const Point va = load(a), vb = load(b);
-  const Point v = vb * w_re + __builtin_shufflevector(vb, vb, 1, 0) * w_im;
-  store(b, va - v);
-  store(a, va + v);
+/// Butterfly with twiddle w: a, b <- a + w*b, a - w*b. Each lane rounds
+/// exactly as the scalar form re = br*wr - bi*wi, im = br*wi + bi*wr does:
+/// negation is exact, x + (-y) is x - y, and + commutes. The ISO build (no
+/// GNU extensions) does not contract a*b + c into an FMA.
+inline void butterfly(Point& a, Point& b, const Twiddle& w) {
+  const Point v = b * w.re + __builtin_shufflevector(b, b, 1, 0) * w.im;
+  b = a - v;
+  a = a + v;
+}
+
+/// Runs `fused(p0, p1, p2, p3)` on the points q[c], q[gap + c], q[2*gap + c]
+/// and q[3*gap + c] for every c < row (in doubles), loading and storing each
+/// point once.
+template <class Fused>
+inline void for_each_group(double* q, std::size_t gap, std::size_t row, Fused fused) {
+  for (std::size_t c = 0; c < row; c += 2) {
+    Point p0 = load(q + c), p1 = load(q + gap + c), p2 = load(q + 2 * gap + c),
+          p3 = load(q + 3 * gap + c);
+    fused(p0, p1, p2, p3);
+    store(q + c, p0);
+    store(q + gap + c, p1);
+    store(q + 2 * gap + c, p2);
+    store(q + 3 * gap + c, p3);
+  }
 }
 
 }  // namespace
@@ -81,21 +101,60 @@ const FftPlan& FftPlan::get(std::size_t n) {
 template <bool kInverse>
 void FftPlan::butterflies(double* data, std::size_t cols) const {
   const std::size_t row = 2 * cols;  // doubles per row
-  for (std::size_t i = 0; i < n_; i += 2) {
-    double* a = data + i * row;
-    double* b = a + row;
-    for (std::size_t c = 0; c < row; c += 2) butterfly1(a + c, b + c);
+  // Entry k of the stage with half-length h. The forward twiddle is
+  // cos - i*sin, the inverse cos + i*sin.
+  const auto twiddle = [this](std::size_t h, std::size_t k) {
+    const double* t = twiddles_.data() + 4 * (h - 1 + k);
+    return Twiddle{load(t), kInverse ? -load(t + 2) : load(t + 2)};
+  };
+  // Stages h and 2h run as one pass: the points {j, j+h, j+2h, j+3h} (j in
+  // the first h of a 4h block) are closed under both stages' butterflies,
+  // so each is loaded and stored once while the same four butterflies run
+  // on the same operands, in stage order. The first pair is stages 1 and 2,
+  // where stage 1's twiddle is 1.
+  std::size_t h = 1;
+  if (n_ >= 4) {
+    const Twiddle w0 = twiddle(2, 0), w1 = twiddle(2, 1);
+    for (std::size_t j = 0; j < n_; j += 4) {
+      for_each_group(data + j * row, row, row, [&](Point& p0, Point& p1, Point& p2, Point& p3) {
+        butterfly1(p0, p1);
+        butterfly1(p2, p3);
+        butterfly(p0, p2, w0);
+        butterfly(p1, p3, w1);
+      });
+    }
+    h = 4;
   }
-  for (std::size_t h = 2; h < n_; h <<= 1) {
-    const double* tw = twiddles_.data() + 4 * (h - 1);
-    for (std::size_t i = 0; i < n_; i += 2 * h) {
+  for (; 4 * h <= n_; h *= 4) {
+    for (std::size_t i = 0; i < n_; i += 4 * h) {
       for (std::size_t k = 0; k < h; ++k) {
-        // The forward twiddle is cos - i*sin, the inverse cos + i*sin.
-        const Point w_re = load(tw + 4 * k);
-        const Point w_im = kInverse ? -load(tw + 4 * k + 2) : load(tw + 4 * k + 2);
-        double* a = data + (i + k) * row;
-        double* b = a + h * row;
-        for (std::size_t c = 0; c < row; c += 2) butterfly(a + c, b + c, w_re, w_im);
+        const Twiddle w = twiddle(h, k), w0 = twiddle(2 * h, k), w1 = twiddle(2 * h, k + h);
+        for_each_group(data + (i + k) * row, h * row, row,
+                       [&](Point& p0, Point& p1, Point& p2, Point& p3) {
+                         butterfly(p0, p1, w);
+                         butterfly(p2, p3, w);
+                         butterfly(p0, p2, w0);
+                         butterfly(p1, p3, w1);
+                       });
+      }
+    }
+  }
+  // When log2(n) is odd the last stage, h = n/2, is left over: one radix-2
+  // pass (n = 2 has only stage 1).
+  if (h < n_) {
+    for (std::size_t k = 0; k < h; ++k) {
+      const Twiddle w = twiddle(h, k);
+      double* a = data + k * row;
+      double* b = a + h * row;
+      for (std::size_t c = 0; c < row; c += 2) {
+        Point pa = load(a + c), pb = load(b + c);
+        if (h == 1) {
+          butterfly1(pa, pb);
+        } else {
+          butterfly(pa, pb, w);
+        }
+        store(a + c, pa);
+        store(b + c, pb);
       }
     }
   }

@@ -27,6 +27,8 @@ constexpr int ilog2(std::size_t x) {
 /// a precomputed bit-reversal swap list and a cos/sin twiddle table per
 /// butterfly stage. A butterfly works on a point's re and im as the two lanes
 /// of one vector, rounding exactly as explicit scalar re/im arithmetic does.
+/// Stages run in fused pairs, one load and one store per point for two
+/// stages, with the same butterflies on the same operands as stage by stage.
 ///
 /// Plans are immutable once built, and `get` hands out one process-wide plan
 /// per size, so any number of threads may share them. `inverse` applies the

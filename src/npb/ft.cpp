@@ -81,28 +81,28 @@ struct FtState {
 /// x-slab layout: index (xl, y, z) -> ((xl*ny) + y)*nz + z.
 
 /// FFT of every contiguous length-n row of `a` through the shared plan.
-void fft_rows(std::vector<Complex>& a, int n, bool inverse) {
+void fft_rows(std::span<Complex> a, int n, bool inverse) {
   const FftPlan& plan = FftPlan::get(static_cast<std::size_t>(n));
   const auto len = static_cast<std::size_t>(n);
   for (std::size_t row = 0; row < a.size(); row += len) {
-    plan.run(std::span<Complex>(a.data() + row, len), inverse);
+    plan.run(a.subspan(row, len), inverse);
   }
 }
 
 /// FFT along x on a z-slab (rows are contiguous).
-void fft_x(FtState& st, std::vector<Complex>& a, bool inverse) {
+void fft_x(FtState& st, std::span<Complex> a, bool inverse) {
   fft_rows(a, st.cfg->nx, inverse);
   st.charge_fft_stage(st.cfg->nx);
 }
 
 /// FFT along y on a z-slab: each z-plane is ny rows of nx, so the y pass is a
 /// column transform of the plane.
-void fft_y(FtState& st, std::vector<Complex>& a, bool inverse) {
+void fft_y(FtState& st, std::span<Complex> a, bool inverse) {
   const int nx = st.cfg->nx, ny = st.cfg->ny;
   const FftPlan& plan = FftPlan::get(static_cast<std::size_t>(ny));
   const std::size_t plane = static_cast<std::size_t>(ny) * static_cast<std::size_t>(nx);
   for (int zl = 0; zl < st.nzl; ++zl) {
-    plan.run_columns(std::span<Complex>(a.data() + static_cast<std::size_t>(zl) * plane, plane),
+    plan.run_columns(a.subspan(static_cast<std::size_t>(zl) * plane, plane),
                      static_cast<std::size_t>(nx), inverse);
   }
   // Billed as a strided gather/scatter: charges model the kernel's access
@@ -111,7 +111,7 @@ void fft_y(FtState& st, std::vector<Complex>& a, bool inverse) {
 }
 
 /// FFT along z on an x-slab (rows are contiguous).
-void fft_z(FtState& st, std::vector<Complex>& b, bool inverse) {
+void fft_z(FtState& st, std::span<Complex> b, bool inverse) {
   fft_rows(b, st.cfg->nz, inverse);
   st.charge_fft_stage(st.cfg->nz);
 }
@@ -119,9 +119,12 @@ void fft_z(FtState& st, std::vector<Complex>& b, bool inverse) {
 /// Copies the rows x cols matrix at `src` (row stride src_ld) transposed into
 /// `dst` (row stride dst_ld): dst[c*dst_ld + r] = src[r*src_ld + c]. Tiles of
 /// kTile x kTile keep the strided side's cache lines live until they are full.
+/// FT's strides are powers of two, so a tile's rows share L1 sets: 8 rows fit
+/// an 8-way L1, where 16 rows evicted each other (FT 64^3 at p = 1 spent
+/// about 1 ms more per run in the transposes).
 void transpose_tiled(const Complex* src, std::size_t src_ld, Complex* dst, std::size_t dst_ld,
                      int rows, int cols) {
-  constexpr int kTile = 16;
+  constexpr int kTile = 8;
   for (int r0 = 0; r0 < rows; r0 += kTile) {
     const int r1 = std::min(rows, r0 + kTile);
     for (int c0 = 0; c0 < cols; c0 += kTile) {
@@ -138,8 +141,10 @@ void transpose_tiled(const Complex* src, std::size_t src_ld, Complex* dst, std::
 
 /// Transpose z-slabs -> x-slabs via all-to-all: `data` is (zl,y,x) on entry
 /// and (xl,y,z) on return. `scratch` (same size) stages the exchange: pack
-/// data -> scratch, exchange scratch -> data, unpack data -> scratch, swap.
-void transpose_fwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>& scratch) {
+/// data -> scratch, exchange scratch -> data, unpack data -> scratch, swap
+/// the two views. Pack and unpack each write all of scratch, so its entry
+/// contents are never read.
+void transpose_fwd(FtState& st, std::span<Complex>& data, std::span<Complex>& scratch) {
   const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
   const auto nxl = static_cast<std::size_t>(st.nxl);
   // Pack: destination d receives our z-planes restricted to its x-range,
@@ -157,7 +162,7 @@ void transpose_fwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>
 
   {
     powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
-    st.comm.alltoall(std::span<const Complex>(scratch), std::span<Complex>(data), st.block);
+    st.comm.alltoall(std::span<const Complex>(scratch), data, st.block);
   }
 
   // Unpack into (xl, y, z): source s contributed z in its slab, so each
@@ -174,13 +179,13 @@ void transpose_fwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>
     }
   }
   st.charge_pack();
-  data.swap(scratch);
+  std::swap(data, scratch);
 }
 
 /// Transpose x-slabs -> z-slabs (inverse of transpose_fwd): `data` is
 /// (xl,y,z) on entry and (zl,y,x) on return, staged through `scratch` the
 /// same way.
-void transpose_bwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>& scratch) {
+void transpose_bwd(FtState& st, std::span<Complex>& data, std::span<Complex>& scratch) {
   const int nx = st.cfg->nx, ny = st.cfg->ny, nz = st.cfg->nz;
   const auto nxl = static_cast<std::size_t>(st.nxl);
   // Destination d owns z-planes [d*nzl, (d+1)*nzl); pack (zd, y, xl) for it:
@@ -200,7 +205,7 @@ void transpose_bwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>
 
   {
     powerpack::OptionalPhase ph(st.phases, *st.ctx, "ft.transpose");
-    st.comm.alltoall(std::span<const Complex>(scratch), std::span<Complex>(data), st.block);
+    st.comm.alltoall(std::span<const Complex>(scratch), data, st.block);
   }
 
   // Unpack into (zl, y, x): source s contributed x in its x-slab.
@@ -215,7 +220,7 @@ void transpose_bwd(FtState& st, std::vector<Complex>& data, std::vector<Complex>
     }
   }
   st.charge_pack();
-  data.swap(scratch);
+  std::swap(data, scratch);
 }
 
 /// exp(c*k2) for every integer k2 in [0, k2_max]. Every rank of a run needs
@@ -245,8 +250,18 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
   const int nx = config.nx, ny = config.ny, nz = config.nz;
   const double inv_n = 1.0 / static_cast<double>(config.total_points());
 
+  // The whole run works in three local-size arrays, carved uninitialized
+  // from this rank's slice of the run's scratch block: the field `u`, the
+  // inverse-transform copy `w`, and the `scratch` each transpose stages
+  // through. Each is written whole before it is first read.
+  const std::size_t pts = st.local_pts;
+  std::span<std::byte> slice = ctx.scratch(3 * sim::scratch_bytes<Complex>(pts));
+  std::span<Complex> u = sim::carve_scratch<Complex>(slice, pts);  // written by rng.fill
+  std::span<Complex> w = sim::carve_scratch<Complex>(slice, pts);  // by iteration 1's evolve
+  std::span<Complex> scratch =
+      sim::carve_scratch<Complex>(slice, pts);  // by transpose_fwd's pack
+
   // --- init: fill the z-slab from the global randlc stream -------------------
-  std::vector<Complex> u(st.local_pts);
   {
     powerpack::OptionalPhase ph(phases, ctx, "ft.init");
     util::NpbRandom rng(config.seed);
@@ -258,11 +273,6 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
     rng.fill(std::span<double>(reinterpret_cast<double*>(u.data()), 2 * u.size()));
     st.charge_pointwise(10);
   }
-
-  // The whole run works in three local-size arrays: the field `u`, the
-  // inverse-transform copy `w`, and the `scratch` each transpose stages
-  // through.
-  std::vector<Complex> w(st.local_pts), scratch(st.local_pts);
 
   // --- forward 3-D FFT --------------------------------------------------------
   {

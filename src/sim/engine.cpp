@@ -1,11 +1,13 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -78,11 +80,86 @@ int resolve_engine_workers(int requested, int nranks) {
 }
 
 // ---------------------------------------------------------------------------
+// Run scratch
+// ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<std::size_t> g_scratch_bytes_live{0};
+}  // namespace
+
+namespace detail {
+
+/// The one scratch block of an Engine::run: allocated, uninitialized, by the
+/// run's first RankCtx::scratch call and freed with the run. One block per
+/// run, not one array per rank or per use: glibc raises its mmap and trim
+/// thresholds to the largest chunk freed, so a block that is the run's whole
+/// working set stays in the heap between runs of the same size instead of
+/// being handed back to the OS and faulted in again. The block is aligned by
+/// hand inside a plain operator new: glibc 2.36 handed an aligned operator
+/// new of the same size back to the OS on every free.
+class RunScratch {
+ public:
+  explicit RunScratch(int nranks) : nranks_(static_cast<std::size_t>(nranks)) {}
+  RunScratch(const RunScratch&) = delete;
+  RunScratch& operator=(const RunScratch&) = delete;
+
+  ~RunScratch() {
+    if (raw_ == nullptr) return;
+    const std::size_t total = stride_ * nranks_;
+    unpoison_region(block_, total);
+    ::operator delete(raw_);
+    g_scratch_bytes_live.fetch_sub(total, std::memory_order_relaxed);
+  }
+
+  /// Rank `rank`'s slice of `bytes`; the first call allocates the block.
+  /// Ranks on different workers may race for that first call.
+  std::byte* slice(int rank, std::size_t bytes) {
+    const std::lock_guard lock(mu_);
+    if (raw_ == nullptr) {
+      bytes_ = bytes;
+      stride_ = scratch_bytes<std::byte>(bytes);
+      const std::size_t total = stride_ * nranks_;
+      raw_ = static_cast<std::byte*>(::operator new(total + kScratchAlign - 1));
+      block_ = raw_ + (kScratchAlign - reinterpret_cast<std::uintptr_t>(raw_) % kScratchAlign) %
+                          kScratchAlign;
+      g_scratch_bytes_live.fetch_add(total, std::memory_order_relaxed);
+      for (std::size_t r = 0; r < nranks_; ++r) {
+        poison_region(block_ + r * stride_ + bytes, stride_ - bytes);
+      }
+    } else if (bytes != bytes_) {
+      throw std::logic_error("RankCtx::scratch: ranks of one run asked for different sizes");
+    }
+    return block_ + static_cast<std::size_t>(rank) * stride_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::size_t nranks_;
+  std::size_t bytes_ = 0;   // each slice's usable bytes
+  std::size_t stride_ = 0;  // slice start to slice start
+  std::byte* raw_ = nullptr;    // as allocated
+  std::byte* block_ = nullptr;  // raw_ rounded up to kScratchAlign
+};
+
+}  // namespace detail
+
+std::span<std::byte> RankCtx::scratch(std::size_t bytes) {
+  if (scratch_taken_) throw std::logic_error("RankCtx::scratch: called twice by one rank");
+  scratch_taken_ = true;
+  return {scratch_->slice(rank_, bytes), bytes};
+}
+
+std::size_t Engine::scratch_bytes_live() {
+  return g_scratch_bytes_live.load(std::memory_order_relaxed);
+}
+
+// ---------------------------------------------------------------------------
 // RankCtx
 // ---------------------------------------------------------------------------
 
-RankCtx::RankCtx(Engine* engine, detail::FiberScheduler* sched, int rank, int size)
-    : engine_(engine), sched_(sched), rank_(rank), size_(size) {
+RankCtx::RankCtx(Engine* engine, detail::FiberScheduler* sched, detail::RunScratch* scratch,
+                 int rank, int size)
+    : engine_(engine), sched_(sched), scratch_(scratch), rank_(rank), size_(size) {
   const auto& spec = engine_->machine();
   const auto& opts = engine_->options();
   ghz_ = opts.initial_ghz > 0.0 ? opts.initial_ghz : spec.cpu.base_ghz;
@@ -406,10 +483,12 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
 
   const auto t0 = std::chrono::steady_clock::now();
   detail::FiberScheduler sched(nranks, resolve_engine_workers(opts_.workers, nranks));
+  detail::RunScratch scratch(nranks);
   std::vector<std::unique_ptr<RankCtx>> contexts;
   contexts.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    contexts.push_back(std::unique_ptr<RankCtx>(new RankCtx(this, &sched, r, nranks)));
+    contexts.push_back(
+        std::unique_ptr<RankCtx>(new RankCtx(this, &sched, &scratch, r, nranks)));
   }
   const std::exception_ptr first_error =
       sched.run([&](int r) { body(*contexts[static_cast<std::size_t>(r)]); });

@@ -10,6 +10,8 @@
 //                               hidden under compute (emergent overlap alpha)
 //   ctx.send_bytes / recv_bytes / irecv+wait — Hockney-model messaging
 //   ctx.set_frequency(ghz)    — DVFS gear switch
+//   ctx.scratch(bytes)        — this rank's slice of the run's one
+//                               uninitialized working-set block
 //
 // Timing semantics (conservative, deterministic):
 //   * send charges the sender t_s (injection) and stamps the message with a
@@ -43,6 +45,7 @@
 
 #include "sim/energy.hpp"
 #include "sim/machine.hpp"
+#include "sim/sanitizers.hpp"
 #include "sim/types.hpp"
 #include "util/rng.hpp"
 
@@ -54,6 +57,44 @@ namespace isoee::sim {
 
 namespace detail {
 class FiberScheduler;
+class RunScratch;
+}
+
+/// Alignment of every run scratch slice (RankCtx::scratch) and of every
+/// array carve_scratch cuts from one.
+inline constexpr std::size_t kScratchAlign = 64;
+
+/// Unaddressable bytes after each slice and each carved array under ASan, so
+/// an overrun from one into the next is reported; 0 otherwise.
+#if defined(ISOEE_ASAN)
+inline constexpr std::size_t kScratchRedzone = 64;
+#else
+inline constexpr std::size_t kScratchRedzone = 0;
+#endif
+
+/// Bytes carve_scratch<T>(count) takes from a slice: the array rounded up to
+/// kScratchAlign, plus the redzone.
+template <typename T>
+constexpr std::size_t scratch_bytes(std::size_t count) {
+  return (count * sizeof(T) + kScratchAlign - 1) / kScratchAlign * kScratchAlign +
+         kScratchRedzone;
+}
+
+/// Cuts an uninitialized array of `count` T's off the front of `slice` and
+/// advances `slice` past it by scratch_bytes<T>(count). Throws
+/// std::length_error when the slice is too short.
+template <typename T>
+std::span<T> carve_scratch(std::span<std::byte>& slice, std::size_t count) {
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>);
+  static_assert(alignof(T) <= kScratchAlign);
+  const std::size_t bytes = scratch_bytes<T>(count);
+  if (bytes > slice.size()) throw std::length_error("carve_scratch: slice too short");
+  // Scratch memory comes from operator new, which implicitly creates the
+  // trivially copyable T's the caller then writes.
+  T* first = reinterpret_cast<T*>(slice.data());
+  poison_region(slice.data() + count * sizeof(T), bytes - count * sizeof(T));
+  slice = slice.subspan(bytes);
+  return {first, count};
 }
 
 class Engine;
@@ -159,6 +200,15 @@ class RankCtx {
     recv_into(src, tag, std::as_writable_bytes(out));
   }
 
+  // --- run scratch ----------------------------------------------------------
+  /// This rank's slice of the run's one scratch block: `bytes` uninitialized
+  /// bytes, kScratchAlign-aligned, disjoint from every other rank's slice
+  /// (split it with carve_scratch). The run's first call allocates the block
+  /// for all size() ranks. Every rank calls once, with the same `bytes`; a
+  /// second call or a different size throws std::logic_error. The block is
+  /// freed when Engine::run returns, also when a rank throws.
+  std::span<std::byte> scratch(std::size_t bytes);
+
   // --- introspection ------------------------------------------------------
   const RankCounters& counters() const { return counters_; }
   const TimeBreakdown& time() const { return time_; }
@@ -171,7 +221,8 @@ class RankCtx {
 
  private:
   friend class Engine;
-  RankCtx(Engine* engine, detail::FiberScheduler* sched, int rank, int size);
+  RankCtx(Engine* engine, detail::FiberScheduler* sched, detail::RunScratch* scratch, int rank,
+          int size);
 
   void advance(double seconds, Activity activity);
   /// recv_bytes into `out` (throws if the payload size differs), handing the
@@ -182,6 +233,8 @@ class RankCtx {
 
   Engine* engine_;
   detail::FiberScheduler* sched_;  // the run's scheduler: mailboxes and yields
+  detail::RunScratch* scratch_;    // the run's scratch block (RankCtx::scratch)
+  bool scratch_taken_ = false;
   int rank_;
   int size_;
   double clock_ = 0.0;
@@ -306,6 +359,10 @@ class Engine {
   /// Process-wide count of Engine::run invocations. Tests use the delta to
   /// assert that a warm result cache executes zero simulations.
   static std::uint64_t total_runs_started();
+
+  /// Process-wide bytes of run scratch blocks not yet freed. Tests assert
+  /// that every run, failed or not, frees its block.
+  static std::size_t scratch_bytes_live();
 
  private:
   RunResult aggregate(std::vector<std::unique_ptr<RankCtx>>& contexts);

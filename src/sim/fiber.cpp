@@ -11,22 +11,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-// --- sanitizer feature detection -------------------------------------------
-
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ISOEE_ASAN 1
-#endif
-#if __has_feature(thread_sanitizer)
-#define ISOEE_TSAN 1
-#endif
-#endif
-#if !defined(ISOEE_ASAN) && defined(__SANITIZE_ADDRESS__)
-#define ISOEE_ASAN 1
-#endif
-#if !defined(ISOEE_TSAN) && defined(__SANITIZE_THREAD__)
-#define ISOEE_TSAN 1
-#endif
+#include "sim/sanitizers.hpp"
 
 #if defined(ISOEE_ASAN)
 #include <pthread.h>

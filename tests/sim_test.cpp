@@ -3,7 +3,9 @@
 // and energy conservation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -975,6 +977,120 @@ TEST(Engine, ComputeMemDegenerateArms) {
   });
   EXPECT_NEAR(res.makespan, 0.1 + 1.0, 1e-9);
   EXPECT_NEAR(res.ranks[0].alpha, 1.0, 1e-9);  // nothing fused, no overlap
+}
+
+// --- run scratch ---------------------------------------------------------------
+// RankCtx::scratch hands each rank a slice of one uninitialized block per
+// run. Under ASan a poisoned redzone follows each slice and each array
+// carve_scratch cuts, so an overrun into a neighbour is still reported.
+
+bool aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % sim::kScratchAlign == 0;
+}
+
+TEST(Scratch, SlicesAreDisjointAlignedAndKeepTheirContents) {
+  constexpr std::size_t kBytes = 1000;  // not a multiple of the alignment
+  for (int p : {1, 7, 64}) {
+    for (int workers : {1, 2}) {
+      sim::EngineOptions opts;
+      opts.workers = workers;
+      Engine eng(tiny_machine(), opts);
+      std::vector<std::uintptr_t> starts(static_cast<std::size_t>(p));
+      std::vector<int> intact(static_cast<std::size_t>(p), 0);
+      eng.run(p, [&](RankCtx& ctx) {
+        const std::span<std::byte> slice = ctx.scratch(kBytes);
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        starts[r] = reinterpret_cast<std::uintptr_t>(slice.data());
+        ASSERT_EQ(slice.size(), kBytes);
+        for (std::size_t i = 0; i < kBytes; ++i) slice[i] = std::byte((r * 131 + i) & 0xff);
+        // A ring message hands the schedule to the neighbours, who write
+        // their own slices before this rank re-reads its own.
+        const int n = ctx.size();
+        const std::byte token{1};
+        ctx.send_bytes((ctx.rank() + 1) % n, 0, std::span<const std::byte>(&token, 1));
+        (void)ctx.recv_bytes((ctx.rank() + n - 1) % n, 0);
+        bool ok = aligned(slice.data());
+        for (std::size_t i = 0; i < kBytes; ++i) {
+          ok = ok && slice[i] == std::byte((r * 131 + i) & 0xff);
+        }
+#if defined(ISOEE_ASAN)
+        ok = ok && !__asan_address_is_poisoned(slice.data() + kBytes - 1) &&
+             __asan_address_is_poisoned(slice.data() + kBytes);
+#endif
+        intact[r] = ok ? 1 : 0;
+      });
+      std::vector<std::uintptr_t> sorted = starts;
+      std::sort(sorted.begin(), sorted.end());
+      for (std::size_t i = 1; i < sorted.size(); ++i) {
+        EXPECT_GE(sorted[i] - sorted[i - 1], kBytes) << "p=" << p << " workers=" << workers;
+      }
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(intact[static_cast<std::size_t>(r)], 1)
+            << "p=" << p << " workers=" << workers << " rank=" << r;
+      }
+    }
+  }
+}
+
+TEST(Scratch, MismatchedSizeOrSecondCallThrows) {
+  Engine eng(tiny_machine());
+  EXPECT_THROW(eng.run(2, [](RankCtx& ctx) { (void)ctx.scratch(64 + 8 * ctx.rank()); }),
+               std::logic_error);
+  EXPECT_THROW(eng.run(1,
+                       [](RankCtx& ctx) {
+                         (void)ctx.scratch(64);
+                         (void)ctx.scratch(64);
+                       }),
+               std::logic_error);
+  // A run that asks for no scratch, or for one same-size slice per rank, is
+  // fine.
+  EXPECT_NO_THROW(eng.run(3, [](RankCtx& ctx) { ctx.compute(10); }));
+  EXPECT_NO_THROW(eng.run(3, [](RankCtx& ctx) { (void)ctx.scratch(128); }));
+}
+
+TEST(Scratch, BlockIsFreedWhenTheRunEndsAndWhenARankThrows) {
+  Engine eng(tiny_machine());
+  const std::size_t before = Engine::scratch_bytes_live();
+  std::size_t during = 0;
+  eng.run(4, [&](RankCtx& ctx) {
+    (void)ctx.scratch(4096);
+    if (ctx.rank() == 3) during = Engine::scratch_bytes_live();
+  });
+  EXPECT_GE(during, before + 4 * 4096);
+  EXPECT_EQ(Engine::scratch_bytes_live(), before);
+  EXPECT_THROW(eng.run(4,
+                       [](RankCtx& ctx) {
+                         (void)ctx.scratch(4096);
+                         if (ctx.rank() == 2) throw std::runtime_error("rank 2 failed");
+                         double buf[1];
+                         ctx.recv(2, 0, std::span<double>(buf));  // never sent
+                       }),
+               std::runtime_error);
+  EXPECT_EQ(Engine::scratch_bytes_live(), before);
+}
+
+TEST(Scratch, CarveCutsAlignedArraysAndRejectsAShortSlice) {
+  Engine eng(tiny_machine());
+  eng.run(1, [](RankCtx& ctx) {
+    const std::size_t bytes =
+        sim::scratch_bytes<double>(3) + sim::scratch_bytes<std::complex<double>>(5);
+    std::span<std::byte> slice = ctx.scratch(bytes);
+    const std::span<double> a = sim::carve_scratch<double>(slice, 3);
+    const std::span<std::complex<double>> b = sim::carve_scratch<std::complex<double>>(slice, 5);
+    EXPECT_EQ(a.size(), 3u);
+    EXPECT_EQ(b.size(), 5u);
+    EXPECT_TRUE(aligned(a.data()));
+    EXPECT_TRUE(aligned(b.data()));
+    EXPECT_GE(reinterpret_cast<const std::byte*>(b.data()),
+              reinterpret_cast<const std::byte*>(a.data() + a.size()));
+    EXPECT_TRUE(slice.empty());
+#if defined(ISOEE_ASAN)
+    EXPECT_FALSE(__asan_address_is_poisoned(&a.back()));
+    EXPECT_TRUE(__asan_address_is_poisoned(a.data() + a.size()));
+    EXPECT_TRUE(__asan_address_is_poisoned(b.data() + b.size()));
+#endif
+    EXPECT_THROW((void)sim::carve_scratch<double>(slice, 1), std::length_error);
+  });
 }
 
 }  // namespace
