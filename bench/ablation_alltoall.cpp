@@ -11,7 +11,10 @@
 #include <mutex>
 
 #include "analysis/runner.hpp"
+#include "analysis/study.hpp"
 #include "bench/common.hpp"
+#include "exec/cache.hpp"
+#include "exec/codec.hpp"
 #include "model/comm.hpp"
 #include "npb/classes.hpp"
 #include "smpi/comm.hpp"
@@ -39,6 +42,39 @@ double measured_alltoall_time(const sim::MachineSpec& machine, int p, std::size_
   return worst;
 }
 
+std::string key_prefix(const sim::MachineSpec& machine) {
+  return std::string("ablation_alltoall\x1f") + exec::machine_fingerprint(machine) +
+         '\x1f';
+}
+
+/// One alltoall probe as a keyed case (key: machine, p, block, algorithm;
+/// payload: {worst per-rank time}).
+exec::Case probe_case(const sim::MachineSpec& machine, int p, std::size_t block,
+                      smpi::AlltoallAlgo algo) {
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, p);
+  c.cache_key = key_prefix(machine) + std::to_string(p) + '\x1f' + std::to_string(block) +
+                '\x1f' + std::to_string(static_cast<int>(algo));
+  c.run = [machine, p, block, algo] {
+    return exec::encode_doubles({measured_alltoall_time(machine, p, block, algo)});
+  };
+  return c;
+}
+
+/// One FT run as a keyed case (key: machine, adapter fingerprint, p;
+/// payload: {makespan, total energy}).
+exec::Case ft_case(const sim::MachineSpec& machine, const npb::FtConfig& config, int p) {
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, p);
+  c.cache_key = key_prefix(machine) + analysis::make_adapter(config)->fingerprint() +
+                '\x1f' + std::to_string(p);
+  c.run = [machine, config, p] {
+    const sim::RunResult run = analysis::run_ft(machine, config, p);
+    return exec::encode_doubles({run.makespan, run.total_energy_j()});
+  };
+  return c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,45 +83,70 @@ int main(int argc, char** argv) {
   bench::heading("Ablation: all-to-all algorithm vs the Hockney model",
                  "the paper's FT analysis uses pairwise exchange / Hockney");
 
+  // Every simulation of the three tables, as one batch: the transpose-sized
+  // probes (four algorithms per p), the small-message probes (two per p) and
+  // FT class A at p = 32 under three algorithms.
+  const int kLargePs[] = {4, 8, 16, 32, 64};
+  const int kSmallPs[] = {16, 64, 128};
+  const std::size_t kBlock = 1 << 11;  // doubles per destination
+  const smpi::AlltoallAlgo kLargeAlgos[] = {smpi::AlltoallAlgo::kPairwise,
+                                            smpi::AlltoallAlgo::kRing,
+                                            smpi::AlltoallAlgo::kNaive,
+                                            smpi::AlltoallAlgo::kBruck};
+  const smpi::AlltoallAlgo kSmallAlgos[] = {smpi::AlltoallAlgo::kPairwise,
+                                            smpi::AlltoallAlgo::kBruck};
+  const std::pair<const char*, smpi::AlltoallAlgo> kFtAlgos[] = {
+      {"pairwise", smpi::AlltoallAlgo::kPairwise},
+      {"ring", smpi::AlltoallAlgo::kRing},
+      {"naive", smpi::AlltoallAlgo::kNaive}};
+  const auto noisy = bench::with_noise(machine);
+  std::vector<exec::Case> cases;
+  for (int p : kLargePs) {
+    for (auto algo : kLargeAlgos) cases.push_back(probe_case(machine, p, kBlock, algo));
+  }
+  for (int p : kSmallPs) {
+    for (auto algo : kSmallAlgos) cases.push_back(probe_case(machine, p, 8, algo));
+  }
+  for (const auto& algo : kFtAlgos) {
+    auto config = npb::ft_class(npb::ProblemClass::A);
+    config.collectives.alltoall = algo.second;
+    cases.push_back(ft_case(noisy, config, 32));
+  }
+  const std::vector<std::string> runs = bench::run_cases(cases);
+  std::size_t next = 0;  // the next payload, in submission order
+  auto next_time = [&] { return exec::decode_doubles(runs.at(next++)).at(0); };
+
   util::Table table({"p", "block_KiB", "hockney_s", "pairwise_s", "ring_s", "naive_s",
                      "bruck_s"});
-  for (int p : {4, 8, 16, 32, 64}) {
-    const std::size_t block = 1 << 11;  // doubles per destination
-    const double X = static_cast<double>(block) * sizeof(double);
+  for (int p : kLargePs) {
+    const double X = static_cast<double>(kBlock) * sizeof(double);
     const double hockney =
         model::hockney_alltoall_time(p, X, machine.net.t_s, machine.net.t_w());
-    table.add_row(
-        {util::num(p), util::num(X / 1024.0, 0), util::sci(hockney, 3),
-         util::sci(measured_alltoall_time(machine, p, block, smpi::AlltoallAlgo::kPairwise), 3),
-         util::sci(measured_alltoall_time(machine, p, block, smpi::AlltoallAlgo::kRing), 3),
-         util::sci(measured_alltoall_time(machine, p, block, smpi::AlltoallAlgo::kNaive), 3),
-         util::sci(measured_alltoall_time(machine, p, block, smpi::AlltoallAlgo::kBruck), 3)});
+    std::vector<std::string> row = {util::num(p), util::num(X / 1024.0, 0),
+                                    util::sci(hockney, 3)};
+    for (std::size_t a = 0; a < std::size(kLargeAlgos); ++a) {
+      row.push_back(util::sci(next_time(), 3));
+    }
+    table.add_row(std::move(row));
   }
   bench::emit(table, "ablation_alltoall_time");
 
   // Small messages: the regime Bruck targets (fewer startups dominate).
   std::printf("\n-- small-message all-to-all (8 doubles per destination) --\n");
   util::Table small({"p", "pairwise_s", "bruck_s"});
-  for (int p : {16, 64, 128}) {
-    small.add_row(
-        {util::num(p),
-         util::sci(measured_alltoall_time(machine, p, 8, smpi::AlltoallAlgo::kPairwise), 3),
-         util::sci(measured_alltoall_time(machine, p, 8, smpi::AlltoallAlgo::kBruck), 3)});
+  for (int p : kSmallPs) {
+    const double pairwise = next_time();
+    const double bruck = next_time();
+    small.add_row({util::num(p), util::sci(pairwise, 3), util::sci(bruck, 3)});
   }
   bench::emit(small, "ablation_alltoall_small");
 
   // End-to-end effect on FT energy.
   std::printf("\n-- FT total energy per all-to-all algorithm (class A, p = 32) --\n");
   util::Table ft_table({"algorithm", "time_s", "energy_J"});
-  auto noisy = bench::with_noise(machine);
-  for (auto [name, algo] :
-       {std::pair{"pairwise", smpi::AlltoallAlgo::kPairwise},
-        std::pair{"ring", smpi::AlltoallAlgo::kRing},
-        std::pair{"naive", smpi::AlltoallAlgo::kNaive}}) {
-    auto config = npb::ft_class(npb::ProblemClass::A);
-    config.collectives.alltoall = algo;
-    const auto run = analysis::run_ft(noisy, config, 32);
-    ft_table.add_row({name, util::num(run.makespan, 4), util::num(run.total_energy_j(), 1)});
+  for (const auto& algo : kFtAlgos) {
+    const std::vector<double> run = exec::decode_doubles(runs.at(next++));
+    ft_table.add_row({algo.first, util::num(run.at(0), 4), util::num(run.at(1), 1)});
   }
   bench::emit(ft_table, "ablation_alltoall_ft");
   return 0;

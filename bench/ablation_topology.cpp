@@ -10,7 +10,10 @@
 #include <mutex>
 
 #include "analysis/runner.hpp"
+#include "analysis/study.hpp"
 #include "bench/common.hpp"
+#include "exec/cache.hpp"
+#include "exec/codec.hpp"
 #include "model/comm.hpp"
 #include "npb/classes.hpp"
 #include "smpi/comm.hpp"
@@ -49,6 +52,48 @@ model::LinkParams intra_link(const sim::MachineSpec& m) {
 }
 model::LinkParams inter_link(const sim::MachineSpec& m) { return {m.net.t_s, m.net.t_w()}; }
 
+std::string key_prefix(const sim::MachineSpec& machine) {
+  return std::string("ablation_topology\x1f") + exec::machine_fingerprint(machine) +
+         '\x1f';
+}
+
+/// One alltoall probe as a keyed case (key: machine, p, block, algorithm;
+/// payload: {worst per-rank time, intra-node message share}).
+exec::Case probe_case(const sim::MachineSpec& machine, int p, std::size_t block) {
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, p);
+  const auto algo = static_cast<int>(smpi::CollectiveConfig{}.alltoall);
+  c.cache_key = key_prefix(machine) + std::to_string(p) + '\x1f' + std::to_string(block) +
+                '\x1f' + std::to_string(algo);
+  c.run = [machine, p, block] {
+    const AlltoallProbe probe = measured_alltoall(machine, p, block);
+    return exec::encode_doubles({probe.time, probe.intra_share});
+  };
+  return c;
+}
+
+template <typename Config>
+using Runner = sim::RunResult (*)(const sim::MachineSpec&, const Config&, int,
+                                  const analysis::RunOptions&);
+
+/// One kernel run as a keyed case (key: machine, adapter fingerprint, p;
+/// payload: {makespan, total energy, intra-node message share}).
+template <typename Config>
+exec::Case kernel_case(const sim::MachineSpec& machine, const Config& config, int p,
+                       Runner<Config> runner) {
+  exec::Case c;
+  c.threads = sim::resolve_engine_workers(0, p);
+  c.cache_key = key_prefix(machine) + analysis::make_adapter(config)->fingerprint() +
+                '\x1f' + std::to_string(p);
+  c.run = [machine, config, p, runner] {
+    const sim::RunResult run = runner(machine, config, p, {});
+    return exec::encode_doubles({run.makespan, run.total_energy_j(),
+                                 static_cast<double>(run.counters.messages_intra_node) /
+                                     static_cast<double>(run.counters.messages_sent)});
+  };
+  return c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,23 +109,47 @@ int main(int argc, char** argv) {
               cpn, hier.net.intra_t_s, hier.net.intra_bandwidth_Bps, hier.net.t_s,
               hier.net.bandwidth_Bps);
 
+  // Every simulation of both tables, as one batch: a flat and a two-level
+  // transpose-sized alltoall per p, then FT and CG class A at p = 32 on the
+  // flat and the two-level network.
+  const int kPs[] = {8, 16, 32, 64};
+  const std::size_t block = 1 << 11;  // doubles per destination
+  const int p = 32;
+  const std::pair<const char*, sim::MachineSpec> nets[] = {
+      {"flat", bench::with_noise(flat)}, {"hier", bench::with_noise(hier)}};
+  std::vector<exec::Case> cases;
+  for (int probe_p : kPs) {
+    cases.push_back(probe_case(flat, probe_p, block));
+    cases.push_back(probe_case(hier, probe_p, block));
+  }
+  for (const auto& net : nets) {
+    cases.push_back(kernel_case(net.second, npb::ft_class(npb::ProblemClass::A), p,
+                                &analysis::run_ft));
+  }
+  for (const auto& net : nets) {
+    cases.push_back(kernel_case(net.second, npb::cg_class(npb::ProblemClass::A), p,
+                                &analysis::run_cg));
+  }
+  const std::vector<std::string> runs = bench::run_cases(cases);
+  std::size_t next = 0;  // the next payload, in submission order
+  auto next_run = [&] { return exec::decode_doubles(runs.at(next++)); };
+
   // Transpose-sized alltoall: measured vs the flat and two-level closed forms.
   util::Table table({"p", "intra_msg_share", "flat_model_s", "flat_sim_s",
                      "hier_model_s", "hier_sim_s", "speedup"});
-  const std::size_t block = 1 << 11;  // doubles per destination
   const double X = static_cast<double>(block) * sizeof(double);
-  for (int p : {8, 16, 32, 64}) {
-    const model::Topology topo{p, cpn};
+  for (int probe_p : kPs) {
+    const model::Topology topo{probe_p, cpn};
     const double flat_model =
-        model::hockney_alltoall_time(p, X, flat.net.t_s, flat.net.t_w());
+        model::hockney_alltoall_time(probe_p, X, flat.net.t_s, flat.net.t_w());
     const double hier_model =
         model::hierarchical_alltoall_time(topo, X, intra_link(hier), inter_link(hier));
-    const auto flat_probe = measured_alltoall(flat, p, block);
-    const auto hier_probe = measured_alltoall(hier, p, block);
-    table.add_row({util::num(p), util::num(hier_probe.intra_share, 3),
-                   util::sci(flat_model, 3), util::sci(flat_probe.time, 3),
-                   util::sci(hier_model, 3), util::sci(hier_probe.time, 3),
-                   util::num(flat_probe.time / hier_probe.time, 2)});
+    const std::vector<double> flat_probe = next_run();  // {time, intra_share}
+    const std::vector<double> hier_probe = next_run();
+    table.add_row({util::num(probe_p), util::num(hier_probe.at(1), 3),
+                   util::sci(flat_model, 3), util::sci(flat_probe.at(0), 3),
+                   util::sci(hier_model, 3), util::sci(hier_probe.at(0), 3),
+                   util::num(flat_probe.at(0) / hier_probe.at(0), 2)});
   }
   bench::emit(table, "ablation_topology_alltoall");
 
@@ -88,24 +157,12 @@ int main(int argc, char** argv) {
   // CG halo/allreduce) at fixed p.
   std::printf("\n-- kernel makespan and energy, flat vs two-level (p = 32) --\n");
   util::Table kernels({"kernel", "net", "time_s", "energy_J", "intra_msg_share"});
-  const int p = 32;
-  for (auto [name, machine] : {std::pair{"flat", bench::with_noise(flat)},
-                               std::pair{"hier", bench::with_noise(hier)}}) {
-    const auto run = analysis::run_ft(machine, npb::ft_class(npb::ProblemClass::A), p);
-    kernels.add_row({"FT-A", name, util::num(run.makespan, 4),
-                     util::num(run.total_energy_j(), 1),
-                     util::num(static_cast<double>(run.counters.messages_intra_node) /
-                                   static_cast<double>(run.counters.messages_sent),
-                               3)});
-  }
-  for (auto [name, machine] : {std::pair{"flat", bench::with_noise(flat)},
-                               std::pair{"hier", bench::with_noise(hier)}}) {
-    const auto run = analysis::run_cg(machine, npb::cg_class(npb::ProblemClass::A), p);
-    kernels.add_row({"CG-A", name, util::num(run.makespan, 4),
-                     util::num(run.total_energy_j(), 1),
-                     util::num(static_cast<double>(run.counters.messages_intra_node) /
-                                   static_cast<double>(run.counters.messages_sent),
-                               3)});
+  for (const char* kernel : {"FT-A", "CG-A"}) {
+    for (const auto& net : nets) {
+      const std::vector<double> run = next_run();  // {makespan, energy, intra_share}
+      kernels.add_row({kernel, net.first, util::num(run.at(0), 4),
+                       util::num(run.at(1), 1), util::num(run.at(2), 3)});
+    }
   }
   bench::emit(kernels, "ablation_topology_kernels");
   return 0;

@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
 // how fast the virtual-time engine executes primitive operations, message
 // passing, and collectives — the cost of the simulation, not of the
-// simulated machine — and of the FT kernel's host time (FFT plan passes,
-// whole FT runs).
+// simulated machine — and of the FT and EP kernels' host time (FFT plan
+// passes, whole FT runs, EP's pair stream, whole EP runs).
 //
 // Extra mode: `micro_sim --check-obs-overhead [--tolerance=0.02]` asserts the
 // obs layer's contract that an *uninstalled* trace sink costs nothing beyond
@@ -23,10 +23,12 @@
 #include <vector>
 
 #include "analysis/runner.hpp"
+#include "npb/classes.hpp"
 #include "npb/fft.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 #include "smpi/comm.hpp"
+#include "util/rng.hpp"
 
 using namespace isoee;
 
@@ -200,6 +202,36 @@ void BM_FtRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FtRun)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond)->MinTime(0.05);
+
+// 2^20 pairs of EP's stream from the seed given as the argument (EP's): the
+// two interleaved integer chains alone.
+void BM_NpbPairStream(benchmark::State& state) {
+  constexpr std::int64_t kPairs = 1 << 20;
+  const util::NpbRandom start(static_cast<double>(state.range(0)));
+  for (auto _ : state) {
+    util::NpbPairStream stream(start);
+    for (std::int64_t i = 0; i < kPairs; ++i) {
+      const auto [u, v] = stream.next();
+      benchmark::DoNotOptimize(u);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kPairs);
+}
+BENCHMARK(BM_NpbPairStream)->Arg(271828183)->MinTime(0.05);
+
+// A whole EP class W run on p ranks: the pair stream, the acceptance test
+// and the allreduce.
+void BM_EpRun(benchmark::State& state) {
+  const auto spec = machine();
+  const int p = static_cast<int>(state.range(0));
+  const npb::EpConfig config = npb::ep_class(npb::ProblemClass::W);
+  for (auto _ : state) {
+    const sim::RunResult res = analysis::run_ep(spec, config, p);
+    benchmark::DoNotOptimize(res.makespan);
+  }
+}
+BENCHMARK(BM_EpRun)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond)->MinTime(0.05);
 
 // --- --check-obs-overhead ---------------------------------------------------
 

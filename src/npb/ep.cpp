@@ -43,10 +43,10 @@ EpResult ep_rank(sim::RankCtx& ctx, const EpConfig& config, powerpack::PhaseLog*
       accepted_in_batch = 0;
     };
 
-    // Draw each trial's two deviates through two interleaved chains and
-    // consume them at once, so the acceptance test's log and sqrt overlap
-    // the chains' multiply latency. A trial costs one randlc latency instead
-    // of two serial next() steps.
+    // Draw each trial's two deviates through two interleaved integer chains
+    // and consume them at once, so the acceptance test's log and sqrt
+    // overlap the chains' multiply latency. A trial costs one multiply-and-
+    // mask latency instead of two serial next() steps.
     util::NpbPairStream stream(rng);
     for (std::uint64_t t = lo; t < hi; ++t) {
       const auto [u, v] = stream.next();

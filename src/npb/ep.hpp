@@ -1,9 +1,10 @@
 // EP — the NPB "embarrassingly parallel" kernel.
 //
-// Generates `trials` pairs of uniform deviates from one global NPB randlc
-// stream (each rank skips to its slice), applies the Marsaglia polar method
-// to produce Gaussian deviates, accumulates their sums and the counts of the
-// ten square annuli max(|X|,|Y|) falls into, and allreduces the statistics.
+// Generates `trials` pairs of uniform deviates from one global NPB stream
+// (util::NpbRandom; each rank skips to its slice), applies the Marsaglia
+// polar method to produce Gaussian deviates, accumulates their sums and the
+// counts of the ten square annuli max(|X|,|Y|) falls into, and allreduces the
+// statistics.
 // Results are bit-identical for every processor count, which is the
 // verification invariant.
 #pragma once

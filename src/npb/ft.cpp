@@ -261,7 +261,7 @@ FtResult ft_rank(sim::RankCtx& ctx, const FtConfig& config, powerpack::PhaseLog*
   std::span<Complex> scratch =
       sim::carve_scratch<Complex>(slice, pts);  // by transpose_fwd's pack
 
-  // --- init: fill the z-slab from the global randlc stream -------------------
+  // --- init: fill the z-slab from the global NPB stream ----------------------
   {
     powerpack::OptionalPhase ph(phases, ctx, "ft.init");
     util::NpbRandom rng(config.seed);

@@ -234,7 +234,7 @@ MgResult mg_rank(sim::RankCtx& ctx, const MgConfig& config, powerpack::PhaseLog*
       nzl /= 2;
     }
 
-    // Deterministic zero-mean RHS from the global randlc stream (slab slice).
+    // Deterministic zero-mean RHS from the global NPB stream (slab slice).
     Level& fine = st.levels[0];
     util::NpbRandom rng(config.seed);
     const std::uint64_t first =

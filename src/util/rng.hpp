@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace isoee::util {
@@ -102,103 +104,107 @@ class Xoshiro256 {
   bool have_spare_ = false;
 };
 
-/// NPB-style linear congruential generator (a^k * s mod 2^46), used by the
-/// src/npb kernels so their random streams match the benchmark definitions.
+/// NPB-style linear congruential generator (x <- a*x mod 2^46, deviate
+/// x * 2^-46), used by the src/npb kernels so their random streams match the
+/// benchmark definitions. The state is an integer below 2^46 held in
+/// uint64_t: a*x mod 2^46 is the low 46 bits of the wrapped 64-bit product,
+/// one multiply and a mask, exactly what NPB's randlc computes with its
+/// double-double decomposition.
 class NpbRandom {
  public:
-  static constexpr double kA = 1220703125.0;  // 5^13, the NPB multiplier
+  static constexpr std::uint64_t kA = 1220703125;  // 5^13, the NPB multiplier
 
-  explicit NpbRandom(double seed = 314159265.0) : seed_(seed) {}
+  /// Throws std::invalid_argument unless `seed` is an integer in [0, 2^46).
+  explicit NpbRandom(double seed = 314159265.0) : state_(to_state(seed)) {}
 
   /// Returns a uniform deviate in (0, 1) and advances the stream. Kernels
   /// draw through fill() or NpbPairStream; this one-step form is the
   /// reference they are tested against.
-  double next() { return randlc(seed_, kA); }
+  double next() {
+    state_ = step(state_, kA);
+    return deviate(state_);
+  }
 
-  /// Current raw seed value.
-  double seed() const { return seed_; }
+  /// Current state as a double (exact: it is below 2^46).
+  double seed() const { return static_cast<double>(state_); }
 
   /// Jump the stream forward by `n` steps (O(log n)), enabling each parallel
   /// rank to own a disjoint, deterministic slice of one global stream.
   void skip(std::uint64_t n) {
-    double t = kA;
+    std::uint64_t t = kA;  // a^(2^k) mod 2^46
     while (n != 0) {
-      if (n & 1ULL) (void)randlc(seed_, t);
-      double tt = t;
-      (void)randlc(t, tt);
+      if (n & 1ULL) state_ = step(state_, t);
+      t = step(t, t);
       n >>= 1;
     }
   }
 
   /// Fills `out` with the next out.size() deviates and leaves the stream
-  /// where that many next() calls would. The state is an integer below 2^46
-  /// (every NPB seed is), so fill() steps it in uint64_t: a*x mod 2^46 is the
-  /// low 46 bits of the wrapped 64-bit product, one multiply and a mask,
-  /// exactly what randlc's double-double decomposition computes. The serial
-  /// chain is split into kFillChains interleaved chains, each stepping by
-  /// a^kFillChains, so independent multiplies overlap in the pipeline; the
-  /// output is bit-identical to stepping. Set-up is O(1) (the powers of a are
+  /// where that many next() calls would. The serial chain is split into
+  /// kFillChains interleaved chains, each stepping by a^kFillChains, so
+  /// independent multiplies overlap in the pipeline; the output is
+  /// bit-identical to stepping. Set-up is O(1) (the powers of a are
   /// compile-time constants), so small blocks cost the same per deviate as
   /// large ones.
   void fill(std::span<double> out) {
-    constexpr double r46 = 0x1.0p-46, t46 = 0x1.0p46;
-    constexpr std::uint64_t m46 = (1ULL << 46) - 1;
     const std::size_t n = out.size();
     if (n == 0) return;
     static constexpr std::array<std::uint64_t, kFillChains> a_pow = [] {
       std::array<std::uint64_t, kFillChains> pow{};  // pow[k] = a^(k+1) mod 2^46
       std::uint64_t a = 1;
-      for (std::uint64_t& ak : pow) ak = a = (a * static_cast<std::uint64_t>(kA)) & m46;
+      for (std::uint64_t& ak : pow) ak = a = (a * kA) & kMask;
       return pow;
     }();
-    // Below 2^46, so the signed conversion is exact (and one instruction).
-    const auto deviate = [](std::uint64_t x) {
-      return r46 * static_cast<double>(static_cast<std::int64_t>(x));
-    };
-    const auto s = static_cast<std::uint64_t>(seed_);
     std::array<std::uint64_t, kFillChains> x{};  // chain k holds state k+1, k+1+K, ...
-    for (std::size_t k = 0; k < kFillChains; ++k) x[k] = (a_pow[k] * s) & m46;
+    for (std::size_t k = 0; k < kFillChains; ++k) x[k] = step(state_, a_pow[k]);
     const std::uint64_t a_k = a_pow[kFillChains - 1];
     std::size_t i = 0;
-    for (; i + kFillChains <= n; i += kFillChains) {
+    for (; i + kFillChains < n; i += kFillChains) {
       for (std::size_t k = 0; k < kFillChains; ++k) {
         out[i + k] = deviate(x[k]);
-        x[k] = (x[k] * a_k) & m46;
+        x[k] = step(x[k], a_k);
       }
     }
-    for (std::size_t k = 0; i < n && k < kFillChains; ++i, ++k) out[i] = deviate(x[k]);
-    // The last deviate is the new state times 2^-46, exactly.
-    seed_ = t46 * out[n - 1];
-  }
-
-  /// Core NPB randlc: x = a*x mod 2^46, returns x * 2^-46. Exactly the
-  /// double-double decomposition from the NPB reference implementation.
-  static double randlc(double& x, double a) {
-    constexpr double r23 = 0x1.0p-23, t23 = 0x1.0p23;
-    constexpr double r46 = 0x1.0p-46, t46 = 0x1.0p46;
-    const double a1 = static_cast<double>(static_cast<long long>(r23 * a));
-    const double a2 = a - t23 * a1;
-    const double x1 = static_cast<double>(static_cast<long long>(r23 * x));
-    const double x2 = x - t23 * x1;
-    const double t1 = a1 * x2 + a2 * x1;
-    const double t2 = static_cast<double>(static_cast<long long>(r23 * t1));
-    const double z = t1 - t23 * t2;
-    const double t3 = t23 * z + a2 * x2;
-    const double t4 = static_cast<double>(static_cast<long long>(r46 * t3));
-    x = t3 - t46 * t4;
-    return r46 * x;
+    // The last 1..K deviates come from chains not yet stepped past them, so
+    // the last one's state is the new state.
+    for (std::size_t k = 0; i < n && k < kFillChains; ++i, ++k) {
+      state_ = x[k];
+      out[i] = deviate(state_);
+    }
   }
 
  private:
-  static constexpr std::size_t kFillChains = 8;
+  friend class NpbPairStream;
 
-  double seed_;
+  static constexpr std::size_t kFillChains = 8;
+  static constexpr std::uint64_t kMask = (1ULL << 46) - 1;
+
+  /// a*x mod 2^46 for a, x below 2^46.
+  static constexpr std::uint64_t step(std::uint64_t x, std::uint64_t a) {
+    return (x * a) & kMask;
+  }
+
+  /// x * 2^-46. Below 2^46, so the signed conversion is exact (and one
+  /// instruction).
+  static double deviate(std::uint64_t x) {
+    return 0x1.0p-46 * static_cast<double>(static_cast<std::int64_t>(x));
+  }
+
+  static std::uint64_t to_state(double seed) {
+    if (!(seed >= 0.0 && seed < 0x1.0p46) || seed != std::floor(seed)) {
+      throw std::invalid_argument(
+          "NpbRandom: seed must be an integer in [0, 2^46), got " + std::to_string(seed));
+    }
+    return static_cast<std::uint64_t>(seed);
+  }
+
+  std::uint64_t state_;
 };
 
 /// Draws an NpbRandom stream two deviates at a time, bit-identical to two
 /// next() calls: the odd and the even positions run as two chains, each
-/// stepping by a^2 mod 2^46. A pair costs one randlc latency instead of two,
-/// and a caller that consumes each pair as it comes (EP's acceptance test)
+/// stepping by a^2 mod 2^46, so a pair costs one multiply latency instead of
+/// two. A caller that consumes each pair as it comes (EP's acceptance test)
 /// overlaps its own arithmetic with the chains. Unlike fill(), whose eight
 /// chains run at the rate of the core's arithmetic units, this stays bound
 /// by the chains' latency, so its speed does not follow whatever else is
@@ -206,26 +212,23 @@ class NpbRandom {
 class NpbPairStream {
  public:
   /// Starts where `from` stands; `from` itself does not advance.
-  explicit NpbPairStream(const NpbRandom& from) : odd_(from.seed()), even_(from.seed()) {
-    (void)NpbRandom::randlc(odd_, NpbRandom::kA);
-    (void)NpbRandom::randlc(even_, kA2);
-  }
+  explicit NpbPairStream(const NpbRandom& from)
+      : odd_(NpbRandom::step(from.state_, NpbRandom::kA)),
+        even_(NpbRandom::step(from.state_, kA2)) {}
 
   /// The stream's next two deviates, in order.
   std::pair<double, double> next() {
-    constexpr double r46 = 0x1.0p-46;
-    const double first = r46 * odd_, second = r46 * even_;
-    (void)NpbRandom::randlc(odd_, kA2);
-    (void)NpbRandom::randlc(even_, kA2);
+    const double first = NpbRandom::deviate(odd_), second = NpbRandom::deviate(even_);
+    odd_ = NpbRandom::step(odd_, kA2);
+    even_ = NpbRandom::step(even_, kA2);
     return {first, second};
   }
 
  private:
-  static constexpr double kA2 =  // a^2 mod 2^46 (a = 5^13, so a^2 < 2^64)
-      static_cast<double>((1220703125ULL * 1220703125ULL) % (1ULL << 46));
+  static constexpr std::uint64_t kA2 = NpbRandom::step(NpbRandom::kA, NpbRandom::kA);
 
-  double odd_;   // state of the pair's first deviate
-  double even_;  // state of the pair's second deviate
+  std::uint64_t odd_;   // state of the pair's first deviate
+  std::uint64_t even_;  // state of the pair's second deviate
 };
 
 }  // namespace isoee::util

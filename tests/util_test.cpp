@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -78,6 +79,79 @@ TEST(Xoshiro, JitterMeanNearOne) {
 }
 
 // --- NPB randlc --------------------------------------------------------------
+
+// NPB's randlc, the reference every integer path of NpbRandom is checked
+// against: x = a*x mod 2^46 through the double-double decomposition of the
+// NPB reference implementation; returns x * 2^-46.
+double randlc(double& x, double a) {
+  constexpr double r23 = 0x1.0p-23, t23 = 0x1.0p23;
+  constexpr double r46 = 0x1.0p-46, t46 = 0x1.0p46;
+  const double a1 = static_cast<double>(static_cast<long long>(r23 * a));
+  const double a2 = a - t23 * a1;
+  const double x1 = static_cast<double>(static_cast<long long>(r23 * x));
+  const double x2 = x - t23 * x1;
+  const double t1 = a1 * x2 + a2 * x1;
+  const double t2 = static_cast<double>(static_cast<long long>(r23 * t1));
+  const double z = t1 - t23 * t2;
+  const double t3 = t23 * z + a2 * x2;
+  const double t4 = static_cast<double>(static_cast<long long>(r46 * t3));
+  x = t3 - t46 * t4;
+  return r46 * x;
+}
+
+constexpr double kRandlcA = 1220703125.0;  // 5^13
+constexpr std::uint64_t kLongSkip = (std::uint64_t{1} << 45) + 3;
+
+// Advances x by n steps through randlc, squaring the multiplier.
+void randlc_skip(double& x, std::uint64_t n) {
+  double t = kRandlcA;
+  while (n != 0) {
+    if (n & 1ULL) (void)randlc(x, t);
+    double tt = t;
+    (void)randlc(t, tt);
+    n >>= 1;
+  }
+}
+
+// Both ends of the state range [1, 2^46) and a state a long skip away.
+std::array<double, 3> state_range_seeds() {
+  double far = 314159265.0;
+  randlc_skip(far, kLongSkip);
+  return {1.0, 0x1.0p46 - 1.0, far};
+}
+
+TEST(NpbRandom, NextAndSkipMatchTheRandlcReference) {
+  for (const double seed : state_range_seeds()) {
+    NpbRandom rng(seed);
+    double x = seed;
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.next(), randlc(x, kRandlcA)) << "seed=" << seed << " step=" << i;
+      ASSERT_EQ(rng.seed(), x) << "seed=" << seed << " step=" << i;
+    }
+    const std::uint64_t skips[] = {0, 1, kLongSkip, (std::uint64_t{1} << 46) - 1};
+    for (const std::uint64_t n : skips) {
+      NpbRandom skipped(seed);
+      double want = seed;
+      skipped.skip(n);
+      randlc_skip(want, n);
+      EXPECT_EQ(skipped.seed(), want) << "seed=" << seed << " n=" << n;
+      EXPECT_EQ(skipped.next(), randlc(want, kRandlcA)) << "seed=" << seed << " n=" << n;
+    }
+  }
+  // The third state is 2^45+3 steps into the stream from 314159265.
+  NpbRandom far(314159265.0);
+  far.skip(kLongSkip);
+  EXPECT_EQ(far.seed(), state_range_seeds()[2]);
+}
+
+TEST(NpbRandom, RejectsSeedsOutsideTheIntegerRange) {
+  for (const double seed :
+       {-1.0, 0.5, 0x1.0p46, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(NpbRandom{seed}, std::invalid_argument) << "seed=" << seed;
+  }
+  EXPECT_EQ(NpbRandom(0.0).seed(), 0.0);
+  EXPECT_EQ(NpbRandom(0x1.0p46 - 1.0).seed(), 0x1.0p46 - 1.0);
+}
 
 TEST(NpbRandom, KnownFirstValue) {
   // randlc(314159265, 5^13) first step is a fixed, well-known stream.
@@ -203,6 +277,20 @@ TEST(NpbPairStream, MatchesStepping) {
       ASSERT_EQ(v, second) << "seed=" << seed << " pair=" << i;
     }
     EXPECT_EQ(start.seed(), before);  // the source stream does not advance
+  }
+}
+
+TEST(NpbPairStream, MatchesSteppingAcrossTheStateRange) {
+  for (const double seed : state_range_seeds()) {
+    double x = seed;
+    NpbPairStream pairs{NpbRandom(seed)};
+    for (int i = 0; i < 10000; ++i) {
+      const double first = randlc(x, kRandlcA);
+      const double second = randlc(x, kRandlcA);
+      const auto [u, v] = pairs.next();
+      ASSERT_EQ(u, first) << "seed=" << seed << " pair=" << i;
+      ASSERT_EQ(v, second) << "seed=" << seed << " pair=" << i;
+    }
   }
 }
 
