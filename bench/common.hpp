@@ -120,10 +120,11 @@ inline void write_observability_artifacts() {
 }
 }  // namespace detail
 
-/// Parses the shared bench flags. Returns false (after printing usage) on
-/// --help or a malformed flag; benches should exit then. Output directories
-/// are created once, here, so a bad --csv-dir fails before any simulation
-/// time is spent rather than after.
+/// Parses the shared bench flags. Returns false (after printing usage or an
+/// error) on --help, a malformed flag or a numeric flag whose value is not a
+/// number; benches should exit then. Output directories are created once,
+/// here, so a bad --csv-dir fails before any simulation time is spent rather
+/// than after.
 inline bool init(int argc, const char* const* argv) {
   if (const char* level = std::getenv("ISOEE_LOG"); level != nullptr && *level != '\0') {
     util::set_log_level(util::parse_log_level(level));
@@ -148,13 +149,22 @@ inline bool init(int argc, const char* const* argv) {
       .flag("flame-interval-us", "500", "scheduler-profiler sampling period, microseconds");
   if (!cli.parse(argc, argv)) return false;
   detail::csv_dir() = cli.get("csv-dir");
-  const std::string seed = cli.get("seed");
-  if (!seed.empty()) {
-    detail::seed_overridden() = true;
-    detail::seed_value() = static_cast<std::uint64_t>(cli.get_int("seed"));
+  long long engine_workers = 0;
+  std::uint64_t flame_interval_us = 0;
+  try {
+    if (!cli.get("seed").empty()) {
+      detail::seed_overridden() = true;
+      detail::seed_value() = static_cast<std::uint64_t>(cli.get_int("seed"));
+    }
+    detail::exec_cfg().jobs = static_cast<int>(cli.get_int("jobs"));
+    engine_workers = cli.get_int("engine-workers");
+    detail::exec_cfg().cache_max_bytes =
+        static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
+    flame_interval_us = static_cast<std::uint64_t>(cli.get_int("flame-interval-us"));
+  } catch (const std::invalid_argument& e) {
+    ISOEE_ERROR("%s", e.what());
+    return false;
   }
-  detail::exec_cfg().jobs = static_cast<int>(cli.get_int("jobs"));
-  const auto engine_workers = cli.get_int("engine-workers");
   if (engine_workers < 0) {
     ISOEE_ERROR("--engine-workers must be >= 0 (0 = automatic), got %lld",
                 static_cast<long long>(engine_workers));
@@ -162,8 +172,6 @@ inline bool init(int argc, const char* const* argv) {
   }
   sim::set_default_engine_workers(static_cast<int>(engine_workers));
   detail::exec_cfg().cache_dir = cli.get("cache-dir");
-  detail::exec_cfg().cache_max_bytes =
-      static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
   detail::trace_out() = cli.get("trace-out");
   detail::metrics_out() = cli.get("metrics-out");
   detail::flame_out() = cli.get("flame-out");
@@ -172,7 +180,7 @@ inline bool init(int argc, const char* const* argv) {
   }
   if (!detail::flame_out().empty()) {
     obs::SchedProfiler::Options prof;
-    prof.interval_us = static_cast<std::uint64_t>(cli.get_int("flame-interval-us"));
+    prof.interval_us = flame_interval_us;
     obs::sched_profiler().start(prof);
   }
   if (!detail::trace_out().empty() || !detail::metrics_out().empty() ||

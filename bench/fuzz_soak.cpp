@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "check/check.hpp"
@@ -65,20 +66,28 @@ int main(int argc, char** argv) {
   const std::string repro = cli.get("repro");
   if (!repro.empty()) return replay(repro);
 
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const int cases = static_cast<int>(cli.get_int("cases"));
+  std::uint64_t seed = 0;
+  int cases = 0, jobs = 0, chunk = 0;
+  long long budget_s = 0;
   check::SweepOptions opts;
-  opts.shrink_budget = static_cast<int>(cli.get_int("shrink-budget"));
-  const int jobs = static_cast<int>(cli.get_int("jobs"));
+  try {
+    seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    cases = static_cast<int>(cli.get_int("cases"));
+    opts.shrink_budget = static_cast<int>(cli.get_int("shrink-budget"));
+    jobs = static_cast<int>(cli.get_int("jobs"));
+    budget_s = cli.get_int("budget-seconds");
+    chunk = static_cast<int>(cli.get_int("chunk"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fuzz_soak: %s\n", e.what());
+    return 1;
+  }
   exec::Executor executor({jobs, cli.get("cache-dir"), 0});
 
-  const long long budget_s = cli.get_int("budget-seconds");
   check::SweepStats stats;
   if (budget_s > 0) {
     // Wall-clock-budgeted mode: sweep consecutive chunks of the same seeded
     // case sequence until the budget runs out. Chunk boundaries only affect
     // how much gets covered, never what any covered case produces.
-    const int chunk = static_cast<int>(cli.get_int("chunk"));
     std::printf("fuzz_soak: %llds budget, %d-case chunks from seed %llu (jobs=%d)\n",
                 budget_s, chunk, static_cast<unsigned long long>(seed), jobs);
     const auto deadline =

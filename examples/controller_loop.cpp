@@ -11,6 +11,7 @@
 // it is taken, and the measured outcome confirms the bound.
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 
 #include "analysis/policy.hpp"
 #include "analysis/study.hpp"
@@ -34,8 +35,15 @@ int main(int argc, char** argv) {
   cli.flag("cap", "1200", "partition average-power cap in watts")
       .flag("pmax", "64", "largest processor count available");
   if (!cli.parse(argc, argv)) return 1;
-  const double cap_w = cli.get_double("cap");
-  const int p_max = static_cast<int>(cli.get_int("pmax"));
+  double cap_w = 0.0;
+  int p_max = 0;
+  try {
+    cap_w = cli.get_double("cap");
+    p_max = static_cast<int>(cli.get_int("pmax"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "controller_loop: %s\n", e.what());
+    return 1;
+  }
 
   auto machine = sim::system_g();
   machine.noise.enabled = true;

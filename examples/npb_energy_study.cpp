@@ -5,6 +5,7 @@
 //
 // Example:  ./build/examples/npb_energy_study --benchmark=ft --class=A --p=1,2,4,8
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,7 +24,14 @@ std::vector<int> parse_ints(const std::string& csv) {
   std::vector<int> out;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
+  while (std::getline(ss, item, ',')) {
+    char* end = nullptr;
+    const long p = std::strtol(item.c_str(), &end, 10);
+    if (item.empty() || *end != '\0') {
+      throw std::invalid_argument("--p: '" + csv + "' is not a list of whole numbers");
+    }
+    out.push_back(static_cast<int>(p));
+  }
   return out;
 }
 
@@ -51,15 +59,17 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   sim::MachineSpec machine;
+  npb::ProblemClass cls = npb::ProblemClass::A;
+  std::vector<int> ps;
   try {
     machine = sim::machine_preset(cli.get("machine"));
+    cls = npb::parse_class(cli.get("class"));
+    ps = parse_ints(cli.get("p"));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
   machine.noise.enabled = true;
-  const auto cls = npb::parse_class(cli.get("class"));
-  const auto ps = parse_ints(cli.get("p"));
   const std::string bench = cli.get("benchmark");
 
   std::printf("%s class %s on %s\n\n", bench.c_str(), cli.get("class").c_str(),

@@ -5,8 +5,6 @@ Two subcommands:
 
   summarize --bench engine_throughput --input bench_out/engine_throughput.json \
             --out BENCH_engine_throughput.json
-  summarize --bench service_load --input bench_out/service_load_latency.csv \
-            --out BENCH_service_load.json
 
       Reads the bench's output artifact and writes a per-case summary with an
       explicit gate class per metric (see below).
@@ -21,9 +19,9 @@ Two subcommands:
 Gate classes (recorded in the baseline file, so the policy is versioned with
 the numbers):
 
-  exact  structural/deterministic values (event counts, per-method request
-         counts, error counts, the case set itself). Any difference fails:
-         these are seed-determined, so a change means behaviour changed.
+  exact  structural/deterministic values (event counts, the case set
+         itself). Any difference fails: these are seed-determined, so a
+         change means behaviour changed.
   pct    host-independent numeric values gated at +/- tolerance (default 15%).
   info   host-timing values (wall seconds, latency percentiles, throughput
          rates). Never gated — the baseline was recorded on a different
@@ -33,7 +31,6 @@ the numbers):
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -42,7 +39,6 @@ SCHEMA = 1
 # Metric -> gate class per bench. Anything not listed is "info".
 GATES = {
     "engine_throughput": {"events": "exact"},
-    "service_load": {"count": "exact", "errors": "exact"},
 }
 
 
@@ -71,37 +67,8 @@ def summarize_engine_throughput(path):
     return cases
 
 
-def summarize_service_load(path):
-    """service_load_latency.csv -> cases keyed by method.
-
-    The per-(method, tier) split is racy (a measured query lands in the cache
-    or sim tier depending on what ran first), so counts are aggregated per
-    method — that aggregate is determined by the request-stream seed. The
-    latency percentiles keep the slowest tier's numbers (the tail that
-    matters), recorded as info.
-    """
-    per_method = {}
-    with open(path) as f:
-        for row in csv.DictReader(f):
-            m = per_method.setdefault(
-                row["method"], {"count": 0, "p50_ms": 0.0, "p99_ms": 0.0})
-            m["count"] += int(row["count"])
-            m["p50_ms"] = max(m["p50_ms"], float(row["p50_ms"]))
-            m["p99_ms"] = max(m["p99_ms"], float(row["p99_ms"]))
-            if row["tier"] == "error":
-                m["errors"] = m.get("errors", 0) + int(row["count"])
-    for m in per_method.values():
-        m.setdefault("errors", 0)
-    return per_method
-
-
 def cmd_summarize(args):
-    if args.bench == "engine_throughput":
-        cases = summarize_engine_throughput(args.input)
-    elif args.bench == "service_load":
-        cases = summarize_service_load(args.input)
-    else:
-        fail(f"unknown bench {args.bench!r} (engine_throughput | service_load)")
+    cases = summarize_engine_throughput(args.input)
     doc = {
         "bench": args.bench,
         "schema": SCHEMA,
@@ -189,9 +156,9 @@ def main():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("summarize", help="write BENCH_<bench>.json from a run")
-    s.add_argument("--bench", required=True)
+    s.add_argument("--bench", required=True, choices=["engine_throughput"])
     s.add_argument("--input", required=True,
-                   help="engine_throughput.json or service_load_latency.csv")
+                   help="engine_throughput.json")
     s.add_argument("--out", required=True)
     s.add_argument("--tolerance", type=float, default=0.15)
     s.set_defaults(fn=cmd_summarize)

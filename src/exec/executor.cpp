@@ -51,16 +51,6 @@ int resolve_budget(int requested) {
 
 }  // namespace
 
-std::uint64_t case_seed(std::uint64_t root_seed, std::uint64_t index) {
-  std::uint64_t s = root_seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
-  // splitmix64 step, inlined to avoid a util dependency in the hot loop.
-  s += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 Executor::Executor(const ExecConfig& config)
     : budget_(resolve_budget(config.jobs)),
       cache_(config.cache_dir, config.cache_max_bytes) {}

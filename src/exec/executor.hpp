@@ -32,8 +32,7 @@
 // inputs (per-case seeded RNG, no shared mutable state). Under that contract
 // the result vector — order, payloads, errors — is bit-identical for every
 // budget, serial included, and whether a case ran or joined; src/check
-// asserts this for its whole sweep pipeline. `case_seed` derives decorrelated
-// per-case seeds from one root seed.
+// asserts this for its whole sweep pipeline.
 //
 // Failure semantics: a case that throws has the exception text recorded in
 // its slot (and in every slot that joined it); the batch keeps going. (A
@@ -166,9 +165,5 @@ class BudgetGate {
   std::optional<Executor::Turn> turn_;
   std::uint64_t joined_before_ = 0;
 };
-
-/// Derives a decorrelated per-case seed from a root seed and the case index
-/// (splitmix64 of the pair), so no two cases ever share a generator stream.
-std::uint64_t case_seed(std::uint64_t root_seed, std::uint64_t index);
 
 }  // namespace isoee::exec

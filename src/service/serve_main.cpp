@@ -8,6 +8,7 @@
 // mode the CI smoke and quickstart docs use.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "obs/obs.hpp"
@@ -40,12 +41,19 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   service::ServiceConfig config;
-  config.jobs = static_cast<int>(cli.get_int("jobs"));
-  config.max_pending = static_cast<int>(cli.get_int("max-queue"));
   config.cache_dir = cli.get("cache-dir");
-  config.cache_max_bytes =
-      static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
-  config.slow_request_s = static_cast<double>(cli.get_int("slow-ms")) * 1e-3;
+  int port = 0;
+  try {
+    config.jobs = static_cast<int>(cli.get_int("jobs"));
+    config.max_pending = static_cast<int>(cli.get_int("max-queue"));
+    config.cache_max_bytes =
+        static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
+    config.slow_request_s = static_cast<double>(cli.get_int("slow-ms")) * 1e-3;
+    port = static_cast<int>(cli.get_int("port"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "isoee_serve: %s\n", e.what());
+    return 1;
+  }
 
   obs::TraceCollector collector;
   const std::string trace_out = cli.get("trace-out");
@@ -57,7 +65,7 @@ int main(int argc, char** argv) {
     handled = service::run_stdin(service, std::cin, std::cout);
   } else {
     try {
-      service::TcpServer server(service, static_cast<int>(cli.get_int("port")));
+      service::TcpServer server(service, port);
       // Parseable startup line: CI scrapes the resolved ephemeral port.
       std::printf("isoee_serve: listening on 127.0.0.1:%d\n", server.port());
       std::fflush(stdout);

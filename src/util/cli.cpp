@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace isoee::util {
 
@@ -67,12 +70,37 @@ std::string Cli::get(const std::string& name) const {
   return it != flags_.end() ? it->second.value : std::string();
 }
 
+namespace {
+
+/// Throws, naming the flag, unless parsing `text` stopped at `end`, its end,
+/// without overflow: a value is never read only up to where it stops making
+/// sense ("2x" is not 2), and an empty or blank-led one is not 0.
+void require_whole(const std::string& name, const std::string& text, const char* end,
+                   const char* what) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      end != text.c_str() + text.size() || errno == ERANGE) {
+    throw std::invalid_argument("--" + name + ": '" + text + "' is not " + what);
+  }
+}
+
+}  // namespace
+
 long long Cli::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  const std::string text = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  require_whole(name, text, end, "a whole number");
+  return value;
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  const std::string text = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  require_whole(name, text, end, "a number");
+  return value;
 }
 
 bool Cli::get_bool(const std::string& name) const {

@@ -33,6 +33,9 @@ class Cli {
   bool parse(int argc, const char* const* argv);
 
   std::string get(const std::string& name) const;
+  /// The flag's value as a number. Throws std::invalid_argument, naming the
+  /// flag, unless the whole value is one ("--seed abc", "--jobs 2.5" and a
+  /// bare "--seed", which reads "true", all throw).
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;

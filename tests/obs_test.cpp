@@ -185,9 +185,9 @@ TEST(Metrics, EngineCountersAreListedBeforeAnyRun) {
 
 TEST(Metrics, SnapshotSchemaIsStable) {
   // The snapshot row schema is load-bearing: bench CSV diffs, the service's
-  // `metrics` endpoint, and service_load --verify all parse these names. A
-  // histogram with bounds {0.5, 2} must produce exactly these rows, in
-  // exactly this (lexicographic) order, with cumulative bucket counts.
+  // `metrics` endpoint, and service_test's latency-histogram checks all parse
+  // these names. A histogram with bounds {0.5, 2} must produce exactly these
+  // rows, in exactly this (lexicographic) order, with cumulative bucket counts.
   obs::MetricsRegistry reg;
   auto& h = reg.histogram("h", std::vector<double>{0.5, 2.0});
   h.observe(0.25);  // le 0.5

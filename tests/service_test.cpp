@@ -7,10 +7,12 @@
 // live-thread count with 256 sockets open), and chaos clients (a half line
 // then close, a client that vanishes mid-simulation, an unframed flood, lines
 // split at arbitrary bytes), each under a watchdog so a hang fails instead of
-// wedging the suite.
+// wedging the suite. The serving contracts (coalescing, warm rerun, latency
+// histograms, model health, same bytes at any jobs) run over a fixed mixed
+// stream, in process and over loopback TCP.
 //
 // The sim-tier tests use small EP cases so the whole binary stays in the
-// seconds range; the serving-smoke CI job covers the TCP transport and load.
+// seconds range; CI's serving smoke drives the real isoee_serve binary.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,7 +30,9 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -449,6 +453,54 @@ std::string measured_line(double n, int p) {
          std::to_string(n) + ",\"p\":" + std::to_string(p) + ",\"measured\":true}}";
 }
 
+bool is_measured(const std::string& line) {
+  return line.find("\"measured\":true") != std::string::npos;
+}
+
+/// A fixed mixed stream with ids 0..n-1: the model tier's predict, optimize
+/// and iso_contour, and measured predicts over three EP points, each asked
+/// twice so the second ask can coalesce or hit the cache. The two asks are 5
+/// apart, so clients that take every 4th request send them from two threads.
+std::vector<std::string> mixed_stream() {
+  const std::vector<std::string> bodies = {
+      R"({"method":"predict","params":{"machine":"system_g","app":"FT","n":1e6,"p":16}})",
+      measured_line(20000, 1),
+      R"({"method":"optimize","params":{"machine":"dori","app":"CG","n":3e7,"objective":"min_time_under_cap","cap_w":2500}})",
+      measured_line(30000, 2),
+      R"({"method":"iso_contour","params":{"machine":"system_g","app":"IS","target_ee":0.6,"ps":[2,4,8,16]}})",
+      measured_line(40000, 4),
+      measured_line(20000, 1),
+      R"({"method":"predict","params":{"machine":"dori","app":"EP","n":5e7,"p":256}})",
+      measured_line(30000, 2),
+      R"({"method":"optimize","params":{"machine":"system_g","app":"EP","n":1e7,"objective":"min_energy_under_deadline","deadline_s":0.5}})",
+      measured_line(40000, 4),
+      R"({"method":"iso_contour","params":{"machine":"dori","app":"FT","target_ee":0.8,"ps":[2,4,8,16]}})",
+  };
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    lines.push_back("{\"id\":" + std::to_string(i) + "," + bodies[i].substr(1));
+  }
+  return lines;
+}
+
+/// Sends the mixed stream through `send`, then its measured queries again.
+/// The rerun answers every one from the cache tier, starts no simulation and
+/// repeats the first pass's stable fragments byte for byte.
+void expect_warm_measured_rerun(const std::function<std::string(const std::string&)>& send) {
+  const std::vector<std::string> stream = mixed_stream();
+  std::vector<std::string> first;
+  for (const std::string& line : stream) first.push_back(send(line));
+  const std::uint64_t runs_before = sim::Engine::total_runs_started();
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_TRUE(response_ok(parse_response(first[i]))) << first[i];
+    if (!is_measured(stream[i])) continue;
+    const std::string again = send(stream[i]);
+    EXPECT_EQ(tier_of(parse_response(again)), "cache") << again;
+    EXPECT_EQ(stable_fragment(again), stable_fragment(first[i]));
+  }
+  EXPECT_EQ(sim::Engine::total_runs_started(), runs_before);
+}
+
 TEST(SimTier, MeasuredPredictGoesSimThenCacheAndIsByteStable) {
   const std::string dir = scratch_dir("sim_then_cache");
   ServiceConfig config;
@@ -494,6 +546,44 @@ TEST(SimTier, IdenticalConcurrentColdQueriesCoalesceIntoOneSimulation) {
   for (int i = 0; i < kClients; ++i) {
     EXPECT_TRUE(response_ok(parse_response(responses[i])));
     EXPECT_EQ(stable_fragment(responses[i]), stable_fragment(responses[0]));
+  }
+}
+
+TEST(SimTier, WarmRerunOfAMixedStreamAnswersMeasuredQueriesFromCache) {
+  ServiceConfig config;
+  config.cache_dir = scratch_dir("warm_rerun");
+  Service svc{config};
+  expect_warm_measured_rerun([&](const std::string& line) { return svc.handle_line(line); });
+}
+
+// Contract: a reply's stable fragment depends on the request alone, not on
+// the host-thread budget or on which client's query ran first.
+TEST(SimTier, MixedStreamRepliesAreByteIdenticalAtAnyJobs) {
+  const std::vector<std::string> stream = mixed_stream();
+  constexpr std::size_t kClients = 4;
+  std::vector<std::vector<std::string>> fragments;
+  for (const int jobs : {1, 4}) {
+    ServiceConfig config;
+    config.jobs = jobs;
+    Service svc{config};
+    std::vector<std::string> replies(stream.size());
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (std::size_t i = c; i < stream.size(); i += kClients) {
+          replies[i] = svc.handle_line(stream[i]);
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    for (std::string& reply : replies) {
+      EXPECT_TRUE(response_ok(parse_response(reply))) << reply;
+      reply = stable_fragment(reply);
+    }
+    fragments.push_back(std::move(replies));
+  }
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(fragments[0][i], fragments[1][i]) << stream[i];
   }
 }
 
@@ -1197,14 +1287,70 @@ TEST(Endpoints, TcpChaosLinesSplitAtArbitraryBytesAreAnsweredInOrder) {
   }
 }
 
+// The serving contracts over loopback TCP: the client sees what an in-process
+// caller sees. The server runs on an in-process Service, so a BudgetGate can
+// hold the executor and the coalescing check is not a race.
+
+TEST(Endpoints, TcpIdenticalColdQueriesCoalesceIntoOneSimulation) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  ServiceConfig config;
+  config.jobs = 2;
+  Service svc{config};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+  const int monitor = connect_loopback(server.port());
+  const auto runs_started = [&] {
+    const auto v = parse_response(round_trip(monitor, R"({"method":"stats"})"));
+    return v.find("result")->find("runs_started")->number;
+  };
+  const double runs_before = runs_started();
+
+  constexpr int kClients = 4;
+  const std::string line = measured_line(26000, 2);
+  std::vector<std::string> responses(kClients);
+  {
+    exec::BudgetGate gate(svc.executor());
+    std::vector<std::thread> clients;
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([&, i] {
+        const int fd = connect_loopback(server.port());
+        responses[i] = round_trip(fd, line);
+        ::close(fd);
+      });
+    }
+    EXPECT_TRUE(gate.release_after_joined(kClients - 1, std::chrono::seconds(60)));
+    for (auto& t : clients) t.join();
+  }
+  EXPECT_EQ(runs_started() - runs_before, 1.0)
+      << "N identical in-flight queries must share one simulation";
+  ::close(monitor);
+  stop_serving(server, serving);
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_TRUE(response_ok(parse_response(responses[i]))) << responses[i];
+    EXPECT_EQ(stable_fragment(responses[i]), stable_fragment(responses[0]));
+  }
+}
+
+TEST(Endpoints, TcpWarmRerunOfAMixedStreamAnswersMeasuredQueriesFromCache) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  ServiceConfig config;
+  config.cache_dir = scratch_dir("tcp_warm_rerun");
+  Service svc{config};
+  service::TcpServer server(svc, 0);
+  std::thread serving([&] { server.serve(); });
+  const int fd = connect_loopback(server.port());
+  expect_warm_measured_rerun([&](const std::string& line) { return round_trip(fd, line); });
+  ::close(fd);
+  stop_serving(server, serving);
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry endpoints: metrics, model_health in stats, install.
 // ---------------------------------------------------------------------------
 
 TEST(Endpoints, MetricsReturnsOneLineSnapshotWithLatencyHistograms) {
   Service svc{ServiceConfig{}};
-  (void)svc.handle_line(
-      R"({"method":"predict","params":{"machine":"system_g","app":"EP","n":1e6,"p":4}})");
+  for (const std::string& request : mixed_stream()) (void)svc.handle_line(request);
   const std::string line = svc.handle_line(R"({"id":9,"method":"metrics"})");
   EXPECT_EQ(line.find('\n'), std::string::npos) << "responses must be single lines";
   const auto v = parse_response(line);
@@ -1221,18 +1367,60 @@ TEST(Endpoints, MetricsReturnsOneLineSnapshotWithLatencyHistograms) {
       result->find("service.latency_s.predict.model_bucket{le=\"+Inf\"}");
   ASSERT_NE(bucket, nullptr);
   EXPECT_GE(bucket->find("value")->number, count->find("value")->number);
+
+  // Every service.latency_s.<method>.<tier> family is well formed: bucket
+  // counts are cumulative in parsed-le order and the +Inf bucket equals
+  // _count. Snapshot rows come sorted by name, not by bound.
+  const std::string prefix = "service.latency_s.";
+  std::map<std::string, std::vector<std::pair<double, double>>> buckets;  // (le, count)
+  std::map<std::string, double> counts;
+  for (const auto& [name, row] : result->object) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    const double value = row.find("value")->number;
+    if (const std::size_t at = name.find("_bucket{le=\""); at != std::string::npos) {
+      const std::string le = name.substr(at + 12, name.size() - at - 14);
+      buckets[name.substr(0, at)].emplace_back(
+          le == "+Inf" ? std::numeric_limits<double>::infinity() : std::stod(le), value);
+    } else if (name.size() > 6 && name.compare(name.size() - 6, 6, "_count") == 0) {
+      counts[name.substr(0, name.size() - 6)] = value;
+    }
+  }
+  for (auto& [family, rows] : buckets) {
+    std::sort(rows.begin(), rows.end());
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_LE(rows[i - 1].second, rows[i].second) << family << " le=" << rows[i].first;
+    }
+    EXPECT_TRUE(std::isinf(rows.back().first)) << family << " has no +Inf bucket";
+    ASSERT_EQ(counts.count(family), 1u) << family << " has no _count";
+    EXPECT_EQ(rows.back().second, counts[family]) << family;
+  }
+  // Every method the stream sent has a family (a measured predict is a predict).
+  for (const char* method : {"predict", "optimize", "iso_contour"}) {
+    const std::string family = prefix + method + ".";
+    EXPECT_TRUE(std::any_of(buckets.begin(), buckets.end(), [&](const auto& entry) {
+      return entry.first.rfind(family, 0) == 0;
+    })) << method;
+  }
 }
 
 TEST(Endpoints, StatsReportsModelHealthAndDriftCounters) {
   obs::drift().reset();
   Service svc{ServiceConfig{}};
+  // Clean measured traffic feeds the drift watchdog (prediction, simulated
+  // actual) pairs; against the unperturbed stock model it stays green.
+  for (const std::string& line : mixed_stream()) {
+    if (is_measured(line)) {
+      EXPECT_TRUE(response_ok(parse_response(svc.handle_line(line))));
+    }
+  }
   const auto v = parse_response(svc.handle_line(R"({"method":"stats"})"));
   ASSERT_TRUE(response_ok(v));
   const auto* result = v.find("result");
   ASSERT_NE(result, nullptr);
   ASSERT_NE(result->find("model_health"), nullptr);
   EXPECT_EQ(result->find("model_health")->str, "ok");
-  EXPECT_NE(result->find("drift_samples"), nullptr);
+  ASSERT_NE(result->find("drift_samples"), nullptr);
+  EXPECT_GT(result->find("drift_samples")->number, 0.0);
   EXPECT_NE(result->find("drift_degraded_keys"), nullptr);
   EXPECT_NE(result->find("drift_max_ewma_abs_err"), nullptr);
 }

@@ -471,6 +471,34 @@ TEST(Cli, SpaceSeparatedValue) {
   EXPECT_DOUBLE_EQ(cli.get_double("freq"), 2.0);
 }
 
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  Cli cli("test");
+  cli.flag("seed", "", "seed").flag("jobs", "1", "budget").flag("cap", "1.5", "watts");
+  const char* argv[] = {"prog", "--seed", "--jobs", "two", "--cap=3e2"};
+  ASSERT_TRUE(cli.parse(5, argv));
+  EXPECT_DOUBLE_EQ(cli.get_double("cap"), 300.0);
+  try {
+    (void)cli.get_int("jobs");
+    ADD_FAILURE() << "--jobs two parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--jobs: 'two' is not a whole number");
+  }
+  EXPECT_THROW((void)cli.get_int("seed"), std::invalid_argument);  // bare: "true"
+  for (const char* bad : {"", "abc", "12abc", "2.5", " 7", "99999999999999999999"}) {
+    Cli one("test");
+    one.flag("n", bad, "n");
+    EXPECT_THROW((void)one.get_int("n"), std::invalid_argument) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "1.5W", "x", "1e999"}) {
+    Cli one("test");
+    one.flag("x", bad, "x");
+    EXPECT_THROW((void)one.get_double("x"), std::invalid_argument) << "'" << bad << "'";
+  }
+  Cli negative("test");
+  negative.flag("n", "-3", "n");
+  EXPECT_EQ(negative.get_int("n"), -3);
+}
+
 TEST(Cli, RejectsUnknownFlag) {
   Cli cli("test");
   cli.flag("p", "4", "ranks");
