@@ -10,9 +10,8 @@
 // matches the Hockney model; the store-and-forward ring pays extra hops.
 #include <mutex>
 
-#include "analysis/runner.hpp"
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "model/comm.hpp"
@@ -61,24 +60,9 @@ exec::Case probe_case(const sim::MachineSpec& machine, int p, std::size_t block,
   return c;
 }
 
-/// One FT run as a keyed case (key: machine, adapter fingerprint, p;
-/// payload: {makespan, total energy}).
-exec::Case ft_case(const sim::MachineSpec& machine, const npb::FtConfig& config, int p) {
-  exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, p);
-  c.cache_key = key_prefix(machine) + analysis::make_adapter(config)->fingerprint() +
-                '\x1f' + std::to_string(p);
-  c.run = [machine, config, p] {
-    const sim::RunResult run = analysis::run_ft(machine, config, p);
-    return exec::encode_doubles({run.makespan, run.total_energy_j()});
-  };
-  return c;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
+int bench::ablation_alltoall(bench::Context& ctx) {
   auto machine = sim::system_g();  // no noise: compare against the closed form
   bench::heading("Ablation: all-to-all algorithm vs the Hockney model",
                  "the paper's FT analysis uses pairwise exchange / Hockney");
@@ -99,7 +83,7 @@ int main(int argc, char** argv) {
       {"pairwise", smpi::AlltoallAlgo::kPairwise},
       {"ring", smpi::AlltoallAlgo::kRing},
       {"naive", smpi::AlltoallAlgo::kNaive}};
-  const auto noisy = bench::with_noise(machine);
+  const auto noisy = ctx.with_noise(machine);
   std::vector<exec::Case> cases;
   for (int p : kLargePs) {
     for (auto algo : kLargeAlgos) cases.push_back(probe_case(machine, p, kBlock, algo));
@@ -110,9 +94,10 @@ int main(int argc, char** argv) {
   for (const auto& algo : kFtAlgos) {
     auto config = npb::ft_class(npb::ProblemClass::A);
     config.collectives.alltoall = algo.second;
-    cases.push_back(ft_case(noisy, config, 32));
+    cases.push_back(analysis::measure_case(noisy, analysis::make_adapter(config),
+                                           config.total_points(), 32, 0.0));
   }
-  const std::vector<std::string> runs = bench::run_cases(cases);
+  const std::vector<std::string> runs = ctx.run_cases(cases);
   std::size_t next = 0;  // the next payload, in submission order
   auto next_time = [&] { return exec::decode_doubles(runs.at(next++)).at(0); };
 
@@ -129,7 +114,7 @@ int main(int argc, char** argv) {
     }
     table.add_row(std::move(row));
   }
-  bench::emit(table, "ablation_alltoall_time");
+  ctx.emit(table, "ablation_alltoall_time");
 
   // Small messages: the regime Bruck targets (fewer startups dominate).
   std::printf("\n-- small-message all-to-all (8 doubles per destination) --\n");
@@ -139,15 +124,15 @@ int main(int argc, char** argv) {
     const double bruck = next_time();
     small.add_row({util::num(p), util::sci(pairwise, 3), util::sci(bruck, 3)});
   }
-  bench::emit(small, "ablation_alltoall_small");
+  ctx.emit(small, "ablation_alltoall_small");
 
   // End-to-end effect on FT energy.
   std::printf("\n-- FT total energy per all-to-all algorithm (class A, p = 32) --\n");
   util::Table ft_table({"algorithm", "time_s", "energy_J"});
   for (const auto& algo : kFtAlgos) {
-    const std::vector<double> run = exec::decode_doubles(runs.at(next++));
-    ft_table.add_row({algo.first, util::num(run.at(0), 4), util::num(run.at(1), 1)});
+    const analysis::Measurement run = analysis::decode_measurement(runs.at(next++));
+    ft_table.add_row({algo.first, util::num(run.time_s, 4), util::num(run.energy_j, 1)});
   }
-  bench::emit(ft_table, "ablation_alltoall_ft");
+  ctx.emit(ft_table, "ablation_alltoall_ft");
   return 0;
 }

@@ -11,16 +11,15 @@
 // compares measured time/energy against both the full-gear run and the
 // model's predicted impact.
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "npb/classes.hpp"
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
+int bench::ablation_comm_dvfs(bench::Context& ctx) {
   // Dori's 1 Gb/s Ethernet makes FT communication-dominant — the regime the
   // related-work controllers were built for.
-  auto machine = bench::with_noise(sim::dori());
+  auto machine = ctx.with_noise(sim::dori());
   machine.power.net_poll_cpu_factor = 0.7;  // busy-polling MPI progress engine
   bench::heading("Extension: communication-phase DVFS on FT (busy-poll power on)",
                  "related-work controllers (Freeh/Ge) save comm-phase energy; the "
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
     cases.push_back(analysis::measure_case(machine, analysis::make_adapter(config),
                                            static_cast<double>(config.total_points()), p, 0.0));
   }
-  const std::vector<std::string> runs = bench::run_cases(cases);
+  const std::vector<std::string> runs = ctx.run_cases(cases);
 
   util::Table table({"comm_gear_GHz", "time_s", "energy_J", "slowdown", "energy_saved"});
   const analysis::Measurement base = analysis::decode_measurement(runs[0]);
@@ -49,15 +48,12 @@ int main(int argc, char** argv) {
                    util::pct(100.0 * (run.time_s / base.time_s - 1.0)),
                    util::pct(100.0 * (1.0 - run.energy_j / base.energy_j))});
   }
-  bench::emit(table, "ablation_comm_dvfs");
+  ctx.emit(table, "ablation_comm_dvfs");
 
   // Model-side prediction of the same effect: communication runs at the low
   // gear (f_comm_ghz), computation stays at base.
-  analysis::EnergyStudy study(machine, analysis::make_adapter(config), true,
-                              bench::executor());
-  const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
-  const int calib_ps[] = {2, 4, 8};
-  study.calibrate(ns, calib_ps);
+  const auto study = ctx.study(machine, analysis::make_adapter(config),
+                               {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, {2, 4, 8});
 
   const double n = 64. * 64 * 64;
   util::Table model_table({"comm_gear_GHz", "predicted_J", "predicted_saving"});
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
                          util::pct(100.0 * (1.0 - pred / base_pred))});
   }
   std::printf("\n-- model-predicted effect (poll power during T_net at the comm gear) --\n");
-  bench::emit(model_table, "ablation_comm_dvfs_model");
+  ctx.emit(model_table, "ablation_comm_dvfs_model");
   std::printf("\nReading: dropping the gear only during collectives saves energy with\n"
               "negligible slowdown (communication time is frequency-independent), and\n"
               "the model predicts the saving before any controller runs — the paper's\n"

@@ -5,24 +5,19 @@
 // frequency and (b) which DVFS gear minimises predicted energy — showing the
 // paper's race-to-idle / scale-down crossover as dynamic power grows.
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "model/isocontour.hpp"
 #include "npb/classes.hpp"
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::ablation_gamma(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Ablation: power exponent gamma in DeltaP_c ~ f^gamma",
                  "paper assumes gamma = 2 (Kim et al.); sensitivity check");
 
-  analysis::EnergyStudy study(machine,
-                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
-                              true, bench::executor());
-  const double ns[] = {2000, 4000, 8000};
-  const int calib_ps[] = {2, 4, 8};
-  study.calibrate(ns, calib_ps);
+  const auto study = ctx.study(machine, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
+                               {2000, 4000, 8000}, {2, 4, 8});
 
   const double n = 14000;
   const int p = 32;
@@ -42,7 +37,7 @@ int main(int argc, char** argv) {
     table.add_row({util::num(gamma, 1), util::num(ee_lo, 4), util::num(ee_hi, 4),
                    util::num(best, 1), util::num(ep, 1)});
   }
-  bench::emit(table, "ablation_gamma");
+  ctx.emit(table, "ablation_gamma");
   std::printf(
       "\nReading: with the calibrated idle floor (~29 W/core) dominating the CPU\n"
       "delta (~12 W), racing to idle wins up to gamma ~ 4; only for steeper\n"

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "npb/classes.hpp"
 #include "util/stats.hpp"
 
@@ -33,30 +33,22 @@ class NoOverlap final : public model::WorkloadModel {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::ablation_overlap(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Ablation: overlap factor alpha vs alpha = 1",
                  "the paper's Section VI.F: overlap cannot be ignored");
 
-  struct Case {
-    std::string name;
-    std::unique_ptr<analysis::BenchmarkAdapter> adapter;
-    std::vector<double> calib_ns;
-    double n;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"FT", analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
+  std::vector<bench::Kernel> cases;
+  cases.push_back({analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
                    {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, 64. * 64 * 64});
-  cases.push_back({"CG", analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
+  cases.push_back({analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
                    {2000, 4000, 8000}, 14000});
 
-  const int calib_ps[] = {2, 4, 8};
+  const std::vector<int> calib_ps = {2, 4, 8};
   util::Table table({"benchmark", "alpha_measured", "avg_err_with_alpha",
                      "avg_err_alpha_1"});
   for (auto& c : cases) {
-    analysis::EnergyStudy study(machine, std::move(c.adapter), true, bench::executor());
-    study.calibrate(c.calib_ns, calib_ps);
+    const auto study = ctx.study(machine, std::move(c.adapter), c.calib_ns, calib_ps);
     const NoOverlap no_alpha(study.workload());
 
     std::vector<double> err_with, err_without;
@@ -69,10 +61,10 @@ int main(int argc, char** argv) {
       err_without.push_back(util::ape(v.actual_j, pred));
     }
     const double alpha = study.workload().at(c.n, 1).alpha;
-    table.add_row({c.name, util::num(alpha, 3), util::pct(util::mean(err_with)),
+    table.add_row({study.adapter().name(), util::num(alpha, 3), util::pct(util::mean(err_with)),
                    util::pct(util::mean(err_without))});
   }
-  bench::emit(table, "ablation_overlap");
+  ctx.emit(table, "ablation_overlap");
   std::printf("\nReading: dropping alpha (assuming zero overlap) inflates the error by\n"
               "roughly the amount of hidden memory time — the paper's justification for\n"
               "modelling computational overlap explicitly.\n");

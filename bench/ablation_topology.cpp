@@ -11,7 +11,7 @@
 
 #include "analysis/runner.hpp"
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "model/comm.hpp"
@@ -96,8 +96,7 @@ exec::Case kernel_case(const sim::MachineSpec& machine, const Config& config, in
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
+int bench::ablation_topology(bench::Context& ctx) {
   const auto flat = sim::system_g();  // no noise: compare against closed forms
   const auto hier = sim::with_intra_node_link(sim::system_g());
   const int cpn = flat.cores_per_node();
@@ -116,7 +115,7 @@ int main(int argc, char** argv) {
   const std::size_t block = 1 << 11;  // doubles per destination
   const int p = 32;
   const std::pair<const char*, sim::MachineSpec> nets[] = {
-      {"flat", bench::with_noise(flat)}, {"hier", bench::with_noise(hier)}};
+      {"flat", ctx.with_noise(flat)}, {"hier", ctx.with_noise(hier)}};
   std::vector<exec::Case> cases;
   for (int probe_p : kPs) {
     cases.push_back(probe_case(flat, probe_p, block));
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
     cases.push_back(kernel_case(net.second, npb::cg_class(npb::ProblemClass::A), p,
                                 &analysis::run_cg));
   }
-  const std::vector<std::string> runs = bench::run_cases(cases);
+  const std::vector<std::string> runs = ctx.run_cases(cases);
   std::size_t next = 0;  // the next payload, in submission order
   auto next_run = [&] { return exec::decode_doubles(runs.at(next++)); };
 
@@ -151,7 +150,7 @@ int main(int argc, char** argv) {
                    util::sci(hier_model, 3), util::sci(hier_probe.at(0), 3),
                    util::num(flat_probe.at(0) / hier_probe.at(0), 2)});
   }
-  bench::emit(table, "ablation_topology_alltoall");
+  ctx.emit(table, "ablation_topology_alltoall");
 
   // End-to-end effect on the communication-bound kernels (FT transposes,
   // CG halo/allreduce) at fixed p.
@@ -164,6 +163,6 @@ int main(int argc, char** argv) {
                        util::num(run.at(1), 1), util::num(run.at(2), 3)});
     }
   }
-  bench::emit(kernels, "ablation_topology_kernels");
+  ctx.emit(kernels, "ablation_topology_kernels");
   return 0;
 }

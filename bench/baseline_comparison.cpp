@@ -11,24 +11,19 @@
 // efficiency" with "n needed to hold EE".
 #include "analysis/baselines.hpp"
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "model/isocontour.hpp"
 #include "npb/classes.hpp"
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::baseline_comparison(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Baseline comparison: perf isoefficiency / power-aware speedup / EE",
                  "Section II positioning of the iso-energy-efficiency model");
 
-  analysis::EnergyStudy study(machine,
-                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
-                              true, bench::executor());
-  const double ns[] = {4000, 8000, 16000};
-  const int calib_ps[] = {2, 4, 8};
-  study.calibrate(ns, calib_ps);
+  const auto study = ctx.study(machine, analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
+                               {4000, 8000, 16000}, {2, 4, 8});
 
   const double n = 75000;
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128};
@@ -39,7 +34,7 @@ int main(int argc, char** argv) {
     table.add_row({util::num(row.p), util::num(row.perf_eff, 4),
                    util::num(row.pa_speedup, 2), util::num(row.ee, 4)});
   }
-  bench::emit(table, "baseline_sweep");
+  ctx.emit(table, "baseline_sweep");
 
   // Classic speedup laws at the model's effective serial fraction: the
   // Section II.B lineage (Amdahl -> Gustafson -> Sun-Ni) next to the
@@ -57,7 +52,7 @@ int main(int argc, char** argv) {
                   util::num(analysis::sun_ni_speedup(s_eff, p, 0.5), 2),
                   util::num(m.predict_performance(study.workload().at(n, p)).speedup, 2)});
   }
-  bench::emit(laws, "baseline_speedup_laws");
+  ctx.emit(laws, "baseline_speedup_laws");
 
   std::printf("\n-- problem size needed to hold each metric at 0.70 (CG) --\n");
   util::Table contour({"p", "n_for_perf_eff_0.70", "n_for_EE_0.70"});
@@ -69,7 +64,7 @@ int main(int argc, char** argv) {
     auto fmt = [](double v) { return v > 0 ? util::sci(v, 2) : std::string("unreachable"); };
     contour.add_row({util::num(p), fmt(n_perf), fmt(n_ee)});
   }
-  bench::emit(contour, "baseline_contours");
+  ctx.emit(contour, "baseline_contours");
   std::printf(
       "\nReading: at a fixed frequency the two efficiency notions track each other\n"
       "closely (the same overheads inflate both time and energy), so their\n"

@@ -139,7 +139,8 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!isoee::bench::init(argc, argv)) return 1;
+  const auto ctx = bench::init(argc, argv);
+  if (!ctx) return 1;
   const auto machine = big_machine();
 
   bench::heading("engine throughput: fiber engine at rank scale",
@@ -170,10 +171,10 @@ int main(int argc, char** argv) {
                    util::sci(r.m.rank_s_per_s(), 3), util::sci(r.m.events_per_s(), 3),
                    util::num(static_cast<long long>(r.m.events))});
   }
-  bench::emit(table, "engine_throughput");
+  ctx->emit(table, "engine_throughput");
 
   // JSON artifact for CI upload.
-  const std::string json_path = std::string(bench::out_dir()) + "/engine_throughput.json";
+  const std::string json_path = ctx->csv_dir() + "/engine_throughput.json";
   if (std::FILE* f = std::fopen(json_path.c_str(), "w"); f != nullptr) {
     std::fprintf(f, "{\n  \"machine\": \"%s\",\n  \"rows\": [\n", machine.name.c_str());
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -4,7 +4,7 @@
 // for any workload split, and is validated against DVFS-heterogeneous
 // simulations (per-rank gears).
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "model/hetero.hpp"
@@ -13,18 +13,14 @@
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  auto spec = bench::with_noise(sim::system_g());
+int bench::extension_hetero(bench::Context& ctx) {
+  auto spec = ctx.with_noise(sim::system_g());
   bench::heading("Extension: heterogeneous partitions (fast + throttled classes)",
                  "future work in the paper: 'extend the current model to heterogeneous systems'");
 
   // Calibrate an EP workload (compute-dominated: clean class-speed contrast).
-  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)),
-                              true, bench::executor());
-  const double ns[] = {1 << 17, 1 << 18, 1 << 19};
-  const int calib_ps[] = {2, 4};
-  study.calibrate(ns, calib_ps);
+  const auto study = ctx.study(spec, analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)),
+                               {1 << 17, 1 << 18, 1 << 19}, {2, 4});
   const double n = 1 << 22;
 
   // Two classes: half the ranks at 2.8 GHz, half at 1.6 GHz.
@@ -51,16 +47,16 @@ int main(int argc, char** argv) {
       sim::EngineOptions opts;
       opts.per_rank_ghz = gears;
       sim::Engine eng(spec, opts);
-      const auto res = eng.run(8, [&](sim::RankCtx& ctx) {
-        const bool fast = ctx.rank() < 4;
+      const auto res = eng.run(8, [&](sim::RankCtx& rank) {
+        const bool fast = rank.rank() < 4;
         const double share = (fast ? shares[0] : shares[1]) / 4.0;
-        ctx.compute(static_cast<std::uint64_t>(total_instr * share));
+        rank.compute(static_cast<std::uint64_t>(total_instr * share));
       });
       return exec::encode_doubles({res.makespan, res.total_energy_j()});
     };
     cases.push_back(std::move(c));
   }
-  const std::vector<std::string> runs = bench::run_cases(cases);
+  const std::vector<std::string> runs = ctx.run_cases(cases);
 
   util::Table table({"fast_share", "pred_time_s", "meas_time_s", "pred_J", "meas_J",
                      "err", "EE"});
@@ -72,7 +68,7 @@ int main(int argc, char** argv) {
                    util::num(pred.Ep, 2), util::num(res[1], 2),
                    util::pct(util::ape(res[1], pred.Ep)), util::num(pred.EE, 4)});
   }
-  bench::emit(table, "extension_hetero_splits");
+  ctx.emit(table, "extension_hetero_splits");
 
   // The model's recommendations.
   const auto balanced = model::balanced_shares(classes, study.workload(), n);
@@ -83,10 +79,8 @@ int main(int argc, char** argv) {
 
   // EE across mixed partitions for CG: does adding slow nodes ever pay?
   std::printf("\n-- CG: pure-fast vs mixed vs pure-slow partitions of 8 ranks --\n");
-  analysis::EnergyStudy cg(spec, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
-                           true, bench::executor());
-  const double cg_ns[] = {2000, 4000, 8000};
-  cg.calibrate(cg_ns, calib_ps);
+  const auto cg = ctx.study(spec, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
+                            {2000, 4000, 8000}, {2, 4});
   util::Table mix({"partition", "pred_time_s", "pred_J", "EE"});
   for (auto [label, fast, slow] : {std::tuple{"8 fast", 8, 0}, std::tuple{"4+4 mixed", 4, 4},
                                    std::tuple{"8 slow", 0, 8}}) {
@@ -97,6 +91,6 @@ int main(int argc, char** argv) {
     mix.add_row({label, util::num(pred.Tp, 4), util::num(pred.Ep, 1),
                  util::num(pred.EE, 4)});
   }
-  bench::emit(mix, "extension_hetero_partitions");
+  ctx.emit(mix, "extension_hetero_partitions");
   return 0;
 }

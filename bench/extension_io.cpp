@@ -4,7 +4,7 @@
 // validates the model with disks active and shows how checkpoint frequency
 // moves the energy bill.
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "npb/ckpt.hpp"
@@ -13,18 +13,14 @@
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  auto spec = bench::with_noise(sim::system_g());
+int bench::extension_io(bench::Context& ctx) {
+  auto spec = ctx.with_noise(sim::system_g());
   spec.power.io_delta_w = 8.0;  // active disk draw per core slot
   bench::heading("Extension: I/O-intensive workload (CKPT) through the T_io path",
                  "the paper's Eq 5-9 I/O terms, exercised instead of left at ~0");
 
-  analysis::EnergyStudy study(spec, analysis::make_adapter(npb::CkptConfig()), true,
-                              bench::executor());
-  const double ns[] = {1 << 17, 1 << 18, 1 << 19};
-  const int calib_ps[] = {2, 4, 8};
-  study.calibrate(ns, calib_ps);
+  const auto study = ctx.study(spec, analysis::make_adapter(npb::CkptConfig()),
+                               {1 << 17, 1 << 18, 1 << 19}, {2, 4, 8});
 
   // Validation across p with I/O active.
   util::Table table({"p", "actual_J", "predicted_J", "error", "io_share_of_T"});
@@ -38,7 +34,7 @@ int main(int argc, char** argv) {
     table.add_row({util::num(p), util::num(v.actual_j, 1), util::num(v.predicted_j, 1),
                    util::pct(v.error_pct), util::pct(100.0 * io_share)});
   }
-  bench::emit(table, "extension_io_validation");
+  ctx.emit(table, "extension_io_validation");
   std::printf("mean error with I/O active: %s\n", util::pct(util::mean(errors)).c_str());
 
   // Checkpoint-period sweep: the durability/energy trade. One case per
@@ -63,14 +59,14 @@ int main(int argc, char** argv) {
     };
     cases.push_back(std::move(c));
   }
-  const std::vector<std::string> runs = bench::run_cases(cases);
+  const std::vector<std::string> runs = ctx.run_cases(cases);
   util::Table sweep({"ckpt_every", "checkpoints", "time_s", "energy_J", "io_J"});
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const std::vector<double> run = exec::decode_doubles(runs[i]);
     sweep.add_row({util::num(periods[i]), util::num(20 / periods[i]), util::num(run[0], 4),
                    util::num(run[1], 1), util::num(run[2], 1)});
   }
-  bench::emit(sweep, "extension_io_period");
+  ctx.emit(sweep, "extension_io_period");
   std::printf("\nReading: more frequent checkpoints inflate T_io and the idle-floor\n"
               "energy spent waiting on the disk — the model's T_io * (P_idle + dP_io)\n"
               "terms capture the cost before the job runs.\n");

@@ -8,11 +8,8 @@
 // Expected shape: FT scales reasonably well; CG's efficiency falls faster
 // (its allgather overhead grows with p). Both energy-efficiency curves sit
 // below the performance curves.
-#include "analysis/runner.hpp"
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
-#include "exec/cache.hpp"
-#include "exec/codec.hpp"
+#include "bench/figures.hpp"
 #include "npb/classes.hpp"
 
 using namespace isoee;
@@ -21,31 +18,9 @@ namespace {
 
 const int kPs[] = {1, 2, 4, 8, 16, 32};
 
-template <typename Config>
-using Runner = sim::RunResult (*)(const sim::MachineSpec&, const Config&, int,
-                                  const analysis::RunOptions&);
-
-/// One run per p as keyed cases: the key is the machine, the kernel config
-/// (its adapter's fingerprint) and p; the payload is {makespan, total energy}.
-template <typename Config>
-void add_cases(std::vector<exec::Case>& cases, const sim::MachineSpec& machine,
-               const Config& config, Runner<Config> runner) {
-  const std::string prefix = std::string("fig02\x1f") + exec::machine_fingerprint(machine) +
-                             '\x1f' + analysis::make_adapter(config)->fingerprint() + '\x1f';
-  for (int p : kPs) {
-    exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, p);
-    c.cache_key = prefix + std::to_string(p);
-    c.run = [machine, config, runner, p] {
-      const sim::RunResult run = runner(machine, config, p, {});
-      return exec::encode_doubles({run.makespan, run.total_energy_j()});
-    };
-    cases.push_back(std::move(c));
-  }
-}
-
 /// Prints and writes one kernel's table from its runs, in kPs order.
-void efficiency_table(const std::string& name, std::span<const std::string> runs) {
+void efficiency_table(const bench::Context& ctx, const std::string& name,
+                      std::span<const std::string> runs) {
   bench::heading("Fig 2: " + name + " performance & energy efficiency vs CPUs",
                  name == "FT" ? "Fig 2a — FT scales reasonably well"
                               : "Fig 2b — CG efficiency drops off faster");
@@ -53,8 +28,8 @@ void efficiency_table(const std::string& name, std::span<const std::string> runs
   util::Table table({"p", "time_s", "energy_J", "perf_efficiency", "energy_efficiency"});
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const int p = kPs[i];
-    const std::vector<double> run = exec::decode_doubles(runs[i]);
-    const double makespan = run.at(0), energy = run.at(1);
+    const analysis::Measurement run = analysis::decode_measurement(runs[i]);
+    const double makespan = run.time_s, energy = run.energy_j;
     if (p == 1) {
       t1 = makespan;
       e1 = energy;
@@ -64,22 +39,27 @@ void efficiency_table(const std::string& name, std::span<const std::string> runs
     table.add_row({util::num(p), util::num(makespan, 4), util::num(energy, 1),
                    util::num(perf_eff, 4), util::num(energy_eff, 4)});
   }
-  bench::emit(table, "fig02_" + name);
+  ctx.emit(table, "fig02_" + name);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::fig02_efficiency(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
 
   // FT's and CG's class-A runs at every p, as one batch.
+  const std::shared_ptr<const analysis::BenchmarkAdapter> kernels[] = {
+      analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
+      analysis::make_adapter(npb::cg_class(npb::ProblemClass::A))};
   std::vector<exec::Case> cases;
-  add_cases(cases, machine, npb::ft_class(npb::ProblemClass::A), &analysis::run_ft);
-  add_cases(cases, machine, npb::cg_class(npb::ProblemClass::A), &analysis::run_cg);
-  const std::vector<std::string> runs = bench::run_cases(cases);
+  for (const auto& kernel : kernels) {
+    for (int p : kPs) {
+      cases.push_back(analysis::measure_case(machine, kernel, kernel->default_n(), p, 0.0));
+    }
+  }
+  const std::vector<std::string> runs = ctx.run_cases(cases);
   const std::size_t n = std::size(kPs);
-  efficiency_table("FT", std::span<const std::string>(runs).first(n));
-  efficiency_table("CG", std::span<const std::string>(runs).subspan(n, n));
+  efficiency_table(ctx, "FT", std::span<const std::string>(runs).first(n));
+  efficiency_table(ctx, "CG", std::span<const std::string>(runs).subspan(n, n));
   return 0;
 }

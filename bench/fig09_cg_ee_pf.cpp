@@ -6,31 +6,26 @@
 // scale frequency up with DVFS to achieve better energy efficiency (both E_o
 // and E_1 rise with f, but E_1 rises faster).
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "npb/classes.hpp"
 #include "model/isocontour.hpp"
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::fig09_cg_ee_pf(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Fig 9: CG EE(p, f), n = 75000",
                  "EE falls with p but rises with f (DVFS up helps CG)");
 
-  analysis::EnergyStudy study(machine,
-                              analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
-                              true, bench::executor());
-  const double ns_calib[] = {4000, 8000, 16000};
-  const int calib_ps[] = {2, 4, 8, 16};
-  study.calibrate(ns_calib, calib_ps);
+  const auto study = ctx.study(machine, analysis::make_adapter(npb::cg_class(npb::ProblemClass::B)),
+                               {4000, 8000, 16000}, {2, 4, 8, 16});
 
   const double n = 75000;
   const int ps[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   const double fs[] = {1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8};
   const auto surface = analysis::ee_surface_pf(study.machine_params(), study.workload(), n,
                                                ps, fs);
-  bench::emit_surface(surface, "fig09_cg_ee_pf");
+  ctx.emit_surface(surface, "fig09_cg_ee_pf");
 
   // The DVFS-direction check the paper highlights: per p, does the highest
   // gear maximise EE?
@@ -45,6 +40,6 @@ int main(int argc, char** argv) {
                  util::num(hi - lo, 4)});
   }
   std::printf("\n-- DVFS direction (paper: higher f -> higher EE for CG) --\n");
-  bench::emit(dir, "fig09_dvfs_direction");
+  ctx.emit(dir, "fig09_dvfs_direction");
   return 0;
 }

@@ -4,7 +4,7 @@
 // each component fluctuating above its idle floor as the code moves through
 // compute, memory, and communication phases (the paper's MPI_FFT profile).
 #include "analysis/runner.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "npb/classes.hpp"
 #include "obs/obs.hpp"
 #include "powerpack/phases.hpp"
@@ -12,9 +12,8 @@
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  auto machine = bench::with_noise(sim::system_g());
+int bench::fig10_power_trace(bench::Context& ctx) {
+  auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Fig 10: component power profile of the FT (MPI FFT) run",
                  "per-component power fluctuates above the idle floor per phase");
 
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
   // The run's full event stream (segments, collectives, phases, message
   // flows) as a Chrome trace on virtual time — open in Perfetto, or feed to
   // `trace_stats` for per-phase / per-collective energy attribution.
-  const std::string trace_path = std::string(bench::out_dir()) + "/fig10_trace.json";
+  const std::string trace_path = ctx.csv_dir() + "/fig10_trace.json";
   if (obs::ChromeTraceWriter::write(trace.sorted(), trace_path,
                                     {{"figure", "fig10"},
                                      {"kernel", "ft"},
@@ -48,11 +47,11 @@ int main(int argc, char** argv) {
 
   // Full-resolution CSV; down-sampled rows on stdout. The per-rank activity
   // Gantt data goes alongside for visual inspection of the phase structure.
-  const std::string path = std::string(bench::out_dir()) + "/fig10_power_trace.csv";
+  const std::string path = ctx.csv_dir() + "/fig10_power_trace.csv";
   if (powerpack::write_power_csv(samples, path)) {
     std::printf("[csv] %s (%zu samples)\n", path.c_str(), samples.size());
   }
-  const std::string seg_path = std::string(bench::out_dir()) + "/fig10_segments.csv";
+  const std::string seg_path = ctx.csv_dir() + "/fig10_segments.csv";
   if (powerpack::write_segments_csv(run.traces, seg_path)) {
     std::printf("[csv] %s\n", seg_path.c_str());
   }
@@ -80,6 +79,6 @@ int main(int argc, char** argv) {
     phase_table.add_row({ph.name, util::num(ph.occurrences), util::num(ph.time_s, 4),
                          util::num(ph.energy_j, 1)});
   }
-  bench::emit(phase_table, "fig10_phases");
+  ctx.emit(phase_table, "fig10_phases");
   return 0;
 }

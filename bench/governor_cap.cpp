@@ -21,7 +21,7 @@
 #include "analysis/policy.hpp"
 #include "analysis/runner.hpp"
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "governor/governor.hpp"
 #include "npb/classes.hpp"
 #include "powerpack/profiler.hpp"
@@ -64,9 +64,8 @@ RunMetrics metrics_of(const sim::RunResult& run, const powerpack::Profiler& prof
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  auto machine = bench::with_noise(sim::system_g());
+int bench::governor_cap(bench::Context& ctx) {
+  auto machine = ctx.with_noise(sim::system_g());
   machine.power.net_poll_cpu_factor = 1.0;  // busy-polling MPI progress engine
   const powerpack::Profiler profiler(machine);
   const int p = 16;
@@ -77,40 +76,20 @@ int main(int argc, char** argv) {
                  "the runtime controller of Fig 1, executed: scale f online to hold a "
                  "cluster power cap");
 
+  // Each app runs at its class size on the study's machine.
   struct App {
     const char* name;
-    std::unique_ptr<analysis::EnergyStudy> study;
-    std::function<sim::RunResult(const analysis::RunOptions&)> run;
-    double n;
+    analysis::EnergyStudy study;
+    double n() const { return study.adapter().default_n(); }
   };
-  std::vector<App> apps;
-
-  {
-    auto config = npb::ft_class(npb::ProblemClass::A);
-    auto study = std::make_unique<analysis::EnergyStudy>(
-        machine, analysis::make_adapter(config), true, bench::executor());
-    const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
-    const int calib_ps[] = {2, 4, 8};
-    study->calibrate(ns, calib_ps);
-    apps.push_back(App{"FT", std::move(study),
-                       [machine, config, p](const analysis::RunOptions& o) {
-                         return analysis::run_ft(machine, config, p, o);
-                       },
-                       static_cast<double>(config.total_points())});
-  }
-  {
-    auto config = npb::cg_class(npb::ProblemClass::A);
-    auto study = std::make_unique<analysis::EnergyStudy>(
-        machine, analysis::make_adapter(config), true, bench::executor());
-    const double ns[] = {2000, 4000, 8000};
-    const int calib_ps[] = {2, 4, 8};
-    study->calibrate(ns, calib_ps);
-    apps.push_back(App{"CG", std::move(study),
-                       [machine, config, p](const analysis::RunOptions& o) {
-                         return analysis::run_cg(machine, config, p, o);
-                       },
-                       static_cast<double>(config.n)});
-  }
+  App apps[] = {
+      {"FT", ctx.study(machine, analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
+                       {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, {2, 4, 8})},
+      {"CG", ctx.study(machine, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
+                       {2000, 4000, 8000}, {2, 4, 8})}};
+  const auto run_app = [&](const App& app, const analysis::RunOptions& options) {
+    return app.study.adapter().run(machine, app.n(), p, options, nullptr);
+  };
 
   util::Table table({"app", "cap_W", "mode", "gear", "viol_frac", "energy_J", "time_s",
                      "slowdown", "EE_achieved", "dvfs_switches"});
@@ -120,9 +99,9 @@ int main(int argc, char** argv) {
     // Open-loop baseline at top gear; its average power anchors the cap sweep.
     analysis::RunOptions base_opts;
     base_opts.record_trace = true;
-    const auto fixed_run = app.run(base_opts);
+    const auto fixed_run = run_app(app, base_opts);
     const double base_w = fixed_run.total_energy_j() / fixed_run.makespan;
-    const double e1_j = app.study->predict(app.n, 1, top_gear).E1;
+    const double e1_j = app.study.predict(app.n(), 1, top_gear).E1;
 
     // The achievable band: average draw at the lowest gear vs at the top
     // gear. Caps inside that band are enforceable by DVFS alone, and every
@@ -130,7 +109,7 @@ int main(int argc, char** argv) {
     analysis::RunOptions low_opts;
     low_opts.f_ghz = gears.back();
     const double low_w = [&] {
-      const auto r = app.run(low_opts);
+      const auto r = run_app(app, low_opts);
       return r.total_energy_j() / r.makespan;
     }();
     std::vector<double> caps;
@@ -155,11 +134,10 @@ int main(int argc, char** argv) {
       analysis::RunOptions gov_opts;
       gov_opts.record_trace = true;
       gov_opts.governor = &gov;
-      const auto gov_run = app.run(gov_opts);
+      const auto gov_run = run_app(app, gov_opts);
       const auto gov_m = metrics_of(gov_run, profiler, cap);
       if (ci + 1 == caps.size()) {  // export the trace for the tightest cap
-        const std::string path = std::string(bench::out_dir()) + "/governor_cap_trace_" +
-                                 app.name + ".csv";
+        const std::string path = ctx.csv_dir() + "/governor_cap_trace_" + app.name + ".csv";
         if (gov.trace().write_csv(path)) std::printf("[csv] %s\n", path.c_str());
       }
 
@@ -167,11 +145,11 @@ int main(int argc, char** argv) {
       // shared gear-selection helper (p fixed at the partition size).
       const int ps[] = {p};
       const auto choice = analysis::best_under_power_cap(
-          app.study->machine_params(), app.study->workload(), app.n, ps, gears, cap);
+          app.study.machine_params(), app.study.workload(), app.n(), ps, gears, cap);
       analysis::RunOptions oracle_opts;
       oracle_opts.record_trace = true;
       oracle_opts.f_ghz = choice.f_ghz;
-      const auto oracle_run = app.run(oracle_opts);
+      const auto oracle_run = run_app(app, oracle_opts);
       const auto oracle_m = metrics_of(oracle_run, profiler, cap);
 
       auto add = [&](const char* mode, const std::string& gear, const RunMetrics& m) {
@@ -195,18 +173,18 @@ int main(int argc, char** argv) {
       }
     }
   }
-  bench::emit(table, "governor_cap");
+  ctx.emit(table, "governor_cap");
 
   // The EE-target policy, online: pick the cheapest gear holding EE at >= 97%
   // of the model's top-gear prediction (the iso-EE maintenance use case).
   util::Table ee_table({"app", "EE_target", "gear_chosen", "EE_pred", "EE_achieved",
                         "energy_J", "time_s"});
   for (auto& app : apps) {
-    const double ee_top = app.study->predict(app.n, p, top_gear).EE;
+    const double ee_top = app.study.predict(app.n(), p, top_gear).EE;
     governor::EeTargetConfig ee_cfg;
-    ee_cfg.machine = app.study->machine_params();
-    ee_cfg.workload = &app.study->workload();
-    ee_cfg.n = app.n;
+    ee_cfg.machine = app.study.machine_params();
+    ee_cfg.workload = &app.study.workload();
+    ee_cfg.n = app.n();
     ee_cfg.p = p;
     ee_cfg.ee_target = 0.97 * ee_top;
     ee_cfg.gears_ghz = gears;
@@ -214,8 +192,8 @@ int main(int argc, char** argv) {
     governor::Governor gov(machine, gspec, governor::make_ee_target_policy(ee_cfg));
     analysis::RunOptions opts;
     opts.governor = &gov;
-    const auto run = app.run(opts);
-    const double e1_j = app.study->predict(app.n, 1, top_gear).E1;
+    const auto run = run_app(app, opts);
+    const double e1_j = app.study.predict(app.n(), 1, top_gear).E1;
     // The gear the policy settled on outside communication phases.
     double gear_chosen = top_gear;
     double ee_pred = ee_top;
@@ -231,7 +209,7 @@ int main(int argc, char** argv) {
                       util::num(run.total_energy_j(), 1), util::num(run.makespan, 4)});
   }
   std::printf("\n-- EE-target policy (cheapest gear keeping EE >= target) --\n");
-  bench::emit(ee_table, "governor_ee_target");
+  ctx.emit(ee_table, "governor_ee_target");
 
   std::printf("\nacceptance: closed-loop governor beats fixed gear on cap-violation time "
               "at equal-or-lower energy for every cap: %s\n",

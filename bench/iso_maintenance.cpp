@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "model/isocontour.hpp"
 #include "npb/classes.hpp"
 
@@ -17,8 +17,9 @@ using namespace isoee;
 
 namespace {
 
-void maintain(const analysis::EnergyStudy& study, const std::string& name, double target,
-              double fixed_n, double n_lo, double n_hi) {
+void maintain(const bench::Context& ctx, const analysis::EnergyStudy& study,
+              const std::string& name, double target, double fixed_n, double n_lo,
+              double n_hi) {
   std::printf("\n-- %s: hold EE at %.2f by scaling n with p --\n", name.c_str(), target);
   const int ps[] = {2, 4, 8, 16, 32};
   util::Table table({"p", "n_from_contour", "EE_model", "EE_measured(iso)",
@@ -66,37 +67,24 @@ void maintain(const analysis::EnergyStudy& study, const std::string& name, doubl
     table.add_row({util::num(p), n_cell, model_cell, iso_cell,
                    util::num(e1_fixed / measured[fixed_run[i]].energy_j, 4)});
   }
-  bench::emit(table, "iso_maintenance_" + name);
+  ctx.emit(table, "iso_maintenance_" + name);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::iso_maintenance(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Iso-EE maintenance: scale n along the model's contour n(p)",
                  "the 'iso' claim closed against measured simulations");
 
-  {
-    analysis::EnergyStudy ft(machine,
-                             analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
-                             true, bench::executor());
-    const double ns[] = {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128};
-    const int calib_ps[] = {2, 4, 8};
-    ft.calibrate(ns, calib_ps);
-    // n_lo = smallest calibrated size: the fitted model is not trusted below
-    // its calibration range.
-    maintain(ft, "FT", 0.97, 32. * 32 * 32, 32. * 32 * 32, 5e8);
-  }
-  {
-    analysis::EnergyStudy cg(machine,
-                             analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
-                             true, bench::executor());
-    const double ns[] = {2000, 4000, 8000};
-    const int calib_ps[] = {2, 4, 8};
-    cg.calibrate(ns, calib_ps);
-    maintain(cg, "CG", 0.85, 2000, 2000, 4e5);
-  }
+  const auto ft = ctx.study(machine, analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
+                            {32. * 32 * 32, 64. * 64 * 64, 128. * 128 * 128}, {2, 4, 8});
+  // n_lo = smallest calibrated size: the fitted model is not trusted below
+  // its calibration range.
+  maintain(ctx, ft, "FT", 0.97, 32. * 32 * 32, 32. * 32 * 32, 5e8);
+  const auto cg = ctx.study(machine, analysis::make_adapter(npb::cg_class(npb::ProblemClass::A)),
+                            {2000, 4000, 8000}, {2, 4, 8});
+  maintain(ctx, cg, "CG", 0.85, 2000, 2000, 4e5);
   std::printf("\nReading: along the contour the measured EE column stays pinned near the\n"
               "target while the fixed-size column decays with p — maintaining iso-energy-\n"
               "efficiency by scaling the workload, the paper's core prescription.\n");

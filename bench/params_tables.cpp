@@ -6,21 +6,20 @@
 #include <memory>
 
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "npb/classes.hpp"
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
+int bench::params_tables(bench::Context& ctx) {
   bench::heading("Tables 1 & 2: calibrated machine vectors and fitted application vectors",
                  "the measured/fitted instantiation of the paper's parameter tables");
 
   // --- Table 1: machine-dependent parameters -------------------------------------
   util::Table t1({"parameter", "SystemG", "Dori", "definition"});
   const std::vector<std::string> vectors =
-      bench::run_cases({analysis::machine_params_case(bench::with_noise(sim::system_g()), true),
-                        analysis::machine_params_case(bench::with_noise(sim::dori()), true)});
+      ctx.run_cases({analysis::machine_params_case(ctx.with_noise(sim::system_g()), true),
+                        analysis::machine_params_case(ctx.with_noise(sim::dori()), true)});
   const model::MachineParams g = analysis::decode_machine_params(vectors[0]);
   const model::MachineParams d = analysis::decode_machine_params(vectors[1]);
   t1.add_row({"t_c = CPI/f (s)", util::sci(g.t_c(), 3), util::sci(d.t_c(), 3),
@@ -44,17 +43,12 @@ int main(int argc, char** argv) {
               "power-frequency exponent (Eq 20)"});
   t1.add_row({"f base (GHz)", util::num(g.base_ghz, 1), util::num(d.base_ghz, 1),
               "nominal frequency"});
-  bench::emit(t1, "table1_machine_params");
+  ctx.emit(t1, "table1_machine_params");
 
   // --- Table 2: application-dependent parameters ----------------------------------
   std::printf("\n(application vectors at class-A size, p = 8, on SystemG)\n");
-  const auto spec = bench::with_noise(sim::system_g());
-  struct Case {
-    std::unique_ptr<analysis::BenchmarkAdapter> adapter;
-    std::vector<double> ns;
-    double n;
-  };
-  std::vector<Case> cases;
+  const auto spec = ctx.with_noise(sim::system_g());
+  std::vector<bench::Kernel> cases;
   cases.push_back({analysis::make_adapter(npb::ep_class(npb::ProblemClass::A)),
                    {1 << 17, 1 << 18, 1 << 19}, static_cast<double>(1 << 22)});
   cases.push_back({analysis::make_adapter(npb::ft_class(npb::ProblemClass::A)),
@@ -69,15 +63,14 @@ int main(int argc, char** argv) {
                    {128. * 128, 256. * 256, 512. * 512}, 512. * 512});
 
   util::Table t2({"app", "alpha", "W_c", "W_m", "dW_oc", "dW_om", "M", "B", "T_io(s)"});
-  const int calib_ps[] = {2, 4, 8};
+  const std::vector<int> calib_ps = {2, 4, 8};
   for (auto& c : cases) {
-    analysis::EnergyStudy study(spec, std::move(c.adapter), true, bench::executor());
-    study.calibrate(c.ns, calib_ps);
+    const auto study = ctx.study(spec, std::move(c.adapter), c.calib_ns, calib_ps);
     const auto a = study.workload().at(c.n, 8);
     t2.add_row({study.workload().name(), util::num(a.alpha, 3), util::sci(a.W_c, 2),
                 util::sci(a.W_m, 2), util::sci(a.dW_oc, 2), util::sci(a.dW_om, 2),
                 util::sci(a.M, 2), util::sci(a.B, 2), util::num(a.T_io + a.T_idle, 4)});
   }
-  bench::emit(t2, "table2_app_params");
+  ctx.emit(t2, "table2_app_params");
   return 0;
 }

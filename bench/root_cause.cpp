@@ -6,24 +6,18 @@
 #include <memory>
 
 #include "analysis/study.hpp"
-#include "bench/common.hpp"
+#include "bench/figures.hpp"
 #include "model/rootcause.hpp"
 #include "npb/classes.hpp"
 
 using namespace isoee;
 
-int main(int argc, char** argv) {
-  if (!bench::init(argc, argv)) return 1;
-  const auto machine = bench::with_noise(sim::system_g());
+int bench::root_cause(bench::Context& ctx) {
+  const auto machine = ctx.with_noise(sim::system_g());
   bench::heading("Root-cause attribution of energy inefficiency (Eq 16 decomposed)",
                  "Section II: 'identify the root cause of energy inefficiency'");
 
-  struct Case {
-    std::unique_ptr<analysis::BenchmarkAdapter> adapter;
-    std::vector<double> ns;
-    double n;
-  };
-  std::vector<Case> cases;
+  std::vector<bench::Kernel> cases;
   cases.push_back({analysis::make_adapter(npb::ep_class(npb::ProblemClass::B)),
                    {1 << 18, 1 << 19, 1 << 20}, static_cast<double>(1 << 24)});
   cases.push_back({analysis::make_adapter(npb::ft_class(npb::ProblemClass::B)),
@@ -35,15 +29,14 @@ int main(int argc, char** argv) {
   cases.push_back({analysis::make_adapter(npb::sweep_class(npb::ProblemClass::S)),
                    {128. * 128, 256. * 256, 512. * 512}, 512. * 512});
 
-  const int calib_ps[] = {2, 4, 8};
+  const std::vector<int> calib_ps = {2, 4, 8};
   const int p = 64;
   const double gears[] = {2.8, 2.4, 2.0, 1.6};
 
   util::Table table({"app", "EE@p=64", "msg_startup_J", "bytes_J", "comp_ovh_J",
                      "mem_ovh_J", "imbalance_J", "dominant_cause", "best_knob"});
   for (auto& c : cases) {
-    analysis::EnergyStudy study(machine, std::move(c.adapter), true, bench::executor());
-    study.calibrate(c.ns, calib_ps);
+    const auto study = ctx.study(machine, std::move(c.adapter), c.calib_ns, calib_ps);
     const auto& mp = study.machine_params();
     const auto app = study.workload().at(c.n, p);
     const auto b = model::overhead_breakdown(mp, app);
@@ -55,7 +48,7 @@ int main(int argc, char** argv) {
                    util::num(b.compute_overhead, 2), util::num(b.memory_overhead, 2),
                    util::num(b.imbalance, 2), b.dominant(), knobs.best_knob});
   }
-  bench::emit(table, "root_cause");
+  ctx.emit(table, "root_cause");
   std::printf(
       "\nReading: EP's (tiny) loss is all message startup; FT splits between the\n"
       "all-to-all (startup + bytes) and fitted memory overhead; CG is dominated by\n"

@@ -6,6 +6,7 @@
 // (127.0.0.1 only; put a real proxy in front for anything else). With
 // --stdin it answers requests from standard input instead — the zero-setup
 // mode the CI smoke and quickstart docs use.
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -20,9 +21,7 @@
 int main(int argc, char** argv) {
   using namespace isoee;
 
-  if (const char* level = std::getenv("ISOEE_LOG"); level != nullptr && *level != '\0') {
-    util::set_log_level(util::parse_log_level(level));
-  }
+  util::set_log_level_from_env();
 
   util::Cli cli("iso-energy-efficiency what-if query service (see docs/SERVICE.md)");
   cli.no_positional()
@@ -44,12 +43,12 @@ int main(int argc, char** argv) {
   config.cache_dir = cli.get("cache-dir");
   int port = 0;
   try {
-    config.jobs = static_cast<int>(cli.get_int("jobs"));
-    config.max_pending = static_cast<int>(cli.get_int("max-queue"));
+    config.jobs = static_cast<int>(cli.get_int("jobs", 0, INT_MAX));
+    config.max_pending = static_cast<int>(cli.get_int("max-queue", 1, INT_MAX));
     config.cache_max_bytes =
-        static_cast<std::uint64_t>(cli.get_int("cache-max-mb")) * (1ull << 20);
+        static_cast<std::uint64_t>(cli.get_int("cache-max-mb", 0, LLONG_MAX >> 20)) << 20;
     config.slow_request_s = static_cast<double>(cli.get_int("slow-ms")) * 1e-3;
-    port = static_cast<int>(cli.get_int("port"));
+    port = static_cast<int>(cli.get_int("port", 0, 65535));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "isoee_serve: %s\n", e.what());
     return 1;

@@ -85,12 +85,20 @@ void require_whole(const std::string& name, const std::string& text, const char*
 
 }  // namespace
 
-long long Cli::get_int(const std::string& name) const {
+long long Cli::get_int(const std::string& name, long long min, long long max) const {
   const std::string text = get(name);
   char* end = nullptr;
   errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
   require_whole(name, text, end, "a whole number");
+  if (value < min) {
+    throw std::invalid_argument("--" + name + ": " + text + " is below the minimum " +
+                                std::to_string(min));
+  }
+  if (value > max) {
+    throw std::invalid_argument("--" + name + ": " + text + " is above the maximum " +
+                                std::to_string(max));
+  }
   return value;
 }
 

@@ -5,6 +5,7 @@
 // the binaries in this repo need a handful of numeric knobs, nothing more.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,10 +34,11 @@ class Cli {
   bool parse(int argc, const char* const* argv);
 
   std::string get(const std::string& name) const;
-  /// The flag's value as a number. Throws std::invalid_argument, naming the
-  /// flag, unless the whole value is one ("--seed abc", "--jobs 2.5" and a
-  /// bare "--seed", which reads "true", all throw).
-  long long get_int(const std::string& name) const;
+  /// The flag's value as a number in [min, max]. Throws std::invalid_argument,
+  /// naming the flag, unless the whole value is one ("--seed abc", "--jobs 2.5"
+  /// and a bare "--seed", which reads "true", all throw) and lies in range.
+  long long get_int(const std::string& name, long long min = LLONG_MIN,
+                    long long max = LLONG_MAX) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

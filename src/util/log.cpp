@@ -1,6 +1,7 @@
 #include "util/log.hpp"
 
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 
 namespace isoee::util {
@@ -38,6 +39,12 @@ LogLevel parse_log_level(const std::string& name) {
   if (name == "error") return LogLevel::kError;
   if (name == "off") return LogLevel::kOff;
   return LogLevel::kInfo;
+}
+
+void set_log_level_from_env() {
+  if (const char* level = std::getenv("ISOEE_LOG"); level != nullptr && *level != '\0') {
+    set_log_level(parse_log_level(level));
+  }
 }
 
 void set_log_sink(std::FILE* sink) { g_sink.store(sink, std::memory_order_relaxed); }

@@ -30,6 +30,10 @@ void set_log_level(LogLevel level);
 /// Unknown strings map to kInfo.
 LogLevel parse_log_level(const std::string& name);
 
+/// Sets the global log level from the ISOEE_LOG environment variable, when it
+/// is set and not empty. Binaries call this first, before anything can log.
+void set_log_level_from_env();
+
 /// Redirects log output (default: stderr). Pass nullptr to restore stderr.
 /// The caller retains ownership of the stream.
 void set_log_sink(std::FILE* sink);

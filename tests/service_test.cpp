@@ -19,6 +19,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -792,6 +793,22 @@ TEST(Endpoints, ServeStdinWritesOnlyJsonRepliesToStdout) {
   }
   EXPECT_EQ(n, 5u);  // one reply per request of the script
   EXPECT_TRUE(fs::exists(dir + "/metrics.json"));
+}
+
+TEST(Endpoints, ServeRejectsOutOfRangeFlagsNamingThem) {
+  for (const std::string flag :
+       {"--port=70000", "--port=-1", "--max-queue=0", "--jobs=-1", "--cache-max-mb=-1"}) {
+    const std::string command =
+        std::string("'") + ISOEE_SERVE_BIN + "' --stdin " + flag + " < /dev/null 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[4096];
+    for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, pipe)) > 0;) out.append(buf, got);
+    const int status = ::pclose(pipe);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << flag << ": " << out;
+    EXPECT_NE(out.find(flag.substr(0, flag.find('='))), std::string::npos) << out;
+  }
 }
 
 TEST(Endpoints, StatsReportsCountersAndRunsStarted) {

@@ -499,6 +499,25 @@ TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
   EXPECT_EQ(negative.get_int("n"), -3);
 }
 
+TEST(Cli, OutOfRangeNumbersThrowNamingTheFlag) {
+  Cli cli("test");
+  cli.flag("port", "70000", "port").flag("jobs", "-1", "budget").flag("queue", "1", "cap");
+  try {
+    (void)cli.get_int("port", 0, 65535);
+    ADD_FAILURE() << "--port 70000 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--port: 70000 is above the maximum 65535");
+  }
+  try {
+    (void)cli.get_int("jobs", 0);
+    ADD_FAILURE() << "--jobs -1 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--jobs: -1 is below the minimum 0");
+  }
+  EXPECT_EQ(cli.get_int("queue", 1, 1), 1);  // bounds are inclusive
+  EXPECT_THROW((void)cli.get_int("queue", 2), std::invalid_argument);
+}
+
 TEST(Cli, RejectsUnknownFlag) {
   Cli cli("test");
   cli.flag("p", "4", "ranks");
