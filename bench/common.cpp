@@ -41,7 +41,7 @@ Context::~Context() {
     }
   }
   if (const std::string& path = options_.metrics_out; !path.empty()) {
-    if (obs::metrics().write(path)) {
+    if (obs::metrics().write_json(path)) {
       std::printf("[metrics] %s\n", path.c_str());
     } else {
       ISOEE_ERROR("failed to write --metrics-out %s", path.c_str());
@@ -123,7 +123,7 @@ std::unique_ptr<Context> init(int argc, const char* const* argv, std::vector<con
       .flag("cache-max-mb", "0",
             "result-cache size cap in MiB, oldest entries pruned (0 = unbounded)")
       .flag("trace-out", "", "write a Chrome trace of the run to this file")
-      .flag("metrics-out", "", "write the metrics snapshot to this .json/.csv file")
+      .flag("metrics-out", "", "write the metrics snapshot as JSON to this file")
       .flag("flame-out", "",
             "sample the fiber scheduler's host time and write collapsed stacks "
             "(flamegraph.pl format) to this file")

@@ -5,9 +5,9 @@
 //   trace_stats a.json b.json                diff A vs B (phases/collectives)
 //   trace_stats run.json --validate          structural validation only
 //   trace_stats run.json --csv out/prefix    also write report tables as CSV
-//   trace_stats run.json --metrics m.json    also report the engine.*/sim.*
-//                                            counters from a --metrics-out
-//                                            snapshot (.json or .csv)
+//   trace_stats run.json --metrics m.json    also report the counters of a
+//                                            --metrics-out snapshot, engine.*
+//                                            rows first
 //
 // Energy attribution joins every span against the per-rank segment timeline
 // reconstructed from the same file, using the PowerPack power model of
@@ -75,56 +75,11 @@ void print_report(const std::string& path, const TraceReport& report) {
   }
 }
 
-/// Reports a MetricsRegistry snapshot (bench --metrics-out), engine.* rows
-/// first — the engine throughput counters the rearchitecture added
-/// (ranks_simulated, events_processed, rank_seconds_per_sec) are the headline
-/// numbers this view exists for. Parses both snapshot formats: .csv rows of
-/// `name,kind,value` and the flat .json object write_json emits.
+/// Reports a --metrics-out snapshot, engine.* rows first.
 void print_metrics_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open --metrics file " + path);
-  struct Entry {
-    std::string name, kind, value;
-  };
-  std::vector<Entry> entries;
-  const bool json = path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-  std::string line;
-  while (std::getline(in, line)) {
-    Entry e;
-    if (json) {
-      // Lines look like:  "name": {"kind": "counter", "value": 123}
-      const auto q1 = line.find('"');
-      if (q1 == std::string::npos) continue;
-      const auto q2 = line.find('"', q1 + 1);
-      if (q2 == std::string::npos) continue;
-      e.name = line.substr(q1 + 1, q2 - q1 - 1);
-      const auto kq = line.find("\"kind\": \"", q2);
-      const auto vq = line.find("\"value\": ", q2);
-      if (kq == std::string::npos || vq == std::string::npos) continue;
-      const auto kend = line.find('"', kq + 9);
-      e.kind = line.substr(kq + 9, kend - kq - 9);
-      auto vend = line.find_last_of('}');
-      if (vend == std::string::npos || vend < vq) continue;
-      e.value = line.substr(vq + 9, vend - vq - 9);
-      while (!e.value.empty() && (e.value.back() == ',' || e.value.back() == ' ')) {
-        e.value.pop_back();
-      }
-    } else {
-      std::istringstream fields(line);
-      if (!std::getline(fields, e.name, ',') || !std::getline(fields, e.kind, ',') ||
-          !std::getline(fields, e.value)) {
-        continue;
-      }
-      if (e.name == "name") continue;  // CSV header
-    }
-    if (!e.name.empty()) entries.push_back(std::move(e));
-  }
   isoee::util::Table table({"metric", "kind", "value"});
-  for (const auto& e : entries) {  // engine.* first: the throughput headline
-    if (e.name.rfind("engine.", 0) == 0) table.add_row({e.name, e.kind, e.value});
-  }
-  for (const auto& e : entries) {
-    if (e.name.rfind("engine.", 0) != 0) table.add_row({e.name, e.kind, e.value});
+  for (const auto& row : isoee::benchtools::load_metrics(path)) {
+    table.add_row({row.name, row.kind, isoee::util::num17(row.value)});
   }
   std::printf("\nmetrics snapshot (%s)\n%s", path.c_str(), table.to_string().c_str());
 }
@@ -138,8 +93,7 @@ std::string read_file(const std::string& path) {
 }
 
 /// --flame: report (or, with --validate, just check) collapsed-stack files
-/// emitted by the fiber-scheduler host-time profiler (bench --flame-out /
-/// ISOEE_SCHED_PROFILE_US).
+/// emitted by the fiber-scheduler host-time profiler (bench --flame-out).
 int flame_mode(const std::vector<std::string>& paths, bool validate) {
   int bad = 0;
   for (const auto& path : paths) {

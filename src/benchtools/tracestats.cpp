@@ -86,17 +86,49 @@ LoadedTrace parse_trace(std::string_view json) {
   return out;
 }
 
-LoadedTrace load_trace(const std::string& path) {
+namespace {
+
+/// The whole of `path`; `what` names the file in errors ("trace file").
+std::string read_text(const std::string& path, const char* what) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
+  if (!in) throw std::runtime_error(std::string("cannot open ") + what + ": " + path);
   std::ostringstream body;
   body << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("read error on trace file: " + path);
+  if (in.bad()) throw std::runtime_error(std::string("read error on ") + what + ": " + path);
+  return body.str();
+}
+
+}  // namespace
+
+LoadedTrace load_trace(const std::string& path) {
+  const std::string body = read_text(path, "trace file");
   try {
-    return parse_trace(body.str());
+    return parse_trace(body);
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
+}
+
+std::vector<MetricRow> load_metrics(const std::string& path) {
+  const util::JsonValue doc = util::parse_json(read_text(path, "metrics file"));
+  if (!doc.is(util::JsonValue::Type::kObject)) {
+    throw std::runtime_error(path + ": metrics snapshot is not an object");
+  }
+  std::vector<MetricRow> rows;
+  rows.reserve(doc.object.size());
+  for (const auto& [name, entry] : doc.object) {
+    const util::JsonValue* kind = entry.find("kind");
+    const util::JsonValue* value = entry.find("value");
+    if (kind == nullptr || !kind->is(util::JsonValue::Type::kString) || value == nullptr ||
+        !value->is(util::JsonValue::Type::kNumber)) {
+      throw std::runtime_error(path + ": metric " + name + " lacks a kind or a value");
+    }
+    rows.push_back({name, kind->str, value->number});
+  }
+  std::stable_partition(rows.begin(), rows.end(), [](const MetricRow& r) {
+    return r.name.starts_with("engine.");
+  });
+  return rows;
 }
 
 std::vector<std::string> validate_trace(const LoadedTrace& trace) {

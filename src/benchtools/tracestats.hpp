@@ -10,7 +10,8 @@
 // Timestamps round-trip exactly: the writer prints microseconds with %.17g and
 // the parser's strtod recovers the emitted double, so energy recomputed here
 // matches powerpack::summarize_phases to ~1e-13 J per interval (the unit
-// conversion's ulp). JSON comes from util::parse_json.
+// conversion's ulp). JSON comes from util::parse_json, which also reads the
+// metrics snapshots that trace_stats --metrics reports.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +121,21 @@ struct DiffRow {
 
 std::vector<DiffRow> diff_rows(std::span<const AttributionRow> a,
                                std::span<const AttributionRow> b);
+
+// --- metrics snapshots -----------------------------------------------------
+
+/// One row of a metrics snapshot file (obs::MetricsRegistry::write_json, as
+/// `--metrics-out` writes it).
+struct MetricRow {
+  std::string name;
+  std::string kind;  // "counter" | "gauge" | "histogram"
+  double value = 0.0;
+};
+
+/// Reads a snapshot file with util::parse_json: every row, engine.* rows
+/// first (the engine throughput headline), file order otherwise. Throws
+/// std::runtime_error naming `path` on I/O failure or a malformed snapshot.
+std::vector<MetricRow> load_metrics(const std::string& path);
 
 /// Machine preset lookup for the CLI: a sim::machine_preset name, or "auto"
 /// (reads the trace's otherData.machine, defaulting to system_g). Throws

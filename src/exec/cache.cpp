@@ -18,24 +18,21 @@ namespace isoee::exec {
 namespace fs = std::filesystem;
 
 namespace {
-// Process-wide cache traffic (the per-instance hits()/misses()/stores()
-// accessors remain the per-cache view used by the tests).
-obs::Counter& cache_hit_metric() {
-  static obs::Counter& c = obs::metrics().counter("exec.result_cache_hits");
-  return c;
-}
-obs::Counter& cache_miss_metric() {
-  static obs::Counter& c = obs::metrics().counter("exec.result_cache_misses");
-  return c;
-}
-obs::Counter& cache_store_metric() {
-  static obs::Counter& c = obs::metrics().counter("exec.result_cache_stores");
-  return c;
-}
-obs::Counter& cache_prune_metric() {
-  static obs::Counter& c = obs::metrics().counter("exec.result_cache_pruned");
-  return c;
-}
+struct CacheMetrics {
+  obs::Counter& hits = obs::metrics().counter("exec.cache_hits");
+  obs::Counter& misses = obs::metrics().counter("exec.cache_misses");
+  obs::Counter& stores = obs::metrics().counter("exec.cache_stores");
+  obs::Counter& pruned = obs::metrics().counter("exec.cache_pruned");
+
+  static CacheMetrics& get() {
+    static CacheMetrics m;
+    return m;
+  }
+};
+
+// Registered at load time, so every snapshot lists the family, at 0 in a
+// process that never touches a cache.
+[[maybe_unused]] const CacheMetrics& registered_at_load = CacheMetrics::get();
 
 bool is_entry_file(const fs::path& p) { return p.extension() == ".result"; }
 
@@ -118,25 +115,22 @@ std::optional<std::string> ResultCache::load(const std::string& key) const {
   if (!enabled_) return std::nullopt;
   std::ifstream in(entry_path(key), std::ios::binary);
   if (!in) {
-    ++misses_;
-    cache_miss_metric().inc();
+    CacheMetrics::get().misses.inc();
     return std::nullopt;
   }
   std::string stored_key;
   if (!std::getline(in, stored_key) || stored_key != std::string(kCacheSalt) + "\x1f" + key) {
-    ++misses_;  // corrupt entry or hash collision: treat as absent
-    cache_miss_metric().inc();
+    // Corrupt entry or hash collision: treat as absent.
+    CacheMetrics::get().misses.inc();
     return std::nullopt;
   }
   std::ostringstream payload;
   payload << in.rdbuf();
   if (in.bad()) {
-    ++misses_;
-    cache_miss_metric().inc();
+    CacheMetrics::get().misses.inc();
     return std::nullopt;
   }
-  ++hits_;
-  cache_hit_metric().inc();
+  CacheMetrics::get().hits.inc();
   return payload.str();
 }
 
@@ -177,8 +171,7 @@ bool ResultCache::store(const std::string& key, const std::string& payload) cons
     fs::remove(tmp, ec);
     return false;
   }
-  ++stores_;
-  cache_store_metric().inc();
+  CacheMetrics::get().stores.inc();
   if (max_bytes_ > 0) {
     std::uint64_t size = 0;
     std::error_code size_ec;
@@ -230,8 +223,7 @@ void ResultCache::prune() const {
   }
   approx_bytes_.store(total);
   if (removed > 0) {
-    pruned_ += removed;
-    cache_prune_metric().inc(removed);
+    CacheMetrics::get().pruned.inc(removed);
     ISOEE_INFO("result cache: pruned %llu oldest entries (%llu bytes kept, cap %llu)",
                static_cast<unsigned long long>(removed),
                static_cast<unsigned long long>(total),

@@ -21,6 +21,9 @@
 // path so concurrent processes prune the same victims). Pruning removes whole
 // entry files — the same atomicity unit as the temp+rename writes — so a
 // reader racing a prune sees a miss, never a torn entry.
+//
+// Traffic is counted once, process-wide, in the metrics registry:
+// `exec.cache_{hits,misses,stores,pruned}` (see src/obs/metrics.hpp).
 #pragma once
 
 #include <atomic>
@@ -66,11 +69,6 @@ class ResultCache {
   /// on I/O failure (logged, non-fatal: the result is simply not reused).
   bool store(const std::string& key, const std::string& payload) const;
 
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  std::uint64_t stores() const { return stores_.load(); }
-  std::uint64_t pruned() const { return pruned_.load(); }
-
   /// Current on-disk footprint estimate (exact after construction and after
   /// every prune; between prunes it grows by this process's stores only, so
   /// concurrent writers may overshoot the cap by one prune cycle).
@@ -89,10 +87,6 @@ class ResultCache {
   std::uint64_t max_bytes_ = 0;
   mutable std::atomic<std::uint64_t> approx_bytes_{0};
   mutable std::mutex prune_mu_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> stores_{0};
-  mutable std::atomic<std::uint64_t> pruned_{0};
 };
 
 }  // namespace isoee::exec

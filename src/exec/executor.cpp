@@ -14,7 +14,6 @@ namespace {
 
 struct ExecMetrics {
   obs::Counter& started = obs::metrics().counter("exec.cases_started");
-  obs::Counter& hits = obs::metrics().counter("exec.cache_hits");
   obs::Counter& joined = obs::metrics().counter("exec.cases_joined");
   obs::Gauge& peak = obs::metrics().gauge("exec.max_threads_in_use");
   obs::Gauge& queue_depth = obs::metrics().gauge("exec.queue_depth");
@@ -114,7 +113,6 @@ std::vector<CaseResult> Executor::run(const std::vector<Case>& cases,
   for (auto& [i, result] : joins) results[i] = result.get();
 
   metrics.started.inc(stats.started);
-  metrics.hits.inc(stats.cache_hits);
   metrics.peak.set_max(static_cast<double>(stats.max_threads_in_use));
   if (stats_out != nullptr) *stats_out = stats;
   return results;

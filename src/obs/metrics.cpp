@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -149,23 +149,19 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return out;
 }
 
-bool MetricsRegistry::write_csv(const std::string& path) const {
-  util::Table table({"name", "kind", "value"});
-  for (const auto& s : snapshot()) table.add_row({s.name, s.kind, s.value});
-  return table.write_csv(path);
-}
-
 std::string MetricsRegistry::render_json() const {
-  std::string body = "{\n";
+  std::string out = "{";
   const auto snap = snapshot();
   for (std::size_t i = 0; i < snap.size(); ++i) {
-    body += "  \"" + json_escape(snap[i].name) + "\": {\"kind\": \"" + snap[i].kind +
-            "\", \"value\": " + snap[i].value + "}";
-    if (i + 1 < snap.size()) body += ',';
-    body += '\n';
+    if (i != 0) out += ',';
+    out += util::json_quote(snap[i].name);
+    out += ":{\"kind\":\"";
+    out += snap[i].kind;
+    out += "\",\"value\":";
+    out += snap[i].value;
+    out += '}';
   }
-  body += "}\n";
-  return body;
+  return out + "}";
 }
 
 namespace {
@@ -185,11 +181,7 @@ bool write_text_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_text_file(path, render_json());
-}
-
-bool MetricsRegistry::write(const std::string& path) const {
-  return path.ends_with(".json") ? write_json(path) : write_csv(path);
+  return write_text_file(path, render_json() + '\n');
 }
 
 std::string MetricsRegistry::render_prometheus() const {

@@ -1,5 +1,6 @@
 // Process-wide metrics registry: named counters, gauges, and fixed-bound
-// histograms, snapshotted deterministically to CSV/JSON.
+// histograms, snapshotted deterministically to one JSON form (and to
+// Prometheus text for scrapers).
 //
 // This absorbs the ad-hoc counters that used to live in each subsystem
 // (engine run counts, smpi tag-allocator stats, exec batch stats, result-cache
@@ -117,15 +118,12 @@ class MetricsRegistry {
   /// All metrics sorted by (kind-independent) name — deterministic.
   std::vector<MetricSample> snapshot() const;
 
-  /// Writes the snapshot as CSV (name,kind,value). Returns false on I/O error.
-  bool write_csv(const std::string& path) const;
-  /// Writes the snapshot as a JSON object keyed by metric name.
-  bool write_json(const std::string& path) const;
-  /// write_json for a `.json` path, write_csv otherwise (the --metrics-out rule).
-  bool write(const std::string& path) const;
-  /// The same JSON object as write_json, returned as a string (used by the
-  /// service `metrics` endpoint).
+  /// The snapshot as one line of JSON, keyed by metric name, in snapshot
+  /// order: `{"a.b":{"kind":"counter","value":1},...}`. The service `metrics`
+  /// reply and every --metrics-out file; util::parse_json reads it back.
   std::string render_json() const;
+  /// Writes render_json() and a newline to `path`. Returns false on I/O error.
+  bool write_json(const std::string& path) const;
   /// Prometheus text exposition format: metric names sanitized to
   /// [a-zA-Z0-9_:] ('.' becomes '_'), `# TYPE` comment per family, histogram
   /// bucket lines `<name>_bucket{le="<bound>"}`, terminated by `# EOF`.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/log.hpp"
 
@@ -55,22 +54,6 @@ void SchedProfiler::stop() {
   }
   wake_cv_.notify_all();
   if (sampler_.joinable()) sampler_.join();
-}
-
-bool SchedProfiler::maybe_start_from_env() {
-  if (enabled_.load(std::memory_order_acquire)) return true;
-  const char* env = std::getenv("ISOEE_SCHED_PROFILE_US");
-  if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const long us = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || us <= 0) {
-    ISOEE_WARN("SchedProfiler: ignoring ISOEE_SCHED_PROFILE_US=%s", env);
-    return false;
-  }
-  Options opts;
-  opts.interval_us = static_cast<std::uint64_t>(us);
-  start(opts);
-  return enabled();
 }
 
 void SchedProfiler::sampler_loop() {

@@ -68,16 +68,12 @@ class SchedProfiler {
   ~SchedProfiler();
 
   /// Starts sampling. No-op if already running. `interval_us` is clamped to
-  /// >= 50 to keep a misconfigured env var from busy-spinning.
+  /// >= 50 to keep a misconfigured interval from busy-spinning.
   void start(Options opts);
   void start() { start(Options{}); }
   /// Stops and joins the sampler thread; counts are retained.
   void stop();
   bool enabled() const { return enabled_.load(std::memory_order_acquire); }
-
-  /// Starts with interval ISOEE_SCHED_PROFILE_US (µs) if that env var is set
-  /// to a positive integer. Returns enabled() after the attempt.
-  bool maybe_start_from_env();
 
   /// Published state of one scheduler worker. Default-constructed handles are
   /// disengaged: set_phase is a single branch and no sample is attributed.

@@ -7,6 +7,7 @@
 #include <map>
 #include <tuple>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -21,39 +22,7 @@ TraceArg arg_int(std::string key, long long value) {
 }
 
 TraceArg arg_str(std::string key, std::string_view value) {
-  return TraceArg{std::move(key), json_quote(value)};
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_quote(std::string_view s) {
-  // Appended piecewise: "\"" + json_escape(s) trips a GCC 12 -Wrestrict false
-  // positive in Release builds.
-  std::string out = "\"";
-  out += json_escape(s);
-  out += '"';
-  return out;
+  return TraceArg{std::move(key), util::json_quote(value)};
 }
 
 void TraceCollector::on_event(TraceEvent event) {
@@ -118,8 +87,8 @@ std::string ChromeTraceWriter::render(
   out += "{\"otherData\":{";
   for (std::size_t i = 0; i < metadata.size(); ++i) {
     if (i > 0) out += ',';
-    out += '"' + json_escape(metadata[i].first) + "\":\"" +
-           json_escape(metadata[i].second) + '"';
+    out += '"' + util::json_escape(metadata[i].first) + "\":\"" +
+           util::json_escape(metadata[i].second) + '"';
   }
   out += "},\n\"traceEvents\":[\n";
 
@@ -138,8 +107,8 @@ std::string ChromeTraceWriter::render(
   for (const auto& e : sorted) {
     if (!first) out += ",\n";
     first = false;
-    out += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" + json_escape(e.cat) +
-           "\",\"pid\":0,\"tid\":" + std::to_string(e.rank) +
+    out += "{\"name\":\"" + util::json_escape(e.name) + "\",\"cat\":\"" +
+           util::json_escape(e.cat) + "\",\"pid\":0,\"tid\":" + std::to_string(e.rank) +
            ",\"ts\":" + util::num17(e.t0 * 1e6);
     switch (e.kind) {
       case TraceEvent::Kind::kSpan:
@@ -159,7 +128,7 @@ std::string ChromeTraceWriter::render(
       out += ",\"args\":{";
       for (std::size_t i = 0; i < e.args.size(); ++i) {
         if (i > 0) out += ',';
-        out += '"' + json_escape(e.args[i].key) + "\":" + e.args[i].json;
+        out += '"' + util::json_escape(e.args[i].key) + "\":" + e.args[i].json;
       }
       out += '}';
     }

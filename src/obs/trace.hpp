@@ -107,10 +107,4 @@ class ChromeTraceWriter {
                     const std::vector<std::pair<std::string, std::string>>& metadata = {});
 };
 
-/// JSON string escaping shared by the writer and the metrics JSON snapshot.
-std::string json_escape(std::string_view s);
-
-/// `s` as a quoted, escaped JSON string literal.
-std::string json_quote(std::string_view s);
-
 }  // namespace isoee::obs

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "obs/obs.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -40,7 +39,7 @@ std::string render_id(const JsonValue& id) {
     case JsonValue::Type::kNumber:
       return json_num(id.number);
     case JsonValue::Type::kString:
-      return obs::json_quote(id.str);
+      return util::json_quote(id.str);
     default:
       fail(ErrorCode::kInvalidRequest, "'id' must be a number, string, or null");
   }
@@ -320,7 +319,7 @@ std::string render_ok(const std::string& id_json, const std::string& tier, bool 
 std::string render_error(const std::string& id_json, ErrorCode code,
                          const std::string& message) {
   return "{\"id\":" + id_json + ",\"ok\":false,\"error\":{\"code\":\"" +
-         error_code_name(code) + "\",\"message\":\"" + obs::json_escape(message) + "\"}}";
+         error_code_name(code) + "\",\"message\":\"" + util::json_escape(message) + "\"}}";
 }
 
 }  // namespace isoee::service

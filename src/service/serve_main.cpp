@@ -33,10 +33,8 @@ int main(int argc, char** argv) {
       .flag("cache-max-mb", "0",
             "result-cache size cap in MiB, oldest entries pruned (0 = unbounded)")
       .flag("trace-out", "", "write a Chrome trace of request spans to this file at exit")
-      .flag("metrics-out", "", "write the metrics snapshot to this .json/.csv file at exit")
-      .flag("prom-out", "", "write a Prometheus text exposition snapshot to this file at exit")
-      .flag("slow-ms", "0",
-            "log (ISOEE_LOG=warn) requests slower than this many milliseconds (0 = off)");
+      .flag("metrics-out", "", "write the metrics snapshot as JSON to this file at exit")
+      .flag("prom-out", "", "write a Prometheus text exposition snapshot to this file at exit");
   if (!cli.parse(argc, argv)) return 1;
 
   service::ServiceConfig config;
@@ -47,7 +45,6 @@ int main(int argc, char** argv) {
     config.max_pending = static_cast<int>(cli.get_int("max-queue", 1, INT_MAX));
     config.cache_max_bytes =
         static_cast<std::uint64_t>(cli.get_int("cache-max-mb", 0, LLONG_MAX >> 20)) << 20;
-    config.slow_request_s = static_cast<double>(cli.get_int("slow-ms")) * 1e-3;
     port = static_cast<int>(cli.get_int("port", 0, 65535));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "isoee_serve: %s\n", e.what());
@@ -83,7 +80,7 @@ int main(int argc, char** argv) {
     }
   }
   if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-    if (obs::metrics().write(path)) std::fprintf(stderr, "[metrics] %s\n", path.c_str());
+    if (obs::metrics().write_json(path)) std::fprintf(stderr, "[metrics] %s\n", path.c_str());
   }
   if (const std::string path = cli.get("prom-out"); !path.empty()) {
     if (obs::metrics().write_prometheus(path)) {

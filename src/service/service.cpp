@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace isoee::service {
@@ -198,7 +199,7 @@ std::string Service::handle_line(const std::string& line) {
         break;
       case Method::kMetrics:
         method = "metrics";
-        fragment = handle_metrics();
+        fragment = obs::metrics().render_json();
         break;
       case Method::kShutdown:
         method = "shutdown";
@@ -239,10 +240,6 @@ std::string Service::handle_line(const std::string& line) {
       .histogram("service.latency_s." + method + "." + tier,
                  obs::default_time_buckets_s())
       .observe(dur);
-  if (config_.slow_request_s > 0.0 && dur > config_.slow_request_s) {
-    ISOEE_WARN("service: slow request method=%s tier=%s dur_ms=%.3f id=%s",
-               method.c_str(), tier.c_str(), dur * 1e3, id_json.c_str());
-  }
   // Service spans run on *host* time (there is no virtual clock spanning
   // requests); they land under cat "service" so trace tooling can tell them
   // apart from the simulators' virtual-time spans.
@@ -400,8 +397,8 @@ std::string Service::handle_calibrate(const Request& req, std::string* tier, boo
 
   return std::string("{\"machine\":\"") + req.machine + "\",\"app\":\"" + req.app + "\"," +
          json_field("samples", static_cast<std::uint64_t>(samples)) +
-         ",\"machine_params\":\"" + obs::json_escape(machine_text) + "\",\"workload\":\"" +
-         obs::json_escape(workload_text) + "\"}";
+         ",\"machine_params\":\"" + util::json_escape(machine_text) + "\",\"workload\":\"" +
+         util::json_escape(workload_text) + "\"}";
 }
 
 std::string Service::handle_optimize(const Request& req) {
@@ -487,27 +484,10 @@ std::string Service::handle_install(const Request& req) {
          "\",\"installed\":true}";
 }
 
-std::string Service::handle_metrics() {
-  // One compact JSON object per the line-protocol contract: responses are
-  // single lines, so this re-renders the snapshot without the pretty-printed
-  // newlines write_json uses.
-  std::string out = "{";
-  const auto snap = obs::metrics().snapshot();
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    if (i != 0) out += ',';
-    out += obs::json_quote(snap[i].name);
-    out += ":{\"kind\":\"";
-    out += snap[i].kind;
-    out += "\",\"value\":";
-    out += snap[i].value;
-    out += '}';
-  }
-  return out + "}";
-}
-
 std::string Service::handle_stats() {
   const ServiceMetrics& m = ServiceMetrics::get();
-  const exec::ResultCache& cache = executor_.cache();
+  obs::MetricsRegistry& reg = obs::metrics();
+  const auto count = [&reg](const char* name) { return reg.counter(name).value(); };
   return "{" + json_field("runs_started", sim::Engine::total_runs_started()) + "," +
          json_field("requests", m.requests.value()) + "," +
          json_field("errors", m.errors.value()) + "," +
@@ -515,36 +495,30 @@ std::string Service::handle_stats() {
          json_field("tier_cache", m.tier_cache.value()) + "," +
          json_field("tier_sim", m.tier_sim.value()) + "," +
          json_field("coalesced", m.coalesced.value()) + "," +
-         json_field("rejected", m.rejected.value()) +
-         "," + json_field("cache_hits", cache.hits()) + "," +
-         json_field("cache_misses", cache.misses()) + "," +
-         json_field("cache_stores", cache.stores()) + "," +
-         json_field("cache_pruned", cache.pruned()) + "," +
+         json_field("rejected", m.rejected.value()) + "," +
+         // The process-wide result-cache traffic (exec::ResultCache).
+         json_field("cache_hits", count("exec.cache_hits")) + "," +
+         json_field("cache_misses", count("exec.cache_misses")) + "," +
+         json_field("cache_stores", count("exec.cache_stores")) + "," +
+         json_field("cache_pruned", count("exec.cache_pruned")) + "," +
          // Fiber-engine throughput (rank-scale rearchitecture): totals over
          // every simulation this process ran, plus the most recent run's
          // simulated-rank-seconds per host second.
-         json_field("engine_ranks_simulated",
-                    obs::metrics().counter("engine.ranks_simulated").value()) +
-         "," +
-         json_field("engine_events_processed",
-                    obs::metrics().counter("engine.events_processed").value()) +
-         "," +
+         json_field("engine_ranks_simulated", count("engine.ranks_simulated")) + "," +
+         json_field("engine_events_processed", count("engine.events_processed")) + "," +
          json_field("engine_rank_seconds_per_sec",
-                    obs::metrics().gauge("engine.rank_seconds_per_sec").value()) +
+                    reg.gauge("engine.rank_seconds_per_sec").value()) +
          "," +
          // Model-drift watchdog (obs::DriftMonitor): degraded while any
          // (machine, app, p, gear, quantity) key's EWMA |relative error|
          // exceeds the configured threshold after min_samples pairs.
          std::string("\"model_health\":\"") +
          (obs::drift().degraded() ? "degraded" : "ok") + "\"," +
-         json_field("drift_samples",
-                    obs::metrics().counter("drift.samples").value()) +
-         "," +
+         json_field("drift_samples", count("drift.samples")) + "," +
          json_field("drift_degraded_keys",
                     static_cast<std::uint64_t>(obs::drift().degraded_count())) +
          "," +
-         json_field("drift_max_ewma_abs_err",
-                    obs::metrics().gauge("drift.max_ewma_abs_err").value()) +
+         json_field("drift_max_ewma_abs_err", reg.gauge("drift.max_ewma_abs_err").value()) +
          "}";
 }
 

@@ -53,7 +53,6 @@ struct ServiceConfig {
                               // those that joined another request's run included
   std::string cache_dir;      // warm tier ("" = no cache: cold queries simulate)
   std::uint64_t cache_max_bytes = 0;  // on-disk cap, oldest pruned (0 = unbounded)
-  double slow_request_s = 0.0;        // ISOEE_WARN requests slower than this (0 = off)
 };
 
 class Service {
@@ -91,7 +90,6 @@ class Service {
   std::string handle_iso_contour(const Request& req);
   std::string handle_install(const Request& req);
   std::string handle_stats();
-  std::string handle_metrics();
 
   /// The (machine params, workload) pair a model-tier request evaluates:
   /// fitted state when `req.calibrated`, stock defaults otherwise. Throws

@@ -277,11 +277,6 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
   }
   ready_total_.store(static_cast<std::uint64_t>(nranks_), std::memory_order_relaxed);
 
-  // Opt into host-time sampling when ISOEE_SCHED_PROFILE_US is set (or a
-  // bench already started the profiler). When the profiler is off the
-  // per-worker handles stay disengaged and every hook below costs one branch.
-  obs::sched_profiler().maybe_start_from_env();
-
   if (single_) {
     // Hot path for the hundreds of small study cases: run the whole schedule
     // inline on the calling thread — no thread spawn, no cv traffic.

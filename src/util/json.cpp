@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -222,5 +223,37 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 }
 
 JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_quote(std::string_view s) {
+  // Appended piecewise: "\"" + json_escape(s) trips a GCC 12 -Wrestrict false
+  // positive in Release builds.
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
 
 }  // namespace isoee::util

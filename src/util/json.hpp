@@ -1,5 +1,6 @@
 // Minimal JSON reader: just enough for trace files, metric snapshots and the
 // service's request lines. It validates structure rather than trusting it.
+// The string escaping every JSON writer here shares lives beside it.
 #pragma once
 
 #include <string>
@@ -29,5 +30,11 @@ struct JsonValue {
 /// Parses a complete JSON document; throws std::runtime_error with the byte
 /// offset on malformed input.
 JsonValue parse_json(std::string_view text);
+
+/// `s` with quotes, backslashes and control bytes escaped for a JSON string.
+std::string json_escape(std::string_view s);
+
+/// `s` as a quoted, escaped JSON string literal.
+std::string json_quote(std::string_view s);
 
 }  // namespace isoee::util

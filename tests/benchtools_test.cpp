@@ -1,8 +1,10 @@
 // Tests for the calibration tools (lat_mem_rd staircase, mpptest parameter
-// recovery, full machine-vector calibration against ground truth) and the
-// collapsed-stack flamegraph path of trace_stats.
+// recovery, full machine-vector calibration against ground truth), the
+// collapsed-stack flamegraph path of trace_stats and its --metrics reader.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "benchtools/latency.hpp"
 #include "benchtools/mpptest.hpp"
 #include "benchtools/tracestats.hpp"
+#include "obs/metrics.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -190,6 +193,41 @@ TEST(Collapsed, ByDepthAggregatesAndRanks) {
   const auto by_rank = benchtools::collapsed_by_depth(lines, 3);
   ASSERT_EQ(by_rank.size(), 3u);
   EXPECT_EQ(by_rank[0].first, "rank_1");
+}
+
+// --- metrics snapshots (trace_stats --metrics) ------------------------------
+
+TEST(MetricsFile, LoadsEveryRowOfAWriteJsonFileEngineRowsFirst) {
+  obs::MetricsRegistry reg;
+  reg.counter("a.before").inc(3);
+  reg.counter("engine.events_processed").inc(12345);
+  reg.gauge("engine.rank_seconds_per_sec").set(0.1);
+  reg.histogram("sim.x", std::vector<double>{1.0}).observe(2.0);
+  reg.counter("z.after").inc();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "benchtools_metrics_test.json").string();
+  ASSERT_TRUE(reg.write_json(path));
+  const auto rows = benchtools::load_metrics(path);
+  std::remove(path.c_str());
+
+  // engine.* first, then every other row in snapshot (file) order.
+  std::vector<std::string> engine, rest;
+  for (const auto& s : reg.snapshot()) {
+    (s.name.starts_with("engine.") ? engine : rest).push_back(s.name);
+  }
+  std::vector<std::string> want = engine;
+  want.insert(want.end(), rest.begin(), rest.end());
+  std::vector<std::string> names;
+  for (const auto& r : rows) names.push_back(r.name);
+  EXPECT_EQ(names, want);
+  ASSERT_EQ(rows.size(), 8u);  // 2 engine, a, z and 4 histogram rows
+  EXPECT_EQ(rows[0].kind, "counter");
+  EXPECT_EQ(rows[0].value, 12345.0);
+  EXPECT_EQ(rows[1].kind, "gauge");
+  EXPECT_EQ(rows[1].value, 0.1);
+  EXPECT_EQ(rows[2].name, "a.before");
+
+  EXPECT_THROW(benchtools::load_metrics(path), std::runtime_error);  // gone
 }
 
 }  // namespace

@@ -611,8 +611,14 @@ TEST(Executor, NestedRunIsRejected) {
 // ResultCache.
 // ---------------------------------------------------------------------------
 
+/// A process-wide exec.cache_* counter: the one place cache traffic is counted.
+std::uint64_t cache_count(const char* name) { return obs::metrics().counter(name).value(); }
+
 TEST(ResultCache, StoresAndLoadsAcrossInstances) {
   const std::string dir = scratch_dir("roundtrip");
+  const std::uint64_t hits = cache_count("exec.cache_hits");
+  const std::uint64_t misses = cache_count("exec.cache_misses");
+  const std::uint64_t stores = cache_count("exec.cache_stores");
   {
     exec::ResultCache cache(dir);
     ASSERT_TRUE(cache.enabled());
@@ -625,7 +631,9 @@ TEST(ResultCache, StoresAndLoadsAcrossInstances) {
   EXPECT_EQ(*cache.load("key-1"), "payload\nwith\nnewlines");
   ASSERT_TRUE(cache.load("key-2").has_value());
   EXPECT_EQ(*cache.load("key-2"), std::string("\0binary\x1f", 8));
-  EXPECT_GE(cache.hits(), 2u);
+  EXPECT_EQ(cache_count("exec.cache_hits") - hits, 4u);
+  EXPECT_EQ(cache_count("exec.cache_misses") - misses, 1u);
+  EXPECT_EQ(cache_count("exec.cache_stores") - stores, 2u);
 }
 
 TEST(ResultCache, CorruptEntryDegradesToAMissNeverToAWrongResult) {
@@ -672,9 +680,11 @@ TEST(ResultCache, WarmBatchExecutesNothing) {
   EXPECT_EQ(cold_stats.cache_hits, 0u);
 
   exec::BatchStats warm_stats;
+  const std::uint64_t hits = cache_count("exec.cache_hits");
   const auto warm = executor.run(build(), &warm_stats);
   EXPECT_EQ(executions.load(), 6) << "warm run must not execute any case";
   EXPECT_EQ(warm_stats.cache_hits, 6u);
+  EXPECT_EQ(cache_count("exec.cache_hits") - hits, 6u);
   EXPECT_EQ(warm_stats.started, 0u);
   for (std::size_t i = 0; i < warm.size(); ++i) {
     EXPECT_TRUE(warm[i].from_cache);
@@ -737,8 +747,9 @@ TEST(ResultCache, CapPrunesOldestEntriesFirst) {
   ASSERT_GT(entry_bytes, 1000u);
   // Reopen with room for ~3 entries; the next store must prune the oldest.
   exec::ResultCache cache(dir, 3 * entry_bytes + entry_bytes / 2);
+  const std::uint64_t pruned = cache_count("exec.cache_pruned");
   ASSERT_TRUE(cache.store("entry-6", std::string(1000, 'g')));
-  EXPECT_GE(cache.pruned(), 3u);
+  EXPECT_GE(cache_count("exec.cache_pruned") - pruned, 3u);
   EXPECT_LE(cache.approx_bytes(), cache.max_bytes());
   // Newest entries survive; the oldest are gone (a miss, never an error).
   EXPECT_TRUE(cache.load("entry-6").has_value());
@@ -750,10 +761,11 @@ TEST(ResultCache, CapPrunesOldestEntriesFirst) {
 TEST(ResultCache, MaxBytesZeroMeansUnbounded) {
   const std::string dir = scratch_dir("prune_unbounded");
   exec::ResultCache cache(dir);  // default: no cap
+  const std::uint64_t pruned = cache_count("exec.cache_pruned");
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(cache.store(numbered("k", i), std::string(4096, 'x')));
   }
-  EXPECT_EQ(cache.pruned(), 0u);
+  EXPECT_EQ(cache_count("exec.cache_pruned"), pruned);
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(cache.load(numbered("k", i)).has_value()) << i;
   }
@@ -762,8 +774,9 @@ TEST(ResultCache, MaxBytesZeroMeansUnbounded) {
 TEST(ResultCache, PrunedEntriesAreRecomputedNotResurrected) {
   const std::string dir = scratch_dir("prune_recompute");
   exec::ResultCache cache(dir, 1);  // cap below a single entry
+  const std::uint64_t pruned = cache_count("exec.cache_pruned");
   ASSERT_TRUE(cache.store("only", "payload"));
-  EXPECT_GE(cache.pruned(), 1u);
+  EXPECT_GE(cache_count("exec.cache_pruned") - pruned, 1u);
   EXPECT_FALSE(cache.load("only").has_value());
   // Storing again works: pruning never poisons a key.
   ASSERT_TRUE(cache.store("only", "payload"));

@@ -135,19 +135,39 @@ TEST(Metrics, SnapshotIsSortedAndSerializes) {
     EXPECT_LT(snap[i - 1].name, snap[i].name);
   }
 
-  const std::string csv_path = temp_path("obs_metrics_test.csv");
+  // write_json writes render_json() and a newline.
   const std::string json_path = temp_path("obs_metrics_test.json");
-  ASSERT_TRUE(reg.write_csv(csv_path));
   ASSERT_TRUE(reg.write_json(json_path));
-  EXPECT_NE(slurp(csv_path).find("a.first"), std::string::npos);
-  // The JSON snapshot parses with util::parse_json.
-  const auto doc = util::parse_json(slurp(json_path));
-  ASSERT_TRUE(doc.is(util::JsonValue::Type::kObject));
-  const auto* first = doc.find("a.first");
-  ASSERT_NE(first, nullptr);
-  EXPECT_DOUBLE_EQ(first->find("value")->number, 1.0);
-  std::remove(csv_path.c_str());
+  EXPECT_EQ(slurp(json_path), reg.render_json() + "\n");
   std::remove(json_path.c_str());
+}
+
+TEST(Metrics, RenderJsonIsOneLineThatParsesToTheSnapshot) {
+  obs::MetricsRegistry reg;
+  reg.counter("a.first").inc(1);
+  reg.gauge("c.third").set(1.5);
+  reg.histogram("h", std::vector<double>{1.0}).observe(0.5);
+  const std::string json = reg.render_json();
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+
+  // One (name -> kind, value) map, read either way.
+  std::map<std::string, std::pair<std::string, double>> want, got;
+  for (const auto& s : reg.snapshot()) want[s.name] = {s.kind, std::stod(s.value)};
+  const auto doc = util::parse_json(json);
+  ASSERT_TRUE(doc.is(util::JsonValue::Type::kObject));
+  for (const auto& [name, row] : doc.object) {
+    got[name] = {row.find("kind")->str, row.find("value")->number};
+  }
+  EXPECT_EQ(got, want);
+
+  // Snapshot order, compact, bucket labels escaped.
+  EXPECT_EQ(json,
+            R"({"a.first":{"kind":"counter","value":1},)"
+            R"("c.third":{"kind":"gauge","value":1.5},)"
+            R"("h_bucket{le=\"+Inf\"}":{"kind":"histogram","value":1},)"
+            R"("h_bucket{le=\"1\"}":{"kind":"histogram","value":1},)"
+            R"("h_count":{"kind":"histogram","value":1},)"
+            R"("h_sum":{"kind":"histogram","value":0.5}})");
 }
 
 TEST(Metrics, EngineRunsFeedTheGlobalRegistry) {

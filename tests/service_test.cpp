@@ -50,7 +50,6 @@
 #include "model/workloads.hpp"
 #include "obs/drift.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
@@ -1479,8 +1478,8 @@ std::string measured_calibrated_line(double n, int p) {
 
 std::string install_line(const std::string& machine_text, const std::string& workload_text) {
   return R"({"method":"install","params":{"machine":"system_g","app":"EP","machine_params":")" +
-         obs::json_escape(machine_text) + R"(","workload":")" +
-         obs::json_escape(workload_text) + "\"}}";
+         util::json_escape(machine_text) + R"(","workload":")" +
+         util::json_escape(workload_text) + "\"}}";
 }
 
 std::string stats_health(Service& svc) {

@@ -565,6 +565,16 @@ std::function<void(RankCtx&)> scale_ring_body(int p, int iters) {
   };
 }
 
+/// A p=1024 body whose rank 777 throws. Everyone else blocks on a message
+/// only their predecessor can send; rank 778's predecessor is the dead rank,
+/// so the whole ring must be unwound via mailbox poisoning rather than
+/// finishing normally.
+void scale_failing_body(RankCtx& ctx) {
+  if (ctx.rank() == 777) throw std::runtime_error("injected at scale");
+  double buf[1];
+  ctx.recv((ctx.rank() + 1023) % 1024, 1, std::span<double>(buf));
+}
+
 TEST(EngineScale, RingAtP1024DigestsIdenticalAcrossWorkerCounts) {
   const MachineSpec m = scale_machine();
   std::uint64_t reference = 0;
@@ -648,7 +658,9 @@ TEST(EngineScale, RingAtP128MatchesPinnedReference) {
 TEST(EngineScale, ProfilerEnabledRunIsByteIdenticalAndAttributed) {
   // The scheduler profiler observes host time only: with sampling on, the
   // simulated results must stay bit-identical to an unprofiled run, while the
-  // samples land in known phases under the per-worker collapsed stacks.
+  // samples land in known phases under the per-worker collapsed stacks. Each
+  // profiled attempt first fails a rank, so the sampler also races two
+  // workers through the poison and handle-release paths.
   const MachineSpec m = scale_machine();
   sim::EngineOptions opts;
   opts.record_trace = true;
@@ -664,6 +676,8 @@ TEST(EngineScale, ProfilerEnabledRunIsByteIdenticalAndAttributed) {
   // The sampler is wall-clock driven; on a loaded host one run can in theory
   // complete between wakeups, so retry (each run must digest identically).
   for (int attempt = 0; attempt < 5 && prof.total_samples() == 0; ++attempt) {
+    Engine failing(m, opts);
+    EXPECT_THROW(failing.run(1024, scale_failing_body), std::runtime_error);
     Engine profiled(m, opts);
     EXPECT_EQ(digest_result(profiled.run(1024, scale_ring_body(1024, 10))), reference);
   }
@@ -686,19 +700,11 @@ TEST(EngineScale, ProfilerEnabledRunIsByteIdenticalAndAttributed) {
 
 TEST(EngineScale, RankFailureAtP1024UnwindsAndLeaksNoFiberStacks) {
   const MachineSpec m = scale_machine();
-  const auto failing = [](RankCtx& ctx) {
-    if (ctx.rank() == 777) throw std::runtime_error("injected at scale");
-    // Everyone else blocks on a message only their predecessor can send;
-    // rank 778's predecessor is the dead rank, so the whole ring must be
-    // unwound via mailbox poisoning rather than finishing normally.
-    double buf[1];
-    ctx.recv((ctx.rank() + 1023) % 1024, 1, std::span<double>(buf));
-  };
   const auto run_once = [&] {
     sim::EngineOptions opts;
     opts.workers = 2;
     Engine eng(m, opts);
-    EXPECT_THROW(eng.run(1024, failing), std::runtime_error);
+    EXPECT_THROW(eng.run(1024, scale_failing_body), std::runtime_error);
   };
   run_once();
   // Steady state: every subsequent run returns exactly as many pooled stacks
