@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
 // how fast the virtual-time engine executes primitive operations, message
 // passing, and collectives — the cost of the simulation, not of the
-// simulated machine — and of the FT and EP kernels' host time (FFT plan
-// passes, whole FT runs, EP's pair stream, whole EP runs).
+// simulated machine — and of the FT, EP and CG kernels' host time (FFT plan
+// passes, whole FT runs, EP's pair stream, whole EP runs, whole CG runs).
 //
 // Extra mode: `micro_sim --check-obs-overhead [--tolerance=0.02]` asserts the
 // obs layer's contract that an *uninstalled* trace sink costs nothing beyond
@@ -232,6 +232,25 @@ void BM_EpRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EpRun)->Arg(1)->Arg(16)->Unit(benchmark::kMillisecond)->MinTime(0.05);
+
+// A whole CG run of the class given as the first argument (0 = S, 1 = W) on
+// p ranks: at p=1 the SpMV and the dot products, at p=16 mostly the
+// allgather's messages.
+void BM_CgRun(benchmark::State& state) {
+  const auto spec = machine();
+  const npb::CgConfig config =
+      npb::cg_class(state.range(0) == 0 ? npb::ProblemClass::S : npb::ProblemClass::W);
+  const int p = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    const sim::RunResult res = analysis::run_cg(spec, config, p);
+    benchmark::DoNotOptimize(res.makespan);
+  }
+}
+BENCHMARK(BM_CgRun)
+    ->Args({1, 1})
+    ->Args({0, 16})
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.05);
 
 // --- --check-obs-overhead ---------------------------------------------------
 

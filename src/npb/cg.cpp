@@ -47,13 +47,15 @@ std::vector<int> make_offsets(int n, int count) {
   return offs;
 }
 
-/// Local rows of A in CSR-ish fixed-degree form.
+/// Local rows of A. Every row i has its off-diagonal entries in columns
+/// (i + shift[k]) mod n for the same shifts, so only the values are stored,
+/// k-major: vals[k * rows + lr] sits in row row0 + lr, column
+/// (row0 + lr + shift[k]) mod n.
 struct LocalMatrix {
   int row0 = 0, rows = 0, n = 0;
-  std::vector<int> cols;      // rows * degree column indices
-  std::vector<double> vals;   // matching values
+  std::vector<int> shift;     // one column shift per off-diagonal, in [1, n)
+  std::vector<double> vals;   // shift.size() * rows values, k-major
   std::vector<double> diag;   // per-row diagonal
-  int degree = 0;             // off-diagonal entries per row
 };
 
 LocalMatrix build_local(const CgConfig& cfg, int rank, int p) {
@@ -62,53 +64,105 @@ LocalMatrix build_local(const CgConfig& cfg, int rank, int p) {
   m.row0 = cfg.n * rank / p;
   const int row1 = cfg.n * (rank + 1) / p;
   m.rows = row1 - m.row0;
-  const auto offs = make_offsets(cfg.n, cfg.offsets);
-  m.degree = 2 * cfg.offsets;
-  m.cols.resize(static_cast<std::size_t>(m.rows) * static_cast<std::size_t>(m.degree));
-  m.vals.resize(m.cols.size());
-  m.diag.resize(static_cast<std::size_t>(m.rows));
-  for (int lr = 0; lr < m.rows; ++lr) {
-    const int i = m.row0 + lr;
+  // Offset d gives the pair of columns i + d and i - d (mod n).
+  for (int d : make_offsets(cfg.n, cfg.offsets)) {
+    m.shift.push_back(d);
+    m.shift.push_back(cfg.n - d);
+  }
+  const auto rows = static_cast<std::size_t>(m.rows);
+  m.vals.resize(m.shift.size() * rows);
+  m.diag.resize(rows);
+  for (std::size_t lr = 0; lr < rows; ++lr) {
+    const int i = m.row0 + static_cast<int>(lr);
     double row_abs = 0.0;
-    std::size_t w = static_cast<std::size_t>(lr) * static_cast<std::size_t>(m.degree);
-    for (int d : offs) {
-      for (int sgn : {+1, -1}) {
-        const int j = ((i + sgn * d) % cfg.n + cfg.n) % cfg.n;
-        const double v = pair_value(cfg.seed, i, j);
-        m.cols[w] = j;
-        m.vals[w] = v;
-        row_abs += std::abs(v);
-        ++w;
-      }
+    for (std::size_t k = 0; k < m.shift.size(); ++k) {
+      const double v = pair_value(cfg.seed, i, (i + m.shift[k]) % cfg.n);
+      m.vals[k * rows + lr] = v;
+      row_abs += std::abs(v);
     }
     // Strict diagonal dominance => symmetric positive definite.
-    m.diag[static_cast<std::size_t>(lr)] = row_abs + 1.0 + cfg.shift * 0.05;
+    m.diag[lr] = row_abs + 1.0 + cfg.shift * 0.05;
   }
   return m;
+}
+
+/// y[j] += v[j] * x[j] for j < len: one shift's products over a run of rows
+/// whose columns do not wrap, so both operand streams are contiguous.
+void add_products(double* __restrict y, const double* __restrict v,
+                  const double* __restrict x, std::size_t len) {
+  for (std::size_t j = 0; j < len; ++j) y[j] += v[j] * x[j];
+}
+
+/// Rows per SpMV chunk: the chunk's output stays in L1 while every shift
+/// passes over it.
+constexpr std::size_t kSpmvChunkRows = 512;
+
+/// out = A_local * xg, xg the whole gathered vector. Each row is
+/// diag * x first, then the off-diagonal products in shift order: the same
+/// additions in the same order as a row-at-a-time loop, so the same bits.
+///
+/// Aligned to 64 bytes so that where the product loops (packed SSE2 in a
+/// Release build) sit in the instruction cache does not move with the size
+/// of the code linked before this function: CG class W's host time has
+/// moved by about 15% with such a shift (4-vCPU Xeon host, GCC 12, Release).
+[[gnu::aligned(64)]] void spmv(const LocalMatrix& A, const std::vector<double>& xg,
+                               std::vector<double>& out) {
+  const auto rows = static_cast<std::size_t>(A.rows);
+  const auto n = static_cast<std::size_t>(A.n);
+  const auto row0 = static_cast<std::size_t>(A.row0);
+  const double* x = xg.data();
+  double* y = out.data();
+  for (std::size_t c0 = 0; c0 < rows; c0 += kSpmvChunkRows) {
+    const std::size_t c1 = std::min(rows, c0 + kSpmvChunkRows);
+    for (std::size_t lr = c0; lr < c1; ++lr) y[lr] = A.diag[lr] * x[row0 + lr];
+    for (std::size_t k = 0; k < A.shift.size(); ++k) {
+      const double* v = A.vals.data() + k * rows;
+      // Row lr reads column first + lr until that reaches n, then
+      // first + lr - n: split the chunk at the wrap, so that no pointer
+      // outside xg is formed.
+      const std::size_t first = row0 + static_cast<std::size_t>(A.shift[k]);
+      const std::size_t wrap = std::clamp(first < n ? n - first : 0, c0, c1);
+      if (wrap > c0) add_products(y + c0, v + c0, x + first + c0, wrap - c0);
+      if (c1 > wrap) add_products(y + wrap, v + wrap, x + (first + wrap - n), c1 - wrap);
+    }
+  }
+}
+
+/// The local part of a . b over n elements. Element i goes to partial sum
+/// i % 4, and the sums combine as (s0 + s1) + (s2 + s3): four independent
+/// add chains instead of one serial chain that waits on each add's latency.
+double dot4(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  if (i < n) s0 += a[i] * b[i];
+  if (i + 1 < n) s1 += a[i + 1] * b[i + 1];
+  if (i + 2 < n) s2 += a[i + 2] * b[i + 2];
+  return (s0 + s1) + (s2 + s3);
 }
 
 }  // namespace
 
 std::vector<double> cg_dense_matrix(const CgConfig& config) {
-  const int n = config.n;
-  LocalMatrix m = build_local(config, 0, 1);
-  std::vector<double> dense(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    dense[static_cast<std::size_t>(i) * n + i] = m.diag[static_cast<std::size_t>(i)];
-    for (int k = 0; k < m.degree; ++k) {
-      const std::size_t w = static_cast<std::size_t>(i) * m.degree + k;
-      dense[static_cast<std::size_t>(i) * n + m.cols[w]] += m.vals[w];
+  const LocalMatrix m = build_local(config, 0, 1);
+  const auto n = static_cast<std::size_t>(config.n);
+  std::vector<double> dense(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    dense[i * n + i] = m.diag[i];
+    for (std::size_t k = 0; k < m.shift.size(); ++k) {
+      const std::size_t j = (i + static_cast<std::size_t>(m.shift[k])) % n;
+      dense[i * n + j] += m.vals[k * n + i];
     }
   }
   return dense;
 }
 
-// Aligned to 64 bytes so that where the SpMV inner loop sits in the
-// instruction cache does not move with the size of the code linked before
-// this function. With the loop across a 64-byte line, CG class W ran about
-// 15% slower on a 4-vCPU Xeon host (GCC 12, Release).
-[[gnu::aligned(64)]] CgResult cg_rank(sim::RankCtx& ctx, const CgConfig& config,
-                                      powerpack::PhaseLog* phases) {
+CgResult cg_rank(sim::RankCtx& ctx, const CgConfig& config, powerpack::PhaseLog* phases) {
   if (config.n < 4 * ctx.size()) {
     throw std::invalid_argument("cg: n too small for rank count");
   }
@@ -119,14 +173,13 @@ std::vector<double> cg_dense_matrix(const CgConfig& config) {
   LocalMatrix A = build_local(config, r, p);
   {
     powerpack::OptionalPhase phase(phases, ctx, "cg.makea");
-    const auto nnz_local = static_cast<std::uint64_t>(A.rows) *
-                           static_cast<std::uint64_t>(A.degree + 1);
+    const auto nnz_local = static_cast<std::uint64_t>(A.rows) * (A.shift.size() + 1);
     ctx.compute_mem(20 * nnz_local, nnz_local / 4);  // generation pass
   }
 
   const auto nloc = static_cast<std::size_t>(A.rows);
   const auto n = static_cast<std::size_t>(config.n);
-  const auto nnz_local = nloc * static_cast<std::size_t>(A.degree + 1);
+  const auto nnz_local = nloc * (A.shift.size() + 1);
 
   std::vector<double> x(nloc, 1.0);            // local block of the iteration vector
   std::vector<double> z(nloc), rvec(nloc), pvec(nloc), q(nloc);
@@ -160,22 +213,8 @@ std::vector<double> cg_dense_matrix(const CgConfig& config) {
                     remote / costs::kCgVectorElemsPerMemAccess);
   };
 
-  auto spmv = [&](const std::vector<double>& vg, std::vector<double>& out) {
-    for (std::size_t lr = 0; lr < nloc; ++lr) {
-      double acc = A.diag[lr] * vg[static_cast<std::size_t>(A.row0) + lr];
-      const std::size_t base = lr * static_cast<std::size_t>(A.degree);
-      for (int k = 0; k < A.degree; ++k) {
-        acc += A.vals[base + static_cast<std::size_t>(k)] *
-               vg[static_cast<std::size_t>(A.cols[base + static_cast<std::size_t>(k)])];
-      }
-      out[lr] = acc;
-    }
-    charge_spmv();
-  };
-
   auto dot = [&](const std::vector<double>& a, const std::vector<double>& b) {
-    double local = 0.0;
-    for (std::size_t i = 0; i < nloc; ++i) local += a[i] * b[i];
+    const double local = dot4(a.data(), b.data(), nloc);
     charge_vec(1);
     powerpack::OptionalPhase phase(phases, ctx, "cg.allreduce");
     return comm.allreduce_sum(local);
@@ -189,7 +228,7 @@ std::vector<double> cg_dense_matrix(const CgConfig& config) {
   };
 
   CgResult result;
-  result.nnz = static_cast<std::uint64_t>(config.n) * static_cast<std::uint64_t>(A.degree + 1);
+  result.nnz = static_cast<std::uint64_t>(config.n) * (A.shift.size() + 1);
   double zeta = 0.0;
   double rnorm = 0.0;
 
@@ -203,7 +242,8 @@ std::vector<double> cg_dense_matrix(const CgConfig& config) {
     double rho = dot(rvec, rvec);
     for (int cgit = 0; cgit < config.inner; ++cgit) {
       gather_direction(pvec, pg);
-      spmv(pg, q);
+      spmv(A, pg, q);
+      charge_spmv();
       const double denom = dot(pvec, q);
       const double alpha = denom != 0.0 ? rho / denom : 0.0;
       for (std::size_t i = 0; i < nloc; ++i) {
@@ -219,7 +259,8 @@ std::vector<double> cg_dense_matrix(const CgConfig& config) {
     }
     // Residual norm ||x - A z|| for reporting.
     gather_direction(z, pg);
-    spmv(pg, q);
+    spmv(A, pg, q);
+    charge_spmv();
     double local_res = 0.0, local_xz = 0.0, local_zz = 0.0;
     for (std::size_t i = 0; i < nloc; ++i) {
       const double d = x[i] - q[i];

@@ -11,6 +11,19 @@
 // the row sum (which guarantees SPD). Every rank regenerates its rows from
 // the same seed, so the matrix is identical for every processor count.
 //
+// Storage: every row's off-diagonal columns are (i + s_k) mod n for the same
+// 2 * offsets shifts s_k, so a rank keeps one shift per k and its values
+// k-major (vals[k * rows + lr]), with no column indices. The SpMV runs k in
+// the outer loop over row chunks that stay in L1 and splits each k where
+// its columns wrap past n, so both operand streams are contiguous. Each row
+// still adds diag * x first, then the products in k order: the same bits as
+// a row-at-a-time loop.
+//
+// Local dot products sum element i into partial sum i % 4 and combine the
+// four as (s0 + s1) + (s2 + s3), so they do not wait on one serial add
+// chain. That order is part of the results' bits (tests/npb_test.cpp pins
+// zeta and rnorm).
+//
 // Parallelisation: contiguous row blocks; the direction vector is allgathered
 // before each SpMV (the scattered column offsets make halo exchange
 // inapplicable) and dot products are allreduced — the communication pattern

@@ -220,8 +220,9 @@ void RankCtx::advance(double seconds, Activity activity) {
       time_.memory_wall += seconds;
       break;
     case Activity::kNetwork:
+      if (network_at_gear_ == nullptr) network_at_gear_ = &time_.network_by_ghz[ghz_];
+      *network_at_gear_ += seconds;
       time_.network += seconds;
-      time_.network_by_ghz[ghz_] += seconds;
       break;
     case Activity::kIo:
       time_.io += seconds;
@@ -335,6 +336,7 @@ double RankCtx::set_frequency(double ghz) {
     }
     ghz_ = chosen;
     compute_at_gear_ = nullptr;
+    network_at_gear_ = nullptr;
     ++counters_.dvfs_transitions;
     ++events_;
   }
@@ -381,13 +383,12 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
 }
 
 void RankCtx::recv_into(int src, int tag, std::span<std::byte> out) {
-  std::vector<std::byte> bytes = recv_bytes(src, tag);
-  const bool match = bytes.size() == out.size();
-  // Zero-byte messages are legal (they still pay t_s, as real MPI does);
-  // memcpy's nonnull contract forbids passing the empty vector's null data.
-  if (match && !bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-  sched_->recycle(rank_, std::move(bytes));
-  if (!match) throw std::runtime_error("recv size mismatch");
+  if (src < 0 || src >= size_) throw std::out_of_range("recv_bytes: bad source rank");
+  maybe_perturb();
+  const detail::FiberScheduler::Received got =
+      sched_->take_into(rank_, src, tag, clock_, out);
+  complete_recv(src, tag, got.arrival, got.bytes);
+  if (got.bytes != out.size()) throw std::runtime_error("recv size mismatch");
 }
 
 std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
@@ -396,8 +397,13 @@ std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
   // race ahead, which is the interleaving that stresses tag-range recycling.
   maybe_perturb();
   detail::SimMessage msg = sched_->take(rank_, src, tag, clock_);
+  complete_recv(src, tag, msg.arrival, msg.payload.size());
+  return std::move(msg.payload);
+}
+
+void RankCtx::complete_recv(int src, int tag, double arrival, std::size_t bytes) {
   // Completion cannot precede the payload's arrival; the gap is receive wait.
-  const double wait = std::max(0.0, msg.arrival - clock_);
+  const double wait = std::max(0.0, arrival - clock_);
   advance(wait, Activity::kNetwork);
   if (obs_sink_ != nullptr) {
     const std::uint64_t seq = flow_seq_in_[{src, tag}]++;
@@ -405,8 +411,7 @@ std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
                    obs::flow_id(src, rank_, tag, seq));
   }
   counters_.messages_received += 1;
-  counters_.bytes_received += msg.payload.size();
-  return std::move(msg.payload);
+  counters_.bytes_received += bytes;
 }
 
 std::vector<std::byte> RankCtx::wait(RecvHandle& handle) {
@@ -447,6 +452,11 @@ struct EngineMetrics {
   // one-worker runs; with more workers they depend on the host interleaving.
   obs::Gauge& mailbox_channels_max = obs::metrics().gauge("sim.mailbox_channels_max");
   obs::Gauge& mailbox_pool_bytes_max = obs::metrics().gauge("sim.mailbox_pool_bytes_max");
+  // Payload bytes memcpy'd by deliveries and typed receives: one copy per
+  // byte sent, plus one for each byte a typed receive took from the queue
+  // rather than having delivered into its waiting buffer. Exact for
+  // one-worker runs; with more workers it depends on the host interleaving.
+  obs::Counter& payload_bytes_copied = obs::metrics().counter("sim.payload_bytes_copied");
 
   static EngineMetrics& get() {
     static EngineMetrics m;
@@ -495,6 +505,7 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   EngineMetrics& m = EngineMetrics::get();
   m.mailbox_channels_max.set_max(static_cast<double>(sched.stats().channels_max));
   m.mailbox_pool_bytes_max.set_max(static_cast<double>(sched.stats().pool_bytes_max));
+  m.payload_bytes_copied.inc(sched.stats().bytes_copied);
   if (first_error) std::rethrow_exception(first_error);
 
   RunResult result = aggregate(contexts);

@@ -225,9 +225,13 @@ class RankCtx {
           int size);
 
   void advance(double seconds, Activity activity);
-  /// recv_bytes into `out` (throws if the payload size differs), handing the
-  /// payload buffer back to the mailbox pool instead of freeing it.
+  /// recv_bytes into `out` (throws if the payload size differs). A message
+  /// that arrives while this waits is copied straight into `out`; one that
+  /// was queued is copied out of its pooled buffer, which goes back to the
+  /// pool.
   void recv_into(int src, int tag, std::span<std::byte> out);
+  /// The receive's clock, flow event and counters, once a message is taken.
+  void complete_recv(int src, int tag, double arrival, std::size_t bytes);
   void record_segment(double duration, Activity activity);
   void maybe_perturb();
 
@@ -245,6 +249,7 @@ class RankCtx {
   // references survive insertion, and no entry is made for a gear that
   // never computes.
   double* compute_at_gear_ = nullptr;
+  double* network_at_gear_ = nullptr;  // time_.network_by_ghz[ghz_], likewise
   RankCounters counters_;
   util::Xoshiro256 noise_rng_;
   util::Xoshiro256 perturb_rng_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <thread>
@@ -193,11 +195,11 @@ class Mailbox {
 
 // One simulated rank: its fiber, its mailbox, and its scheduling state.
 //
-// Locking: `mu` guards only the mailbox (box/delivered) and the
-// blocked/waiting_key/poisoned flags — the handshake between a rank blocking
-// in take() and a peer delivering into its mailbox. All other fields are
-// touched only by the slot's owner worker (or single-threadedly in run()),
-// so they need no lock.
+// Locking: `mu` guards only the mailbox (box/delivered/bytes_copied) and the
+// blocked/waiting/filled/poisoned fields — the handshake between a rank
+// blocking in take() or take_into() and a peer delivering into its mailbox.
+// All other fields are touched only by the slot's owner worker (or
+// single-threadedly in run()), so they need no lock.
 struct FiberScheduler::RankSlot {
   explicit RankSlot(std::size_t pool_cap) : box(pool_cap) {}
 
@@ -215,10 +217,16 @@ struct FiberScheduler::RankSlot {
   std::mutex mu;
   Mailbox box;
   std::uint64_t waiting_key = 0;
-  bool blocked = false;     // parked in take(), waiting on waiting_key
+  bool blocked = false;     // parked in take()/take_into(), waiting on waiting_key
   bool poisoned = false;
   double block_key = 0.0;   // virtual clock at block time: the wakeup key
+  // A blocked take_into()'s destination (null in take()). deliver() writes
+  // into it only while `blocked` is set, and clears `blocked` as it does, so
+  // no write can land after the receive has returned or unwound.
+  std::span<std::byte>* waiting_out = nullptr;
+  std::optional<double> filled_arrival;  // set when deliver() wrote *waiting_out
   std::uint64_t delivered = 0;
+  std::uint64_t bytes_copied = 0;
 };
 
 struct FiberScheduler::Worker {
@@ -295,6 +303,7 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
     stats_.messages += slot->delivered;
     stats_.channels_max = std::max(stats_.channels_max, slot->box.channels_max());
     stats_.pool_bytes_max = std::max(stats_.pool_bytes_max, slot->box.pool_bytes_max());
+    stats_.bytes_copied += slot->bytes_copied;
   }
   body_ = nullptr;
   return first_error_;
@@ -385,6 +394,21 @@ void FiberScheduler::suspend(RankSlot& slot) {
   Fiber::switch_to(slot.fiber, *slot.resume_to);
 }
 
+// Parks the calling rank on channel `key` until a deliver() on it or a
+// poison wakes it; `out`, if not null, is where a delivery of its size may be
+// copied. `lk` holds slot.mu (multi-worker runs) on entry and exit.
+void FiberScheduler::block(RankSlot& slot, std::uint64_t key, double now,
+                           std::span<std::byte>* out, std::unique_lock<std::mutex>& lk) {
+  slot.waiting_key = key;
+  slot.waiting_out = out;
+  slot.block_key = now;
+  slot.blocked = true;
+  slot.state = RankSlot::State::kBlocked;
+  if (!single_) lk.unlock();
+  suspend(slot);
+  if (!single_) lk.lock();
+}
+
 SimMessage FiberScheduler::take(int rank, int src, int tag, double now) {
   RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
   const std::uint64_t key = channel_key(src, tag);
@@ -397,13 +421,38 @@ SimMessage FiberScheduler::take(int rank, int src, int tag, double now) {
     if (slot.poisoned) {
       throw RankAbandoned();
     }
-    slot.waiting_key = key;
-    slot.block_key = now;
-    slot.blocked = true;
-    slot.state = RankSlot::State::kBlocked;
-    if (!single_) lk.unlock();
-    suspend(slot);  // woken by deliver() on this channel, or by poison_all()
-    if (!single_) lk.lock();
+    block(slot, key, now, nullptr, lk);
+  }
+}
+
+FiberScheduler::Received FiberScheduler::take_into(int rank, int src, int tag, double now,
+                                                   std::span<std::byte> out) {
+  RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
+  const std::uint64_t key = channel_key(src, tag);
+  std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
+  if (!single_) lk.lock();
+  for (;;) {
+    SimMessage msg;
+    if (slot.box.pop(key, msg)) {
+      const Received got{msg.arrival, msg.payload.size()};
+      // memcpy's nonnull contract forbids an empty payload's null data.
+      if (got.bytes == out.size() && got.bytes > 0) {
+        std::memcpy(out.data(), msg.payload.data(), got.bytes);
+        slot.bytes_copied += got.bytes;
+      }
+      slot.box.recycle(std::move(msg.payload));
+      return got;
+    }
+    if (slot.poisoned) {
+      throw RankAbandoned();
+    }
+    block(slot, key, now, &out, lk);
+    if (slot.filled_arrival) {
+      const Received got{*slot.filled_arrival, out.size()};
+      slot.filled_arrival.reset();
+      return got;
+    }
+    // Woken by a message of another size (now queued) or by poison.
   }
 }
 
@@ -416,22 +465,23 @@ void FiberScheduler::deliver(int dst, int src, int tag, double arrival,
   {
     std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
     if (!single_) lk.lock();
-    slot.box.push(key, arrival, payload);
-    ++slot.delivered;
     if (slot.blocked && slot.waiting_key == key) {
       slot.blocked = false;
       wake = true;
       wake_key = slot.block_key;
     }
+    if (wake && slot.waiting_out != nullptr && slot.waiting_out->size() == payload.size()) {
+      if (!payload.empty()) {
+        std::memcpy(slot.waiting_out->data(), payload.data(), payload.size());
+      }
+      slot.filled_arrival = arrival;
+    } else {
+      slot.box.push(key, arrival, payload);
+    }
+    ++slot.delivered;
+    slot.bytes_copied += payload.size();
   }
   if (wake) enqueue_ready(dst, wake_key);
-}
-
-void FiberScheduler::recycle(int rank, std::vector<std::byte> buf) {
-  RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
-  std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
-  if (!single_) lk.lock();
-  slot.box.recycle(std::move(buf));
 }
 
 void FiberScheduler::maybe_yield(int rank, double now, std::uint32_t delay_us) {

@@ -21,6 +21,14 @@
 // observable. (src/check's perturbed and cross-worker digest oracles assert
 // exactly this.)
 //
+// Payload copies: a send copies its bytes at once (eager semantics), into a
+// pooled buffer queued in the receiver's mailbox, and a typed receive
+// (take_into) copies them out again: two copies. A typed receive that has to
+// block waits with its destination buffer instead, and a delivery on its
+// channel of exactly that size is copied straight into the buffer and never
+// queued: one copy. A message of another size is queued, so the receive
+// sees the mismatch as before. Stats::bytes_copied counts every copy.
+//
 // Failure protocol: the first rank body to throw records the root-cause
 // exception and poisons every mailbox; blocked peers are re-enqueued, drain
 // any messages that already arrived, then unwind with RankAbandoned. The
@@ -69,6 +77,7 @@ class FiberScheduler {
     std::uint64_t messages = 0;     // deliveries through the mailboxes
     std::size_t channels_max = 0;   // live (src, tag) channels in one mailbox
     std::size_t pool_bytes_max = 0; // idle payload bytes in one rank's pool
+    std::uint64_t bytes_copied = 0; // payload bytes memcpy'd by deliveries and receives
   };
 
   /// Idle payload bytes one rank's pool may keep for reuse: an even share of
@@ -101,17 +110,28 @@ class FiberScheduler {
   /// Blocking FIFO receive on (src, tag). `now` is the rank's current virtual
   /// clock, used as the dispatch key if the fiber must block. Throws
   /// RankAbandoned if the mailbox is poisoned and the channel is empty. The
-  /// payload is a buffer from the rank's pool; hand it back with recycle()
-  /// once its bytes are consumed.
+  /// payload buffer leaves the pool with the message.
   SimMessage take(int rank, int src, int tag, double now);
 
-  /// Copies `payload` into a buffer from dst's pool and queues it in dst's
-  /// mailbox, waking dst if it blocks on exactly this channel.
+  /// The arrival time and payload size of a message take_into() consumed.
+  struct Received {
+    double arrival = 0.0;
+    std::size_t bytes = 0;
+  };
+
+  /// take() into `out`: the payload is copied into `out` when its size is
+  /// out.size(), and the message is consumed either way (the caller reports
+  /// a mismatch). A queued message is copied out of its pooled buffer, which
+  /// goes back to the pool; if the rank blocks, a matching deliver() copies
+  /// straight into `out`.
+  Received take_into(int rank, int src, int tag, double now, std::span<std::byte> out);
+
+  /// Copies `payload` to dst: straight into the buffer of a take_into() that
+  /// blocks on exactly this channel and has its size, otherwise into a buffer
+  /// from dst's pool, queued in dst's mailbox. Wakes dst if it blocks on this
+  /// channel.
   void deliver(int dst, int src, int tag, double arrival,
                std::span<const std::byte> payload);
-
-  /// Returns a payload buffer obtained from take() to `rank`'s pool.
-  void recycle(int rank, std::vector<std::byte> buf);
 
   /// Seeded scheduler-order perturbation: suspends the calling rank and
   /// re-enqueues it `delay_us` virtual microseconds later in dispatch order.
@@ -135,6 +155,8 @@ class FiberScheduler {
   void dispatch(Worker& wk, int rank);
   void enqueue_ready(int rank, double key);
   void suspend(RankSlot& slot);
+  void block(RankSlot& slot, std::uint64_t key, double now, std::span<std::byte>* out,
+             std::unique_lock<std::mutex>& lk);
   void poison_all();
   void stop_all();
   void on_idle(Worker& wk);

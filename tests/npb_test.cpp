@@ -603,6 +603,40 @@ TEST(Cg, ZetaIndependentOfRankCount) {
   }
 }
 
+TEST(Cg, ZetaAndRnormMatchRecordedBits) {
+  // Rank 0's results recorded, as hex floats, from the build whose local dot
+  // products sum in four partial sums. p = 3 splits the rows unevenly
+  // (allgatherv), and p = 16 sends most of the allgather's blocks into
+  // receives that are already waiting.
+  struct Recorded {
+    npb::ProblemClass cls;
+    int p;
+    double zeta, rnorm;
+  };
+  using npb::ProblemClass;
+  const Recorded recorded[] = {
+      {ProblemClass::S, 1, 0x1.7757e2ca3aef6p+4, 0x1.ef11aeea9d902p-52},
+      {ProblemClass::S, 3, 0x1.7757e2ca3aef5p+4, 0x1.e4bbfac7e9542p-52},
+      {ProblemClass::S, 4, 0x1.7757e2ca3aef5p+4, 0x1.dea233bc1cc7p-52},
+      {ProblemClass::S, 16, 0x1.7757e2ca3aef5p+4, 0x1.f5ac96a30fe74p-52},
+      {ProblemClass::W, 1, 0x1.7535094bfa7c6p+4, 0x1.07ea26ad5ecbdp-51},
+      {ProblemClass::W, 8, 0x1.7535094bfa7ccp+4, 0x1.04c1d31880c33p-51},
+  };
+  for (const Recorded& rec : recorded) {
+    const npb::CgConfig cfg = npb::cg_class(rec.cls);
+    Engine eng(test_machine());
+    npb::CgResult got;
+    eng.run(rec.p, [&](RankCtx& ctx) {
+      const npb::CgResult res = npb::cg_rank(ctx, cfg);
+      if (ctx.rank() == 0) got = res;
+    });
+    EXPECT_EQ(got.zeta, rec.zeta) << "n=" << cfg.n << " p=" << rec.p << " got "
+                                  << std::hexfloat << got.zeta;
+    EXPECT_EQ(got.rnorm, rec.rnorm) << "n=" << cfg.n << " p=" << rec.p << " got "
+                                    << std::hexfloat << got.rnorm;
+  }
+}
+
 TEST(Cg, CommunicationGrowsWithRanks) {
   npb::CgConfig cfg;
   cfg.n = 1024;

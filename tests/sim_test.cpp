@@ -10,8 +10,11 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "npb/cg.hpp"
+#include "npb/classes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sched_profiler.hpp"
 #include "sim/engine.hpp"
@@ -843,10 +846,14 @@ TEST(Mailbox, PoolKeepsAtMostItsCapAndFreesLargerBuffers) {
   // A wide run splits the run-wide budget across its ranks' pools.
   EXPECT_EQ(sim::detail::FiberScheduler::pool_cap_bytes(4096) * 4096,
             sim::detail::FiberScheduler::kPoolRunBytes);
-  // Rank 0 never blocks, so its whole burst is in flight before rank 1 takes
-  // (and recycles) the first message.
+  // Rank 0 never blocks, so at one worker its whole burst is in flight before
+  // rank 1 takes (and recycles) the first message. With more workers rank 1
+  // could block first and take a message straight into its buffer, which
+  // never touches the pool.
   const auto run_burst = [](std::size_t bytes, int burst) {
-    Engine eng(tiny_machine());
+    sim::EngineOptions one;
+    one.workers = 1;
+    Engine eng(tiny_machine(), one);
     eng.run(2, [bytes, burst](RankCtx& ctx) {
       std::vector<unsigned char> buf(bytes);
       for (int i = 0; i < burst; ++i) {
@@ -893,6 +900,178 @@ TEST(Mailbox, SizeMismatchOnPooledBufferStillThrows) {
                          }),
                  std::runtime_error)
         << "want=" << want;
+  }
+}
+
+// --- receives that are already waiting ------------------------------------------
+// A typed receive that blocks waits with its buffer; a delivery of that size
+// is copied straight into it. At one worker rank 0 runs first, so a rank-0
+// receiver blocks before rank 1 sends, and a rank-0 sender has sent
+// everything before rank 1 receives.
+
+obs::Counter& copied_counter() { return obs::metrics().counter("sim.payload_bytes_copied"); }
+
+TEST(WaitingRecv, PayloadBytesCopiedIsOneCopyIntoAWaitingReceiveAndTwoOtherwise) {
+  sim::EngineOptions one;
+  one.workers = 1;
+  // Ping-pong: each receive is posted before its message is sent.
+  Engine ping(tiny_machine(), one);
+  std::uint64_t before = copied_counter().value();
+  auto res = ping.run(2, [](RankCtx& ctx) {
+    std::vector<double> buf(16, static_cast<double>(ctx.rank()));
+    const int peer = 1 - ctx.rank();
+    for (int i = 0; i < 5; ++i) {
+      if (ctx.rank() == 0) {
+        ctx.recv(peer, 3, std::span<double>(buf));
+        EXPECT_EQ(buf.front(), static_cast<double>(i + 1));
+        ctx.send(peer, 3, std::span<const double>(buf));
+      } else {
+        std::fill(buf.begin(), buf.end(), static_cast<double>(i + 1));
+        ctx.send(peer, 3, std::span<const double>(buf));
+        ctx.recv(peer, 3, std::span<double>(buf));
+      }
+    }
+  });
+  EXPECT_EQ(res.counters.bytes_sent, 10u * 16u * sizeof(double));
+  EXPECT_EQ(copied_counter().value() - before, res.counters.bytes_sent);
+
+  // A burst: every message is queued before its receive.
+  Engine burst(tiny_machine(), one);
+  before = copied_counter().value();
+  res = burst.run(2, [](RankCtx& ctx) {
+    std::vector<double> buf(16);
+    for (int i = 0; i < 5; ++i) {
+      if (ctx.rank() == 0) {
+        ctx.send(1, 3, std::span<const double>(buf));
+      } else {
+        ctx.recv(0, 3, std::span<double>(buf));
+      }
+    }
+  });
+  EXPECT_EQ(copied_counter().value() - before, 2 * res.counters.bytes_sent);
+}
+
+TEST(WaitingRecv, SizeMismatchThrowsAndTheNextReceiveGetsTheNextMessage) {
+  sim::EngineOptions one;
+  one.workers = 1;
+  Engine eng(tiny_machine(), one);
+  bool threw = false;
+  double next = 0.0;
+  const auto res = eng.run(2, [&](RankCtx& ctx) {
+    constexpr int kTag = 7, kAckTag = 8;
+    const int ack = 1;
+    if (ctx.rank() == 0) {
+      std::vector<double> small(3, -1.0);
+      try {
+        ctx.recv(1, kTag, std::span<double>(small));  // blocks; a 4-double message wakes it
+      } catch (const std::runtime_error& e) {
+        threw = std::string(e.what()) == "recv size mismatch";
+      }
+      EXPECT_EQ(small, std::vector<double>(3, -1.0));  // nothing copied
+      ctx.send(1, kAckTag, std::span<const int>(&ack, 1));
+      std::vector<double> right(4);
+      ctx.recv(1, kTag, std::span<double>(right));  // waits again; filled directly
+      next = right.back();
+    } else {
+      const std::vector<double> first(4, 1.0), second(4, 2.0);
+      ctx.send(0, kTag, std::span<const double>(first));
+      int got = 0;
+      ctx.recv(0, kAckTag, std::span<int>(&got, 1));
+      ctx.send(0, kTag, std::span<const double>(second));
+    }
+  });
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(next, 2.0);
+  EXPECT_EQ(res.ranks[0].counters.messages_received, 2u);
+}
+
+TEST(WaitingRecv, ZeroByteMessageCompletesAWaitingReceive) {
+  sim::EngineOptions one;
+  one.workers = 1;
+  Engine eng(tiny_machine(), one);
+  double value = 0.0;
+  const auto res = eng.run(2, [&](RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.recv(1, 2, std::span<double>());  // blocks first
+      ctx.recv(1, 2, std::span<double>(&value, 1));
+    } else {
+      const double v = 5.0;
+      ctx.send(0, 2, std::span<const double>());
+      ctx.send(0, 2, std::span<const double>(&v, 1));
+    }
+  });
+  EXPECT_EQ(value, 5.0);
+  EXPECT_EQ(res.ranks[0].counters.messages_received, 2u);
+  EXPECT_EQ(res.ranks[0].counters.bytes_received, sizeof(double));
+}
+
+TEST(WaitingRecv, PeerFailureUnwindsAWaitingReceiveWithRankAbandoned) {
+  for (const int workers : {1, 2}) {
+    sim::EngineOptions opts;
+    opts.workers = workers;
+    Engine eng(tiny_machine(), opts);
+    bool abandoned = false;
+    std::vector<double> buf(8, -1.0);
+    try {
+      eng.run(2, [&](RankCtx& ctx) {
+        if (ctx.rank() == 1) throw std::runtime_error("injected");
+        try {
+          ctx.recv(1, 0, std::span<double>(buf));
+        } catch (const sim::RankAbandoned&) {
+          abandoned = true;
+          throw;
+        }
+      });
+      ADD_FAILURE() << "run did not throw, workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "injected") << "workers=" << workers;
+    }
+    EXPECT_TRUE(abandoned) << "workers=" << workers;
+    EXPECT_EQ(buf, std::vector<double>(8, -1.0)) << "workers=" << workers;
+  }
+}
+
+struct CgRun {
+  sim::RunResult result;
+  npb::CgResult cg;
+  std::uint64_t events = 0;
+  std::uint64_t copied = 0;
+};
+
+CgRun run_cg_s16(int workers) {
+  sim::EngineOptions opts;
+  opts.workers = workers;
+  auto machine = sim::system_g();
+  machine.noise.enabled = false;
+  Engine eng(machine, opts);
+  obs::Counter& events = obs::metrics().counter("engine.events_processed");
+  const std::uint64_t events0 = events.value();
+  const std::uint64_t copied0 = copied_counter().value();
+  CgRun out;
+  out.result = eng.run(16, [&](RankCtx& ctx) {
+    const npb::CgResult res = npb::cg_rank(ctx, npb::cg_class(npb::ProblemClass::S));
+    if (ctx.rank() == 0) out.cg = res;
+  });
+  out.events = events.value() - events0;
+  out.copied = copied_counter().value() - copied0;
+  return out;
+}
+
+TEST(WaitingRecv, CgAtP16IsByteIdenticalAcrossWorkersAndCopiesLessThanTwice) {
+  const CgRun ref = run_cg_s16(1);
+  // At one worker the copy count is exact, and many of the allgather's
+  // blocks land in receives that are already waiting.
+  EXPECT_EQ(run_cg_s16(1).copied, ref.copied);
+  EXPECT_GT(ref.copied, ref.result.counters.bytes_sent);
+  EXPECT_LT(ref.copied, 2 * ref.result.counters.bytes_sent);
+  for (const int workers : {2, 8}) {
+    const CgRun got = run_cg_s16(workers);
+    EXPECT_EQ(digest_result(got.result), digest_result(ref.result)) << "workers=" << workers;
+    EXPECT_EQ(got.result.makespan, ref.result.makespan) << "workers=" << workers;
+    EXPECT_EQ(got.result.energy.total, ref.result.energy.total) << "workers=" << workers;
+    EXPECT_EQ(got.events, ref.events) << "workers=" << workers;
+    EXPECT_EQ(got.cg.zeta, ref.cg.zeta) << "workers=" << workers;
+    EXPECT_EQ(got.cg.rnorm, ref.cg.rnorm) << "workers=" << workers;
   }
 }
 
