@@ -76,11 +76,11 @@ void BM_PingPong(benchmark::State& state) {
       for (int i = 0; i < 100; ++i) {
         if (ctx.rank() == 0) {
           ctx.send_bytes(1, 0, buf);
-          auto back = ctx.recv_bytes(1, 1);
-          benchmark::DoNotOptimize(back.size());
+          ctx.recv(1, 1, std::span<std::byte>(buf));
+          benchmark::DoNotOptimize(buf.data());
         } else {
-          auto ping = ctx.recv_bytes(0, 0);
-          ctx.send_bytes(0, 1, ping);
+          ctx.recv(0, 0, std::span<std::byte>(buf));
+          ctx.send_bytes(0, 1, buf);
         }
       }
     });
@@ -266,10 +266,10 @@ double workload_seconds(const sim::MachineSpec& spec) {
       ctx.memory(100);
       if (ctx.rank() == 0) {
         ctx.send_bytes(1, 0, buf);
-        (void)ctx.recv_bytes(1, 1);
+        ctx.recv(1, 1, std::span<std::byte>(buf));
       } else {
-        auto ping = ctx.recv_bytes(0, 0);
-        ctx.send_bytes(0, 1, ping);
+        ctx.recv(0, 0, std::span<std::byte>(buf));
+        ctx.send_bytes(0, 1, buf);
       }
     }
   });

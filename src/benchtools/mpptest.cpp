@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <mutex>
+#include <span>
+#include <vector>
 
 #include "util/stats.hpp"
 
@@ -19,11 +21,10 @@ NetworkFit mpptest(const sim::MachineSpec& machine, const MpptestOptions& option
       for (int rep = 0; rep < options.repetitions; ++rep) {
         if (ctx.rank() == 0) {
           ctx.send_bytes(1, 1, buf);
-          auto back = ctx.recv_bytes(1, 2);
-          buf.swap(back);
+          ctx.recv(1, 2, std::span<std::byte>(buf));
         } else {
-          auto ping = ctx.recv_bytes(0, 1);
-          ctx.send_bytes(0, 2, ping);
+          ctx.recv(0, 1, std::span<std::byte>(buf));
+          ctx.send_bytes(0, 2, buf);
         }
       }
       if (ctx.rank() == 0) {

@@ -261,14 +261,6 @@ inline SplitVolume barrier_split_volume(const Topology& t) {
   return v;
 }
 
-/// Aggregate two-level network time: each link class charged its own Hockney
-/// pair (the flat `network_time` with intra == inter).
-inline double hierarchical_network_time(const SplitVolume& v, const LinkParams& intra,
-                                        const LinkParams& inter) {
-  return intra.time(v.intra.messages, v.intra.bytes) +
-         inter.time(v.inter.messages, v.inter.bytes);
-}
-
 /// Per-rank two-level Pairwise-exchange/Hockney alltoall estimate. Steps are
 /// synchronous, so a step costs the Hockney pair of the slowest link it uses:
 /// intra only when *every* partner pair of that step is intra-node (with

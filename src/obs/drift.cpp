@@ -88,17 +88,6 @@ std::vector<DriftKeyStats> DriftMonitor::degraded_keys() const {
   return out;
 }
 
-DriftConfig DriftMonitor::config() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cfg_;
-}
-
-void DriftMonitor::set_config(const DriftConfig& cfg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cfg_ = cfg;
-  refresh_metrics();
-}
-
 void DriftMonitor::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();

@@ -112,10 +112,7 @@ class DriftMonitor {
   /// Subset of snapshot() with .degraded set, same order.
   std::vector<DriftKeyStats> degraded_keys() const;
 
-  DriftConfig config() const;
-  /// Replaces the config; existing per-key EWMAs are kept and re-judged
-  /// against the new threshold on their next record().
-  void set_config(const DriftConfig& cfg);
+  const DriftConfig& config() const { return cfg_; }
 
   /// Drops all keys and zeroes the mirrored gauges. For tests.
   void reset();
@@ -135,7 +132,7 @@ class DriftMonitor {
   void refresh_metrics();                     // caller holds mu_
 
   mutable std::mutex mu_;
-  DriftConfig cfg_;
+  const DriftConfig cfg_;
   MetricsRegistry* registry_;
   std::map<DriftKey, Entry> entries_;
 };

@@ -105,31 +105,6 @@ PowerSample Profiler::power_at(std::span<const sim::Segment> trace, double t) co
   return s;
 }
 
-std::vector<PowerSample> Profiler::sample_rank(std::span<const sim::Segment> trace,
-                                               const SampleOptions& opts,
-                                               double t_end) const {
-  if (t_end < 0.0) {
-    t_end = trace.empty() ? 0.0 : trace.back().start + trace.back().duration;
-  }
-  util::Xoshiro256 rng(opts.noise_seed);
-  std::vector<PowerSample> out;
-  const auto count = static_cast<std::size_t>(std::floor(t_end / opts.interval_s)) + 1;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t = static_cast<double>(i) * opts.interval_s;
-    PowerSample s = power_at(trace, t);
-    if (opts.sensor_noise && spec_.noise.enabled) {
-      const double sigma = spec_.noise.sensor_sigma;
-      s.cpu_w *= rng.jitter(sigma);
-      s.mem_w *= rng.jitter(sigma);
-      s.io_w *= rng.jitter(sigma);
-      s.other_w *= rng.jitter(sigma);
-    }
-    out.push_back(s);
-  }
-  return out;
-}
-
 std::vector<PowerSample> Profiler::sample_job(
     const std::vector<std::vector<sim::Segment>>& traces, const SampleOptions& opts) const {
   double t_end = 0.0;

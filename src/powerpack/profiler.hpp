@@ -85,11 +85,6 @@ class Profiler {
   /// from its segment timeline. Times past the end of the trace report idle.
   PowerSample power_at(std::span<const sim::Segment> trace, double t) const;
 
-  /// Samples one rank's power every `opts.interval_s` from 0 to `t_end`
-  /// (default: end of trace).
-  std::vector<PowerSample> sample_rank(std::span<const sim::Segment> trace,
-                                       const SampleOptions& opts, double t_end = -1.0) const;
-
   /// Samples the whole job: per-sample sum of all ranks' component powers.
   std::vector<PowerSample> sample_job(const std::vector<std::vector<sim::Segment>>& traces,
                                       const SampleOptions& opts) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -32,16 +34,20 @@ namespace {
 
 std::atomic<int> g_default_workers{0};
 
+// ISOEE_ENGINE_WORKERS, read on each call: unset or empty is 0 (automatic);
+// anything but a whole number in [0, 4096] throws, so a mistyped value cannot
+// quietly run at the automatic width.
 int env_engine_workers() {
-  static const int v = [] {
-    const char* s = std::getenv("ISOEE_ENGINE_WORKERS");
-    if (s == nullptr || *s == '\0') return 0;
-    char* end = nullptr;
-    const long n = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || n < 0 || n > 4096) return 0;
-    return static_cast<int>(n);
-  }();
-  return v;
+  const char* s = std::getenv("ISOEE_ENGINE_WORKERS");
+  if (s == nullptr || *s == '\0') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || n < 0 || n > 4096) {
+    throw std::invalid_argument("ISOEE_ENGINE_WORKERS must be a whole number in [0, 4096] (0 = "
+                                "automatic), got '" + std::string(s) + "'");
+  }
+  return static_cast<int>(n);
 }
 
 }  // namespace
@@ -309,8 +315,6 @@ void RankCtx::disk_write(std::uint64_t bytes) {
   advance(secs, Activity::kIo);
 }
 
-void RankCtx::disk_read(std::uint64_t bytes) { disk_write(bytes); }
-
 void RankCtx::idle(double seconds) {
   if (seconds <= 0.0) return;
   advance(seconds, Activity::kIdle);
@@ -383,22 +387,14 @@ void RankCtx::send_bytes(int dst, int tag, std::span<const std::byte> payload) {
 }
 
 void RankCtx::recv_into(int src, int tag, std::span<std::byte> out) {
-  if (src < 0 || src >= size_) throw std::out_of_range("recv_bytes: bad source rank");
-  maybe_perturb();
-  const detail::FiberScheduler::Received got =
-      sched_->take_into(rank_, src, tag, clock_, out);
-  complete_recv(src, tag, got.arrival, got.bytes);
-  if (got.bytes != out.size()) throw std::runtime_error("recv size mismatch");
-}
-
-std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
-  if (src < 0 || src >= size_) throw std::out_of_range("recv_bytes: bad source rank");
+  if (src < 0 || src >= size_) throw std::out_of_range("recv: bad source rank");
   // Perturb before blocking on the mailbox: a delayed receiver lets senders
   // race ahead, which is the interleaving that stresses tag-range recycling.
   maybe_perturb();
-  detail::SimMessage msg = sched_->take(rank_, src, tag, clock_);
-  complete_recv(src, tag, msg.arrival, msg.payload.size());
-  return std::move(msg.payload);
+  const detail::FiberScheduler::Received got =
+      sched_->take(rank_, src, tag, clock_, out);
+  complete_recv(src, tag, got.arrival, got.bytes);
+  if (got.bytes != out.size()) throw std::runtime_error("recv size mismatch");
 }
 
 void RankCtx::complete_recv(int src, int tag, double arrival, std::size_t bytes) {
@@ -412,12 +408,6 @@ void RankCtx::complete_recv(int src, int tag, double arrival, std::size_t bytes)
   }
   counters_.messages_received += 1;
   counters_.bytes_received += bytes;
-}
-
-std::vector<std::byte> RankCtx::wait(RecvHandle& handle) {
-  if (handle.done) throw std::logic_error("wait: handle already completed");
-  handle.done = true;
-  return recv_bytes(handle.src, handle.tag);
 }
 
 // ---------------------------------------------------------------------------

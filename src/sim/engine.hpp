@@ -8,7 +8,8 @@
 //   ctx.memory(acc)           — advance clock by acc * t_m
 //   ctx.compute_mem(i, a)     — fused region; part of the memory time is
 //                               hidden under compute (emergent overlap alpha)
-//   ctx.send_bytes / recv_bytes / irecv+wait — Hockney-model messaging
+//   ctx.send_bytes / send / recv — Hockney-model messaging; recv copies
+//                               into a buffer the caller owns
 //   ctx.set_frequency(ghz)    — DVFS gear switch
 //   ctx.scratch(bytes)        — this rank's slice of the run's one
 //                               uninitialized working-set block
@@ -157,10 +158,9 @@ class RankCtx {
   /// Flat I/O access of the given duration (paper's simple T_io model).
   void io(double seconds);
 
-  /// Disk write/read of `bytes` through the machine's DiskSpec (latency +
+  /// Disk access of `bytes` through the machine's DiskSpec (latency +
   /// bandwidth), charged as Io activity with the io-noise jitter.
   void disk_write(std::uint64_t bytes);
-  void disk_read(std::uint64_t bytes);
 
   /// Advances the clock with no component active (explicit idle).
   void idle(double seconds);
@@ -175,20 +175,10 @@ class RankCtx {
   /// Eager send: never blocks; charges t_s to this rank.
   void send_bytes(int dst, int tag, std::span<const std::byte> payload);
 
-  /// Blocking receive; returns the payload. FIFO per (src, tag).
-  std::vector<std::byte> recv_bytes(int src, int tag);
-
-  /// Deferred receive handle for communication/computation overlap.
-  struct RecvHandle {
-    int src = -1;
-    int tag = -1;
-    bool done = false;
-  };
-  RecvHandle irecv(int src, int tag) { return RecvHandle{src, tag, false}; }
-  /// Completes a deferred receive (blocking if the message is not here yet).
-  std::vector<std::byte> wait(RecvHandle& handle);
-
-  /// Typed convenience: send/recv a span of trivially copyable values.
+  /// Typed send/recv of a span of trivially copyable values. recv blocks
+  /// until the next message on (src, tag) arrives (FIFO per channel) and
+  /// copies it into the caller's `out`; a payload of another size throws
+  /// after the message is consumed.
   template <typename T>
   void send(int dst, int tag, std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -225,7 +215,7 @@ class RankCtx {
           int size);
 
   void advance(double seconds, Activity activity);
-  /// recv_bytes into `out` (throws if the payload size differs). A message
+  /// The receive behind recv (throws if the payload size differs). A message
   /// that arrives while this waits is copied straight into `out`; one that
   /// was queued is copied out of its pooled buffer, which goes back to the
   /// pool.
@@ -292,7 +282,8 @@ struct PerturbSpec {
 /// Resolves an EngineOptions::workers request to a concrete worker count for
 /// an nranks-rank job: explicit requests are clamped to [1, nranks]; 0 defers
 /// to set_default_engine_workers(), then the ISOEE_ENGINE_WORKERS environment
-/// variable, then auto_engine_workers(). A negative request throws
+/// variable (read on each call), then auto_engine_workers(). A negative
+/// request, or a variable that is not a whole number in [0, 4096], throws
 /// std::invalid_argument.
 int resolve_engine_workers(int requested, int nranks);
 

@@ -83,15 +83,6 @@ struct NetworkSpec {
   double per_byte(bool same_node) const {
     return hierarchical && same_node ? intra_t_w() : t_w();
   }
-
-  /// Transfer time of an m-byte message (Hockney, inter-node link).
-  double transfer_time(std::uint64_t bytes) const {
-    return t_s + static_cast<double>(bytes) * t_w();
-  }
-  /// Transfer time over the link serving the given locality class.
-  double transfer_time(std::uint64_t bytes, bool same_node) const {
-    return startup(same_node) + static_cast<double>(bytes) * per_byte(same_node);
-  }
 };
 
 /// Local storage described by latency + bandwidth; exercised by the

@@ -34,9 +34,9 @@ class Mailbox {
   void push(std::uint64_t key, double arrival, std::span<const std::byte> payload) {
     const std::uint32_t n = alloc_node();
     Node& node = nodes_[n];
-    node.msg.arrival = arrival;
-    node.msg.payload = acquire(payload.size());
-    node.msg.payload.assign(payload.begin(), payload.end());
+    node.arrival = arrival;
+    node.payload = acquire(payload.size());
+    node.payload.assign(payload.begin(), payload.end());
     node.next = kNil;
     Entry* e = find(key);
     if (e == nullptr) {
@@ -48,20 +48,31 @@ class Mailbox {
     e->tail = n;
   }
 
-  // Moves the oldest message of channel `key` into `out`; false if none is
-  // queued. Draining the channel removes it from the index.
-  bool pop(std::uint64_t key, SimMessage& out) {
+  // Takes the oldest message of channel `key` into `got`, copying its payload
+  // into `out` when the sizes match, and returns its buffer to the pool;
+  // false if none is queued. Draining the channel removes it from the index.
+  bool pop(std::uint64_t key, std::span<std::byte> out, FiberScheduler::Received& got) {
     Entry* e = find(key);
     if (e == nullptr) return false;
     const std::uint32_t n = e->head;
-    out = std::move(nodes_[n].msg);
-    e->head = nodes_[n].next;
-    nodes_[n].next = free_node_;
+    Node& node = nodes_[n];
+    got = {node.arrival, node.payload.size()};
+    // memcpy's nonnull contract forbids an empty payload's null data.
+    if (got.bytes == out.size() && got.bytes > 0) {
+      std::memcpy(out.data(), node.payload.data(), got.bytes);
+    }
+    recycle(std::move(node.payload));
+    e->head = node.next;
+    node.next = free_node_;
     free_node_ = n;
     if (e->head == kNil) erase(*e);
     return true;
   }
 
+  std::size_t channels_max() const { return live_max_; }
+  std::size_t pool_bytes_max() const { return pool_bytes_max_; }
+
+ private:
   // Keeps `buf` for a later push(), unless the pool is full or `buf` is
   // bigger than the whole pool may be; then it is freed here.
   void recycle(std::vector<std::byte> buf) {
@@ -74,10 +85,6 @@ class Mailbox {
     pool_bytes_max_ = std::max(pool_bytes_max_, pool_bytes_);
   }
 
-  std::size_t channels_max() const { return live_max_; }
-  std::size_t pool_bytes_max() const { return pool_bytes_max_; }
-
- private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   // channel_key() packs two non-negative ints, so all-ones is never a key.
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
@@ -87,8 +94,11 @@ class Mailbox {
   // Idle buffers by size class: class c holds capacity 2^c.
   using Pool = std::array<std::vector<std::vector<std::byte>>, kClasses>;
 
+  // One queued message: its virtual arrival time and a pooled copy of its
+  // payload.
   struct Node {
-    SimMessage msg;
+    double arrival = 0.0;
+    std::vector<std::byte> payload;
     std::uint32_t next = kNil;
   };
   struct Entry {
@@ -197,7 +207,7 @@ class Mailbox {
 //
 // Locking: `mu` guards only the mailbox (box/delivered/bytes_copied) and the
 // blocked/waiting/filled/poisoned fields — the handshake between a rank
-// blocking in take() or take_into() and a peer delivering into its mailbox.
+// blocking in take() and a peer delivering into its mailbox.
 // All other fields are touched only by the slot's owner worker (or
 // single-threadedly in run()), so they need no lock.
 struct FiberScheduler::RankSlot {
@@ -217,14 +227,14 @@ struct FiberScheduler::RankSlot {
   std::mutex mu;
   Mailbox box;
   std::uint64_t waiting_key = 0;
-  bool blocked = false;     // parked in take()/take_into(), waiting on waiting_key
+  bool blocked = false;     // parked in take(), waiting on waiting_key
   bool poisoned = false;
   double block_key = 0.0;   // virtual clock at block time: the wakeup key
-  // A blocked take_into()'s destination (null in take()). deliver() writes
-  // into it only while `blocked` is set, and clears `blocked` as it does, so
-  // no write can land after the receive has returned or unwound.
-  std::span<std::byte>* waiting_out = nullptr;
-  std::optional<double> filled_arrival;  // set when deliver() wrote *waiting_out
+  // A blocked take()'s destination. deliver() writes into it only while
+  // `blocked` is set, and clears `blocked` as it does, so no write can land
+  // after the receive has returned or unwound.
+  std::span<std::byte> waiting_out;
+  std::optional<double> filled_arrival;  // set when deliver() wrote waiting_out
   std::uint64_t delivered = 0;
   std::uint64_t bytes_copied = 0;
 };
@@ -395,10 +405,10 @@ void FiberScheduler::suspend(RankSlot& slot) {
 }
 
 // Parks the calling rank on channel `key` until a deliver() on it or a
-// poison wakes it; `out`, if not null, is where a delivery of its size may be
-// copied. `lk` holds slot.mu (multi-worker runs) on entry and exit.
+// poison wakes it; `out` is where a delivery of its size is copied. `lk`
+// holds slot.mu (multi-worker runs) on entry and exit.
 void FiberScheduler::block(RankSlot& slot, std::uint64_t key, double now,
-                           std::span<std::byte>* out, std::unique_lock<std::mutex>& lk) {
+                           std::span<std::byte> out, std::unique_lock<std::mutex>& lk) {
   slot.waiting_key = key;
   slot.waiting_out = out;
   slot.block_key = now;
@@ -409,46 +419,25 @@ void FiberScheduler::block(RankSlot& slot, std::uint64_t key, double now,
   if (!single_) lk.lock();
 }
 
-SimMessage FiberScheduler::take(int rank, int src, int tag, double now) {
+FiberScheduler::Received FiberScheduler::take(int rank, int src, int tag, double now,
+                                              std::span<std::byte> out) {
   RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
   const std::uint64_t key = channel_key(src, tag);
   std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
   if (!single_) lk.lock();
   for (;;) {
     // Fast path: the message already arrived — no context switch at all.
-    SimMessage msg;
-    if (slot.box.pop(key, msg)) return msg;
-    if (slot.poisoned) {
-      throw RankAbandoned();
-    }
-    block(slot, key, now, nullptr, lk);
-  }
-}
-
-FiberScheduler::Received FiberScheduler::take_into(int rank, int src, int tag, double now,
-                                                   std::span<std::byte> out) {
-  RankSlot& slot = *slots_[static_cast<std::size_t>(rank)];
-  const std::uint64_t key = channel_key(src, tag);
-  std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
-  if (!single_) lk.lock();
-  for (;;) {
-    SimMessage msg;
-    if (slot.box.pop(key, msg)) {
-      const Received got{msg.arrival, msg.payload.size()};
-      // memcpy's nonnull contract forbids an empty payload's null data.
-      if (got.bytes == out.size() && got.bytes > 0) {
-        std::memcpy(out.data(), msg.payload.data(), got.bytes);
-        slot.bytes_copied += got.bytes;
-      }
-      slot.box.recycle(std::move(msg.payload));
+    Received got;
+    if (slot.box.pop(key, out, got)) {
+      if (got.bytes == out.size()) slot.bytes_copied += got.bytes;
       return got;
     }
     if (slot.poisoned) {
       throw RankAbandoned();
     }
-    block(slot, key, now, &out, lk);
+    block(slot, key, now, out, lk);
     if (slot.filled_arrival) {
-      const Received got{*slot.filled_arrival, out.size()};
+      got = {*slot.filled_arrival, out.size()};
       slot.filled_arrival.reset();
       return got;
     }
@@ -470,9 +459,9 @@ void FiberScheduler::deliver(int dst, int src, int tag, double arrival,
       wake = true;
       wake_key = slot.block_key;
     }
-    if (wake && slot.waiting_out != nullptr && slot.waiting_out->size() == payload.size()) {
+    if (wake && slot.waiting_out.size() == payload.size()) {
       if (!payload.empty()) {
-        std::memcpy(slot.waiting_out->data(), payload.data(), payload.size());
+        std::memcpy(slot.waiting_out.data(), payload.data(), payload.size());
       }
       slot.filled_arrival = arrival;
     } else {

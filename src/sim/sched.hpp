@@ -21,13 +21,14 @@
 // observable. (src/check's perturbed and cross-worker digest oracles assert
 // exactly this.)
 //
-// Payload copies: a send copies its bytes at once (eager semantics), into a
-// pooled buffer queued in the receiver's mailbox, and a typed receive
-// (take_into) copies them out again: two copies. A typed receive that has to
-// block waits with its destination buffer instead, and a delivery on its
-// channel of exactly that size is copied straight into the buffer and never
-// queued: one copy. A message of another size is queued, so the receive
-// sees the mismatch as before. Stats::bytes_copied counts every copy.
+// Payload copies: every receive (take) copies into a buffer its caller owns.
+// A send copies its bytes at once (eager semantics), into a pooled buffer
+// queued in the receiver's mailbox, and the receive copies them out again and
+// returns the buffer to the pool: two copies. A receive that has to block
+// waits with its destination buffer instead, and a delivery on its channel of
+// exactly that size is copied straight into the buffer and never queued: one
+// copy. A message of another size is queued, so the receive sees the
+// mismatch as before. Stats::bytes_copied counts every copy.
 //
 // Failure protocol: the first rank body to throw records the root-cause
 // exception and poisons every mailbox; blocked peers are re-enqueued, drain
@@ -61,12 +62,6 @@
 #include "sim/fiber.hpp"
 
 namespace isoee::sim::detail {
-
-/// One in-flight simulated message (payload + virtual arrival time).
-struct SimMessage {
-  double arrival = 0.0;
-  std::vector<std::byte> payload;
-};
 
 class FiberScheduler {
  public:
@@ -107,26 +102,22 @@ class FiberScheduler {
 
   // --- primitives called from rank fibers -----------------------------------
 
-  /// Blocking FIFO receive on (src, tag). `now` is the rank's current virtual
-  /// clock, used as the dispatch key if the fiber must block. Throws
-  /// RankAbandoned if the mailbox is poisoned and the channel is empty. The
-  /// payload buffer leaves the pool with the message.
-  SimMessage take(int rank, int src, int tag, double now);
-
-  /// The arrival time and payload size of a message take_into() consumed.
+  /// The arrival time and payload size of a message take() consumed.
   struct Received {
     double arrival = 0.0;
     std::size_t bytes = 0;
   };
 
-  /// take() into `out`: the payload is copied into `out` when its size is
-  /// out.size(), and the message is consumed either way (the caller reports
-  /// a mismatch). A queued message is copied out of its pooled buffer, which
-  /// goes back to the pool; if the rank blocks, a matching deliver() copies
-  /// straight into `out`.
-  Received take_into(int rank, int src, int tag, double now, std::span<std::byte> out);
+  /// Blocking FIFO receive on (src, tag) into `out`. `now` is the rank's
+  /// current virtual clock, used as the dispatch key if the fiber must block.
+  /// The payload is copied into `out` when its size is out.size(), and the
+  /// message is consumed either way (the caller reports a mismatch). A queued
+  /// message is copied out of its pooled buffer, which goes back to the pool;
+  /// if the rank blocks, a matching deliver() copies straight into `out`.
+  /// Throws RankAbandoned if the mailbox is poisoned and the channel is empty.
+  Received take(int rank, int src, int tag, double now, std::span<std::byte> out);
 
-  /// Copies `payload` to dst: straight into the buffer of a take_into() that
+  /// Copies `payload` to dst: straight into the buffer of a take() that
   /// blocks on exactly this channel and has its size, otherwise into a buffer
   /// from dst's pool, queued in dst's mailbox. Wakes dst if it blocks on this
   /// channel.
@@ -155,7 +146,7 @@ class FiberScheduler {
   void dispatch(Worker& wk, int rank);
   void enqueue_ready(int rank, double key);
   void suspend(RankSlot& slot);
-  void block(RankSlot& slot, std::uint64_t key, double now, std::span<std::byte>* out,
+  void block(RankSlot& slot, std::uint64_t key, double now, std::span<std::byte> out,
              std::unique_lock<std::mutex>& lk);
   void poison_all();
   void stop_all();

@@ -17,7 +17,7 @@ inline void barrier(sim::RankCtx& ctx, const TagBlock& tags) {
     const int dst = (r + k) % p;
     const int src = ((r - k) % p + p) % p;
     ctx.send_bytes(dst, tags.tag(round), std::span<const std::byte>(&token, 1));
-    (void)ctx.recv_bytes(src, tags.tag(round));
+    ctx.recv(src, tags.tag(round), std::span<std::byte>(&token, 1));
   }
 }
 

@@ -133,7 +133,7 @@ class Comm {
   void barrier() {
     auto span = collective_span("barrier", 0);
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("barrier");
+    const TagBlock tags = tags_.acquire();
     collectives::barrier(*ctx_, tags);
   }
 
@@ -143,7 +143,7 @@ class Comm {
     auto span = collective_span("bcast", buf.size_bytes());
     span.arg_str("algo", algorithm_name(Family::kBcast, static_cast<int>(algo)));
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("bcast");
+    const TagBlock tags = tags_.acquire();
     collectives::bcast(*ctx_, algo, buf, root, tags);
   }
 
@@ -153,7 +153,7 @@ class Comm {
     auto span = collective_span("reduce", in.size_bytes());
     span.arg_str("algo", "binomial");
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("reduce");
+    const TagBlock tags = tags_.acquire();
     collectives::reduce_binomial(*ctx_, in, out, root, op, tags);
   }
 
@@ -174,7 +174,7 @@ class Comm {
         bcast(out, /*root=*/0);
         return;
       case AllreduceAlgo::kRecursiveDoubling: {
-        const TagBlock tags = tags_.acquire("allreduce");
+        const TagBlock tags = tags_.acquire();
         collectives::allreduce_recursive_doubling(*ctx_, out, op, tags);
         return;
       }
@@ -189,10 +189,6 @@ class Comm {
   template <typename T>
   void allreduce_sum(std::span<const T> in, std::span<T> out) {
     allreduce(in, out, [](T& a, const T& b) { a += b; });
-  }
-  template <typename T>
-  void allreduce_max(std::span<const T> in, std::span<T> out) {
-    allreduce(in, out, [](T& a, const T& b) { if (b > a) a = b; });
   }
   /// Scalar allreduce-sum convenience.
   template <typename T>
@@ -212,7 +208,7 @@ class Comm {
     switch (algo) {
       case AllgatherAlgo::kRing: {
         GearScope gear(*ctx_, config_.comm_gear_ghz);
-        const TagBlock tags = tags_.acquire("allgather");
+        const TagBlock tags = tags_.acquire();
         collectives::allgather_ring(*ctx_, in, out, tags);
         return;
       }
@@ -234,7 +230,7 @@ class Comm {
     auto span = collective_span("allgatherv", in.size_bytes());
     span.arg_str("algo", "ring");
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("allgatherv");
+    const TagBlock tags = tags_.acquire();
     collectives::allgatherv_ring(*ctx_, in, out, counts, tags);
   }
 
@@ -245,7 +241,7 @@ class Comm {
     auto span = collective_span("alltoall", in.size_bytes());
     span.arg_str("algo", algorithm_name(Family::kAlltoall, static_cast<int>(algo)));
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("alltoall");
+    const TagBlock tags = tags_.acquire();
     collectives::alltoall(*ctx_, algo, in, out, block, tags);
   }
 
@@ -255,7 +251,7 @@ class Comm {
                  std::span<T> out, std::span<const int> recv_counts) {
     auto span = collective_span("alltoallv", in.size_bytes());
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("alltoallv");
+    const TagBlock tags = tags_.acquire();
     collectives::alltoallv(*ctx_, in, send_counts, out, recv_counts, tags);
   }
 
@@ -264,7 +260,7 @@ class Comm {
   void gather(std::span<const T> in, std::span<T> out, int root) {
     auto span = collective_span("gather", in.size_bytes());
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("gather");
+    const TagBlock tags = tags_.acquire();
     collectives::gather_linear(*ctx_, in, out, root, tags);
   }
 
@@ -273,7 +269,7 @@ class Comm {
   void scatter(std::span<const T> in, std::span<T> out, int root) {
     auto span = collective_span("scatter", out.size_bytes());
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("scatter");
+    const TagBlock tags = tags_.acquire();
     collectives::scatter_linear(*ctx_, in, out, root, tags);
   }
 
@@ -283,7 +279,7 @@ class Comm {
                 int root) {
     auto span = collective_span("scatterv", out.size_bytes());
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("scatterv");
+    const TagBlock tags = tags_.acquire();
     collectives::scatterv_linear(*ctx_, in, counts, out, root, tags);
   }
 
@@ -309,7 +305,7 @@ class Comm {
   void scan(std::span<const T> in, std::span<T> out, Op op) {
     auto span = collective_span("scan", in.size_bytes());
     GearScope gear(*ctx_, config_.comm_gear_ghz);
-    const TagBlock tags = tags_.acquire("scan");
+    const TagBlock tags = tags_.acquire();
     collectives::scan_linear(*ctx_, in, out, op, tags);
   }
 

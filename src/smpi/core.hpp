@@ -128,14 +128,13 @@ class TagAllocator {
   static constexpr int kTagsPerBlock = 1 << 12;
   static constexpr int kWindowBlocks = 256;
 
-  TagBlock acquire(const char* family) {
+  TagBlock acquire() {
     const int index = static_cast<int>(next_seq_ % kWindowBlocks);
     ++next_seq_;
     if (active_[static_cast<std::size_t>(index)]) {
       ++overlap_violations_;
       assert(false && "tag range still held by an in-flight collective");
     }
-    (void)family;
     active_[static_cast<std::size_t>(index)] = true;
     ++in_flight_;
     max_in_flight_ = std::max(max_in_flight_, in_flight_);

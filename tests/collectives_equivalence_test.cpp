@@ -215,8 +215,8 @@ TEST(Registry, TuningTableSelectsByRankAndSize) {
 
 TEST(TagAllocator, LeasesDisjointRangesAboveUserTags) {
   smpi::TagAllocator alloc;
-  const auto a = alloc.acquire("first");
-  const auto b = alloc.acquire("second");
+  const auto a = alloc.acquire();
+  const auto b = alloc.acquire();
   EXPECT_GE(a.tag(0), smpi::TagAllocator::kCollectiveTagBase);
   EXPECT_EQ(b.tag(0) - a.tag(0), smpi::TagAllocator::kTagsPerBlock);
   // Steps stay inside the leased block, wrapping rather than spilling over.
@@ -226,13 +226,13 @@ TEST(TagAllocator, LeasesDisjointRangesAboveUserTags) {
 
 TEST(TagAllocator, RecyclesReleasedRangesAcrossTheWindow) {
   smpi::TagAllocator alloc;
-  const int first = alloc.acquire("probe").tag(0);  // released immediately
+  const int first = alloc.acquire().tag(0);  // released immediately
   // Burn through a full window of acquire/release cycles; the allocator must
   // come back to the first range without tripping the in-flight assertion.
   for (int i = 1; i < smpi::TagAllocator::kWindowBlocks; ++i) {
-    (void)alloc.acquire("cycle");
+    (void)alloc.acquire();
   }
-  EXPECT_EQ(alloc.acquire("wrapped").tag(0), first);
+  EXPECT_EQ(alloc.acquire().tag(0), first);
 }
 
 TEST(Registry, TunedCommMatchesFixedAlgorithmPayloads) {

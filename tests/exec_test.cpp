@@ -197,6 +197,32 @@ TEST(RunBatch, CaseWiderThanTheBudgetRunsAloneInsteadOfDeadlocking) {
   EXPECT_LE(stats.max_threads_in_use, 4);  // the wide case's cost clamps
 }
 
+TEST(RunBatch, EngineWorkersEnvironmentVariableIsReadEachTimeAndChecked) {
+  // The variable is consulted only when the process default is automatic, so
+  // clear that default for the test and put both back afterwards.
+  const int saved_default = sim::default_engine_workers();
+  const char* saved = std::getenv("ISOEE_ENGINE_WORKERS");
+  const std::string saved_env = saved == nullptr ? "" : saved;
+  sim::set_default_engine_workers(0);
+
+  ASSERT_EQ(setenv("ISOEE_ENGINE_WORKERS", "2", 1), 0);
+  EXPECT_EQ(sim::resolve_engine_workers(0, 1024), 2);
+  ASSERT_EQ(unsetenv("ISOEE_ENGINE_WORKERS"), 0);
+  EXPECT_EQ(sim::resolve_engine_workers(0, 1024), sim::auto_engine_workers(1024));
+  // A mistyped value must not quietly fall back to the automatic width.
+  for (const char* bad : {"abc", "-1", "5000", "2x"}) {
+    ASSERT_EQ(setenv("ISOEE_ENGINE_WORKERS", bad, 1), 0);
+    EXPECT_THROW(sim::resolve_engine_workers(0, 1024), std::invalid_argument) << bad;
+  }
+
+  if (saved == nullptr) {
+    unsetenv("ISOEE_ENGINE_WORKERS");
+  } else {
+    setenv("ISOEE_ENGINE_WORKERS", saved_env.c_str(), 1);
+  }
+  sim::set_default_engine_workers(saved_default);
+}
+
 TEST(RunBatch, EngineCaseCostIsResolvedWorkersNotRanks) {
   // Budget doctrine since the fiber rearchitecture: a simulation case
   // declares the scheduler worker count the engine will actually use — a

@@ -182,7 +182,7 @@ TEST(Metrics, EngineRunsFeedTheGlobalRegistry) {
     if (ctx.rank() == 0) {
       ctx.send_bytes(1, 0, buf);
     } else {
-      (void)ctx.recv_bytes(0, 0);
+      ctx.recv(0, 0, std::span<std::byte>(buf));
     }
     ctx.compute(1000);
   });
@@ -496,7 +496,7 @@ TEST(Trace, SegmentSpansFlowsAndDvfsInstants) {
     if (ctx.rank() == 0) {
       ctx.send_bytes(1, 7, buf);
     } else {
-      (void)ctx.recv_bytes(0, 7);
+      ctx.recv(0, 7, std::span<std::byte>(buf));
     }
   });
 
@@ -612,7 +612,7 @@ TEST(Trace, FlowIdsAreUniqueInRenderedOutputEvenAcrossPooledRuns) {
       if (ctx.rank() == 0) {
         ctx.send_bytes(1, 0, buf);
       } else {
-        (void)ctx.recv_bytes(0, 0);
+        ctx.recv(0, 0, std::span<std::byte>(buf));
       }
     });
   }

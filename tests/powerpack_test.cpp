@@ -66,7 +66,7 @@ TEST(Profiler, SampledEnergyMatchesEngineEnergy) {
   powerpack::Profiler prof(spec);
   powerpack::SampleOptions opts;
   opts.interval_s = 1e-5;
-  const auto samples = prof.sample_rank(res.traces[0], opts);
+  const auto samples = prof.sample_job(res.traces, opts);
   const double integrated = powerpack::Profiler::integrate_j(samples, opts.interval_s);
   // Engine total differs from the sampled integral only by the memory-delta
   // accounting of hidden (overlapped) memory time and discretisation. The
@@ -112,12 +112,12 @@ TEST(Profiler, SensorNoiseOnlyWhenEnabled) {
   powerpack::SampleOptions opts;
   opts.interval_s = 1e-3;
   opts.sensor_noise = true;  // spec noise disabled -> still clean
-  const auto clean = prof_clean.sample_rank(res.traces[0], opts);
+  const auto clean = prof_clean.sample_job(res.traces, opts);
 
   auto noisy_spec = spec;
   noisy_spec.noise.enabled = true;
   powerpack::Profiler prof_noisy(noisy_spec);
-  const auto noisy = prof_noisy.sample_rank(res.traces[0], opts);
+  const auto noisy = prof_noisy.sample_job(res.traces, opts);
 
   ASSERT_EQ(clean.size(), noisy.size());
   bool any_diff = false;
@@ -178,7 +178,7 @@ TEST(TraceExport, PowerCsvRoundTrip) {
   powerpack::Profiler prof(spec);
   powerpack::SampleOptions opts;
   opts.interval_s = 1e-3;
-  const auto samples = prof.sample_rank(res.traces[0], opts);
+  const auto samples = prof.sample_job(res.traces, opts);
   const std::string path = "/tmp/isoee_power_trace_test.csv";
   ASSERT_TRUE(powerpack::write_power_csv(samples, path));
   std::ifstream in(path);

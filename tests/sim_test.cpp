@@ -309,17 +309,15 @@ TEST(Engine, FifoOrderPerSourceAndTag) {
   });
 }
 
-TEST(Engine, IrecvWaitEnablesOverlap) {
+TEST(Engine, RecvAfterComputeOverlapsTransfer) {
   Engine eng(tiny_machine());
   auto res = eng.run(2, [](RankCtx& ctx) {
     std::vector<double> buf(125000);  // 1 MB -> 1 ms transfer
     if (ctx.rank() == 0) {
       ctx.send(1, 0, std::span<const double>(buf));
     } else {
-      auto h = ctx.irecv(0, 0);
       ctx.compute(2'000'000'000);  // 1 s of compute while the message flies
-      auto bytes = ctx.wait(h);
-      EXPECT_EQ(bytes.size(), 1'000'000u);
+      ctx.recv(0, 0, std::span<double>(buf));
     }
   });
   // Message arrived long before compute finished: no receive wait.
@@ -833,7 +831,7 @@ TEST(Mailbox, ZeroBytePayloadsNeedNoPooledBuffer) {
       } else if (i % 2 == 0) {
         ctx.recv(0, i % 3, std::span<double>());
       } else {
-        EXPECT_TRUE(ctx.recv_bytes(0, i % 3).empty());
+        ctx.recv(0, i % 3, std::span<std::byte>());
       }
     }
   });
@@ -1099,23 +1097,6 @@ TEST(Engine, RecvSizeMismatchThrows) {
                std::runtime_error);
 }
 
-TEST(Engine, WaitTwiceOnHandleThrows) {
-  Engine eng(tiny_machine());
-  EXPECT_THROW(eng.run(2,
-                       [](RankCtx& ctx) {
-                         double v = 1.0;
-                         if (ctx.rank() == 0) {
-                           ctx.send(1, 0, std::span<const double>(&v, 1));
-                           ctx.send(1, 0, std::span<const double>(&v, 1));
-                         } else {
-                           auto h = ctx.irecv(0, 0);
-                           (void)ctx.wait(h);
-                           (void)ctx.wait(h);  // already completed
-                         }
-                       }),
-               std::logic_error);
-}
-
 TEST(Engine, RunResultAggregatesMatchRankSums) {
   Engine eng(tiny_machine());
   auto res = eng.run(3, [](RankCtx& ctx) {
@@ -1191,9 +1172,9 @@ TEST(Scratch, SlicesAreDisjointAlignedAndKeepTheirContents) {
         // A ring message hands the schedule to the neighbours, who write
         // their own slices before this rank re-reads its own.
         const int n = ctx.size();
-        const std::byte token{1};
+        std::byte token{1};
         ctx.send_bytes((ctx.rank() + 1) % n, 0, std::span<const std::byte>(&token, 1));
-        (void)ctx.recv_bytes((ctx.rank() + n - 1) % n, 0);
+        ctx.recv((ctx.rank() + n - 1) % n, 0, std::span<std::byte>(&token, 1));
         bool ok = aligned(slice.data());
         for (std::size_t i = 0; i < kBytes; ++i) {
           ok = ok && slice[i] == std::byte((r * 131 + i) & 0xff);

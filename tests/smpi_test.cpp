@@ -4,6 +4,7 @@
 // (p-1)(t_s + X t_w) the paper uses for FT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -106,7 +107,8 @@ TEST_P(CollectiveP, AllreduceMax) {
   eng.run(p, [p](RankCtx& ctx) {
     Comm comm(ctx);
     double in = ctx.rank() * 1.5, out = -1;
-    comm.allreduce_max(std::span<const double>(&in, 1), std::span<double>(&out, 1));
+    comm.allreduce(std::span<const double>(&in, 1), std::span<double>(&out, 1),
+                   [](double& a, const double& b) { a = std::max(a, b); });
     EXPECT_DOUBLE_EQ(out, (p - 1) * 1.5);
   });
 }
