@@ -51,7 +51,7 @@ std::string key_prefix(const sim::MachineSpec& machine) {
 exec::Case probe_case(const sim::MachineSpec& machine, int p, std::size_t block,
                       smpi::AlltoallAlgo algo) {
   exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, p);
+  c.threads = sim::resolve_engine_workers(p);
   c.cache_key = key_prefix(machine) + std::to_string(p) + '\x1f' + std::to_string(block) +
                 '\x1f' + std::to_string(static_cast<int>(algo));
   c.run = [machine, p, block, algo] {

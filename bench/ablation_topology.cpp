@@ -61,7 +61,7 @@ std::string key_prefix(const sim::MachineSpec& machine) {
 /// payload: {worst per-rank time, intra-node message share}).
 exec::Case probe_case(const sim::MachineSpec& machine, int p, std::size_t block) {
   exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, p);
+  c.threads = sim::resolve_engine_workers(p);
   const auto algo = static_cast<int>(smpi::CollectiveConfig{}.alltoall);
   c.cache_key = key_prefix(machine) + std::to_string(p) + '\x1f' + std::to_string(block) +
                 '\x1f' + std::to_string(algo);
@@ -82,7 +82,7 @@ template <typename Config>
 exec::Case kernel_case(const sim::MachineSpec& machine, const Config& config, int p,
                        Runner<Config> runner) {
   exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, p);
+  c.threads = sim::resolve_engine_workers(p);
   c.cache_key = key_prefix(machine) + analysis::make_adapter(config)->fingerprint() +
                 '\x1f' + std::to_string(p);
   c.run = [machine, config, p, runner] {

@@ -118,7 +118,6 @@ std::unique_ptr<Context> init(int argc, const char* const* argv, std::vector<con
   cli.flag("csv-dir", options.csv_dir, "directory for CSV output")
       .flag("seed", "", "noise-seed override (empty = machine preset default)")
       .flag("jobs", "1", "host-thread budget (1 = serial, 0 = all cores)")
-      .flag("engine-workers", "0", "fiber-engine workers per simulation (0 = auto)")
       .flag("cache-dir", "", "result-cache directory (empty = caching off)")
       .flag("cache-max-mb", "0",
             "result-cache size cap in MiB, oldest entries pruned (0 = unbounded)")
@@ -130,14 +129,14 @@ std::unique_ptr<Context> init(int argc, const char* const* argv, std::vector<con
       .flag("flame-interval-us", std::to_string(options.flame_interval_us),
             "scheduler-profiler sampling period, microseconds");
   if (!cli.parse(argc, argv)) return nullptr;
-  long long engine_workers = 0;
   try {
     if (!cli.get("seed").empty()) options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     options.exec.jobs = static_cast<int>(cli.get_int("jobs", 0, INT_MAX));
-    engine_workers = cli.get_int("engine-workers", 0, INT_MAX);
     options.exec.cache_max_bytes =
         static_cast<std::uint64_t>(cli.get_int("cache-max-mb", 0, LLONG_MAX >> 20)) << 20;
     options.flame_interval_us = static_cast<std::uint64_t>(cli.get_int("flame-interval-us", 0));
+    // A malformed ISOEE_ENGINE_WORKERS fails here, before any row runs.
+    (void)sim::resolve_engine_workers(1);
   } catch (const std::invalid_argument& e) {
     ISOEE_ERROR("%s", e.what());
     return nullptr;
@@ -159,7 +158,6 @@ std::unique_ptr<Context> init(int argc, const char* const* argv, std::vector<con
       for (const Row& row : kRows) rows->push_back(&row);
     }
   }
-  sim::set_default_engine_workers(static_cast<int>(engine_workers));
   options.csv_dir = cli.get("csv-dir");
   options.exec.cache_dir = cli.get("cache-dir");
   options.trace_out = cli.get("trace-out");

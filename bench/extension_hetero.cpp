@@ -39,7 +39,7 @@ int bench::extension_hetero(bench::Context& ctx) {
   for (double s0 : splits) {
     const std::vector<double> shares = {s0, 1.0 - s0};
     exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, 8);
+    c.threads = sim::resolve_engine_workers(8);
     c.cache_key = std::string("hetero-split\x1f") + exec::machine_fingerprint(spec) + '\x1f' +
                   exec::encode_doubles(shares) + '\x1f' + exec::encode_f64(total_instr) +
                   '\x1f' + exec::encode_doubles(gears);

@@ -50,7 +50,7 @@ int bench::extension_io(bench::Context& ctx) {
     cfg.iterations = 20;
     cfg.ckpt_every = every;
     exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, p);
+    c.threads = sim::resolve_engine_workers(p);
     c.cache_key = std::string("ckpt-period\x1f") + exec::machine_fingerprint(spec) + '\x1f' +
                   analysis::make_adapter(cfg)->fingerprint() + '\x1f' + std::to_string(p);
     c.run = [spec, cfg, p] {

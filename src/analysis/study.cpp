@@ -282,7 +282,7 @@ std::string study_key(const char* kind, const std::string& machine_fp,
 
 exec::Case machine_params_case(const sim::MachineSpec& spec, bool measured) {
   exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, 2);  // mpptest ping-pong: 2 ranks
+  c.threads = sim::resolve_engine_workers(2);  // mpptest ping-pong: 2 ranks
   c.cache_key = std::string("machine-params\x1f") + exec::machine_fingerprint(spec) + '\x1f' +
                 (measured ? "measured" : "nominal");
   c.run = [spec, measured]() {
@@ -312,7 +312,7 @@ std::vector<exec::Case> calibration_cases(const sim::MachineSpec& spec,
     exec::Case c;
     // Cost = fiber-scheduler workers, not ranks: a p=1024 case occupies a
     // worker or two of the host, so sweeps genuinely parallelize.
-    c.threads = sim::resolve_engine_workers(0, p);
+    c.threads = sim::resolve_engine_workers(p);
     c.cache_key = study_key("calibrate", machine_fp, adapter_fp, n, p, 0.0);
     c.run = [spec, adapter, n, p]() -> std::string {
       double snapped = n;
@@ -345,7 +345,7 @@ exec::Case measure_case(const sim::MachineSpec& spec,
                         std::shared_ptr<const BenchmarkAdapter> adapter, double n, int p,
                         double f_ghz) {
   exec::Case c;
-  c.threads = sim::resolve_engine_workers(0, p);
+  c.threads = sim::resolve_engine_workers(p);
   c.cache_key = study_key("measure", exec::machine_fingerprint(spec), adapter->fingerprint(), n,
                           p, f_ghz);
   c.run = [spec, adapter, n, p, f_ghz]() {

@@ -79,7 +79,7 @@ SweepStats run_sweep(std::uint64_t seed, int count, exec::Executor& exec,
   cases.reserve(configs.size());
   for (const CheckConfig& cfg : configs) {
     exec::Case c;
-    c.threads = sim::resolve_engine_workers(0, cfg.p);  // fiber-engine workers
+    c.threads = sim::resolve_engine_workers(cfg.p);  // fiber-engine workers
                                                         // the oracle's runs use
     if (exec.cache().enabled()) {
       c.cache_key = "sweep\x1f" + cfg.repro() +

@@ -4,11 +4,11 @@
 // back in submission order.
 //
 // Concurrency is budgeted in *host threads*, not cases. A simulated job costs
-// its fiber-scheduler worker count — sim::resolve_engine_workers(0, nranks),
+// its fiber-scheduler worker count — sim::resolve_engine_workers(nranks),
 // typically 1 for the small jobs that dominate sweeps — NOT nranks, so a
 // default budget admits many p=1024 cases concurrently. Simulation call sites
-// declare `threads = resolve_engine_workers(...)`; non-engine work declares
-// what it actually spawns.
+// declare `threads = resolve_engine_workers(p)`, the same call the engine
+// makes for its width; non-engine work declares what it actually spawns.
 //
 // Batches and turns: each Executor::run call is one batch. Under one lock it
 // registers every keyed case that is not already in flight, joins each one

@@ -34,54 +34,48 @@ namespace {
 
 std::atomic<int> g_default_workers{0};
 
-// ISOEE_ENGINE_WORKERS, read on each call: unset or empty is 0 (automatic);
-// anything but a whole number in [0, 4096] throws, so a mistyped value cannot
-// quietly run at the automatic width.
+// Both ways to set the width take one range, so a value refused from the
+// environment is refused from code too.
+int checked_workers(long n, bool whole, const char* what, const std::string& text) {
+  if (!whole || n < 0 || n > 4096) {
+    throw std::invalid_argument(std::string(what) +
+                                " must be a whole number in [0, 4096] (0 = automatic), "
+                                "got '" + text + "'");
+  }
+  return static_cast<int>(n);
+}
+
+// ISOEE_ENGINE_WORKERS, read on each call: unset or empty is 0 (none);
+// anything else out of range throws, so a mistyped value cannot quietly run
+// at the automatic width.
 int env_engine_workers() {
   const char* s = std::getenv("ISOEE_ENGINE_WORKERS");
   if (s == nullptr || *s == '\0') return 0;
   char* end = nullptr;
   errno = 0;
   const long n = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno != 0 || n < 0 || n > 4096) {
-    throw std::invalid_argument("ISOEE_ENGINE_WORKERS must be a whole number in [0, 4096] (0 = "
-                                "automatic), got '" + std::string(s) + "'");
-  }
-  return static_cast<int>(n);
+  const bool whole = end != s && *end == '\0' && errno == 0;
+  return checked_workers(n, whole, "ISOEE_ENGINE_WORKERS", s);
 }
 
 }  // namespace
 
-void set_default_engine_workers(int workers) {
-  if (workers < 0) {
-    throw std::invalid_argument("default engine workers must be >= 0 (0 = automatic)");
-  }
-  g_default_workers.store(workers, std::memory_order_relaxed);
+int set_default_engine_workers(int workers) {
+  checked_workers(workers, true, "engine workers", std::to_string(workers));
+  return g_default_workers.exchange(workers, std::memory_order_relaxed);
 }
 
-int default_engine_workers() {
-  return g_default_workers.load(std::memory_order_relaxed);
-}
-
-int auto_engine_workers(int nranks) {
-  // Small jobs run fastest on one worker — a fiber switch is tens of
-  // nanoseconds while a cross-worker wakeup is a cv round-trip — and
+int resolve_engine_workers(int nranks) {
+  if (nranks < 1) nranks = 1;
+  int w = g_default_workers.load(std::memory_order_relaxed);
+  if (w == 0) w = env_engine_workers();
+  // Automatic: small jobs run fastest on one worker — a fiber switch is tens
+  // of nanoseconds while a cross-worker wakeup is a cv round-trip — and
   // exec::Executor already parallelizes across cases. Only large jobs are
   // worth spreading over host cores.
-  if (nranks < 256) return 1;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(static_cast<int>(std::min(hw, 8u)), nranks);
-}
-
-int resolve_engine_workers(int requested, int nranks) {
-  if (requested < 0) {
-    throw std::invalid_argument("engine workers must be >= 0 (0 = automatic)");
+  if (w == 0 && nranks >= 256) {
+    w = static_cast<int>(std::min(std::max(1u, std::thread::hardware_concurrency()), 8u));
   }
-  if (nranks < 1) nranks = 1;
-  int w = requested;
-  if (w == 0) w = default_engine_workers();
-  if (w == 0) w = env_engine_workers();
-  if (w == 0) w = auto_engine_workers(nranks);
   return std::clamp(w, 1, nranks);
 }
 
@@ -447,6 +441,10 @@ struct EngineMetrics {
   // rather than having delivered into its waiting buffer. Exact for
   // one-worker runs; with more workers it depends on the host interleaving.
   obs::Counter& payload_bytes_copied = obs::metrics().counter("sim.payload_bytes_copied");
+  // Deliveries whose sender sits on another worker than the receiver. Exact
+  // at any width (placement and message pattern fix it); 0 at one worker.
+  obs::Counter& messages_cross_worker =
+      obs::metrics().counter("sim.messages_cross_worker");
 
   static EngineMetrics& get() {
     static EngineMetrics m;
@@ -468,9 +466,6 @@ Engine::Engine(MachineSpec spec, Options opts) : spec_(std::move(spec)), opts_(o
   if (const std::string err = spec_.validate(); !err.empty()) {
     throw std::invalid_argument("invalid MachineSpec: " + err);
   }
-  if (opts_.workers < 0) {
-    throw std::invalid_argument("EngineOptions::workers must be >= 0 (0 = automatic)");
-  }
 }
 
 RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
@@ -482,7 +477,7 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  detail::FiberScheduler sched(nranks, resolve_engine_workers(opts_.workers, nranks));
+  detail::FiberScheduler sched(nranks, resolve_engine_workers(nranks));
   detail::RunScratch scratch(nranks);
   std::vector<std::unique_ptr<RankCtx>> contexts;
   contexts.reserve(static_cast<std::size_t>(nranks));
@@ -496,6 +491,7 @@ RunResult Engine::run(int nranks, const std::function<void(RankCtx&)>& body) {
   m.mailbox_channels_max.set_max(static_cast<double>(sched.stats().channels_max));
   m.mailbox_pool_bytes_max.set_max(static_cast<double>(sched.stats().pool_bytes_max));
   m.payload_bytes_copied.inc(sched.stats().bytes_copied);
+  m.messages_cross_worker.inc(sched.stats().messages_cross_worker);
   if (first_error) std::rethrow_exception(first_error);
 
   RunResult result = aggregate(contexts);

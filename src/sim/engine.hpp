@@ -25,8 +25,8 @@
 // Those three properties are why the engine can parallelize a *single* large
 // simulation across host cores and still be bit-exact: virtual clocks are
 // strictly per rank, so no dispatch order the scheduler (or the worker count)
-// chooses can change any virtual-time observable. EngineOptions::workers is
-// purely a host-performance knob.
+// chooses can change any virtual-time observable. The worker count
+// (resolve_engine_workers) is purely a host-performance knob.
 //
 // Because messages carry real payload bytes, application kernels (FFT, CG...)
 // compute real numerics and can be verified against reference results while
@@ -279,24 +279,20 @@ struct PerturbSpec {
   int max_sleep_us = 50;               // reorder horizon (0 = bare yield)
 };
 
-/// Resolves an EngineOptions::workers request to a concrete worker count for
-/// an nranks-rank job: explicit requests are clamped to [1, nranks]; 0 defers
-/// to set_default_engine_workers(), then the ISOEE_ENGINE_WORKERS environment
-/// variable (read on each call), then auto_engine_workers(). A negative
-/// request, or a variable that is not a whole number in [0, 4096], throws
-/// std::invalid_argument.
-int resolve_engine_workers(int requested, int nranks);
+/// The host worker threads that multiplex an nranks-rank job's fibers, in
+/// [1, nranks]: the process override (set_default_engine_workers) if set,
+/// else ISOEE_ENGINE_WORKERS (read on each call) if set, else 1 below 256
+/// ranks and min(hardware threads, 8) from 256 up. Any width gives
+/// bit-identical results. A variable that is not a whole number in [0, 4096]
+/// throws std::invalid_argument.
+int resolve_engine_workers(int nranks);
 
-/// The automatic policy: 1 worker for small jobs (nranks < 256), where fiber
-/// switching beats cv traffic; min(hardware threads, 8, nranks) for large ones.
-int auto_engine_workers(int nranks);
-
-/// Process-wide default for EngineOptions::workers == 0 (0 = automatic).
-/// Overrides the ISOEE_ENGINE_WORKERS environment variable; CLI layers (e.g.
-/// bench --engine-workers) call this once at startup. A negative value throws
+/// Sets the process override for resolve_engine_workers (0 = none) and
+/// returns the previous one, so a caller can restore it. It beats
+/// ISOEE_ENGINE_WORKERS: an in-process caller that must run at one width
+/// whatever the environment says sets it. A value outside [0, 4096] throws
 /// std::invalid_argument.
-void set_default_engine_workers(int workers);
-int default_engine_workers();
+int set_default_engine_workers(int workers);
 
 /// Engine construction options.
 struct EngineOptions {
@@ -307,12 +303,6 @@ struct EngineOptions {
   /// per_rank_ghz[r % size()] (snapped to a gear). Overrides initial_ghz.
   /// Used to validate the heterogeneous model extension (model/hetero.hpp).
   std::vector<double> per_rank_ghz;
-
-  /// Host worker threads multiplexing the rank fibers.
-  /// 0 = resolve automatically (see resolve_engine_workers); negative values
-  /// are rejected. Any valid value gives bit-identical results; this knob
-  /// trades host cores for wall-clock.
-  int workers = 0;
 
   /// Scheduler-order perturbation injector (see PerturbSpec). Simulation
   /// results are independent of it by construction; it exists to let tests

@@ -216,7 +216,7 @@ struct FiberScheduler::RankSlot {
   Fiber fiber;
   FiberScheduler* sched = nullptr;
   int rank = 0;
-  int owner = 0;          // worker index (rank % workers)
+  int owner = 0;          // worker index: ranks sit on workers in blocks
   Fiber* resume_to = nullptr;  // owner worker's home context while running
 
   enum class State { kRunning, kBlocked, kYield, kDone };
@@ -236,6 +236,7 @@ struct FiberScheduler::RankSlot {
   std::span<std::byte> waiting_out;
   std::optional<double> filled_arrival;  // set when deliver() wrote waiting_out
   std::uint64_t delivered = 0;
+  std::uint64_t delivered_cross_worker = 0;  // from a sender on another worker
   std::uint64_t bytes_copied = 0;
 };
 
@@ -272,7 +273,8 @@ FiberScheduler::FiberScheduler(int nranks, int workers) : nranks_(nranks) {
     auto slot = std::make_unique<RankSlot>(pool_cap_bytes(nranks));
     slot->sched = this;
     slot->rank = r;
-    slot->owner = r % workers;
+    // In 64 bits: blocks differ in size by at most one, and W <= p leaves none empty.
+    slot->owner = static_cast<int>(std::int64_t{r} * workers / nranks);
     slots_.push_back(std::move(slot));
   }
   workers_.reserve(static_cast<std::size_t>(workers));
@@ -311,6 +313,7 @@ std::exception_ptr FiberScheduler::run(const std::function<void(int)>& body) {
   for (const auto& wk : workers_) stats_.dispatches += wk->dispatches;
   for (const auto& slot : slots_) {
     stats_.messages += slot->delivered;
+    stats_.messages_cross_worker += slot->delivered_cross_worker;
     stats_.channels_max = std::max(stats_.channels_max, slot->box.channels_max());
     stats_.pool_bytes_max = std::max(stats_.pool_bytes_max, slot->box.pool_bytes_max());
     stats_.bytes_copied += slot->bytes_copied;
@@ -453,7 +456,11 @@ void FiberScheduler::deliver(int dst, int src, int tag, double arrival,
   double wake_key = 0.0;
   {
     std::unique_lock<std::mutex> lk(slot.mu, std::defer_lock);
-    if (!single_) lk.lock();
+    if (!single_) {
+      lk.lock();
+      const int from = slots_[static_cast<std::size_t>(src)]->owner;
+      slot.delivered_cross_worker += from != slot.owner;
+    }
     if (slot.blocked && slot.waiting_key == key) {
       slot.blocked = false;
       wake = true;

@@ -1,7 +1,9 @@
 // Run-to-completion fiber scheduler: the concurrency core of the engine.
 //
 // Every simulated rank is a stackful fiber (fiber.hpp) pinned to one of a
-// small pool of OS worker threads (rank r belongs to worker r % W). A fiber
+// small pool of OS worker threads. Ranks sit on workers in blocks: of W
+// workers for p ranks, rank r belongs to worker r·W/p, so neighbouring ranks
+// share a worker and a ring hop crosses workers only at a block edge. A fiber
 // runs until it *blocks* — a receive whose message has not arrived — then the
 // worker switches to the next ready fiber of its shard. Within a shard, ready
 // fibers are dispatched in deterministic virtual-time order: smallest rank
@@ -18,8 +20,11 @@
 // message matching is FIFO per channel, and wildcards do not exist, *every*
 // dispatch order yields bit-identical results — worker count and
 // perturbation change only host execution order, never a virtual-time
-// observable. (src/check's perturbed and cross-worker digest oracles assert
-// exactly this.)
+// observable. src/check's perturbed-run oracle asserts this for perturbation;
+// for width, sim_test's EngineScale.*AcrossWorkerCounts,
+// Mailbox.RecyclingKeepsFifoOrderAndDeterminismAcrossWorkers and
+// WaitingRecv.CgAtP16IsByteIdenticalAcrossWorkersAndCopiesLessThanTwice, and
+// figures_test's FastRow.SameBytesAtAnyJobsCacheStateAndEngineWidth do.
 //
 // Payload copies: every receive (take) copies into a buffer its caller owns.
 // A send copies its bytes at once (eager semantics), into a pooled buffer
@@ -70,6 +75,7 @@ class FiberScheduler {
   struct Stats {
     std::uint64_t dispatches = 0;   // fiber resumes (starts + wakeups + yields)
     std::uint64_t messages = 0;     // deliveries through the mailboxes
+    std::uint64_t messages_cross_worker = 0;  // of those, from another worker's rank
     std::size_t channels_max = 0;   // live (src, tag) channels in one mailbox
     std::size_t pool_bytes_max = 0; // idle payload bytes in one rank's pool
     std::uint64_t bytes_copied = 0; // payload bytes memcpy'd by deliveries and receives

@@ -38,6 +38,7 @@
 #include "check/generators.hpp"
 #include "check/oracle.hpp"
 #include "check/shrink.hpp"
+#include "engine_width.hpp"
 #include "exec/cache.hpp"
 #include "exec/codec.hpp"
 #include "exec/executor.hpp"
@@ -197,56 +198,67 @@ TEST(RunBatch, CaseWiderThanTheBudgetRunsAloneInsteadOfDeadlocking) {
   EXPECT_LE(stats.max_threads_in_use, 4);  // the wide case's cost clamps
 }
 
-TEST(RunBatch, EngineWorkersEnvironmentVariableIsReadEachTimeAndChecked) {
-  // The variable is consulted only when the process default is automatic, so
-  // clear that default for the test and put both back afterwards.
-  const int saved_default = sim::default_engine_workers();
-  const char* saved = std::getenv("ISOEE_ENGINE_WORKERS");
-  const std::string saved_env = saved == nullptr ? "" : saved;
-  sim::set_default_engine_workers(0);
+/// The automatic width: what resolve_engine_workers gives with no process
+/// override and ISOEE_ENGINE_WORKERS unset.
+int automatic_engine_workers(int nranks) {
+  const test::EngineWidth no_override(0);
+  const test::EngineWorkersEnv unset(nullptr);
+  return sim::resolve_engine_workers(nranks);
+}
 
-  ASSERT_EQ(setenv("ISOEE_ENGINE_WORKERS", "2", 1), 0);
-  EXPECT_EQ(sim::resolve_engine_workers(0, 1024), 2);
-  ASSERT_EQ(unsetenv("ISOEE_ENGINE_WORKERS"), 0);
-  EXPECT_EQ(sim::resolve_engine_workers(0, 1024), sim::auto_engine_workers(1024));
+TEST(RunBatch, EngineWorkersEnvironmentVariableIsReadEachTimeAndChecked) {
+  // The variable is consulted only when no process override is set, so clear
+  // the override for the test; both guards put their value back.
+  const test::EngineWidth no_override(0);
+  const test::EngineWorkersEnv env("2");
+  EXPECT_EQ(sim::resolve_engine_workers(1024), 2);
+  {
+    const test::EngineWidth one(1);  // the override beats the variable
+    EXPECT_EQ(sim::resolve_engine_workers(1024), 1);
+  }
+  test::EngineWorkersEnv::set(nullptr);
+  // Unset: the automatic rule, 1 below 256 ranks and min(hardware, 8) above.
+  EXPECT_EQ(sim::resolve_engine_workers(16), 1);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(sim::resolve_engine_workers(1024), static_cast<int>(std::min(hw, 8u)));
   // A mistyped value must not quietly fall back to the automatic width.
   for (const char* bad : {"abc", "-1", "5000", "2x"}) {
-    ASSERT_EQ(setenv("ISOEE_ENGINE_WORKERS", bad, 1), 0);
-    EXPECT_THROW(sim::resolve_engine_workers(0, 1024), std::invalid_argument) << bad;
+    test::EngineWorkersEnv::set(bad);
+    EXPECT_THROW(sim::resolve_engine_workers(1024), std::invalid_argument) << bad;
   }
-
-  if (saved == nullptr) {
-    unsetenv("ISOEE_ENGINE_WORKERS");
-  } else {
-    setenv("ISOEE_ENGINE_WORKERS", saved_env.c_str(), 1);
-  }
-  sim::set_default_engine_workers(saved_default);
 }
 
 TEST(RunBatch, EngineCaseCostIsResolvedWorkersNotRanks) {
   // Budget doctrine since the fiber rearchitecture: a simulation case
   // declares the scheduler worker count the engine will actually use — a
-  // handful of host threads — not nranks. Explicit requests clamp to
+  // handful of host threads — not nranks. An override clamps to
   // [1, nranks]; the automatic policy stays far below wide rank counts.
-  EXPECT_EQ(sim::resolve_engine_workers(6, 4), 4);
-  EXPECT_EQ(sim::resolve_engine_workers(3, 1024), 3);
-  // A negative worker count is a caller error at every boundary.
-  EXPECT_THROW(sim::resolve_engine_workers(-2, 1024), std::invalid_argument);
-  EXPECT_THROW(sim::set_default_engine_workers(-1), std::invalid_argument);
-  sim::EngineOptions bad;
-  bad.workers = -2;
-  EXPECT_THROW(sim::Engine(sim::system_g(), bad), std::invalid_argument);
-
-  // 0 resolves through the process default and ISOEE_ENGINE_WORKERS (a CI job
-  // sets it) to the automatic policy, whatever the host's core count.
-  const int w = sim::resolve_engine_workers(0, 1024);
-  const char* env = std::getenv("ISOEE_ENGINE_WORKERS");
-  if (sim::default_engine_workers() == 0) {
-    const int from_env = env == nullptr ? 0 : std::atoi(env);
-    EXPECT_EQ(w, from_env > 0 ? std::min(from_env, 1024) : sim::auto_engine_workers(1024));
+  {
+    const test::EngineWidth six(6);
+    EXPECT_EQ(sim::resolve_engine_workers(4), 4);
   }
-  EXPECT_EQ(sim::auto_engine_workers(16), 1);
-  const int auto_wide = sim::auto_engine_workers(1024);
+  {
+    const test::EngineWidth three(3);
+    EXPECT_EQ(sim::resolve_engine_workers(1024), 3);
+  }
+  // The override takes the variable's range, [0, 4096]; resolving the widest
+  // one starts no thread.
+  EXPECT_THROW(sim::set_default_engine_workers(-1), std::invalid_argument);
+  EXPECT_THROW(sim::set_default_engine_workers(4097), std::invalid_argument);
+  EXPECT_NO_THROW({
+    const test::EngineWidth widest(4096);
+    EXPECT_EQ(sim::resolve_engine_workers(8), 8);
+  });
+
+  // With no override the width resolves through ISOEE_ENGINE_WORKERS (a CI
+  // job sets it) to the automatic policy, whatever the host's core count.
+  const test::EngineWidth no_override(0);
+  const int w = sim::resolve_engine_workers(1024);
+  const char* env = std::getenv("ISOEE_ENGINE_WORKERS");
+  const int from_env = env == nullptr ? 0 : std::atoi(env);
+  EXPECT_EQ(w, from_env > 0 ? std::min(from_env, 1024) : automatic_engine_workers(1024));
+  EXPECT_EQ(automatic_engine_workers(16), 1);
+  const int auto_wide = automatic_engine_workers(1024);
   EXPECT_GE(auto_wide, 1);
   EXPECT_LE(auto_wide, 8);  // min(hardware, 8), never anywhere near p
 

@@ -2,7 +2,7 @@
 //
 // A row's output bytes are a function of its inputs alone: the same at any
 // executor budget (--jobs), cold or replayed from a warm result cache, and at
-// any fiber-engine width (--engine-workers). A warm render starts no
+// any fiber-engine width (ISOEE_ENGINE_WORKERS). A warm render starts no
 // simulation and no case. The rows checked here are the ones that render in
 // under 0.2 s cold; CI runs the same contracts over the slower rows through
 // the `figures` binary. Also: the shared flags' range checks, row-name
@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "bench/figures.hpp"
+#include "engine_width.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
 
 namespace {
 
@@ -39,12 +39,6 @@ const bench::Row& row_named(std::string_view name) {
   }
   throw std::invalid_argument("no row " + std::string(name));
 }
-
-/// Restores the process-wide engine width when the test ends.
-struct EngineWidthGuard {
-  int saved = sim::default_engine_workers();
-  ~EngineWidthGuard() { sim::set_default_engine_workers(saved); }
-};
 
 using Files = std::map<std::string, std::string>;  // file name -> bytes
 
@@ -101,8 +95,7 @@ class FastRow : public ::testing::TestWithParam<const char*> {};
 TEST_P(FastRow, SameBytesAtAnyJobsCacheStateAndEngineWidth) {
   const bench::Row& row = row_named(GetParam());
   const fs::path dir = scratch_dir(row.name);
-  const EngineWidthGuard guard;
-  sim::set_default_engine_workers(1);
+  const test::EngineWidth one(1);
   const Files reference = render(row, 1, "", dir / "reference");
   ASSERT_FALSE(reference.empty());
 
@@ -124,7 +117,7 @@ TEST_P(FastRow, SameBytesAtAnyJobsCacheStateAndEngineWidth) {
     }
   }
   for (const int width : {2, 8}) {
-    sim::set_default_engine_workers(width);
+    const test::EngineWidth pinned(width);
     EXPECT_EQ(differing(reference, render(row, 1, "", dir / "width")),
               std::vector<std::string>{})
         << "engine width " << width;
@@ -142,16 +135,20 @@ INSTANTIATE_TEST_SUITE_P(Rows, FastRow,
 
 TEST(FiguresInit, RejectsOutOfRangeNumericFlags) {
   const std::string csv_dir = "--csv-dir=" + scratch_dir("init_range").string();
-  for (const char* flag : {"--jobs=-1", "--engine-workers=-1", "--cache-max-mb=-1",
-                           "--flame-interval-us=-1"}) {
+  std::vector<const bench::Row*> rows;
+  for (const char* flag : {"--jobs=-1", "--cache-max-mb=-1", "--flame-interval-us=-1"}) {
     const char* argv[] = {"figures", flag, csv_dir.c_str()};
-    std::vector<const bench::Row*> rows;
     EXPECT_EQ(bench::init(3, argv, &rows), nullptr) << flag;
   }
+  // The engine width comes from ISOEE_ENGINE_WORKERS; a bad value fails init
+  // before any row runs. The variable is read only with no process override.
+  const test::EngineWidth no_override(0);
+  const test::EngineWorkersEnv bad("-1");
+  const char* argv[] = {"figures", csv_dir.c_str()};
+  EXPECT_EQ(bench::init(2, argv, &rows), nullptr);
 }
 
 TEST(FiguresInit, ResolvesRowNamesAndRejectsUnknownOnes) {
-  const EngineWidthGuard guard;
   const fs::path dir = scratch_dir("init_rows");
   const std::string csv_dir = "--csv-dir=" + dir.string();
   std::vector<const bench::Row*> rows;

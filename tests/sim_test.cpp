@@ -11,8 +11,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "engine_width.hpp"
 #include "npb/cg.hpp"
 #include "npb/classes.hpp"
 #include "obs/metrics.hpp"
@@ -576,17 +578,31 @@ void scale_failing_body(RankCtx& ctx) {
   ctx.recv((ctx.rank() + 1023) % 1024, 1, std::span<double>(buf));
 }
 
+// sim.messages_cross_worker counts deliveries whose sender sits on another
+// worker than the receiver.
+obs::Counter& cross_worker_counter() {
+  return obs::metrics().counter("sim.messages_cross_worker");
+}
+
 TEST(EngineScale, RingAtP1024DigestsIdenticalAcrossWorkerCounts) {
+  constexpr int kSteps = 10;
   const MachineSpec m = scale_machine();
   std::uint64_t reference = 0;
-  for (const int workers : {1, 2, 8}) {
+  for (const int workers : {1, 2, 4, 8}) {
+    const test::EngineWidth width(workers);
     sim::EngineOptions opts;
     opts.record_trace = true;
-    opts.workers = workers;
     Engine eng(m, opts);
-    const auto res = eng.run(1024, scale_ring_body(1024, 10));
+    const std::uint64_t cross0 = cross_worker_counter().value();
+    const auto res = eng.run(1024, scale_ring_body(1024, kSteps));
     ASSERT_EQ(res.ranks.size(), 1024u);
     EXPECT_GT(res.makespan, 0.0);
+    // Ranks sit on workers in blocks, so a ring hop crosses workers only at
+    // a block edge: W of each step's 1024 messages (none at one worker),
+    // where a round-robin placement would send every one across.
+    EXPECT_EQ(cross_worker_counter().value() - cross0,
+              workers == 1 ? 0u : static_cast<std::uint64_t>(workers) * kSteps)
+        << "workers=" << workers;
     const std::uint64_t d = digest_result(res);
     if (reference == 0) {
       reference = d;
@@ -615,9 +631,9 @@ TEST(EngineScale, AllreduceAtP1024DigestsIdenticalAcrossWorkerCounts) {
   const MachineSpec m = scale_machine();
   std::uint64_t reference = 0;
   for (const int workers : {1, 2, 8}) {
+    const test::EngineWidth width(workers);
     sim::EngineOptions opts;
     opts.record_trace = true;
-    opts.workers = workers;
     Engine eng(m, opts);
     const auto res = eng.run(1024, body);
     const std::uint64_t d = digest_result(res);
@@ -631,9 +647,8 @@ TEST(EngineScale, AllreduceAtP1024DigestsIdenticalAcrossWorkerCounts) {
 
 TEST(EngineScale, RingAtP4096CompletesAndIsRepeatable) {
   const MachineSpec m = scale_machine();
-  sim::EngineOptions opts;
-  opts.workers = 2;
-  Engine a(m, opts), b(m, opts);
+  const test::EngineWidth width(2);
+  Engine a(m), b(m);
   const auto r1 = a.run(4096, scale_ring_body(4096, 5));
   const auto r2 = b.run(4096, scale_ring_body(4096, 5));
   ASSERT_EQ(r1.ranks.size(), 4096u);
@@ -663,9 +678,9 @@ TEST(EngineScale, ProfilerEnabledRunIsByteIdenticalAndAttributed) {
   // profiled attempt first fails a rank, so the sampler also races two
   // workers through the poison and handle-release paths.
   const MachineSpec m = scale_machine();
+  const test::EngineWidth width(2);
   sim::EngineOptions opts;
   opts.record_trace = true;
-  opts.workers = 2;
   Engine plain(m, opts);
   const std::uint64_t reference = digest_result(plain.run(1024, scale_ring_body(1024, 10)));
 
@@ -702,9 +717,8 @@ TEST(EngineScale, ProfilerEnabledRunIsByteIdenticalAndAttributed) {
 TEST(EngineScale, RankFailureAtP1024UnwindsAndLeaksNoFiberStacks) {
   const MachineSpec m = scale_machine();
   const auto run_once = [&] {
-    sim::EngineOptions opts;
-    opts.workers = 2;
-    Engine eng(m, opts);
+    const test::EngineWidth width(2);
+    Engine eng(m);
     EXPECT_THROW(eng.run(1024, scale_failing_body), std::runtime_error);
   };
   run_once();
@@ -759,9 +773,8 @@ TEST(Mailbox, LiveChannelsStayBoundedUnderCgPattern) {
   // measured 15 = p-1, a left neighbour's whole ring queued ahead.
   constexpr int kIters = 320;
   channels_gauge().reset();
-  sim::EngineOptions opts;
-  opts.workers = 1;
-  Engine eng(tiny_machine(), opts);
+  const test::EngineWidth width(1);
+  Engine eng(tiny_machine());
   const auto res = eng.run(16, [](RankCtx& ctx) { cg_pattern(ctx, kIters); });
   EXPECT_GT(res.counters.messages_sent, 2u * kIters * 16u);
   EXPECT_GE(channels_gauge().value(), 1.0);
@@ -806,18 +819,23 @@ TEST(Mailbox, RecyclingKeepsFifoOrderAndDeterminismAcrossWorkers) {
   const MachineSpec m = tiny_machine();
   sim::EngineOptions quiet;
   quiet.record_trace = true;
-  quiet.workers = 1;
-  Engine ref_eng(m, quiet);
-  const std::uint64_t reference = digest_result(ref_eng.run(16, drain_and_recreate));
-  for (const int workers : {1, 2, 8}) {
+  const auto reference = [&](int p) {
+    const test::EngineWidth width(1);
+    Engine eng(m, quiet);
+    return digest_result(eng.run(p, drain_and_recreate));
+  };
+  const std::uint64_t ref16 = reference(16), ref10 = reference(10);
+  // p = 10 at widths 3 and 4: blocks of unequal size (4/3/3 and 3/2/3/2).
+  for (const auto& [p, workers] :
+       std::vector<std::pair<int, int>>{{16, 1}, {16, 2}, {16, 8}, {10, 3}, {10, 4}}) {
+    const test::EngineWidth width(workers);
     sim::EngineOptions opts = quiet;
-    opts.workers = workers;
     opts.perturb.enabled = true;
     opts.perturb.seed = 0x5eed0000ULL + static_cast<std::uint64_t>(workers);
     opts.perturb.yield_probability = 0.3;
     Engine eng(m, opts);
-    EXPECT_EQ(digest_result(eng.run(16, drain_and_recreate)), reference)
-        << "workers=" << workers;
+    EXPECT_EQ(digest_result(eng.run(p, drain_and_recreate)), p == 16 ? ref16 : ref10)
+        << "p=" << p << " workers=" << workers;
   }
 }
 
@@ -849,9 +867,8 @@ TEST(Mailbox, PoolKeepsAtMostItsCapAndFreesLargerBuffers) {
   // could block first and take a message straight into its buffer, which
   // never touches the pool.
   const auto run_burst = [](std::size_t bytes, int burst) {
-    sim::EngineOptions one;
-    one.workers = 1;
-    Engine eng(tiny_machine(), one);
+    const test::EngineWidth width(1);
+    Engine eng(tiny_machine());
     eng.run(2, [bytes, burst](RankCtx& ctx) {
       std::vector<unsigned char> buf(bytes);
       for (int i = 0; i < burst; ++i) {
@@ -910,10 +927,9 @@ TEST(Mailbox, SizeMismatchOnPooledBufferStillThrows) {
 obs::Counter& copied_counter() { return obs::metrics().counter("sim.payload_bytes_copied"); }
 
 TEST(WaitingRecv, PayloadBytesCopiedIsOneCopyIntoAWaitingReceiveAndTwoOtherwise) {
-  sim::EngineOptions one;
-  one.workers = 1;
+  const test::EngineWidth width(1);
   // Ping-pong: each receive is posted before its message is sent.
-  Engine ping(tiny_machine(), one);
+  Engine ping(tiny_machine());
   std::uint64_t before = copied_counter().value();
   auto res = ping.run(2, [](RankCtx& ctx) {
     std::vector<double> buf(16, static_cast<double>(ctx.rank()));
@@ -934,7 +950,7 @@ TEST(WaitingRecv, PayloadBytesCopiedIsOneCopyIntoAWaitingReceiveAndTwoOtherwise)
   EXPECT_EQ(copied_counter().value() - before, res.counters.bytes_sent);
 
   // A burst: every message is queued before its receive.
-  Engine burst(tiny_machine(), one);
+  Engine burst(tiny_machine());
   before = copied_counter().value();
   res = burst.run(2, [](RankCtx& ctx) {
     std::vector<double> buf(16);
@@ -950,9 +966,8 @@ TEST(WaitingRecv, PayloadBytesCopiedIsOneCopyIntoAWaitingReceiveAndTwoOtherwise)
 }
 
 TEST(WaitingRecv, SizeMismatchThrowsAndTheNextReceiveGetsTheNextMessage) {
-  sim::EngineOptions one;
-  one.workers = 1;
-  Engine eng(tiny_machine(), one);
+  const test::EngineWidth width(1);
+  Engine eng(tiny_machine());
   bool threw = false;
   double next = 0.0;
   const auto res = eng.run(2, [&](RankCtx& ctx) {
@@ -984,9 +999,8 @@ TEST(WaitingRecv, SizeMismatchThrowsAndTheNextReceiveGetsTheNextMessage) {
 }
 
 TEST(WaitingRecv, ZeroByteMessageCompletesAWaitingReceive) {
-  sim::EngineOptions one;
-  one.workers = 1;
-  Engine eng(tiny_machine(), one);
+  const test::EngineWidth width(1);
+  Engine eng(tiny_machine());
   double value = 0.0;
   const auto res = eng.run(2, [&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
@@ -1005,9 +1019,8 @@ TEST(WaitingRecv, ZeroByteMessageCompletesAWaitingReceive) {
 
 TEST(WaitingRecv, PeerFailureUnwindsAWaitingReceiveWithRankAbandoned) {
   for (const int workers : {1, 2}) {
-    sim::EngineOptions opts;
-    opts.workers = workers;
-    Engine eng(tiny_machine(), opts);
+    const test::EngineWidth width(workers);
+    Engine eng(tiny_machine());
     bool abandoned = false;
     std::vector<double> buf(8, -1.0);
     try {
@@ -1034,17 +1047,18 @@ struct CgRun {
   npb::CgResult cg;
   std::uint64_t events = 0;
   std::uint64_t copied = 0;
+  std::uint64_t cross_worker = 0;
 };
 
 CgRun run_cg_s16(int workers) {
-  sim::EngineOptions opts;
-  opts.workers = workers;
+  const test::EngineWidth width(workers);
   auto machine = sim::system_g();
   machine.noise.enabled = false;
-  Engine eng(machine, opts);
+  Engine eng(machine);
   obs::Counter& events = obs::metrics().counter("engine.events_processed");
   const std::uint64_t events0 = events.value();
   const std::uint64_t copied0 = copied_counter().value();
+  const std::uint64_t cross0 = cross_worker_counter().value();
   CgRun out;
   out.result = eng.run(16, [&](RankCtx& ctx) {
     const npb::CgResult res = npb::cg_rank(ctx, npb::cg_class(npb::ProblemClass::S));
@@ -1052,6 +1066,7 @@ CgRun run_cg_s16(int workers) {
   });
   out.events = events.value() - events0;
   out.copied = copied_counter().value() - copied0;
+  out.cross_worker = cross_worker_counter().value() - cross0;
   return out;
 }
 
@@ -1070,6 +1085,10 @@ TEST(WaitingRecv, CgAtP16IsByteIdenticalAcrossWorkersAndCopiesLessThanTwice) {
     EXPECT_EQ(got.events, ref.events) << "workers=" << workers;
     EXPECT_EQ(got.cg.zeta, ref.cg.zeta) << "workers=" << workers;
     EXPECT_EQ(got.cg.rnorm, ref.cg.rnorm) << "workers=" << workers;
+    // Blocks keep most of CG's traffic on one worker; this run must still
+    // carry deliveries between workers, which the forced multi-worker TSan
+    // pass relies on.
+    EXPECT_GT(got.cross_worker, 0u) << "workers=" << workers;
   }
 }
 
@@ -1158,9 +1177,8 @@ TEST(Scratch, SlicesAreDisjointAlignedAndKeepTheirContents) {
   constexpr std::size_t kBytes = 1000;  // not a multiple of the alignment
   for (int p : {1, 7, 64}) {
     for (int workers : {1, 2}) {
-      sim::EngineOptions opts;
-      opts.workers = workers;
-      Engine eng(tiny_machine(), opts);
+      const test::EngineWidth width(workers);
+      Engine eng(tiny_machine());
       std::vector<std::uintptr_t> starts(static_cast<std::size_t>(p));
       std::vector<int> intact(static_cast<std::size_t>(p), 0);
       eng.run(p, [&](RankCtx& ctx) {
